@@ -1,42 +1,40 @@
 """Exact Gaussian elimination over a field and homology of bounded complexes.
 
-Matrices are lists of sparse rows (dict col -> coeff).  Everything is
-exact; there are no tolerances anywhere.
+Vectors are sparse dicts key -> coeff.  Everything is exact; there are no
+tolerances anywhere.
+
+`ReducedSpace` is the one elimination kernel.  Its `echelon` is a list of
+`(pivot, row)` pairs: each row is scaled to 1 at its pivot and is zero at
+the pivots of the rows before it.  Insertion order is reduction order;
+rows are never reordered, rescaled or mutated once appended, so a copy of
+the list is a copy of the space.  `reduce` is the only loop that subtracts
+echelon rows and `add` the only place that chooses a pivot (the least key
+by `repr`, for determinism).  A row may carry the combination of tagged
+input vectors it was built from; rank, kernels, homology and coordinates
+of classes are all read off that bookkeeping.
 """
 
 
 class StructuralError(Exception):
-    """Raised when a complex fails d*d = 0, naming the offending key."""
+    """Raised when a structure fails an invariant such as d*d = 0, naming
+    the offending key or degree."""
 
 
-def row_reduce(rows, field):
-    """Row echelon form.  Returns (pivots, reduced_rows).
-
-    pivots is a list of (row_index, col) in elimination order; reduced_rows
-    are the nonzero echelon rows (each scaled to pivot 1).
-    """
-    echelon = []          # list of (pivot_col, row_dict)
-    for row in rows:
-        row = dict(row)
-        for pc, er in echelon:
-            c = row.get(pc)
-            if c is not None:
-                for k, v in er.items():
-                    nv = field.sub(row.get(k, field.zero), field.mul(c, v))
-                    if nv == field.zero:
-                        row.pop(k, None)
-                    else:
-                        row[k] = nv
-        if row:
-            pc = min(row, key=repr)  # deterministic pivot choice
-            inv = field.inv(row[pc])
-            row = {k: field.mul(inv, v) for k, v in row.items()}
-            echelon.append((pc, row))
-    return echelon
+def _subtract(vec, c, row, field):
+    """vec -= c * row in place, dropping the entries that become zero."""
+    for k, v in row.items():
+        nv = field.sub(vec.get(k, field.zero), field.mul(c, v))
+        if nv == field.zero:
+            vec.pop(k, None)
+        else:
+            vec[k] = nv
 
 
 def rank(rows, field):
-    return len(row_reduce(rows, field))
+    space = ReducedSpace(field)
+    for row in rows:
+        space.add(row)
+    return space.dim
 
 
 def rank_dense_oracle(rows, field, ncols_keys):
@@ -70,36 +68,54 @@ def rank_dense_oracle(rows, field, ncols_keys):
 
 
 class ReducedSpace:
-    """Echelonized span of sparse vectors; supports membership and reduction."""
+    """Echelonized span of sparse vectors; supports membership and reduction.
+
+    `combos` runs parallel to `echelon`: the combination of tags (dict
+    tag -> coeff) that each row equals, or None for a row added without
+    one.  Combinations are kept modulo the untagged rows."""
 
     def __init__(self, field):
         self.field = field
         self.echelon = []  # (pivot_col, row_dict)
+        self.combos = []   # tag combination of each row, or None
 
-    def reduce(self, vec):
+    def copy(self):
+        other = ReducedSpace(self.field)
+        other.echelon = list(self.echelon)
+        other.combos = list(self.combos)
+        return other
+
+    def reduce(self, vec, combo=None):
+        """The remainder of vec modulo the span (a new dict).
+
+        If `combo` (the tag combination that vec equals) is given, it is
+        reduced in place alongside, so that the remainder equals it modulo
+        the untagged rows."""
         field = self.field
         vec = dict(vec)
-        for pc, er in self.echelon:
+        for (pc, row), row_combo in zip(self.echelon, self.combos):
             c = vec.get(pc)
             if c is not None:
-                for k, v in er.items():
-                    nv = field.sub(vec.get(k, field.zero), field.mul(c, v))
-                    if nv == field.zero:
-                        vec.pop(k, None)
-                    else:
-                        vec[k] = nv
+                _subtract(vec, c, row, field)
+                if combo is not None and row_combo:
+                    _subtract(combo, c, row_combo, field)
         return vec
 
-    def add(self, vec):
-        """Reduce and insert; returns True if the vector was new."""
-        vec = self.reduce(vec)
+    def add(self, vec, combo=None):
+        """Reduce and insert; returns True if the vector was new.
+
+        `combo` is reduced in place as in `reduce`; a new row keeps its
+        scaled copy."""
+        vec = self.reduce(vec, combo)
         if not vec:
             return False
         pc = min(vec, key=repr)
         inv = self.field.inv(vec[pc])
-        vec = {k: self.field.mul(inv, v) for k, v in vec.items()}
-        # insertion order is the reduction order; do not reorder
-        self.echelon.append((pc, vec))
+        self.echelon.append((pc, {k: self.field.mul(inv, v)
+                                  for k, v in vec.items()}))
+        self.combos.append(None if combo is None else
+                           {k: self.field.mul(inv, v)
+                            for k, v in combo.items()})
         return True
 
     def contains(self, vec):
@@ -111,46 +127,20 @@ class ReducedSpace:
 
 
 def kernel_basis(rows_by_colkey, field, col_keys):
-    """Kernel of the matrix whose column at key k is rows_by_colkey[k].
+    """Kernel and image of the matrix whose column at key k is
+    rows_by_colkey[k] (a dict rowkey -> coeff).
 
-    Columns are vectors (dict rowkey -> coeff); returns a list of kernel
-    vectors as dicts col_key -> coeff.
-    """
-    # Transpose-free: eliminate columns left to right, tracking combinations.
-    combos = []   # parallel to processed columns: dict colkey -> coeff
-    echelon = []  # (pivot_rowkey, column_dict, combo)
+    Columns are added in the order of `col_keys`, column k tagged {k: 1}.
+    Returns (kernel, image): the combinations of the columns that reduce
+    to zero, as dicts col_key -> coeff, and the ReducedSpace of the other
+    columns, which spans the image."""
+    image = ReducedSpace(field)
     kernel = []
     for ck in col_keys:
-        col = dict(rows_by_colkey[ck])
         combo = {ck: field.one}
-        for pr, ec, ecombo in echelon:
-            c = col.get(pr)
-            if c is not None:
-                for k, v in ec.items():
-                    nv = field.sub(col.get(k, field.zero), field.mul(c, v))
-                    if nv == field.zero:
-                        col.pop(k, None)
-                    else:
-                        col[k] = nv
-                for k, v in ecombo.items():
-                    nv = field.sub(combo.get(k, field.zero), field.mul(c, v))
-                    if nv == field.zero:
-                        combo.pop(k, None)
-                    else:
-                        combo[k] = nv
-        if not col:
+        if not image.add(rows_by_colkey[ck], combo):
             kernel.append(combo)
-        else:
-            pr = min(col, key=repr)
-            inv = field.inv(col[pr])
-            col = {k: field.mul(inv, v) for k, v in col.items()}
-            combo = {k: field.mul(inv, v) for k, v in combo.items()}
-            echelon.append((pr, col, combo))
-    return kernel
-
-
-def _sorted_keys(keys):
-    return sorted(keys, key=repr)
+    return kernel, image
 
 
 def express_class(z, reps, boundary_space, field):
@@ -159,40 +149,14 @@ def express_class(z, reps, boundary_space, field):
     `boundary_space` is a ReducedSpace of boundaries; returns a list of
     coefficients, or None if z is not in the span (which would contradict
     z being a cycle when reps is a full basis)."""
-    space = ReducedSpace(field)
-    for _, row in boundary_space.echelon:
-        space.add(dict(row))
-    combos = []
+    space = boundary_space.copy()
     for i, r in enumerate(reps):
-        vec = space.reduce(r)
-        if not vec:
-            combos.append(None)
-            continue
-        pc = min(vec, key=repr)
-        inv = field.inv(vec[pc])
-        vec = {k: field.mul(inv, v) for k, v in vec.items()}
-        space.echelon.append((pc, vec))
-        combos.append((pc, inv, i))
-    # reduce z, tracking which representative rows get used
-    vec = dict(z)
-    coords = [field.zero] * len(reps)
-    for pc, row in space.echelon:
-        c = vec.get(pc)
-        if c is None:
-            continue
-        hit = next((t for t in combos if t is not None and t[0] == pc), None)
-        for k, v in row.items():
-            nv = field.sub(vec.get(k, field.zero), field.mul(c, v))
-            if nv == field.zero:
-                vec.pop(k, None)
-            else:
-                vec[k] = nv
-        if hit is not None:
-            coords[hit[2]] = field.add(coords[hit[2]],
-                                       field.mul(c, hit[1]))
-    if vec:
+        space.add(r, {i: field.one})
+    # z - (reps combination) reduces to zero: the combination is -combo
+    combo = {}
+    if space.reduce(z, combo):
         return None
-    return coords
+    return [field.neg(combo.get(i, field.zero)) for i in range(len(reps))]
 
 
 class HomologyResult:
@@ -213,31 +177,16 @@ def homology(basis_by_degree, diff, field, check_d2=True, ddeg=None):
     `ddeg` is the differential's shift in the *grading of the dict*; when
     omitted it is inferred from key degrees (valid only when the dict is
     graded by key degree).  Returns dims and representative cycles.
+
+    Each degree's columns are eliminated once, by `kernel_basis`; its
+    image echelon is the boundary space of the target degree.
     """
     degrees = sorted(basis_by_degree)
-    images = {}       # degree d -> ReducedSpace of boundaries landing in d
-    columns = {}      # degree d -> {key: column dict} of d restricted to d
+    columns = {d: {k: diff(k) for k in basis_by_degree[d]} for d in degrees}
     if ddeg is None:
-        for d in degrees:
-            for k in basis_by_degree[d]:
-                v = diff(k)
-                if v:
-                    tdeg = next(iter(v)).degree
-                    ddeg = tdeg - d
-                    break
-            if ddeg is not None:
-                break
-    if ddeg is None:
-        ddeg = 1  # zero differential; direction irrelevant
-    for d in degrees:
-        cols = {}
-        img = images.setdefault(d + ddeg, ReducedSpace(field))
-        for k in basis_by_degree[d]:
-            col = diff(k)
-            cols[k] = col
-            if col:
-                img.add(col)
-        columns[d] = cols
+        # a zero differential leaves the direction irrelevant
+        ddeg = next((next(iter(col)).degree - d for d in degrees
+                     for col in columns[d].values() if col), 1)
     if check_d2:
         for d in degrees:
             if d + ddeg not in basis_by_degree:
@@ -255,21 +204,19 @@ def homology(basis_by_degree, diff, field, check_d2=True, ddeg=None):
                     raise StructuralError(f"d*d != 0 on basis key {k!r}")
     dims = {}
     reps = {}
-    for d in degrees:
-        if d - ddeg in basis_by_degree or d + ddeg in basis_by_degree or True:
-            kern = kernel_basis(columns[d], field,
-                                _sorted_keys(basis_by_degree[d]))
-            img = images.get(d)
-            space = ReducedSpace(field)
-            if img is not None:
-                for _, row in img.echelon:
-                    space.add(row)
-            nb = space.dim
-            chosen = []
-            for v in kern:
-                if space.add(v):
-                    chosen.append(v)
-            dims[d] = len(kern) - nb
-            assert dims[d] == len(chosen)
-            reps[d] = chosen
-    return HomologyResult(dims, reps)
+    images = {}  # degree -> ReducedSpace of the boundaries landing there
+    # walk along the differential, so the boundaries into d are known at d
+    for d in sorted(degrees, key=lambda d: d * ddeg):
+        kern, images[d + ddeg] = kernel_basis(
+            columns[d], field, sorted(basis_by_degree[d], key=repr))
+        space = images.pop(d) if d in images else ReducedSpace(field)
+        nb = space.dim
+        reps[d] = [v for v in kern if space.add(v)]
+        dims[d] = len(kern) - nb
+        if dims[d] != len(reps[d]):
+            raise StructuralError(
+                f"degree {d}: {len(kern)} cycles modulo {nb} boundaries "
+                f"leave {dims[d]} classes, but {len(reps[d])} "
+                f"representatives are independent")
+    return HomologyResult({d: dims[d] for d in degrees},
+                          {d: reps[d] for d in degrees})

@@ -426,13 +426,10 @@ def check_quasi_iso_on_polynomials(family, P, complex_basis, complex_diff,
         target_dim = res.dims.get(d, 0)
         rep.record(len(mons) == target_dim, ("dimension", d))
         space = ReducedSpace(field)
-        boundaries = ReducedSpace(field)
-        for dd in range(d - 1, d):
-            for k in complex_basis.get(dd, []):
-                v = complex_diff(k)
-                if v:
-                    boundaries.add(v)
-                    space.add(v)
+        for k in complex_basis.get(d - 1, []):
+            v = complex_diff(k)
+            if v:
+                space.add(v)
         ok = True
         for m in mons:
             img = family(1, [GradedElement.single(field, m)])

@@ -3,9 +3,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from torbar.fields import QQ, F5
-from torbar.linalg import (row_reduce, rank, rank_dense_oracle, ReducedSpace,
-                           kernel_basis, homology, StructuralError)
+from torbar.fields import QQ, F5, F2
+from torbar.linalg import (rank, rank_dense_oracle, ReducedSpace,
+                           kernel_basis, express_class, homology,
+                           StructuralError)
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,19 @@ def test_reduced_space_membership():
 def test_kernel_basis():
     # d(a) = x, d(b) = x  -> kernel spanned by a - b
     cols = {"a": {"x": QQ.of(1)}, "b": {"x": QQ.of(1)}}
-    kern = kernel_basis(cols, QQ, ["a", "b"])
+    kern, image = kernel_basis(cols, QQ, ["a", "b"])
     assert len(kern) == 1
+    assert image.dim == 1 and image.contains({"x": QQ.of(3)})
     v = kern[0]
     assert v.get("a", 0) == -v.get("b", 0) != 0
+
+
+def test_express_class_reduces_reps_against_each_other():
+    # the second rep reduces against the first; z is the second rep
+    x, y = QQ.of(1), QQ.of(1)
+    reps = [{"x": x}, {"x": x, "y": y}]
+    assert express_class({"x": x, "y": y}, reps, ReducedSpace(QQ), QQ) == \
+        [QQ.zero, QQ.one]
 
 
 def simplex_boundary_complex(field):
@@ -98,6 +108,9 @@ def test_homology_detects_bad_complex():
     basis[2] = [K("c", 2)]
     with pytest.raises(StructuralError):
         homology(basis, diff, QQ)
+    # unchecked, the count of classes in degree 1 comes out negative
+    with pytest.raises(StructuralError, match="degree 1"):
+        homology(basis, diff, QQ, check_d2=False)
 
 
 def test_koszul_rank1_acyclic():
@@ -122,3 +135,99 @@ def test_koszul_rank1_acyclic():
     res = homology({d: basis[d] for d in range(0, N)}, diff, QQ)
     for d in range(0, N - 1):
         assert res.dims[d] == (1 if d == 0 else 0)
+
+
+def random_complex(field, rng, top=3):
+    """A cochain complex in degrees 0..top with d*d = 0: a sum of one-term
+    pieces k and two-term pieces k -> k, in a random basis.
+
+    Returns (basis, diff, free) where free[d] is the number of one-term
+    pieces in degree d, which is the dimension of H^d."""
+    free = [rng.randint(0, 2) for _ in range(top + 1)]
+    pairs = [rng.randint(0, 2) for _ in range(top)] + [0]
+    sizes = [free[d] + pairs[d] + (pairs[d - 1] if d else 0)
+             for d in range(top + 1)]
+    # dense[d][t][s]: coefficient of target t (degree d+1) in d(source s);
+    # in degree d the sources of the pieces follow the free keys, and the
+    # targets of the pieces from degree d-1 come last
+    dense = [[[field.zero] * sizes[d] for _ in range(sizes[d + 1])]
+             for d in range(top)]
+    for d in range(top):
+        for p in range(pairs[d]):
+            dense[d][free[d + 1] + pairs[d + 1] + p][free[d] + p] = field.one
+    # change of basis g = 1 + c E_ij in degree d: rows into d by g, columns
+    # out of d by g^-1
+    for d in range(top + 1):
+        for _ in range(3 * sizes[d]):
+            if sizes[d] < 2:
+                break
+            i, j = rng.sample(range(sizes[d]), 2)
+            c = field.of(rng.randint(1, 4))
+            if d:
+                m = dense[d - 1]
+                m[i] = [field.add(a, field.mul(c, b))
+                        for a, b in zip(m[i], m[j])]
+            if d < top:
+                for row in dense[d]:
+                    row[j] = field.sub(row[j], field.mul(c, row[i]))
+    basis = {d: [K(f"e{i}", d) for i in range(sizes[d])]
+             for d in range(top + 1)}
+
+    def diff(key):
+        d = key.degree
+        if d == top:
+            return {}
+        i = int(key.name[1:])
+        return {basis[d + 1][t]: row[i] for t, row in enumerate(dense[d])
+                if row[i] != field.zero}
+
+    return basis, diff, free
+
+
+def combine(field, terms):
+    """The sum of c * v over (c, v) in terms, as a sparse dict."""
+    out = {}
+    for c, v in terms:
+        for k, x in v.items():
+            out[k] = field.add(out.get(k, field.zero), field.mul(c, x))
+    return {k: x for k, x in out.items() if x != field.zero}
+
+
+def test_random_complexes_against_dense_oracle():
+    rng = random.Random(11)
+    for field in (QQ, F5, F2):
+        for _ in range(20):
+            basis, diff, free = random_complex(field, rng)
+            res = homology(basis, diff, field, ddeg=1)
+            for d, keys in basis.items():
+                out_rows = [diff(k) for k in keys]
+                in_rows = [diff(k) for k in basis.get(d - 1, [])]
+                rank_out = rank_dense_oracle(out_rows, field,
+                                             basis.get(d + 1, []))
+                rank_in = rank_dense_oracle(in_rows, field, keys)
+                assert res.dims[d] == len(keys) - rank_out - rank_in \
+                    == free[d]
+                assert rank(out_rows, field) == rank_out
+
+                kern, image = kernel_basis({k: diff(k) for k in keys}, field,
+                                           keys)
+                assert image.dim == rank_out
+                assert len(kern) == len(keys) - rank_out
+                for v in kern:
+                    assert not combine(field, [(c, diff(k))
+                                               for k, c in v.items()])
+
+                reps = res.representatives[d]
+                for r in reps:
+                    assert not combine(field, [(c, diff(k))
+                                               for k, c in r.items()])
+                assert rank_dense_oracle(in_rows + reps, field, keys) == \
+                    rank_in + len(reps)
+
+                boundaries = ReducedSpace(field)
+                for v in in_rows:
+                    boundaries.add(v)
+                coeffs = [field.of(rng.randint(-3, 3)) for _ in reps]
+                z = combine(field, list(zip(coeffs, reps)) + [
+                    (field.of(rng.randint(-3, 3)), v) for v in in_rows])
+                assert express_class(z, reps, boundaries, field) == coeffs
