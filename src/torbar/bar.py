@@ -407,6 +407,3 @@ def _is_bidegree_pure(osb, basis):
                     return False
     return True
 
-
-class HorizonError(Exception):
-    """Requested Tor degree not determined by the computed truncation."""

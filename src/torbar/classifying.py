@@ -17,7 +17,7 @@ read as ((d_0 g_p) g_{p-1}, [g_{p-2},...,g_0]) for k = 0 and as
 from .graded import GradedElement
 from .linalg import StructuralError
 from .simplicial import (SimplicialSet, SimplicialGroup, ConstantGroup,
-                         ConstantFreeAbelian, ProductGroup)
+                         ConstantFreeAbelian)
 
 
 class WBar(SimplicialSet):
@@ -182,12 +182,6 @@ def total_space(G):
     return WTotal(G)
 
 
-def classifying_tower(G):
-    """(EG, BG) with the projection and action wired up."""
-    E = WTotal(G)
-    return E, E.base
-
-
 # -- built-in groups --------------------------------------------------------
 
 def cyclic_group(field, m):
@@ -202,10 +196,6 @@ def b_cyclic(field, m):
 def torus_group(field, rank):
     """B(Z^n), the lazily enumerated simplicial torus of the given rank."""
     return WBarGroup(ConstantFreeAbelian(field, rank))
-
-
-def product_group(G, H):
-    return ProductGroup(G, H)
 
 
 # -- reduced subgroups and quotients ---------------------------------------

@@ -273,15 +273,3 @@ def koszul_sign(degrees, perm):
                 sign = -sign
     return sign
 
-
-def apply_sign(map_degrees, block_degrees):
-    """Koszul sign for (f_1 (x) ... (x) f_r)(x_1 (x) ... (x) x_r).
-
-    map_degrees[i] is the degree of f_i, block_degrees[i] the total degree
-    of the arguments fed to f_i.  Sign exponent: sum_{i<j} |f_j||x_i|.
-    """
-    e = 0
-    for j in range(1, len(map_degrees)):
-        if map_degrees[j] % 2:
-            e += sum(block_degrees[:j])
-    return -1 if e % 2 else 1

@@ -7,9 +7,27 @@ combinations of nondegenerate simplex keys (degenerate faces are dropped
 at construction, which implements normalization once and for all).
 Cochains are computable functionals on nondegenerate simplices, so lazily
 enumerated spaces only ever answer finitely many queries.
+
+Every `SimplicialSet` owns three memos of its simplicial hot path, filled
+on first use and keyed by raw simplex data, which is sound because face
+and degeneracy are pure functions of (p, data):
+
+- `is_degenerate(p, data)`, keyed by (p, data), at most DEGENERATE_CAP
+  (65536) entries;
+- `key(p, data)`, keyed by (p, data), at most KEY_CAP (65536) entries: one
+  shared `SimplexKey` per simplex, so memoized cuts hold references to
+  keys, not copies of them;
+- `interval_cut(u, key)`, keyed by (u.seq, p, data) on key.space, at most
+  CUT_CAP (8192) entries, each a tuple of (coeff, tuple of factor keys).
+
+A memo that is full is emptied before its next entry.  Results are shared
+between callers and immutable (bools, keys and tuples).  The shapes of
+interval cuts depend only on (u.seq, n); `_cut_shapes` keeps those of the
+256 most recent pairs.
 """
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .graded import GradedElement, Tensor
@@ -38,12 +56,28 @@ class SimplexKey:
         return f"<{self.data}:{self.degree}>"
 
 
+DEGENERATE_CAP = 1 << 16
+KEY_CAP = 1 << 16
+CUT_CAP = 1 << 13
+
+
+def _remember(memo, key, value, cap):
+    """Store value in a bounded memo, emptying the memo first if full."""
+    if len(memo) >= cap:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 class SimplicialSet:
     """Base: subclasses implement face/degeneracy on raw simplex data."""
 
     def __init__(self, field):
         self.field = field
         self._nondeg_cache = {}
+        self._degenerate_memo = {}
+        self._key_memo = {}
+        self._cut_memo = {}
 
     # -- required ---------------------------------------------------------
     def face(self, p, i, data):
@@ -61,14 +95,20 @@ class SimplicialSet:
 
     # -- generic ----------------------------------------------------------
     def key(self, p, data):
-        return SimplexKey(self, p, data)
+        got = self._key_memo.get((p, data))
+        if got is None:
+            got = _remember(self._key_memo, (p, data),
+                            SimplexKey(self, p, data), KEY_CAP)
+        return got
 
     def is_degenerate(self, p, data):
-        # x is degenerate iff x = s_i d_i x for some i
-        for i in range(p):
-            if self.degeneracy(p - 1, i, self.face(p, i, data)) == data:
-                return True
-        return False
+        got = self._degenerate_memo.get((p, data))
+        if got is None:
+            # x is degenerate iff x = s_i d_i x for some i
+            got = _remember(self._degenerate_memo, (p, data), any(
+                self.degeneracy(p - 1, i, self.face(p, i, data)) == data
+                for i in range(p)), DEGENERATE_CAP)
+        return got
 
     def nondegenerate(self, p):
         got = self._nondeg_cache.get(p)
@@ -471,12 +511,6 @@ class Surjection:
     def degree(self):
         return len(self.seq) - self.arity
 
-    def last_occurrences(self):
-        last = {}
-        for t, v in enumerate(self.seq):
-            last[v] = t
-        return last
-
     def enclaves(self):
         """Pairs (i, i') (0-based) with u(i) = u(i'), i' >= i+2, and the
         values strictly between them absent at positions <= i or >= i'."""
@@ -523,24 +557,20 @@ G12 = Surjection((2, 3, 1, 3, 1, 2, 1))
 G21 = Surjection((3, 1, 3, 2, 3, 2, 1))
 
 
-_cut_shape_cache = {}
-
-
-def _cut_shapes(seq, last, n):
+@lru_cache(maxsize=256)
+def _cut_shapes(seq, n):
     """Shape-level interval cuts for a surjection on an n-simplex.
 
-    Returns a list of (sign, (vertex tuples per factor)); depends only on
+    Returns a tuple of (sign, (vertex tuples per factor)); depends only on
     (seq, n), so it is cached.  The sign is the Koszul permutation sign of
     sorting the intervals by label with caesura weights (non-final
     intervals count one extra), times (-1)^{endpoint} for every non-final
     interval; this is the convention pinned by the displayed differential
     identities of the cochain operations.
     """
-    cached = _cut_shape_cache.get((seq, n))
-    if cached is not None:
-        return cached
     m = len(seq)
     r = max(seq)
+    last = {v: t for t, v in enumerate(seq)}
     out = []
     for cuts in combinations_with_replacement(range(n + 1), m - 1):
         qs = (0,) + cuts + (n,)
@@ -568,33 +598,34 @@ def _cut_shapes(seq, last, n):
                 if seq[t] > seq[t2] and weights[t] % 2 and weights[t2] % 2:
                     sign = -sign
         out.append((sign, tuple(tuple(vs) for vs in verts)))
-    _cut_shape_cache[(seq, n)] = out
-    return out
+    return tuple(out)
 
 
 def interval_cut(u, key):
     """AW_u(sigma): the signed sum over interval cuts.
 
-    Returns a list of (coeff, [factor SimplexKeys]) with degenerate-factor
-    terms dropped (normalization)."""
+    Returns a tuple of (coeff, tuple of factor SimplexKeys) with
+    degenerate-factor terms dropped (normalization), memoized on the
+    space of `key`."""
     if not isinstance(u, Surjection):
         u = Surjection(tuple(u))
     X = key.space
-    field = X.field
     n = key.degree
+    memo_key = (u.seq, n, key.data)
+    got = X._cut_memo.get(memo_key)
+    if got is not None:
+        return got
     out = []
-    for sign, shape in _cut_shapes(u.seq, u.last_occurrences(), n):
+    for sign, shape in _cut_shapes(u.seq, n):
         factors = []
-        ok = True
         for vs in shape:
             data = X.face_by_vertices_data(key.data, n, vs)
             if X.is_degenerate(len(vs) - 1, data):
-                ok = False
                 break
             factors.append(X.key(len(vs) - 1, data))
-        if ok:
-            out.append((field.of(sign), factors))
-    return out
+        else:
+            out.append((X.field.of(sign), tuple(factors)))
+    return _remember(X._cut_memo, memo_key, tuple(out), CUT_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,7 +1069,6 @@ class DualCochainDga:
         # need this); otherwise the unit is the sum of all vertex duals
         self.unit_key = self.base_key if self.reduced_space else None
         self.hga = CochainHga(X)
-        self._mul_memo = {}
         self._diff_memo = {}
         self._cob_index = {}
         self._cup_index = {}
@@ -1108,37 +1138,33 @@ class DualCochainDga:
         return x.map_keys(self.diff_key)
 
     def _cup_index_for(self, degree):
-        """(front key, back key) -> vector of duals of the total simplices."""
+        """(front key, back key) -> vector of duals of the total simplices.
+
+        Built from the interval cuts of the surjection (1, 2), whose
+        transpose is the cup product."""
         got = self._cup_index.get(degree)
         if got is None:
             got = {}
             field = self.field
+            u = Surjection((1, 2))
             for x in self.X.nondegenerate(degree):
                 skey = self.X.key(degree, x)
-                for k in range(degree + 1):
-                    for t, c in partial_diagonal(skey, k).terms.items():
-                        front, back = t.parts
-                        # Koszul pairing sign (-1)^{|b||front|}
-                        sgn = field.neg(field.one) \
-                            if (back.degree % 2 and front.degree % 2) \
-                            else field.one
-                        got.setdefault((front, back), GradedElement(field)) \
-                            .add_in(GradedElement.single(
-                                field, DualKey(skey)), field.mul(sgn, c))
+                for c, (front, back) in interval_cut(u, skey):
+                    # Koszul pairing sign (-1)^{|b||front|}
+                    if back.degree % 2 and front.degree % 2:
+                        c = field.neg(c)
+                    got.setdefault((front, back), GradedElement(field)) \
+                        .add_in(GradedElement.single(field, DualKey(skey)), c)
             self._cup_index[degree] = got
         return got
 
     def mul_keys(self, k1, k2):
-        got = self._mul_memo.get((k1, k2))
-        if got is None:
-            target = k1.degree + k2.degree
-            if target > self.truncation:
-                raise StructuralError(
-                    f"cochain product beyond truncation {self.truncation}")
-            got = self._cup_index_for(target).get(
-                (k1.simplex, k2.simplex), GradedElement(self.field))
-            self._mul_memo[(k1, k2)] = got
-        return got
+        target = k1.degree + k2.degree
+        if target > self.truncation:
+            raise StructuralError(
+                f"cochain product beyond truncation {self.truncation}")
+        return self._cup_index_for(target).get(
+            (k1.simplex, k2.simplex), GradedElement(self.field))
 
     def mul(self, x, y):
         out = GradedElement(self.field)

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torbar import simplicial
+from torbar.classifying import WBar, WTotal, b_cyclic, torus_group, wbar
 from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement, Tensor, transpose_tensor
 from torbar.linalg import StructuralError
@@ -15,7 +18,7 @@ from torbar.simplicial import (SimplexComplex, standard_simplex,
                                zero_cochain, CochainHga, q_operation,
                                ConstantGroup, chain_complex_homology,
                                cochain_complex_homology, DualCochainDga,
-                               DualKey)
+                               DualKey, ConstantFreeAbelian, ProductGroup)
 
 
 def rand_cochain(space, q, rng):
@@ -355,3 +358,159 @@ def test_constant_group():
     assert G.loops() == [(0,)]  # only the (degenerate) trivial loop
     assert len(G.nondegenerate(0)) == 4
     assert len(G.nondegenerate(1)) == 0
+
+
+# -- memos of the simplicial hot path ------------------------------------------
+
+def _reference_cup_index(A, degree):
+    """The cup index from partial diagonals with the Koszul pairing sign."""
+    field = A.field
+    out = {}
+    for x in A.X.nondegenerate(degree):
+        skey = A.X.key(degree, x)
+        for k in range(degree + 1):
+            for t, c in partial_diagonal(skey, k).terms.items():
+                front, back = t.parts
+                sgn = field.neg(field.one) \
+                    if (back.degree % 2 and front.degree % 2) else field.one
+                out.setdefault((front, back), GradedElement(field)).add_in(
+                    GradedElement.single(field, DualKey(skey)),
+                    field.mul(sgn, c))
+    return out
+
+
+# B(Z/2,2) has 768 nondegenerate 5-simplices; degree 5 is checked over F2,
+# the field of the cochain products the hga_ek benchmark takes there
+@pytest.mark.parametrize("field, top", [(QQ, 4), (F5, 4), (F2, 5)])
+def test_cup_index_matches_partial_diagonal_reference(field, top):
+    for X, truncation in ((standard_simplex(field, 5), 5),
+                          (wbar(b_cyclic(field, 2)), top)):
+        A = DualCochainDga(X, truncation)
+        for degree in range(truncation + 1):
+            assert A._cup_index_for(degree) == \
+                _reference_cup_index(A, degree), (X, degree)
+
+
+def _plain(cuts):
+    """Interval cuts with keys replaced by (degree, data)."""
+    return [(c, tuple((k.degree, k.data) for k in factors))
+            for c, factors in cuts]
+
+
+def test_interval_cut_same_on_miss_hit_and_twin():
+    for make in (lambda: standard_simplex(QQ, 5),
+                 lambda: wbar(b_cyclic(F2, 2))):
+        # X serves every surjection, each twin only one, so a memo that
+        # mixed up surjections would show
+        X = make()
+        for u in (e_surjection(1), e_surjection(2), f_surjection(1, 1), G12):
+            twin = make()
+            for n in range(6):
+                for x in X.nondegenerate(n)[::11]:
+                    miss = interval_cut(u, X.key(n, x))
+                    hit = interval_cut(u, X.key(n, x))
+                    fresh = interval_cut(u, twin.key(n, x))
+                    assert hit is miss
+                    assert isinstance(miss, tuple)
+                    assert all(isinstance(fs, tuple) for _, fs in miss)
+                    assert _plain(miss) == _plain(fresh), (u, n, x)
+                    assert all(k.space is twin for _, fs in fresh for k in fs)
+
+
+def test_memoized_is_degenerate_matches_definition():
+    spaces = (wbar(b_cyclic(F2, 2)), WTotal(b_cyclic(F2, 2)),
+              wbar(ConstantGroup(QQ, (3,))))
+    for X in spaces:
+        for p in range(5):
+            for x in X.simplices(p):
+                expected = any(X.degeneracy(p - 1, i, X.face(p, i, x)) == x
+                               for i in range(p))
+                assert X.is_degenerate(p, x) == expected  # miss
+                assert X.is_degenerate(p, x) == expected  # hit
+
+
+def _memo_run():
+    """Cup indices, E_1 and interval cuts on a fresh B(Z/2,2), with keys
+    replaced by their data so that runs on different spaces compare."""
+    A = DualCochainDga(wbar(b_cyclic(F2, 2)), 4)
+    X = A.X
+    memos = (X._degenerate_memo, X._key_memo, X._cut_memo)
+    caps = (simplicial.DEGENERATE_CAP, simplicial.KEY_CAP,
+            simplicial.CUT_CAP)
+    out = []
+
+    def record(value):
+        assert all(len(m) <= cap for m, cap in zip(memos, caps))
+        out.append(value)
+
+    for d in range(5):
+        record(sorted(((f.data, b.data), sorted(
+            (k.simplex.data, c) for k, c in v.terms.items()))
+            for (f, b), v in A._cup_index_for(d).items()))
+    a = [GradedElement.single(F2, k) for k in A.basis(2)]
+    for b in A.basis(2):
+        e1 = A.E(1, a[0], [GradedElement.single(F2, b)])
+        record(sorted((k.simplex.data, c) for k, c in e1.terms.items()))
+    for n in range(5):
+        for x in X.simplices(n):
+            record(X.is_degenerate(n, x))
+            record(_plain(interval_cut(e_surjection(2), X.key(n, x))))
+    return out, [len(m) for m in memos]
+
+
+def test_memos_stay_within_small_caps(monkeypatch):
+    expected, sizes = _memo_run()
+    assert min(sizes) > 8
+    for name in ("DEGENERATE_CAP", "KEY_CAP", "CUT_CAP"):
+        monkeypatch.setattr(simplicial, name, 8)
+    got, sizes = _memo_run()
+    assert got == expected
+    assert max(sizes) <= 8
+
+
+def _simplices_of(space, p):
+    """A hypothesis strategy for the p-simplices of a constant group, a
+    product group, a W-bar space or its total space."""
+    if isinstance(space, ConstantGroup):
+        return st.tuples(*(st.integers(0, m - 1) for m in space.moduli))
+    if isinstance(space, ConstantFreeAbelian):
+        return st.tuples(*(st.integers(-3, 3) for _ in range(space.rank)))
+    if isinstance(space, ProductGroup):
+        return st.tuples(_simplices_of(space.G, p), _simplices_of(space.H, p))
+    if isinstance(space, WTotal):
+        return st.tuples(_simplices_of(space.G, p),
+                         _simplices_of(space.base, p))
+    if isinstance(space, WBar):
+        return st.tuples(*(_simplices_of(space.G, p - 1 - m)
+                           for m in range(p)))
+    raise TypeError(space)
+
+
+PROPERTY_SPACES = {
+    "B(Z/2,2)": wbar(b_cyclic(F2, 2)),
+    "B(Z/3)": wbar(ConstantGroup(QQ, (3,))),
+    "B(Z/2 x Z/3)": wbar(ProductGroup(ConstantGroup(QQ, (2,)),
+                                       ConstantGroup(QQ, (3,)))),
+    "B(BZ^2)": wbar(torus_group(QQ, 2)),
+    "E(Z/2)": WTotal(ConstantGroup(F2, (2,))),
+    "E(BZ/2)": WTotal(b_cyclic(F2, 2)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_wbar_wtotal_simplicial_identities_property(data):
+    X = PROPERTY_SPACES[data.draw(st.sampled_from(sorted(PROPERTY_SPACES)))]
+    p = data.draw(st.integers(0, 4))
+    x = data.draw(_simplices_of(X, p))
+    assert X.check_simplicial_identities([(p, x)])
+    # face and degeneracy are pure functions of (p, data), which is what
+    # makes the memos sound
+    for i in range(p + 1):
+        if p:
+            assert X.face(p, i, x) == X.face(p, i, x)
+        assert X.degeneracy(p, i, x) == X.degeneracy(p, i, x)
+        assert X.is_degenerate(p + 1, X.degeneracy(p, i, x))
+    expected = any(X.degeneracy(p - 1, i, X.face(p, i, x)) == x
+                   for i in range(p))
+    assert X.is_degenerate(p, x) == expected
