@@ -10,7 +10,7 @@ has degree sum(|a_i| - 1).
 import json
 
 from .graded import GradedElement, LinearMap, Tensor
-from .linalg import homology, StructuralError
+from .linalg import homology, ReducedSpace, StructuralError
 from .dg import Dgc, TwistingCochain, TwistedTensor, TensorDgc
 
 
@@ -308,14 +308,18 @@ class TorTable:
     `bidegrees` maps (s, t) with s = -word length <= 0 and t = internal
     degree to a dimension.  `totals` maps total degree s + t to the
     dimension of the homology there.  Cycle representatives (dict key ->
-    coeff) are retained per total degree for product sampling.
+    coeff) are retained per total degree for product sampling, and
+    `spaces` holds the class space of each total degree (see `linalg`),
+    against which `express_class` reads the coordinates of any cycle.
     """
 
-    def __init__(self, bidegrees, totals, representatives=None, products=None):
+    def __init__(self, bidegrees, totals, representatives=None, products=None,
+                 spaces=None):
         self.bidegrees = dict(bidegrees)
         self.totals = dict(totals)
         self.representatives = representatives or {}
         self.products = products or []
+        self.spaces = spaces or {}
 
     def poincare(self, upto=None):
         degs = sorted(d for d, v in self.totals.items() if v)
@@ -346,64 +350,78 @@ class TorTable:
         return f"TorTable({json.dumps(self.to_json()['bidegrees'])})"
 
 
-def tor_additive(osb, max_total, check_d2=True, d2_bound=None):
-    """Bigraded/total dimensions of H(B(k, A, B)) up to total degree.
+def tor_additive(osb, max_total):
+    """Bigraded/total dimensions of H(B(k, A, B)) up to total degree, with
+    a representative basis and the class space of each total degree.
 
     Needs basis enumeration for the bar factor (A simply connected) and
     the coefficients.  Kernels at the top degree only need differential
     values (target keys are opaque), so the enumeration stops at
-    max_total; d^2 is spot-checked up to `d2_bound` (default: everywhere
-    both steps stay computable).
+    max_total.  `homology` checks d^2 = 0 on every key below max_total.
+    When the differential preserves the internal degree the complex is
+    split into its columns (`split_homology`); otherwise it is eliminated
+    whole and the bidegree table stays empty.
     """
-    basis = {}
-    for n in range(0, max_total + 1):
-        basis[n] = osb.basis_total(n)
-    if check_d2:
-        top = max_total if d2_bound is None else min(d2_bound + 1, max_total)
-        for n in range(0, top):
-            for k in basis[n]:
-                e = GradedElement.single(osb.field, k)
-                if not osb.d(osb.d(e)).is_zero():
-                    raise StructuralError(f"d^2 != 0 at {k!r}")
-    bigr = {}
+    basis = {n: osb.basis_total(n) for n in range(0, max_total + 1)}
+
+    def diff(k):
+        return osb.diff_key(k).terms
+
     if _is_bidegree_pure(osb, basis):
-        # the differential preserves the internal degree t and raises
-        # s = -length by one; homology splits into small column complexes,
-        # and the total dimensions are the column sums
-        columns = {}
-        for n, keys in basis.items():
-            for k in keys:
-                w, b = k.parts
-                t = w.internal_degree + b.degree
-                columns.setdefault(t, {}).setdefault(-w.length, []).append(k)
-        totals = {n: 0 for n in range(0, max_total + 1)}
-        reps = {n: [] for n in range(0, max_total + 1)}
-        for t, sub in sorted(columns.items()):
-            subres = homology(sub, lambda k: osb.diff_key(k).terms, osb.field,
-                              check_d2=False, ddeg=1)
-            for s, d in subres.dims.items():
-                if s + t <= max_total:
-                    if d:
-                        bigr[(s, t)] = d
-                    totals[s + t] += d
-                    reps[s + t].extend(subres.representatives.get(s, []))
-        return TorTable(bigr, totals, representatives=reps)
-    res = homology(basis, lambda k: osb.diff_key(k).terms, osb.field,
-                   check_d2=False, ddeg=1)
-    totals = {n: res.dims[n] for n in range(0, max_total + 1)}
-    reps = {n: res.representatives.get(n, []) for n in range(0, max_total + 1)}
-    return TorTable(bigr, totals, representatives=reps)
+        return split_homology(basis, diff, osb.field, _bar_bigrade)
+    res = homology(basis, diff, osb.field, ddeg=1)
+    return TorTable({}, res.dims, representatives=res.representatives,
+                    spaces=res.spaces)
+
+
+def _bar_bigrade(key):
+    """(s, t) of a word (x) coefficient key: s = -length, t the internal
+    degree."""
+    w, b = key.parts
+    return (-w.length, w.internal_degree + b.degree)
+
+
+def split_homology(basis, diff, field, bigrade):
+    """Homology of a complex graded by total degree whose differential
+    preserves t and raises s by one, where bigrade(key) = (s, t) and
+    s + t is the total degree.
+
+    `basis` maps total degree -> keys.  Each column (one t) is eliminated
+    once by `homology`, which also checks d^2 = 0 there.  Columns share no
+    keys, so the class space of a total degree is its columns' class
+    spaces concatenated, each column's representative tags shifted by the
+    number of representatives before it.  Returns a TorTable.
+    """
+    columns = {}
+    for keys in basis.values():
+        for k in keys:
+            s, t = bigrade(k)
+            columns.setdefault(t, {}).setdefault(s, []).append(k)
+    bigr = {}
+    totals = {n: 0 for n in basis}
+    reps = {n: [] for n in basis}
+    spaces = {n: ReducedSpace(field) for n in basis}
+    for t, sub in sorted(columns.items()):
+        res = homology(sub, diff, field, ddeg=1)
+        for s, dim in res.dims.items():
+            n = s + t
+            if dim:
+                bigr[(s, t)] = dim
+            totals[n] += dim
+            offset = len(reps[n])
+            reps[n].extend(res.representatives[s])
+            col = res.spaces[s]
+            spaces[n].echelon.extend(col.echelon)
+            spaces[n].combos.extend(
+                None if combo is None else
+                {offset + i: c for i, c in combo.items()}
+                for combo in col.combos)
+    return TorTable(bigr, totals, representatives=reps, spaces=spaces)
 
 
 def _is_bidegree_pure(osb, basis):
     """True when d preserves internal degree (zero differentials upstream)."""
-    for keys in basis.values():
-        for k in keys:
-            w, b = k.parts
-            t0 = w.internal_degree + b.degree
-            for k2 in osb.diff_key(k).terms:
-                w2, b2 = k2.parts
-                if w2.internal_degree + b2.degree != t0:
-                    return False
-    return True
+    return all(_bar_bigrade(k2)[1] == _bar_bigrade(k)[1]
+               for keys in basis.values() for k in keys
+               for k2 in osb.diff_key(k).terms)
 

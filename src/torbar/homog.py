@@ -4,18 +4,15 @@ independent Koszul-resolution oracle, the Theta / Psi composition
 combinators, chain-level Eilenberg-Moore instances on simplicial groups,
 and a catalog of known-answer pairs.
 """
-import random
 import re
 
 from .graded import GradedElement, Tensor
-from .linalg import (homology, ReducedSpace, express_class, StructuralError)
-from .dg import (CheckReport, FreeGcDga, polynomial_dga, gc_algebra_map,
-                 TwistingCochain)
-from .bar import (BarDgc, BarWord, OneSidedBar, TorTable, tor_additive,
-                  dgc_map_from_cochain)
-from .shm import TwistingFamily, gamma, compose_family_cochain
-from .hga import VectorHga, trivial_hga, dual_cochain_hga, KSAlgebra
-from .simplicial import DualCochainDga, Cochain
+from .linalg import express_class, StructuralError
+from .dg import CheckReport, FreeGcDga, polynomial_dga, gc_algebra_map
+from .bar import BarDgc, OneSidedBar, split_homology, tor_additive
+from .shm import gamma
+from .hga import trivial_hga, dual_cochain_hga, KSAlgebra
+from .simplicial import DualCochainDga
 from .classifying import wbar
 
 
@@ -107,39 +104,31 @@ class AlgebraMapSpec:
 # ---------------------------------------------------------------------------
 
 class TorRing:
-    """A Tor table together with the product on chosen representatives."""
+    """A Tor table together with the product on chosen representatives.
 
-    def __init__(self, table, complex_d, field, product_fn, bigrade_fn):
+    `mul(x, y)` multiplies two GradedElements of the complex; the table's
+    class spaces give the coordinates of every product."""
+
+    def __init__(self, table, field, mul):
         self.table = table
         self.field = field
-        self._d = complex_d
-        self._product = product_fn
-        self._bigrade = bigrade_fn
-        self._boundary_spaces = {}
+        self._mul = mul
 
-    def boundary_space(self, degree, basis_lower):
-        got = self._boundary_spaces.get(degree)
-        if got is None:
-            got = ReducedSpace(self.field)
-            for k in basis_lower:
-                v = self._d(k)
-                if v:
-                    got.add(v)
-            self._boundary_spaces[degree] = got
-        return got
-
-    def class_of(self, z, degree, basis_lower):
-        reps = [dict(r) for r in self.table.representatives.get(degree, [])]
-        return express_class(dict(z), reps, self.boundary_space(degree,
-                                                                basis_lower),
+    def class_of(self, z, degree):
+        """Coordinates of the cycle z (dict key -> coeff) in the
+        representatives of `degree`, or None if z is not a cycle there."""
+        return express_class(dict(z), self.table.spaces[degree],
+                             len(self.table.representatives[degree]),
                              self.field)
 
-    def product_class(self, d1, i1, d2, i2, basis_lower):
-        r1 = self.table.representatives[d1][i1]
-        r2 = self.table.representatives[d2][i2]
-        z = self._product(r1, r2)
-        return self.class_of(z.terms if isinstance(z, GradedElement) else z,
-                             d1 + d2, basis_lower)
+    def product_class(self, d1, i1, d2, i2, basis_lower=None):
+        """Coordinates of r1 * r2, r1 the i1-th representative of degree d1
+        and r2 the i2-th of degree d2.  `basis_lower` is ignored; the
+        benchmark's `chain_tor` workload still passes it."""
+        reps = self.table.representatives
+        z = self._mul(GradedElement(self.field, dict(reps[d1][i1])),
+                      GradedElement(self.field, dict(reps[d2][i2])))
+        return self.class_of(z.terms, d1 + d2)
 
 
 def tor_bar_algebra(field, base_spec, fiber_spec, map_spec, max_total,
@@ -151,27 +140,14 @@ def tor_bar_algebra(field, base_spec, fiber_spec, map_spec, max_total,
     fmap = map_spec.build(A, B)
     osb = OneSidedBar(A, B, f=fmap)
     table = tor_additive(osb, max_total)
-    hga_A = trivial_hga(A)
-    hga_B = trivial_hga(B)
-    ks = KSAlgebra(osb, hga_A, hga_B, push=fmap)
-
-    def product(r1, r2):
-        e1 = GradedElement(field, dict(r1))
-        e2 = GradedElement(field, dict(r2))
-        return ks.product(e1, e2)
-
-    def bigrade(key):
-        w, b = key.parts
-        return (-w.length, w.internal_degree + b.degree)
-
-    ring = TorRing(table, lambda k: osb.diff_key(k).terms, field, product,
-                   bigrade)
+    ks = KSAlgebra(osb, trivial_hga(A), trivial_hga(B), push=fmap)
+    ring = TorRing(table, field, ks.product)
     if sample_products:
-        _attach_products(ring, osb, max_total)
+        _attach_products(ring, max_total)
     return ring, osb, ks
 
 
-def _attach_products(ring, osb, max_total):
+def _attach_products(ring, max_total):
     table = ring.table
     entries = []
     for d1 in sorted(table.totals):
@@ -180,8 +156,7 @@ def _attach_products(ring, osb, max_total):
                 if d1 + d2 > max_total or d2 < d1:
                     continue
                 for i2 in range(len(table.representatives.get(d2, []))):
-                    basis_lower = osb.basis_total(d1 + d2 - 1)
-                    coords = ring.product_class(d1, i1, d2, i2, basis_lower)
+                    coords = ring.product_class(d1, i1, d2, i2)
                     entries.append({
                         "factors": [[d1, i1], [d2, i2]],
                         "degree": d1 + d2,
@@ -214,38 +189,12 @@ def tor_koszul_oracle(field, base_spec, fiber_spec, map_spec, max_total):
 
     def bigrade(key):
         k = sum(e for n, e in key.powers if n.startswith("s_"))
-        t = key.degree + k
-        return (-k, t)
+        return (-k, key.degree + k)
 
-    basis = {}
-    for n in range(0, max_total + 1):
-        basis[n] = R2.basis(n)
-    res = homology(basis, lambda k: R2.diff_key(k).terms, field, ddeg=1)
-    totals = {n: res.dims[n] for n in range(0, max_total + 1)}
-    bigr = {}
-    columns = {}
-    for n, keys in basis.items():
-        for k in keys:
-            s, t = bigrade(k)
-            columns.setdefault(t, {}).setdefault(s, []).append(k)
-    for t, sub in columns.items():
-        subres = homology(sub, lambda k: R2.diff_key(k).terms, field, ddeg=1)
-        for s, d in subres.dims.items():
-            if d and s + t <= max_total:
-                bigr[(s, t)] = d
-    table = TorTable(bigr, totals,
-                     representatives={n: res.representatives.get(n, [])
-                                      for n in totals})
-
-    def product(r1, r2):
-        return R2.mul(GradedElement(field, dict(r1)),
-                      GradedElement(field, dict(r2)))
-
-    ring = TorRing(table, lambda k: R2.diff_key(k).terms, field, product,
-                   bigrade)
-    ring.algebra = R2
-    ring.basis_by_degree = basis
-    return ring
+    basis = {n: R2.basis(n) for n in range(0, max_total + 1)}
+    table = split_homology(basis, lambda k: R2.diff_key(k).terms, field,
+                           bigrade)
+    return TorRing(table, field, R2.mul)
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +269,15 @@ def psi(osb_base_keys, kappa_pull, f_star, coef_H):
 # Chain-level Eilenberg-Moore instances
 # ---------------------------------------------------------------------------
 
-def chain_level_tor(G, K_space, field, max_total, coef_trunc=None):
+def chain_level_tor(G, K_space, field, max_total):
     """H of the KS algebra B(k, C*(BG), C*(BK)) up to max_total.
 
     `K_space` may be None for trivial coefficients.  BG must be 1-reduced.
     Returns (ring, osb, ks)."""
     BG = wbar(G)
-    # the d^2 spot check multiplies entries whose degrees sum two above
-    # the total degree bound
-    trunc = coef_trunc if coef_trunc is not None else max_total + 2
+    # the differential of the top degree multiplies entries whose degrees
+    # sum up to two above the total degree bound
+    trunc = max_total + 2
     A = DualCochainDga(BG, trunc)
     if not A.simply_connected:
         raise StructuralError("chain-level Tor needs a 1-reduced base; "
@@ -366,20 +315,9 @@ def chain_level_tor(G, K_space, field, max_total, coef_trunc=None):
         fmap = restrict
         push = restrict
     osb = OneSidedBar(A, B, f=fmap)
-    table = tor_additive(osb, max_total, d2_bound=2)
+    table = tor_additive(osb, max_total)
     ks = KSAlgebra(osb, hga_A, hga_B, push=push)
-
-    def product(r1, r2):
-        return ks.product(GradedElement(field, dict(r1)),
-                          GradedElement(field, dict(r2)))
-
-    def bigrade(key):
-        w, b = key.parts
-        return (-w.length, w.internal_degree + b.degree)
-
-    ring = TorRing(table, lambda k: osb.diff_key(k).terms, field, product,
-                   bigrade)
-    return ring, osb, ks
+    return TorRing(table, field, ks.product), osb, ks
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,18 @@ tolerances anywhere.
 `ReducedSpace` is the one elimination kernel.  Its `echelon` is a list of
 `(pivot, row)` pairs: each row is scaled to 1 at its pivot and is zero at
 the pivots of the rows before it.  Insertion order is reduction order;
-rows are never reordered, rescaled or mutated once appended, so a copy of
-the list is a copy of the space.  `reduce` is the only loop that subtracts
+rows are never reordered, rescaled or mutated once appended, and the
+echelons of spaces that share no keys concatenate into an echelon.  `reduce` is the only loop that subtracts
 echelon rows and `add` the only place that chooses a pivot (the least key
 by `repr`, for determinism).  A row may carry the combination of tagged
 input vectors it was built from; rank, kernels, homology and coordinates
 of classes are all read off that bookkeeping.
+
+`homology` keeps, per degree, a *class space*: the boundaries, untagged,
+followed by the representatives, representative i tagged {i: 1}.  A cycle
+reduces to zero against it, and the tags it picks up on the way are minus
+its coordinates in the representatives (`express_class`), so one space
+per degree serves every query without a copy.
 """
 
 
@@ -79,12 +85,6 @@ class ReducedSpace:
         self.echelon = []  # (pivot_col, row_dict)
         self.combos = []   # tag combination of each row, or None
 
-    def copy(self):
-        other = ReducedSpace(self.field)
-        other.echelon = list(self.echelon)
-        other.combos = list(self.combos)
-        return other
-
     def reduce(self, vec, combo=None):
         """The remainder of vec modulo the span (a new dict).
 
@@ -143,26 +143,24 @@ def kernel_basis(rows_by_colkey, field, col_keys):
     return kernel, image
 
 
-def express_class(z, reps, boundary_space, field):
-    """Coordinates of the cycle z in the homology basis `reps`.
+def express_class(z, space, count, field):
+    """Coordinates of the cycle z in the `count` representatives of the
+    class space `space` (see the module docstring).
 
-    `boundary_space` is a ReducedSpace of boundaries; returns a list of
-    coefficients, or None if z is not in the span (which would contradict
-    z being a cycle when reps is a full basis)."""
-    space = boundary_space.copy()
-    for i, r in enumerate(reps):
-        space.add(r, {i: field.one})
+    Returns a list of coefficients, or None if z is not in the span (z is
+    not a cycle of that degree)."""
     # z - (reps combination) reduces to zero: the combination is -combo
     combo = {}
     if space.reduce(z, combo):
         return None
-    return [field.neg(combo.get(i, field.zero)) for i in range(len(reps))]
+    return [field.neg(combo.get(i, field.zero)) for i in range(count)]
 
 
 class HomologyResult:
-    def __init__(self, dims, representatives):
+    def __init__(self, dims, representatives, spaces):
         self.dims = dims                      # degree -> dimension
         self.representatives = representatives  # degree -> list of vectors
+        self.spaces = spaces                  # degree -> class space
 
     def __repr__(self):
         return f"HomologyResult({self.dims})"
@@ -176,10 +174,12 @@ def homology(basis_by_degree, diff, field, check_d2=True, ddeg=None):
       (plain dict key -> coeff).
     `ddeg` is the differential's shift in the *grading of the dict*; when
     omitted it is inferred from key degrees (valid only when the dict is
-    graded by key degree).  Returns dims and representative cycles.
+    graded by key degree).  Returns dims, representative cycles and the
+    class space of each degree.
 
     Each degree's columns are eliminated once, by `kernel_basis`; its
-    image echelon is the boundary space of the target degree.
+    image echelon, stripped of the column tags, is the boundary space of
+    the target degree and the start of that degree's class space.
     """
     degrees = sorted(basis_by_degree)
     columns = {d: {k: diff(k) for k in basis_by_degree[d]} for d in degrees}
@@ -204,6 +204,7 @@ def homology(basis_by_degree, diff, field, check_d2=True, ddeg=None):
                     raise StructuralError(f"d*d != 0 on basis key {k!r}")
     dims = {}
     reps = {}
+    spaces = {}
     images = {}  # degree -> ReducedSpace of the boundaries landing there
     # walk along the differential, so the boundaries into d are known at d
     for d in sorted(degrees, key=lambda d: d * ddeg):
@@ -211,7 +212,12 @@ def homology(basis_by_degree, diff, field, check_d2=True, ddeg=None):
             columns[d], field, sorted(basis_by_degree[d], key=repr))
         space = images.pop(d) if d in images else ReducedSpace(field)
         nb = space.dim
-        reps[d] = [v for v in kern if space.add(v)]
+        space.combos = [None] * nb
+        reps[d] = []
+        for v in kern:
+            if space.add(v, {len(reps[d]): field.one}):
+                reps[d].append(v)
+        spaces[d] = space
         dims[d] = len(kern) - nb
         if dims[d] != len(reps[d]):
             raise StructuralError(
@@ -219,4 +225,4 @@ def homology(basis_by_degree, diff, field, check_d2=True, ddeg=None):
                 f"leave {dims[d]} classes, but {len(reps[d])} "
                 f"representatives are independent")
     return HomologyResult({d: dims[d] for d in degrees},
-                          {d: reps[d] for d in degrees})
+                          {d: reps[d] for d in degrees}, spaces)

@@ -9,9 +9,8 @@ constructed here; instances are inputs (commutative dgas canonically, or
 synthetic gauge perturbations for testing).
 """
 from .graded import GradedElement, LinearMap, Tensor, transpose_tensor
-from .dg import (CheckReport, TensorDga, polynomial_dga, gauge_transform,
-                 HomAlgebra)
-from .bar import BarDgc, universal_cochain, dgc_map_from_cochain
+from .dg import CheckReport, TensorDga, polynomial_dga, gauge_transform
+from .bar import BarDgc
 from .shm import (TwistingFamily, TwistingHomotopyFamily, compose,
                   compose_map_homotopy, compose_homotopy_map,
                   tensor_with_strict, check_family, check_homotopy_family)
@@ -416,26 +415,26 @@ def check_quasi_iso_on_polynomials(family, P, complex_basis, complex_diff,
     """H(family_(1)) is an isomorphism from k[x] onto H(target) <= bound.
 
     The polynomial source has zero differential, so its classes are the
-    monomials; verifies dimensions match and images stay independent
-    modulo boundaries."""
-    from .linalg import ReducedSpace, homology
+    monomials; verifies dimensions match and that the images are cycles
+    whose class coordinates are independent."""
+    from .linalg import express_class, homology, rank
     res = homology(complex_basis, complex_diff, field, ddeg=1)
     rep = CheckReport("quasi-isomorphism on truncation")
     for d in range(0, bound + 1):
         mons = P.basis(d)
         target_dim = res.dims.get(d, 0)
         rep.record(len(mons) == target_dim, ("dimension", d))
-        space = ReducedSpace(field)
-        for k in complex_basis.get(d - 1, []):
-            v = complex_diff(k)
-            if v:
-                space.add(v)
-        ok = True
+        space = res.spaces.get(d)
+        coords = []
         for m in mons:
             img = family(1, [GradedElement.single(field, m)])
-            if not space.add(dict(img.terms)):
-                ok = False
-        rep.record(ok, ("independence", d))
+            c = None if space is None else \
+                express_class(dict(img.terms), space, target_dim, field)
+            if c is None:
+                break
+            coords.append({i: x for i, x in enumerate(c) if x != field.zero})
+        rep.record(len(coords) == len(mons) and
+                   rank(coords, field) == len(mons), ("independence", d))
     return rep
 
 

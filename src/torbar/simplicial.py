@@ -867,19 +867,32 @@ class SimplicialGroup(SimplicialSet):
         return [g for g in self.simplices(1) if self.is_loop(g)]
 
     def check_group(self, samples):
+        """The group laws, and faces and degeneracies being homomorphisms,
+        on samples (p, x, y, z); raises StructuralError naming the law, p
+        and the sample."""
         for p, x, y, z in samples:
-            assert self.mul(p, x, self.one(p)) == x
-            assert self.mul(p, self.one(p), x) == x
-            assert self.mul(p, x, self.inv(p, x)) == self.one(p)
-            assert self.mul(p, self.mul(p, x, y), z) == \
-                self.mul(p, x, self.mul(p, y, z))
-            for i in range(p + 1):
-                assert self.face(p, i, self.mul(p, x, y)) == \
-                    self.mul(p - 1, self.face(p, i, x), self.face(p, i, y))
-            for i in range(p + 1):
-                assert self.degeneracy(p, i, self.mul(p, x, y)) == \
-                    self.mul(p + 1, self.degeneracy(p, i, x),
-                             self.degeneracy(p, i, y))
+            e = self.one(p)
+            xy = self.mul(p, x, y)
+            laws = [
+                ("right unit", self.mul(p, x, e) == x),
+                ("left unit", self.mul(p, e, x) == x),
+                ("inverse", self.mul(p, x, self.inv(p, x)) == e),
+                ("associativity",
+                 self.mul(p, xy, z) == self.mul(p, x, self.mul(p, y, z))),
+            ]
+            laws += [(f"face {i} of a product",
+                      self.face(p, i, xy) == self.mul(
+                          p - 1, self.face(p, i, x), self.face(p, i, y)))
+                     for i in range(p + 1)]
+            laws += [(f"degeneracy {i} of a product",
+                      self.degeneracy(p, i, xy) == self.mul(
+                          p + 1, self.degeneracy(p, i, x),
+                          self.degeneracy(p, i, y)))
+                     for i in range(p + 1)]
+            for law, holds in laws:
+                if not holds:
+                    raise StructuralError(
+                        f"{law} fails in degree {p} on sample {(x, y, z)!r}")
         return True
 
 

@@ -10,6 +10,7 @@ from torbar.dg import (FreeDga, FreeGcDga, TensorDga, TensorDgc,
 from torbar.bar import (BarDgc, BarWord, universal_cochain,
                         dgc_map_from_cochain, check_dgc_map, bar_shuffle,
                         OneSidedBar, tor_additive)
+from torbar.linalg import StructuralError
 from torbar.shm import TwistingFamily
 
 
@@ -179,6 +180,28 @@ def test_one_sided_bar_identity_acyclic():
         assert table.totals[0] == 1
         for d in range(1, 9):
             assert table.totals[d] == 0, f"degree {d}"
+
+
+def test_tor_additive_detects_non_multiplicative_map():
+    # f is linear but not multiplicative: c -> t^2, c^2 -> 0, so
+    # d^2([c|c] (x) 1) = +-(f(c^2) - f(c) f(c)) = -+t^4
+    A = polynomial_dga(QQ, [("c", 4)])
+    B = polynomial_dga(QQ, [("t", 2)])
+    c = A.monomial([("c", 1)])
+    t2 = B.mul(B.generator("t"), B.generator("t"))
+
+    def f(x):
+        out = B.zero()
+        for k, v in x.terms.items():
+            if k == A.unit_key:
+                out = out + B.one().scale(v)
+            elif k == c:
+                out = out + t2.scale(v)
+        return out
+
+    osb = OneSidedBar(A, B, f=f)
+    with pytest.raises(StructuralError, match=r"\[c\|c\] \(x\) 1"):
+        tor_additive(osb, 8)
 
 
 def test_tor_of_identity_module():

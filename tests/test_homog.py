@@ -2,8 +2,10 @@ import pytest
 
 from torbar.fields import QQ, F5, F2
 from torbar.graded import GradedElement
-from torbar.homog import (CATALOG, catalog_entry, run_catalog_entry,
-                          tor_bar_algebra)
+from torbar.classifying import b_cyclic
+from torbar.homog import (CATALOG, AlgebraMapSpec, PolynomialAlgebraSpec,
+                          catalog_entry, chain_level_tor, run_catalog_entry,
+                          tor_bar_algebra, tor_koszul_oracle)
 from torbar.linalg import rank_dense_oracle
 
 
@@ -33,15 +35,23 @@ def test_catalog_has_thirteen_pairs():
     assert len(PAIRS) == 13
 
 
-@pytest.mark.parametrize("field,name", PAIRS, ids=IDS)
-def test_representatives_have_unit_coordinates(field, name):
-    ring, osb, _ = bar_ring(field, name, 4)
+def assert_unit_coordinates(ring, field):
     for d, reps in ring.table.representatives.items():
-        lower = osb.basis_total(d - 1)
         for i, r in enumerate(reps):
             unit = [field.one if j == i else field.zero
                     for j in range(len(reps))]
-            assert ring.class_of(r, d, lower) == unit, (d, i)
+            assert ring.class_of(r, d) == unit, (d, i)
+
+
+@pytest.mark.parametrize("field,name", PAIRS, ids=IDS)
+def test_representatives_have_unit_coordinates(field, name):
+    """On the bar side, and on the oracle side, whose class spaces are
+    the concatenated spaces of its columns."""
+    base, fiber, mp, _ = catalog_entry(name)
+    ring, _, _ = bar_ring(field, name, 4)
+    assert_unit_coordinates(ring, field)
+    assert_unit_coordinates(tor_koszul_oracle(field, base, fiber, mp, 4),
+                            field)
 
 
 @pytest.mark.parametrize("field,name", PAIRS, ids=IDS)
@@ -53,11 +63,9 @@ def test_catalog_entry_and_sampled_products(field, name):
         assert entry["coords"] is not None, entry["factors"]
 
 
-@pytest.mark.parametrize("field,name", PAIRS, ids=IDS)
-def test_product_coordinates_rebuild_the_product(field, name):
+def assert_products_rebuild(ring, osb, ks, field):
     """z = r1 * r2 minus the combination its coordinates name is a
     boundary, checked by dense rank."""
-    ring, osb, ks = bar_ring(field, name, 4, sample_products=True)
     reps = ring.table.representatives
     for entry in ring.table.products:
         (d1, i1), (d2, i2) = entry["factors"]
@@ -71,3 +79,48 @@ def test_product_coordinates_rebuild_the_product(field, name):
         cols = osb.basis_total(d)
         assert rank_dense_oracle(boundaries + [z.terms], field, cols) == \
             rank_dense_oracle(boundaries, field, cols), entry["factors"]
+
+
+@pytest.mark.parametrize("field,name", PAIRS, ids=IDS)
+def test_product_coordinates_rebuild_the_product(field, name):
+    assert_products_rebuild(*bar_ring(field, name, 4, sample_products=True),
+                            field)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_class_spaces_of_columns_sharing_a_total_degree(field):
+    """Tor_{k[c, e]}(k, k[t]) with c, e -> 0 is k[t] (x) L(x_3, y_5).  In
+    total degree 8, t^4 sits in column t = 8 and x_3 y_5 in column
+    t = 10, so the class space of degree 8 concatenates two columns and
+    the second one's representative tag is shifted by one."""
+    base = PolynomialAlgebraSpec([("c", 4), ("e", 6)])
+    fiber = PolynomialAlgebraSpec([("t", 2)])
+    mp = AlgebraMapSpec({"c": "0", "e": "0"})
+    ring, osb, ks = tor_bar_algebra(field, base, fiber, mp, 8)
+    oracle = tor_koszul_oracle(field, base, fiber, mp, 8)
+    for side in (ring, oracle):
+        assert side.table.totals[8] == 2
+        assert {bd for bd in side.table.bidegrees if sum(bd) == 8} == \
+            {(0, 8), (-2, 10)}
+        assert_unit_coordinates(side, field)
+    assert_products_rebuild(ring, osb, ks, field)
+    # x_3 times a degree-5 class lies in column t = 10, the second one
+    coords = [ring.product_class(3, 0, 5, i) for i in range(2)]
+    assert all(c[0] == field.zero for c in coords)
+    assert any(c[1] != field.zero for c in coords)
+
+
+def test_chain_level_tor_of_k_z2_2():
+    """Tor of C*(K(Z/2,2)) over F2 is F2[x], |x| = 1: one class in each
+    degree, and every product of representatives is the class of its
+    degree.  The complex is not split by bidegree, so the class spaces
+    come straight from `homology`."""
+    ring, _, _ = chain_level_tor(b_cyclic(F2, 2), None, F2, 3)
+    table = ring.table
+    assert table.poincare() == "1+q+q^2+q^3"
+    assert table.bidegrees == {}
+    for d in range(4):
+        assert len(table.representatives[d]) == 1
+    for d1 in range(4):
+        for d2 in range(4 - d1):
+            assert ring.product_class(d1, 0, d2, 0) == [F2.one], (d1, d2)

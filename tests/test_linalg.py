@@ -54,9 +54,12 @@ def test_kernel_basis():
 def test_express_class_reduces_reps_against_each_other():
     # the second rep reduces against the first; z is the second rep
     x, y = QQ.of(1), QQ.of(1)
-    reps = [{"x": x}, {"x": x, "y": y}]
-    assert express_class({"x": x, "y": y}, reps, ReducedSpace(QQ), QQ) == \
+    space = ReducedSpace(QQ)
+    for i, r in enumerate([{"x": x}, {"x": x, "y": y}]):
+        assert space.add(r, {i: QQ.one})
+    assert express_class({"x": x, "y": y}, space, 2, QQ) == \
         [QQ.zero, QQ.one]
+    assert express_class({"z": x}, space, 2, QQ) is None
 
 
 def simplex_boundary_complex(field):
@@ -224,10 +227,9 @@ def test_random_complexes_against_dense_oracle():
                 assert rank_dense_oracle(in_rows + reps, field, keys) == \
                     rank_in + len(reps)
 
-                boundaries = ReducedSpace(field)
-                for v in in_rows:
-                    boundaries.add(v)
+                assert res.spaces[d].dim == rank_in + len(reps)
                 coeffs = [field.of(rng.randint(-3, 3)) for _ in reps]
                 z = combine(field, list(zip(coeffs, reps)) + [
                     (field.of(rng.randint(-3, 3)), v) for v in in_rows])
-                assert express_class(z, reps, boundaries, field) == coeffs
+                assert express_class(z, res.spaces[d], len(reps), field) \
+                    == coeffs

@@ -360,6 +360,19 @@ def test_constant_group():
     assert len(G.nondegenerate(1)) == 0
 
 
+def test_check_group_names_the_failing_law():
+    class WrongInverse(ConstantGroup):
+        def inv(self, p, x):
+            return x  # right only for elements of order at most 2
+
+    G = WrongInverse(QQ, (4,))
+    G.check_group([(1, (2,), (1,), (3,))])
+    with pytest.raises(StructuralError,
+                       match=r"inverse fails in degree 1 on sample "
+                             r"\(\(1,\), \(1,\), \(3,\)\)"):
+        G.check_group([(1, (1,), (1,), (3,))])
+
+
 # -- memos of the simplicial hot path ------------------------------------------
 
 def _reference_cup_index(A, degree):
