@@ -9,7 +9,7 @@ has degree sum(|a_i| - 1).
 """
 import json
 
-from .graded import GradedElement, LinearMap, Tensor
+from .graded import GradedElement, LinearMap, Tensor, expand
 from .linalg import homology, ReducedSpace, StructuralError
 from .dg import Dgc, TwistingCochain, TwistedTensor, TensorDgc
 
@@ -65,21 +65,9 @@ class BarDgc(Dgc):
 
     def words_from_elements(self, elems):
         """Multilinear expansion of [x_1|...|x_k] with reduced entries."""
-        field = self.field
-        out = GradedElement(field)
-        combos = [((), field.one)]
-        for x in elems:
-            x = self.A.reduced(x)
-            nxt = []
-            for keys, c in combos:
-                for k, c2 in x.terms.items():
-                    nxt.append((keys + (k,), field.mul(c, c2)))
-            combos = nxt
-            if not combos:
-                break
-        for keys, c in combos:
-            out.add_in(GradedElement.single(field, BarWord(keys), c))
-        return out
+        reduced = (self.A.reduced(x) for x in elems)
+        return GradedElement(self.field, [(BarWord(keys), c) for keys, c
+                                          in expand(self.field, reduced)])
 
     def basis(self, degree, max_length=None):
         """Bar words of the given bar degree (A must be simply connected)."""
@@ -290,10 +278,7 @@ class OneSidedBar(TwistedTensor):
         """All word (x) coefficient keys of the given total degree."""
         out = []
         for bar_deg in range(0, degree + 1):
-            try:
-                words = self.barA.basis(bar_deg)
-            except StructuralError:
-                raise
+            words = self.barA.basis(bar_deg)
             bdeg = degree - bar_deg
             coefs = list(self.coef.basis(bdeg))
             for w in words:

@@ -10,8 +10,6 @@ product, twisting cochains and their homotopies, twisted tensor products,
 homotopy inverses via the geometric series, and quotient oracles used to
 certify ideal-triviality.
 """
-import random
-
 from .graded import GradedElement, LinearMap, Tensor
 from .linalg import StructuralError
 
@@ -400,7 +398,6 @@ class TwistingHomotopy:
         lhs = hom.d(self.map)
         rhs = hom.cup(self.source.map, self.map) - hom.cup(self.map, self.target.map)
         rep = CheckReport(f"twisting homotopy {self.name}")
-        f = self.C.field
         for k in keys:
             ok = lhs(k) == rhs(k)
             if ok:
@@ -418,10 +415,10 @@ class TwistingHomotopy:
                                 name=f"{self.name}^-1")
 
     def cup(self, other):
-        """h u k : t ~ v through matching endpoints."""
-        if self.target is not other.source and self.target.map is not other.source.map:
-            # allow distinct objects with equal rules; caller responsibility
-            pass
+        """h u k : t ~ v through matching endpoints.
+
+        The endpoints are not compared: distinct objects with equal rules
+        are accepted, and matching them is the caller's responsibility."""
         hom = HomAlgebra(self.C, self.A)
         return TwistingHomotopy(self.C, self.A, hom.cup(self.map, other.map),
                                 self.source, other.target,
@@ -497,11 +494,8 @@ class TwistedTensor:
             c_degrees = range(0, degree + 1) if degree >= 0 else range(degree, 1)
         for dc in c_degrees:
             da = degree - dc
-            try:
-                cb = list(self.C.basis(dc))
-                ab = list(self.A.basis(da))
-            except NotImplementedError:
-                raise
+            cb = list(self.C.basis(dc))
+            ab = list(self.A.basis(da))
             for ck in cb:
                 for ak in ab:
                     out.append(self.key(ck, ak))

@@ -14,10 +14,11 @@ import random
 
 from .graded import GradedElement, Tensor
 from .linalg import StructuralError
-from .dg import (CheckReport, FreeGcDga, polynomial_dga, PolynomialCoalgebra)
+from .dg import (CheckReport, FreeGcDga, polynomial_dga, PolynomialCoalgebra,
+                 ExteriorCoalgebra)
 from .simplicial import (Cochain, zero_cochain, coboundary, cup, cup_many,
-                         dual_cochain, CochainHga, partial_diagonal,
-                         q_operation, e_surjection, f_surjection, Surjection,
+                         CochainHga, partial_diagonal,
+                         q_operation, e_surjection, f_surjection,
                          interval_cut, group_action_on_chains,
                          pontryagin_product, ConstantFreeAbelian)
 from .classifying import wbar_group, total_space
@@ -34,6 +35,9 @@ class KoszulComplex:
         self.field = field
         self.rank = rank
         self.L = FreeGcDga(field, [(f"x{i}", 1) for i in range(rank)])
+        # Lambda as a coalgebra: the same monomial keys, split by subsets
+        self.L_cop = ExteriorCoalgebra(field, [(f"x{i}", 1)
+                                               for i in range(rank)])
         self.S = PolynomialCoalgebra(field, [(f"y{i}", 2) for i in range(rank)])
 
     def key(self, xs, alpha):
@@ -74,25 +78,11 @@ class KoszulComplex:
     def cop_key(self, key):
         lk, sk = key.parts
         out = []
-        for c1, l1, l2 in self._cop_L(lk):
+        for c1, l1, l2 in self.L_cop.cop_key(lk):
             for c2, s1, s2 in self.S.cop_key(sk):
                 # sign from moving s1 (even) past l2: trivial
                 out.append((self.field.mul(c1, c2),
                             Tensor((l1, s1)), Tensor((l2, s2))))
-        return out
-
-    def _cop_L(self, lk):
-        names = [n for n, _ in lk.powers]
-        field = self.field
-        out = []
-        for mask in range(1 << len(names)):
-            left = [names[i] for i in range(len(names)) if mask >> i & 1]
-            right = [names[i] for i in range(len(names)) if not mask >> i & 1]
-            inv = sum(1 for i in range(len(names)) for j in range(i + 1, len(names))
-                      if (not mask >> i & 1) and (mask >> j & 1))
-            out.append((field.of((-1) ** (inv % 2)),
-                        self.L.monomial([(n, 1) for n in left]),
-                        self.L.monomial([(n, 1) for n in right])))
         return out
 
     def check_d_squared(self, bound):
@@ -244,6 +234,18 @@ class TorusFormality:
                 return data
         return None
 
+    def _monomials(self, i, left):
+        """Index lists [i, .., i, i+1, ..] of the monomials of degree
+        `left` in the canonical cocycles u_i, ..., u_{rank-1}."""
+        if left == 0:
+            yield []
+            return
+        if i >= self.rank:
+            return
+        for e in range(left + 1):
+            for rest in self._monomials(i + 1, left - e):
+                yield [i] * e + rest
+
     def cocycle_samples(self, degree, rng, count=4):
         """Sampled cocycles of even degree: monomials in the canonical
         cocycles plus coboundaries."""
@@ -251,18 +253,7 @@ class TorusFormality:
         mononomials = []
         us = [self.canonical_cocycle(i) for i in range(self.rank)]
         half = degree // 2
-
-        def monomials(i, left):
-            if left == 0:
-                yield []
-                return
-            if i >= self.rank:
-                return
-            for e in range(left + 1):
-                for rest in monomials(i + 1, left - e):
-                    yield [i] * e + rest
-
-        pool = list(monomials(0, half))
+        pool = list(self._monomials(0, half))
         for combo in pool:
             if combo:
                 mononomials.append(cup_many([us[i] for i in combo]))
@@ -302,7 +293,7 @@ class TorusFormality:
                 for c, k1, k2 in self.K.cop_key(k):
                     f1 = self.F_key(k1)
                     f2 = self.F_key(k2)
-                    sgn_exp = 0  # (F x F) application: F even degree
+                    # (F (x) F) application: no sign, F has even degree
                     for ka, ca in f1.terms.items():
                         for kb, cb in f2.terms.items():
                             rhs.add_in(GradedElement.single(
@@ -338,8 +329,6 @@ class TorusFormality:
     def check_phi(self, rng, samples=6):
         """phi is a chain map of dg bialgebras on sampled pairs."""
         rep = CheckReport("phi bialgebra map")
-        for k in self.K.L.basis(None) if False else []:
-            pass
         basis = []
         for d in range(0, self.rank + 1):
             basis.extend(self.K.L.basis(d))
@@ -359,7 +348,7 @@ class TorusFormality:
                 for m in range(kk.degree + 1):
                     lhs.add_in(partial_diagonal(kk, m), cc)
             rhs = GradedElement(self.field)
-            for c, k1, k2 in self.K._cop_L(k):
+            for c, k1, k2 in self.K.L_cop.cop_key(k):
                 for ka, ca in self.phi(k1).terms.items():
                     for kb, cb in self.phi(k2).terms.items():
                         rhs.add_in(GradedElement.single(
@@ -373,19 +362,8 @@ class TorusFormality:
         monomials of H*(BT) on the nose (H(f) is the identity)."""
         rep = CheckReport("f* identity on cohomology")
         us = [self.canonical_cocycle(i) for i in range(self.rank)]
-
-        def monomials(i, left):
-            if left == 0:
-                yield []
-                return
-            if i >= self.rank:
-                return
-            for e in range(left + 1):
-                for rest in monomials(i + 1, left - e):
-                    yield [i] * e + rest
-
         for half in range(1, bound + 1):
-            for combo in monomials(0, half):
+            for combo in self._monomials(0, half):
                 if not combo:
                     continue
                 c = cup_many([us[i] for i in combo])

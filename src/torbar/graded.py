@@ -6,8 +6,10 @@ Koszul pairs); one linear-algebra engine serves them all.
 
 `GradedElement` is a finite linear combination of keys; zero coefficients
 are never stored.  `LinearMap` is a lazy degree-homogeneous map given by a
-rule on keys.  All Koszul signs go through the two primitives
-`koszul_tensor_map` (signs for maps) and the evaluation helpers below.
+rule on keys.  `expand` is the one multilinear expansion: every map that
+feeds a list of elements term by term (tensor elements, bar words, the
+components of shm families) picks its pure terms through it and adds
+whatever Koszul signs it needs itself.
 """
 from dataclasses import dataclass
 
@@ -149,18 +151,24 @@ class GradedElement:
         return " + ".join(bits)
 
 
+def expand(field, elems):
+    """Multilinear expansion of x_1, ..., x_n: one (tuple of keys, coeff)
+    per choice of one term from each x_i, coeff the product of the chosen
+    coefficients (no signs).  `elems` may be any iterable; it is read only
+    until a zero element empties the expansion."""
+    combos = [((), field.one)]
+    for x in elems:
+        combos = [(keys + (k,), field.mul(c, c2))
+                  for keys, c in combos for k, c2 in x.terms.items()]
+        if not combos:
+            break
+    return combos
+
+
 def tensor_elements(field, *elems):
     """x (x) y (x) ... as a GradedElement over Tensor keys (no signs)."""
-    out = {(): field.one}
-    for e in elems:
-        nxt = {}
-        for ks, c in out.items():
-            for k, c2 in e.terms.items():
-                nxt[ks + (k,)] = field.mul(c, c2)
-        out = nxt
-        if not out:
-            break
-    return GradedElement(field, {Tensor(ks): c for ks, c in out.items()})
+    return GradedElement(field, [(Tensor(keys), c)
+                                 for keys, c in expand(field, elems)])
 
 
 class LinearMap:

@@ -11,7 +11,7 @@ Kadeishvili-Saneblidze dga structure.
 from .graded import GradedElement, LinearMap, Tensor
 from .dg import (CheckReport, TwistingCochain, TensorDgc, ExteriorCoalgebra,
                  TwistedTensor)
-from .bar import BarDgc, BarWord, dgc_map_from_cochain
+from .bar import BarWord, dgc_map_from_cochain
 
 
 class VectorHga:

@@ -20,9 +20,6 @@ from .classifying import wbar
 # Input specifications
 # ---------------------------------------------------------------------------
 
-_MONOMIAL_RE = re.compile(r"^\s*([+-]?\d*)\s*\*?\s*([a-zA-Z_][\w^* ]*)?\s*$")
-
-
 def parse_polynomial(B, text):
     """Parse expressions like "-t^2", "t1*t2 + 2*u", "0" into elements."""
     text = text.strip()

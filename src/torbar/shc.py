@@ -8,7 +8,8 @@ assembly for tensor products.  No structure maps for cochain algebras are
 constructed here; instances are inputs (commutative dgas canonically, or
 synthetic gauge perturbations for testing).
 """
-from .graded import GradedElement, LinearMap, Tensor, transpose_tensor
+from .graded import (GradedElement, LinearMap, Tensor, expand,
+                     transpose_tensor)
 from .dg import CheckReport, TensorDga, polynomial_dga, gauge_transform
 from .bar import BarDgc
 from .shm import (TwistingFamily, TwistingHomotopyFamily, compose,
@@ -107,7 +108,7 @@ def trivial_associativity_homotopy(s):
     AAA = iterated_tensor(A, 3)
     left = compose(s.phi, tensor_with_strict(
         s.phi, lambda x: x, AAA, s.AA, side="right"))
-    right = compose(s.phi, _one_tensor_phi(s, AAA))
+    right = compose(s.phi, _one_tensor(s, AAA, s.phi))
     return TwistingHomotopyFamily(AAA, A, lambda n, args: A.zero(),
                                   left, right, name="ha(trivial)")
 
@@ -119,29 +120,20 @@ def trivial_commutativity_homotopy(s):
                                   phiT, s.phi, name="hc(trivial)")
 
 
-def _one_tensor_phi(s, AAA):
-    """1 (x) Phi: A (x) (A (x) A) => A (x) A on the left-nested triple."""
+def _one_tensor(s, AAA, fam):
+    """1 (x) F: A (x) (A (x) A) => A (x) A on the left-nested triple, for a
+    family or a homotopy family F: A (x) A => A.
+
+    The left-nested key ((ka, kb), kc) feeds 1 to ka and F to (kb, kc).  A
+    homotopy family gets the two families 1 (x) source and 1 (x) target as
+    its ends."""
     A = s.A
+    field = A.field
 
-    def regroup(x):
-        # (a (x) b) (x) c -> a (x) (b (x) c) is the identity on data; the
-        # left-nested key ((ka, kb), kc) feeds 1 to ka and Phi to (kb, kc)
-        return x
-
-    # implement directly as a family on the nested triple
     def component(n, args):
-        field = A.field
         out = s.AA.zero()
-        combos = [((), field.one)]
-        for x in args:
-            nxt = []
-            for slots, c in combos:
-                for k, c2 in x.terms.items():
-                    kab, kc = k.parts
-                    ka, kb = kab.parts
-                    nxt.append((slots + ((ka, kb, kc),), field.mul(c, c2)))
-            combos = nxt
-        for slots, c in combos:
+        for keys, c in expand(field, args):
+            slots = [k.parts[0].parts + (k.parts[1],) for k in keys]
             # un-interleave: move the (b, c)-pairs past the a's
             e = 0
             for i in range(n):
@@ -153,14 +145,20 @@ def _one_tensor_phi(s, AAA):
                                   GradedElement.single(field, sl[2]))
                         for sl in slots]
             left = A.mul_many(a_elems)
-            rightv = s.phi(n, bc_elems)
-            # map application: phi_(n) (degree 1-n) past the a-block
-            e += (1 - n) * sum(sl[0].degree for sl in slots)
+            rightv = fam(n, bc_elems)
+            # map application: F_(n) (degree fam.degree(n)) past the a-block
+            e += fam.degree(n) * sum(sl[0].degree for sl in slots)
             out.add_in(s.AA.pair(left, rightv),
                        field.mul(c, field.of((-1) ** (e % 2))))
         return out
 
-    return TwistingFamily(AAA, s.AA, component, name="1(x)Phi")
+    name = f"1(x){fam.name}"
+    if isinstance(fam, TwistingHomotopyFamily):
+        return TwistingHomotopyFamily(AAA, s.AA, component,
+                                      _one_tensor(s, AAA, fam.source),
+                                      _one_tensor(s, AAA, fam.target),
+                                      name=name)
+    return TwistingFamily(AAA, s.AA, component, name=name)
 
 
 def compose_with_transposition(s):
@@ -223,17 +221,14 @@ def gauge_shc(A, rng, degrees=range(1, 8), density=2):
     # h^a: Phi(Phi (x) 1) ~ mu^[3] ~ Phi(1 (x) Phi)
     AAA = iterated_tensor(A, 3)
     phi_tensor_1 = tensor_with_strict(phi, lambda x: x, AAA, AA, side="right")
-    mu_tensor_1 = tensor_with_strict(mu_fam, lambda x: x, AAA, AA, side="right")
     h_tensor_1 = tensor_with_strict(gauge_h, lambda x: x, AAA, AA,
                                     side="right")
-    one_phi = _one_tensor_phi(s, AAA)
+    one_phi = _one_tensor(s, AAA, phi)
     # left leg: Phi(Phi (x) 1) ~ mu(Phi (x) 1) ~ mu(mu (x) 1)
     l1 = compose_homotopy_map(gauge_h, phi_tensor_1).inverse()
     l2 = compose_map_homotopy(mu_fam, h_tensor_1).inverse()
     # right leg: mu(1 (x) mu) = mu^[3] ... ~ mu(1 (x) Phi) ~ Phi(1 (x) Phi)
-    base3 = ShcData.commutative(A)
-    one_mu = _one_tensor_phi(base3, AAA)
-    r2 = compose_map_homotopy(mu_fam, _one_tensor_gauge_h(s, base, gauge_h, AAA))
+    r2 = compose_map_homotopy(mu_fam, _one_tensor(s, AAA, gauge_h))
     r1 = compose_homotopy_map(gauge_h, one_phi)
     ha = l1.cup(l2).cup(r2).cup(r1)
     s.ha = TwistingHomotopyFamily(AAA, A, ha._component,
@@ -241,80 +236,6 @@ def gauge_shc(A, rng, degrees=range(1, 8), density=2):
                                   compose(phi, one_phi), name="ha")
     s.gauge = gauge_h
     return s
-
-
-def _one_tensor_gauge_h(s, base, gauge_h, AAA):
-    """1 (x) h on the left-nested triple, mirroring _one_tensor_phi."""
-    A = s.A
-
-    def component(n, args):
-        field = A.field
-        out = s.AA.zero()
-        combos = [((), field.one)]
-        for x in args:
-            nxt = []
-            for slots, c in combos:
-                for k, c2 in x.terms.items():
-                    kab, kc = k.parts
-                    ka, kb = kab.parts
-                    nxt.append((slots + ((ka, kb, kc),), field.mul(c, c2)))
-            combos = nxt
-        for slots, c in combos:
-            e = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    e += (slots[i][1].degree + slots[i][2].degree) \
-                        * slots[j][0].degree
-            a_elems = [GradedElement.single(field, sl[0]) for sl in slots]
-            bc_elems = [s.AA.pair(GradedElement.single(field, sl[1]),
-                                  GradedElement.single(field, sl[2]))
-                        for sl in slots]
-            left = A.mul_many(a_elems)
-            rightv = gauge_h(n, bc_elems)
-            e += (-n) * sum(sl[0].degree for sl in slots)
-            out.add_in(s.AA.pair(left, rightv),
-                       field.mul(c, field.of((-1) ** (e % 2))))
-        return out
-
-    src = _one_tensor_phi_like(s, AAA, gauge_h.source)
-    tgt = _one_tensor_phi_like(s, AAA, gauge_h.target)
-    return TwistingHomotopyFamily(AAA, s.AA, component, src, tgt,
-                                  name="1(x)h")
-
-
-def _one_tensor_phi_like(s, AAA, fam):
-    A = s.A
-
-    def component(n, args):
-        field = A.field
-        out = s.AA.zero()
-        combos = [((), field.one)]
-        for x in args:
-            nxt = []
-            for slots, c in combos:
-                for k, c2 in x.terms.items():
-                    kab, kc = k.parts
-                    ka, kb = kab.parts
-                    nxt.append((slots + ((ka, kb, kc),), field.mul(c, c2)))
-            combos = nxt
-        for slots, c in combos:
-            e = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    e += (slots[i][1].degree + slots[i][2].degree) \
-                        * slots[j][0].degree
-            a_elems = [GradedElement.single(field, sl[0]) for sl in slots]
-            bc_elems = [s.AA.pair(GradedElement.single(field, sl[1]),
-                                  GradedElement.single(field, sl[2]))
-                        for sl in slots]
-            left = A.mul_many(a_elems)
-            rightv = fam(n, bc_elems)
-            e += (1 - n) * sum(sl[0].degree for sl in slots)
-            out.add_in(s.AA.pair(left, rightv),
-                       field.mul(c, field.of((-1) ** (e % 2))))
-        return out
-
-    return TwistingFamily(AAA, s.AA, component, name=f"1(x){fam.name}")
 
 
 def check_shc(s, sampler2, sampler3, ns=(1, 2, 3)):

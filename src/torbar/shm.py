@@ -3,11 +3,13 @@
 A twisting family f_(n): A^{(x)n} -> B of degree 1-n is the component form
 of a twisting cochain B A -> B.  Families are the primary representation;
 bar-level dgc maps are derived views, and composition is performed at the
-cochain level (g o f = g . Bf), which keeps all signs inside two audited
-primitives.  The displayed component formulas are implemented separately
-and used as cross-checks in the test suite.
+cochain level (g o f = g . Bf), which keeps all signs inside the two
+conversions between families and cochains: `_cochain_rule` (family to
+cochain, for families and homotopy families alike) and `_add_word_values`
+(cochain to family).  The displayed component formulas are implemented
+separately and used as cross-checks in the test suite.
 """
-from .graded import GradedElement, LinearMap
+from .graded import GradedElement, LinearMap, expand
 from .dg import CheckReport, TwistingCochain, HomAlgebra
 from .bar import BarDgc, BarWord, dgc_map_from_cochain
 
@@ -38,6 +40,30 @@ def suspension_sign_exponent(keys):
 
 def _sign(field, exponent):
     return field.neg(field.one) if exponent % 2 else field.one
+
+
+def _add_word_values(out, A, t, args):
+    """Add to `out` the value of t on [a_1|...|a_n], expanded over the
+    pure terms of the reduced arguments with each word's suspension sign."""
+    field = A.field
+    for keys, c in expand(field, (A.reduced(a) for a in args)):
+        eps = suspension_sign_exponent(keys)
+        out.add_in(t(BarWord(keys)), field.mul(c, _sign(field, eps)))
+    return out
+
+
+def _cochain_rule(fam):
+    """The cochain B A -> B of a family or a homotopy family: f_(n) on
+    length-n words with the suspension sign.  The empty word goes to
+    f_(0), which is zero for a family and the unit for a homotopy."""
+    field = fam.A.field
+
+    def rule(key):
+        eps = suspension_sign_exponent(key.entries)
+        args = [GradedElement.single(field, k) for k in key.entries]
+        return fam(key.length, args).scale(_sign(field, eps))
+
+    return rule
 
 
 class TwistingFamily:
@@ -88,37 +114,14 @@ class TwistingFamily:
                 s = A.aug(args[0])
                 if s != field.zero:
                     out.add_in(B.one(), s)
-            # sign eps = sum (n-k)(deg a_k - 1) per pure-key expansion
-            combos = [((), field.one)]
-            for a in args:
-                red = A.reduced(a)
-                nxt = []
-                for keys, c in combos:
-                    for k, c2 in red.terms.items():
-                        nxt.append((keys + (k,), field.mul(c, c2)))
-                combos = nxt
-                if not combos:
-                    break
-            for keys, c in combos:
-                eps = suspension_sign_exponent(keys)
-                out.add_in(t(BarWord(keys)), field.mul(c, _sign(field, eps)))
-            return out
+            return _add_word_values(out, A, t, args)
 
         return cls(A, B, component, name=name or t.name)
 
     def to_cochain(self, barA):
         """The twisting cochain B A -> B of this family."""
-        field = self.A.field
-
-        def rule(key):
-            n = key.length
-            if n == 0:
-                return self.B.zero()
-            eps = suspension_sign_exponent(key.entries)
-            args = [GradedElement.single(field, k) for k in key.entries]
-            return self(n, args).scale(_sign(field, eps))
-
-        return TwistingCochain(barA, self.B, LinearMap(field, 1, rule),
+        return TwistingCochain(barA, self.B,
+                               LinearMap(self.A.field, 1, _cochain_rule(self)),
                                name=self.name)
 
     def bar_map(self, barA=None, barB=None):
@@ -175,38 +178,16 @@ class TwistingHomotopyFamily:
         bookkeeping matches the family case with shifted degree.
         """
         A = barA.A
-        field = A.field
 
         def component(n, args):
-            out = B.zero()
-            combos = [((), field.one)]
-            for a in args:
-                red = A.reduced(a)
-                nxt = []
-                for keys, c in combos:
-                    for k, c2 in red.terms.items():
-                        nxt.append((keys + (k,), field.mul(c, c2)))
-                combos = nxt
-            for keys, c in combos:
-                eps = suspension_sign_exponent(keys)
-                out.add_in(h_map(BarWord(keys)), field.mul(c, _sign(field, eps)))
-            return out
+            return _add_word_values(B.zero(), A, h_map, args)
 
         return cls(A, B, component, source, target, name=name)
 
     def to_cochain(self, barA):
-        field = self.A.field
-
-        def rule(key):
-            n = key.length
-            if n == 0:
-                return self.B.one()
-            eps = suspension_sign_exponent(key.entries)
-            args = [GradedElement.single(field, k) for k in key.entries]
-            return self(n, args).scale(_sign(field, eps))
-
         from .dg import TwistingHomotopy
-        return TwistingHomotopy(barA, self.B, LinearMap(field, 0, rule),
+        return TwistingHomotopy(barA, self.B,
+                                LinearMap(self.A.field, 0, _cochain_rule(self)),
                                 self.source.to_cochain(barA),
                                 self.target.to_cochain(barA), name=self.name)
 
@@ -384,16 +365,7 @@ def compose_component_formula(g, f, n, args):
     field = f.A.field
     out = g.B.zero()
     pre = _prefix_parities(args)
-
-    def decompositions(total, parts=None):
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, total + 1):
-            for rest in decompositions(total - first):
-                yield (first,) + rest
-
-    for comp in decompositions(n):
+    for comp in _compositions(n):
         k = len(comp)
         eps = sum((k - (s + 1)) * (comp[s] - 1) for s in range(k))
         appl = 0
@@ -406,6 +378,16 @@ def compose_component_formula(g, f, n, args):
             pos += i_s
         out.add_in(g(k, vals), _sign(field, eps + appl))
     return out
+
+
+def _compositions(total):
+    """All tuples of positive integers summing to `total`, in order."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
 
 
 def compose_homotopy_map(h, m, name=None):
@@ -440,21 +422,6 @@ def compose_map_homotopy(m, h, name=None):
 # Tensor products
 # ---------------------------------------------------------------------------
 
-def _expand_pure_pairs(field, args):
-    """Multilinear expansion of A (x) B elements into pure tensor slots."""
-    combos = [((), field.one)]
-    for x in args:
-        nxt = []
-        for slots, c in combos:
-            for k, c2 in x.terms.items():
-                ka, kb = k.parts
-                nxt.append((slots + ((ka, kb),), field.mul(c, c2)))
-        combos = nxt
-        if not combos:
-            break
-    return combos
-
-
 def tensor_with_strict(f, gmap, T_source, T_target, side="right", name=None):
     """f (x) g for a (homotopy) family f and a strict dga map g.
 
@@ -467,7 +434,8 @@ def tensor_with_strict(f, gmap, T_source, T_target, side="right", name=None):
 
     def component(n, args):
         out = T_target.zero()
-        for slots, c in _expand_pure_pairs(field, args):
+        for keys, c in expand(field, args):
+            slots = [k.parts for k in keys]
             a_elems = [GradedElement.single(field, ka) for ka, _ in slots]
             b_elems = [GradedElement.single(field, kb) for _, kb in slots]
             # un-interleaving sign: sum_{i<j} |b_i||a_j|
@@ -534,7 +502,8 @@ def tensor_homotopy(f, g, T_source, T_target, name=None):
 
     def component(n, args):
         out = T_target.zero()
-        for slots, cc in _expand_pure_pairs(field, args):
+        for keys, cc in expand(field, args):
+            slots = [k.parts for k in keys]
             adegs = [ka.degree for ka, _ in slots]
             bdegs = [kb.degree for _, kb in slots]
             a_el = [GradedElement.single(field, ka) for ka, _ in slots]
@@ -611,16 +580,7 @@ def tensor_homotopy(f, g, T_source, T_target, name=None):
 def _hn_index_set(n):
     """All (k, l, (i_1..i_k), (j_1..j_l)) with sum i + sum j = n, parts >= 1."""
     out = []
-
-    def comps(total):
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, total + 1):
-            for rest in comps(total - first):
-                yield (first,) + rest
-
-    for ci in comps(n):
+    for ci in _compositions(n):
         for split in range(1, len(ci)):
             out.append((split, len(ci) - split, ci[:split], ci[split:]))
     return out

@@ -124,3 +124,15 @@ def test_chain_level_tor_of_k_z2_2():
     for d1 in range(4):
         for d2 in range(4 - d1):
             assert ring.product_class(d1, 0, d2, 0) == [F2.one], (d1, d2)
+
+
+def test_chain_level_tor_with_coefficients_in_c_bg():
+    """With K_space = G the coefficients are C*(BG) itself, restricted
+    along the identity BG -> BG: Tor_{C*(BG)}(k, C*(BG)) = k, one class
+    in degree 0 whose square is itself."""
+    G = b_cyclic(F2, 2)
+    ring, _, _ = chain_level_tor(G, G, F2, 2)
+    table = ring.table
+    assert table.totals == {0: 1, 1: 0, 2: 0}
+    assert len(table.representatives[0]) == 1
+    assert ring.product_class(0, 0, 0, 0) == [F2.one]

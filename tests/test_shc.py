@@ -8,7 +8,8 @@ from torbar.dg import FreeGcDga, polynomial_dga, QuotientOracle, gc_algebra_map
 from torbar.shm import check_family, check_homotopy_family
 from torbar.shc import (ShcData, gauge_shc, iterated_tensor, nest_elements,
                         lambda_family, check_shc, tensor_shc_naturality,
-                        check_quasi_iso_on_polynomials, one_t_one)
+                        check_quasi_iso_on_polynomials, one_t_one,
+                        _one_tensor)
 
 
 def comm_dga(field=QQ):
@@ -215,3 +216,19 @@ def test_tensor_naturality_synthetic():
     rep = check_homotopy_family(out, tensor_sampler(src, rng, degs=(4,),
                                                     count=1), ns=(1, 2))
     rep.raise_on_failure()
+
+
+@pytest.mark.parametrize("seed", [74, 75])
+def test_one_tensor_family_and_homotopy_signs(seed):
+    """1 (x) F applies F_(n) past the a-block with the sign of F's degree:
+    1 - n for the family Phi, -n for the gauge homotopy.  Arguments of odd
+    degree make the two differ."""
+    rng = random.Random(seed)
+    A = comm_dga()
+    s = gauge_shc(A, rng)
+    AAA = iterated_tensor(A, 3)
+    sampler = tensor_sampler(AAA, rng, degs=(3, 4, 5), count=2)
+    check_family(_one_tensor(s, AAA, s.phi), sampler,
+                 ns=(1, 2, 3)).raise_on_failure()
+    check_homotopy_family(_one_tensor(s, AAA, s.gauge), sampler,
+                          ns=(1, 2, 3)).raise_on_failure()
