@@ -69,7 +69,7 @@ class BarDgc(Dgc):
         return GradedElement(self.field, [(BarWord(keys), c) for keys, c
                                           in expand(self.field, reduced)])
 
-    def basis(self, degree, max_length=None):
+    def basis(self, degree):
         """Bar words of the given bar degree (A must be simply connected)."""
         if not self.A.simply_connected:
             raise StructuralError(
@@ -80,20 +80,18 @@ class BarDgc(Dgc):
             return [self.coaug_key]
         out = []
 
-        def extend(entries, rem, length):
+        def extend(entries, rem):
             if rem == 0:
                 out.append(BarWord(tuple(entries)))
-                return
-            if max_length is not None and length >= max_length:
                 return
             for d in range(2, rem + 2):
                 for k in self.A.basis(d):
                     if k == self.A.unit_key:
                         continue
                     if d - 1 <= rem:
-                        extend(entries + [k], rem - (d - 1), length + 1)
+                        extend(entries + [k], rem - (d - 1))
 
-        extend([], degree, 0)
+        extend([], degree)
         return out
 
     def diff_key(self, key):
@@ -271,9 +269,6 @@ class OneSidedBar(TwistedTensor):
                                        name="f.t_A")
         super().__init__(self.barA, B, twisting)
 
-    def element_from(self, entries, bkey, coeff=None):
-        return self.element(BarWord(tuple(entries)), bkey, coeff)
-
     def basis_total(self, degree):
         """All word (x) coefficient keys of the given total degree."""
         out = []
@@ -306,10 +301,8 @@ class TorTable:
         self.products = products or []
         self.spaces = spaces or {}
 
-    def poincare(self, upto=None):
+    def poincare(self):
         degs = sorted(d for d, v in self.totals.items() if v)
-        if upto is not None:
-            degs = [d for d in degs if d <= upto]
         bits = []
         for d in degs:
             c = self.totals[d]

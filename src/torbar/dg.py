@@ -152,12 +152,6 @@ class Dgc:
     def d(self, x):
         return x.map_keys(self.diff_key)
 
-    def counit(self, x):
-        s = self.field.zero
-        for k, c in x.terms.items():
-            s = self.field.add(s, self.field.mul(c, self.counit_key(k)))
-        return s
-
     def cop_reduced_key(self, key):
         """(1 - eta eps)^{x2} Delta, on a coaugmentation-adapted basis."""
         return [(c, k1, k2) for (c, k1, k2) in self.cop_key(key)
@@ -179,12 +173,13 @@ class Dgc:
                 break
         return out
 
-    def nilpotence_degree(self, key, bound=60):
-        """Least n with reduced Delta^[n](key) = 0 (cocompleteness witness)."""
-        for n in range(1, bound + 1):
+    def nilpotence_degree(self, key):
+        """Least n with reduced Delta^[n](key) = 0 (cocompleteness witness),
+        searched up to 60."""
+        for n in range(1, 61):
             if not self.iterated_reduced_cop(key, n):
                 return n
-        raise StructuralError(f"key {key!r} not conilpotent up to {bound}")
+        raise StructuralError(f"key {key!r} not conilpotent up to 60")
 
     def check_axioms(self, keys):
         """Coassociativity and counit law on the given basis keys."""
@@ -255,12 +250,6 @@ class HomAlgebra:
 
         return LinearMap(self.field, f.degree + g.degree, rule)
 
-    def cup_many(self, fs):
-        out = fs[0]
-        for f in fs[1:]:
-            out = self.cup(out, f)
-        return out
-
     def d(self, f):
         """d(f) = d_A f - (-1)^{|f|} f d_C."""
         A, C, field = self.A, self.C, self.field
@@ -273,11 +262,11 @@ class HomAlgebra:
 
         return LinearMap(self.field, f.degree + self.A.ddeg, rule)
 
-    def geometric_inverse(self, h, max_terms=60):
+    def geometric_inverse(self, h):
         """Inverse of h = 1 + k in Hom_0: sum_n (1 - h)^{u n}.
 
-        Terminates degreewise because C is cocomplete; `max_terms` guards
-        against non-conilpotent input.
+        Terminates degreewise because C is cocomplete; a bound of 60 terms
+        guards against non-conilpotent input.
         """
         if not self.C.cocomplete:
             raise StructuralError("homotopy inverse needs a cocomplete dgc")
@@ -295,7 +284,7 @@ class HomAlgebra:
             out = GradedElement(field)
             out.add_in(unit(key))
             sign = field.neg(field.one)
-            for n in range(1, max_terms + 1):
+            for n in range(1, 61):
                 terms = C.iterated_reduced_cop(key, n)
                 if not terms:
                     return out
@@ -357,9 +346,6 @@ class TwistingCochain:
     def __call__(self, key):
         return self.map(key)
 
-    def of(self, elem):
-        return self.map.of(elem)
-
     def check(self, keys):
         """Evaluate d(t) = t u t, eps t = 0 and t eta = 0 on basis keys."""
         hom = HomAlgebra(self.C, self.A)
@@ -407,10 +393,10 @@ class TwistingHomotopy:
             rep.record(ok, k)
         return rep
 
-    def inverse(self, max_terms=60):
+    def inverse(self):
         """h^{-1} = sum (1-h)^{u n}, a homotopy from target to source."""
         hom = HomAlgebra(self.C, self.A)
-        inv = hom.geometric_inverse(self.map, max_terms=max_terms)
+        inv = hom.geometric_inverse(self.map)
         return TwistingHomotopy(self.C, self.A, inv, self.target, self.source,
                                 name=f"{self.name}^-1")
 
@@ -453,9 +439,6 @@ class QuotientOracle:
         self.name = name
         self._is_zero = is_zero_q or (lambda e: e.is_zero())
 
-    def __call__(self, x):
-        return self.q(x)
-
     def is_zero(self, x):
         return self._is_zero(self.q(x))
 
@@ -482,24 +465,6 @@ class TwistedTensor:
 
     def element(self, ck, ak, coeff=None):
         return GradedElement.single(self.field, self.key(ck, ak), coeff)
-
-    def basis(self, degree, c_degrees=None):
-        """All c (x) a keys of the given total degree.
-
-        `c_degrees` restricts the enumerated C-degrees (needed when C is
-        supported in infinitely many degrees of one sign).
-        """
-        out = []
-        if c_degrees is None:
-            c_degrees = range(0, degree + 1) if degree >= 0 else range(degree, 1)
-        for dc in c_degrees:
-            da = degree - dc
-            cb = list(self.C.basis(dc))
-            ab = list(self.A.basis(da))
-            for ck in cb:
-                for ak in ab:
-                    out.append(self.key(ck, ak))
-        return out
 
     def delta(self, f):
         """delta_f(c (x) a) = sum +- c_1 (x) (f(c_2) a) for f in Hom(C,A)."""
@@ -1110,7 +1075,7 @@ def gauge_transform(C, A, t, k_rule):
     return t_prime, h
 
 
-def random_gauge_rule(C, A, rng, degrees, density=2, pool=(-2, -1, 1, 2)):
+def random_gauge_rule(C, A, rng, degrees):
     """A memoized random degree-0 map C -> bar A vanishing on the coaugmentation.
 
     Values are random augmentation-ideal elements of matching degree; the
@@ -1125,8 +1090,7 @@ def random_gauge_rule(C, A, rng, degrees, density=2, pool=(-2, -1, 1, 2)):
         if key == C.coaug_key or key.degree not in degrees:
             val = GradedElement(field)
         else:
-            val = A.reduced(A.random_element(key.degree, rng, terms=density,
-                                             coeffs=pool))
+            val = A.reduced(A.random_element(key.degree, rng, terms=2))
         memo[key] = val
         return val
 

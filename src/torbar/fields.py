@@ -37,9 +37,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return Fraction(a) / Fraction(b)
-
     def fmt(self, a):
         return str(a)
 
@@ -103,9 +100,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def fmt(self, a):
         return f"{a % self.p} mod {self.p}"

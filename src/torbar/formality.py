@@ -209,20 +209,20 @@ class TorusFormality:
 
         return Cochain(self.BT, 2, fn, name=f"u{i}")
 
-    def random_support_cochain(self, degree, rng, support=6, pool=(-2, -1, 1, 2)):
+    def random_support_cochain(self, degree, rng, support=6):
         """A finite-support cochain on sampled nondegenerate simplices."""
         values = {}
         for _ in range(support):
             data = self.random_simplex(degree, rng)
             if data is not None:
                 values[self.BT.key(degree, data)] = \
-                    self.field.of(rng.choice(pool))
+                    self.field.of(rng.choice((-2, -1, 1, 2)))
         return Cochain(self.BT, degree,
                        lambda k: values.get(k, self.field.zero), name="r")
 
-    def random_simplex(self, degree, rng, tries=30):
-        """A random nondegenerate BT simplex of the given degree."""
-        for _ in range(tries):
+    def random_simplex(self, degree, rng):
+        """A random nondegenerate BT simplex of the given degree (30 tries)."""
+        for _ in range(30):
             data = []
             for dim in range(degree - 1, -1, -1):
                 entries = tuple(
@@ -326,7 +326,7 @@ class TorusFormality:
                     keys.add(kk)
         return self.E.check_s_identities(sorted(keys, key=repr))
 
-    def check_phi(self, rng, samples=6):
+    def check_phi(self, rng):
         """phi is a chain map of dg bialgebras on sampled pairs."""
         rep = CheckReport("phi bialgebra map")
         basis = []
@@ -335,7 +335,7 @@ class TorusFormality:
         for k in basis:
             e = GradedElement.single(self.field, k)
             rep.record(self.T.boundary(self.phi_elem(e)).is_zero(), ("cycle", k))
-        for _ in range(samples):
+        for _ in range(6):
             k1 = rng.choice(basis)
             k2 = rng.choice(basis)
             lhs = self.phi_elem(self.K.L.mul_keys(k1, k2))
@@ -385,15 +385,13 @@ class TorusFormality:
                 rep.record(lhs == rhs, (p, q))
         return rep
 
-    def f_image_simplices(self, bound, pure_only=False, top_letter=False):
+    def f_image_simplices(self, bound, top_letter=False):
         """Simplices appearing in the F-images (support sets, cached)."""
         out = []
         seen = set()
         for d in range(0, bound + 1):
             for k in self.K.basis(d):
                 lk, sk = k.parts
-                if pure_only and lk.powers:
-                    continue
                 if top_letter and len(lk.powers) != 1:
                     continue
                 for kk in self.F_key(k).terms:
@@ -402,7 +400,7 @@ class TorusFormality:
                         out.append(kk)
         return out
 
-    def verify_vanishing_suite(self, bound, surjections=None):
+    def verify_vanishing_suite(self, bound):
         """(i) (S (x) S) P^{n+1}_k = 0 on simplices of F(a.c), |a| = 1;
         (ii) Q^n_{k,l} = 0 on all
 
@@ -430,11 +428,8 @@ class TorusFormality:
                         lambda dim, data: self.E.projection(dim, data),
                         self.BT)
                     rep.record(val.is_zero(), ("Q", key, k, l))
-        if surjections is None:
-            surjections = [e_surjection(1), e_surjection(2), e_surjection(3),
-                           f_surjection(1, 2), f_surjection(2, 1),
-                           f_surjection(2, 2)]
-        for u in surjections:
+        for u in (e_surjection(1), e_surjection(2), e_surjection(3),
+                  f_surjection(1, 2), f_surjection(2, 1), f_surjection(2, 2)):
             if not u.has_enclave():
                 raise ValueError(f"{u} has no enclave")
             for d in range(0, bound + 1):
@@ -454,14 +449,13 @@ class TorusFormality:
                     rep.record(not acc, ("AW_u f", u.seq, sk))
         return rep
 
-    def check_fstar_kills_operations(self, rng, bound, samples=30,
-                                     ks=(1, 2, 3), fkl=((1, 2), (2, 1), (2, 2))):
+    def check_fstar_kills_operations(self, rng, bound, samples=30):
         """f* E_k = 0 (k >= 1) and f* F_kl = 0 ((k,l) != (1,1)) on sampled
         cochains (not necessarily cocycles)."""
         rep = CheckReport("f* annihilates hga operations")
         count = 0
         while count < samples:
-            k = rng.choice(ks)
+            k = rng.choice((1, 2, 3))
             degs = [rng.choice((1, 2)) for _ in range(k + 1)]
             target = sum(degs) - k
             if target < 0 or target % 2 or target > bound:
@@ -472,7 +466,7 @@ class TorusFormality:
             count += 1
         count = 0
         while count < samples:
-            k, l = rng.choice(fkl)
+            k, l = rng.choice(((1, 2), (2, 1), (2, 2)))
             degs = [rng.choice((1, 2)) for _ in range(k + l)]
             target = sum(degs) - k - l
             if target < 0 or target % 2 or target > bound:
@@ -590,13 +584,13 @@ class TorusFormality:
                        ("right derivation",))
         return rep
 
-    def g12_dimension_fact(self, dims=(3, 4, 5)):
+    def g12_dimension_fact(self):
         """Every term of AW_{g12} has first factor of dimension >= 3; its
         transpose therefore kills cochains of degree <= 2 in the first
         slot.  Checked on standard simplices via naturality."""
         from .simplicial import G12, standard_simplex
         rep = CheckReport("g12 first-factor dimension")
-        for n in dims:
+        for n in (3, 4, 5):
             X = standard_simplex(self.field, n)
             key = X.key(n, tuple(range(n + 1)))
             for c, factors in interval_cut(G12, key):
@@ -604,12 +598,11 @@ class TorusFormality:
         return rep
 
 
-def formality_report(field, rank, degree_bound, rng=None, symmetrize=False,
-                     samples=20):
+def formality_report(field, rank, degree_bound, rng=None):
     """Bundled verification: the structural checks plus the vanishing
     suites, as a dict of CheckReports."""
     rng = rng or random.Random(0)
-    fo = TorusFormality(field, rank, symmetrize=symmetrize)
+    fo = TorusFormality(field, rank)
     reports = {
         "koszul_d2": None,
         "chain_map": fo.check_chain_map(degree_bound),
@@ -622,7 +615,7 @@ def formality_report(field, rank, degree_bound, rng=None, symmetrize=False,
             rng, [(2, 2), (2, 4)] if degree_bound >= 6 else [(2, 2)]),
         "vanishing": fo.verify_vanishing_suite(degree_bound),
         "operations": fo.check_fstar_kills_operations(
-            rng, degree_bound, samples=samples),
+            rng, degree_bound, samples=20),
     }
     fo.K.check_d_squared(degree_bound)
     reports["koszul_d2"] = CheckReport("koszul d2")

@@ -14,10 +14,6 @@ whatever Koszul signs it needs itself.
 from dataclasses import dataclass
 
 
-def deg(key):
-    return key.degree
-
-
 @dataclass(frozen=True)
 class Tensor:
     """Tensor product of basis keys, used for C (x) A style complexes."""
@@ -36,7 +32,9 @@ class GradedElement:
     """Finite k-linear combination of basis keys.
 
     Supports mixed degrees; `degree()` returns the common degree of a
-    homogeneous element and raises otherwise.
+    homogeneous element and raises otherwise.  Coefficients given to the
+    constructor or to `single` pass through `field.of`, so prime-field
+    coefficients are stored reduced.
     """
 
     __slots__ = ("field", "terms")
@@ -47,6 +45,7 @@ class GradedElement:
         if terms:
             z = field.zero
             for k, c in (terms.items() if isinstance(terms, dict) else terms):
+                c = field.of(c)
                 if c == z:
                     continue
                 acc = self.terms.get(k)
@@ -60,13 +59,9 @@ class GradedElement:
                         self.terms[k] = acc
 
     @classmethod
-    def zero(cls, field):
-        return cls(field)
-
-    @classmethod
     def single(cls, field, key, coeff=None):
         e = cls(field)
-        c = field.one if coeff is None else coeff
+        c = field.one if coeff is None else field.of(coeff)
         if c != field.zero:
             e.terms[key] = c
         return e
@@ -175,21 +170,17 @@ class LinearMap:
     """Degree-homogeneous linear map given lazily on basis keys.
 
     `rule` maps a key to a GradedElement; evaluation on elements extends
-    linearly.  An optional domain truncation degree documents where the
-    rule is meaningful.
+    linearly.  The value on each key is computed once and memoized.
     """
 
-    def __init__(self, field, degree, rule, name="", truncation=None, memo=True):
+    def __init__(self, field, degree, rule, name=""):
         self.field = field
         self.degree = degree
         self._rule = rule
         self.name = name
-        self.truncation = truncation
-        self._memo = {} if memo else None
+        self._memo = {}
 
     def __call__(self, key):
-        if self._memo is None:
-            return self._rule(key)
         got = self._memo.get(key)
         if got is None:
             got = self._rule(key)
@@ -219,16 +210,6 @@ class LinearMap:
         return LinearMap(self.field, self.degree,
                          lambda k: self(k) - other(k))
 
-    def scale(self, scalar):
-        return LinearMap(self.field, self.degree, lambda k: self(k).scale(scalar))
-
-    @classmethod
-    def identity(cls, field):
-        return cls(field, 0, lambda k: GradedElement.single(field, k), name="1")
-
-    @classmethod
-    def zero(cls, field, degree=0):
-        return cls(field, degree, lambda k: GradedElement(field), name="0")
 
 
 def koszul_tensor_map(f, g):
@@ -280,4 +261,3 @@ def koszul_sign(degrees, perm):
             if perm[i] > perm[j] and degrees[perm[i]] % 2 and degrees[perm[j]] % 2:
                 sign = -sign
     return sign
-

@@ -25,11 +25,8 @@ class VectorHga:
         self._E = E
         self._F = F
 
-    def zero(self, degree=None):
+    def zero(self):
         return self.dga.zero()
-
-    def one(self):
-        return self.dga.one()
 
     def d(self, x):
         return self.dga.d(x)
@@ -61,10 +58,6 @@ class VectorHga:
             return self.dga.zero()
         return self._F(k, l, as_, bs)
 
-    @property
-    def extended(self):
-        return True  # trivial F = 0 counts as extended
-
 
 def trivial_hga(dga):
     """Any commutative dga is an hga with all operations zero."""
@@ -89,20 +82,12 @@ class FunctionalHga:
     """
 
     def __init__(self, space, probes, name="C*(X)"):
-        from .simplicial import CochainHga, zero_cochain, unit_cochain
+        from .simplicial import CochainHga
         self.space = space
         self.field = space.field
         self.core = CochainHga(space)
         self.probes = probes
         self.name = name
-        self._zero = zero_cochain
-        self._unit = unit_cochain
-
-    def zero(self, degree=0):
-        return self._zero(self.space, degree)
-
-    def one(self):
-        return self._unit(self.space)
 
     def d(self, x):
         return self.core.d(x)
@@ -132,12 +117,6 @@ class FunctionalHga:
 
     def F(self, k, l, as_, bs):
         return self.core.F(k, l, as_, bs)
-
-    def cup1(self, a, b):
-        return self.core.cup1(a, b)
-
-    def cup2(self, a, b):
-        return self.core.cup2(a, b)
 
 
 def _sgn(field, e):
@@ -351,10 +330,13 @@ def check_cup_identities(inst, sampler, name=None):
                                   field.neg(_sgn(field, p * q))))
         rep.record(inst.is_zero(
             inst.add(lhs, inst.scale(rhs, field.neg(field.one)))), "d(cup1)")
-        # d(cup2)(a;b) = a u1 b + (-1)^{pq} b u1 a
+        # d(cup2)(a;b) = a u1 b + (-1)^{pq} b u1 a; cup2 has even degree -2,
+        # so its terms enter as in hom_defect_dF, with a minus sign
         lhs2 = inst.d(cup2(a, b))
-        lhs2 = inst.add(lhs2, cup2(inst.d(a), b))
-        lhs2 = inst.add(lhs2, inst.scale(cup2(a, inst.d(b)), _sgn(field, p)))
+        lhs2 = inst.add(lhs2, inst.scale(cup2(inst.d(a), b),
+                                         field.neg(field.one)))
+        lhs2 = inst.add(lhs2, inst.scale(cup2(a, inst.d(b)),
+                                         field.neg(_sgn(field, p))))
         rhs2 = inst.add(cup1(a, b), inst.scale(cup1(b, a), _sgn(field, p * q)))
         rep.record(inst.is_zero(
             inst.add(lhs2, inst.scale(rhs2, field.neg(field.one)))), "d(cup2)")
@@ -519,9 +501,6 @@ class KSAlgebra:
                 out.add_in(self.product_keys(k1, k2), field.mul(c1, c2))
         return out
 
-    def aug(self, x):
-        return x.coeff(self.osb.key(BarWord(()), self.coef_hga.dga.unit_key))
-
     def check_dga(self, keys, name="KS product"):
         """Associativity, unit, derivation property on the given keys."""
         field = self.field
@@ -594,18 +573,7 @@ def gm_repeated_cup1(hga, reps_list):
     return hga.scale(out, _sgn(field, k - 1))
 
 
-def gm_small_model(hga, reps, coef_dga, coef_map=None):
-    """The twisted tensor Lambda(x) (x)_{t_GM} C for the small model.
-
-    `coef_map` pushes values of t_GM into `coef_dga` (identity default)."""
+def gm_small_model(hga, reps, coef_dga):
+    """The twisted tensor Lambda(x) (x)_{t_GM} C for the small model."""
     t, coalg = gm_twisting_cochain(hga, reps)
-    if coef_map is not None:
-        push = coef_map
-
-        def rule(key):
-            return push(t(key))
-
-        t = TwistingCochain(coalg, coef_dga,
-                            LinearMap(hga.field, 1, rule, name="t_GM"),
-                            name="t_GM")
     return TwistedTensor(coalg, coef_dga, t)

@@ -1,16 +1,14 @@
 """The homogeneous-space pipeline: polynomial-algebra inputs, Tor rings
 via the bar construction with the Kadeishvili-Saneblidze product, an
-independent Koszul-resolution oracle, the Theta / Psi composition
-combinators, chain-level Eilenberg-Moore instances on simplicial groups,
-and a catalog of known-answer pairs.
+independent Koszul-resolution oracle, chain-level Eilenberg-Moore
+instances on simplicial groups, and a catalog of known-answer pairs.
 """
 import re
 
-from .graded import GradedElement, Tensor
+from .graded import GradedElement
 from .linalg import express_class, StructuralError
 from .dg import CheckReport, FreeGcDga, polynomial_dga, gc_algebra_map
-from .bar import BarDgc, OneSidedBar, split_homology, tor_additive
-from .shm import gamma
+from .bar import OneSidedBar, split_homology, tor_additive
 from .hga import trivial_hga, dual_cochain_hga, KSAlgebra
 from .simplicial import DualCochainDga
 from .classifying import wbar
@@ -66,10 +64,6 @@ class PolynomialAlgebraSpec:
                     f"generator {name} must have even positive degree")
         self.gens = list(gens)
 
-    @classmethod
-    def from_json(cls, data):
-        return cls([(g[0], int(g[1])) for g in data["gens"]])
-
     def build(self, field):
         return polynomial_dga(field, self.gens)
 
@@ -79,10 +73,6 @@ class AlgebraMapSpec:
 
     def __init__(self, images):
         self.images = dict(images)  # name -> expression string or element
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(dict(data))
 
     def build(self, A, B):
         imgs = {}
@@ -195,74 +185,6 @@ def tor_koszul_oracle(field, base_spec, fiber_spec, map_spec, max_total):
 
 
 # ---------------------------------------------------------------------------
-# Theta and Psi
-# ---------------------------------------------------------------------------
-
-def theta(lambda_G, lambda_K, h, HG, HK, iota_map, iota_c_map):
-    """Theta: B(k, H_G, H_K) -> B(k, C_G, C_K) as the composition of
-    Gamma_{Lambda_K}, delta_h, and B Lambda_G (x) 1.
-
-    lambda_G: TwistingFamily H_G => C_G; lambda_K: H_K => C_K;
-    iota_map: element map H_G -> H_K (the restriction on cohomology);
-    iota_c_map: element map C_G -> C_K (the chain-level restriction);
-    h: a twisting homotopy B H_G -> C_K from (iota_C* o Lambda_G o t) to
-    (Lambda_K o iota* o t), or None for the trivial homotopy in the
-    strict/commutative case.  Returns (theta_map, source_osb, target_osb).
-    """
-    field = HG.field
-    source = OneSidedBar(HG, HK, f=iota_map)
-    gmap, middle = gamma(lambda_K, source, push=iota_map)
-    CK = lambda_K.B
-    CG = lambda_G.B
-    barHG = source.barA
-    bl = lambda_G.bar_map(barHG, BarDgc(CG))
-    final = OneSidedBar(CG, CK, f=iota_c_map)
-
-    if h is None:
-        from .dg import trivial_homotopy
-        h = trivial_homotopy(barHG, CK, middle.t)
-        third = middle
-    else:
-        third = OneSidedBar(HG, CK, twisting=h.source, barA=barHG)
-
-    delta = third.delta(h.map)
-
-    def theta_map(key):
-        out = GradedElement(field)
-        for k1, c1 in gmap(key).terms.items():
-            out.add_in(delta(k1), c1)
-        result = GradedElement(field)
-        for k2, c2 in out.terms.items():
-            w, bk = k2.parts
-            for kw, cw in bl(w).terms.items():
-                result.add_in(GradedElement.single(
-                    field, Tensor((kw, bk))), field.mul(c2, cw))
-        return result
-
-    return theta_map, source, final
-
-
-def psi(osb_base_keys, kappa_pull, f_star, coef_H):
-    """Psi: B(k, C_G, C_K) -> B(k, C_G, H_T): apply kappa* then f* to the
-    coefficient factor.  `kappa_pull` maps coefficient basis keys to
-    functional cochains on BT; `f_star` lands in the polynomial algebra
-    coef_H."""
-
-    def psi_map(elem):
-        field = coef_H.field
-        out = GradedElement(field)
-        for key, c in elem.terms.items():
-            w, bk = key.parts
-            img = f_star(kappa_pull(bk))
-            for kh, ch in img.terms.items():
-                out.add_in(GradedElement.single(
-                    field, Tensor((w, kh))), field.mul(c, ch))
-        return out
-
-    return psi_map
-
-
-# ---------------------------------------------------------------------------
 # Chain-level Eilenberg-Moore instances
 # ---------------------------------------------------------------------------
 
@@ -371,8 +293,7 @@ def catalog_entry(name):
             data["poincare_dims"])
 
 
-def run_catalog_entry(field, name, max_total, with_oracle=True,
-                      sample_products=False):
+def run_catalog_entry(field, name, max_total, sample_products=False):
     base, fiber, mp, expected = catalog_entry(name)
     ring, osb, ks = tor_bar_algebra(field, base, fiber, mp, max_total,
                                     sample_products=sample_products)
@@ -380,14 +301,12 @@ def run_catalog_entry(field, name, max_total, with_oracle=True,
     for d in range(0, max_total + 1):
         report.record(ring.table.totals.get(d, 0) == expected.get(d, 0),
                       ("dimension", d))
-    oracle_ring = None
-    if with_oracle:
-        oracle_ring = tor_koszul_oracle(field, base, fiber, mp, max_total)
-        bar_b = {bd: v for bd, v in ring.table.bidegrees.items() if v}
-        kos_b = {bd: v for bd, v in oracle_ring.table.bidegrees.items() if v}
-        report.record(bar_b == kos_b, ("bigraded tables", bar_b, kos_b))
-        for d in range(0, max_total + 1):
-            report.record(ring.table.totals.get(d, 0)
-                          == oracle_ring.table.totals.get(d, 0),
-                          ("oracle dims", d))
+    oracle_ring = tor_koszul_oracle(field, base, fiber, mp, max_total)
+    bar_b = {bd: v for bd, v in ring.table.bidegrees.items() if v}
+    kos_b = {bd: v for bd, v in oracle_ring.table.bidegrees.items() if v}
+    report.record(bar_b == kos_b, ("bigraded tables", bar_b, kos_b))
+    for d in range(0, max_total + 1):
+        report.record(ring.table.totals.get(d, 0)
+                      == oracle_ring.table.totals.get(d, 0),
+                      ("oracle dims", d))
     return ring, oracle_ring, report

@@ -172,7 +172,7 @@ def compose_with_transposition(s):
     return TwistingFamily(s.AA, s.A, component, name="PhiT")
 
 
-def gauge_shc(A, rng, degrees=range(1, 8), density=2):
+def gauge_shc(A, rng, degrees=range(1, 8)):
     """A synthetic nonstrict shc structure on a commutative dga.
 
     Phi is a gauge perturbation of the strict multiplication by a random
@@ -199,8 +199,7 @@ def gauge_shc(A, rng, degrees=range(1, 8), density=2):
             entries = key.entries
             if not (all(k.parts[0] == unit_a for k in entries)
                     or all(k.parts[1] == unit_a for k in entries)):
-                val = A.reduced(A.random_element(key.degree, rng,
-                                                 terms=density))
+                val = A.reduced(A.random_element(key.degree, rng, terms=2))
         memo[key] = val
         return val
 
@@ -363,7 +362,7 @@ def check_quasi_iso_on_polynomials(family, P, complex_basis, complex_diff,
 # Naturality-homotopy assembly for tensor products of shc maps
 # ---------------------------------------------------------------------------
 
-def one_t_one(field, A12x2):
+def one_t_one(field):
     """The reorder 1 (x) T (x) 1 as a strict map
     (A1 (x) A2) (x) (A1 (x) A2) -> (A1 (x) A1) (x) (A2 (x) A2)."""
 
@@ -382,7 +381,7 @@ def one_t_one(field, A12x2):
     return fmap
 
 
-def tensor_map(field, f1, f2, source, target):
+def tensor_map(field, f1, f2, target):
     """f1 (x) f2 on a tensor dga, as an element map (both strict)."""
 
     def fmap(x):
@@ -421,10 +420,10 @@ def tensor_shc_naturality(sA1, sA2, sB1, sB2, f1, f2, h1, h2):
 
     reorder_target = TensorDga(AA1, AA2)
     reorder = TwistingFamily.strict(
-        source, reorder_target, one_t_one(field, source), name="1T1")
+        source, reorder_target, one_t_one(field), name="1T1")
 
     # first piece: (Phi_B1 (x) 1) o (f1 (x) f1 (x) h2) o (1T1)
-    f11 = tensor_map(field, f1, f1, AA1, B11)
+    f11 = tensor_map(field, f1, f1, B11)
     fff_h = tensor_with_strict(h2, f11, reorder_target, mid_B, side="left")
     phiB1_ext = tensor_with_strict(sB1.phi, lambda x: x, mid_B, B12,
                                    side="right", name="PhiB1(x)1")

@@ -162,15 +162,6 @@ class TwistingHomotopyFamily:
         return -n
 
     @classmethod
-    def trivial(cls, family):
-        """The unit homotopy from a family to itself."""
-
-        def component(n, args):
-            return family.B.zero()
-
-        return cls(family.A, family.B, component, family, family, name="1")
-
-    @classmethod
     def from_cochain(cls, barA, B, h_map, source, target, name="h"):
         """Homotopy family of a twisting homotopy cochain h: B A -> B.
 
@@ -228,14 +219,6 @@ class TwistingHomotopyFamily:
             return out
 
         return LinearMap(field, -1, rule, name=f"B<{self.name}>")
-
-    def is_trivial_under(self, oracle, sampler, max_n=4):
-        """b-triviality: h_(n) = 0 in the quotient for n >= 1."""
-        rep = CheckReport(f"{self.name} trivial under {oracle.name}")
-        for n in range(1, max_n + 1):
-            for args in sampler(n):
-                rep.record(oracle.is_zero(self(n, args)), (n, args))
-        return rep
 
     def cup(self, other, name=None):
         """h u k: source ~ other.target through the convolution product."""
@@ -464,10 +447,10 @@ def tensor_with_strict(f, gmap, T_source, T_target, side="right", name=None):
                           name=name or f"{f.name}(x)strict")
 
 
-def tensor_shm(f, g, T_source, T_target, middle=None, name=None):
+def tensor_shm(f, g, T_source, T_target, name=None):
     """f (x) g := (f (x) 1) o (1 (x) g) for twisting families f, g."""
     from .dg import TensorDga
-    mid = middle or TensorDga(f.A, g.B)
+    mid = TensorDga(f.A, g.B)
     left = tensor_with_strict(f, lambda x: x, mid, T_target, side="right",
                               name=f"{f.name}(x)1")
     right = tensor_with_strict(g, lambda x: x, T_source, mid, side="left",
@@ -475,10 +458,10 @@ def tensor_shm(f, g, T_source, T_target, middle=None, name=None):
     return compose(left, right, name=name or f"{f.name}(x){g.name}")
 
 
-def tensor_shm_other_order(f, g, T_source, T_target, middle=None):
+def tensor_shm_other_order(f, g, T_source, T_target):
     """(1 (x) g) o (f (x) 1), the other composition."""
     from .dg import TensorDga
-    mid = middle or TensorDga(f.B, g.A)
+    mid = TensorDga(f.B, g.A)
     left = tensor_with_strict(g, lambda x: x, mid, T_target, side="left")
     right = tensor_with_strict(f, lambda x: x, T_source, mid, side="right")
     return compose(left, right)

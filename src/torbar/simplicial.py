@@ -118,11 +118,11 @@ class SimplicialSet:
             self._nondeg_cache[p] = got
         return got
 
-    def chain(self, p, data, coeff=None):
+    def chain(self, p, data):
         """The normalized chain of a single simplex (0 if degenerate)."""
         if self.is_degenerate(p, data):
             return GradedElement(self.field)
-        return GradedElement.single(self.field, self.key(p, data), coeff)
+        return GradedElement.single(self.field, self.key(p, data))
 
     def boundary_key(self, key):
         out = GradedElement(self.field)
@@ -138,12 +138,6 @@ class SimplicialSet:
 
     def boundary(self, chain):
         return chain.map_keys(self.boundary_key)
-
-    def vertex(self, key, i):
-        """The i-th vertex of a simplex, as raw data."""
-        p = key.degree if isinstance(key, SimplexKey) else None
-        data = key.data if p is not None else key
-        return self.face_by_vertices_data(data, p, (i,))
 
     def face_by_vertices_data(self, data, p, vertices):
         """The face of a p-simplex spanned by the given vertex tuple."""
@@ -768,12 +762,6 @@ class CochainHga:
         self.space = space
         self.field = space.field
 
-    def zero(self, degree):
-        return zero_cochain(self.space, degree)
-
-    def one(self):
-        return unit_cochain(self.space)
-
     def d(self, a):
         return coboundary(a)
 
@@ -1096,10 +1084,9 @@ class DualCochainDga:
         return [DualKey(self.X.key(degree, x))
                 for x in self.X.nondegenerate(degree)]
 
-    def functional(self, elem, degree=None):
+    def functional(self, elem):
         """A GradedElement over DualKeys as a computable Cochain."""
-        if degree is None:
-            degree = elem.degree()
+        degree = elem.degree()
         if degree is None:
             return zero_cochain(self.X, 0)
 
@@ -1186,14 +1173,6 @@ class DualCochainDga:
                 out.add_in(self.mul_keys(k1, k2), self.field.mul(c1, c2))
         return out
 
-    def mul_many(self, xs):
-        if not xs:
-            return self.one()
-        out = xs[0]
-        for x in xs[1:]:
-            out = self.mul(out, x)
-        return out
-
     def zero(self):
         return GradedElement(self.field)
 
@@ -1254,12 +1233,12 @@ class DualCochainDga:
         return self.vectorize(c)
 
 
-def chain_complex_homology(X, max_degree, field=None):
+def chain_complex_homology(X, max_degree):
     """Homology of the normalized chains of X up to max_degree.
 
     One extra degree is enumerated so the boundaries into max_degree are
     complete; the artifact top degree is dropped from the result."""
-    field = field or X.field
+    field = X.field
     basis = {}
     for d in range(0, max_degree + 2):
         basis[d] = [X.key(d, x) for x in X.nondegenerate(d)]
@@ -1273,11 +1252,11 @@ def chain_complex_homology(X, max_degree, field=None):
     return res
 
 
-def cochain_complex_homology(X, max_degree, field=None):
+def cochain_complex_homology(X, max_degree):
     """Cohomology of C*(X) up to max_degree - 1 (needs one extra slice).
 
     Works for any degreewise finite space (no reducedness needed)."""
-    field = field or X.field
+    field = X.field
     basis = {d: [DualKey(X.key(d, x)) for x in X.nondegenerate(d)]
              for d in range(0, max_degree + 1)}
 

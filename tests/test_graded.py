@@ -39,6 +39,19 @@ def test_element_arithmetic():
     assert sorted(parts) == [1, 2]
 
 
+def test_prime_field_coefficients_are_reduced_on_entry():
+    k = K("a", 1)
+    assert GradedElement(F5, {k: 7}) == GradedElement(F5, {k: 2})
+
+
+def test_prime_field_multiple_of_p_is_zero_in_constructor():
+    assert GradedElement(F5, {K("a", 1): 5}).is_zero()
+
+
+def test_prime_field_multiple_of_p_is_zero_in_single():
+    assert GradedElement.single(F5, K("a", 1), 5).is_zero()
+
+
 def test_koszul_tensor_map_signs():
     # (f x g)(a x b) = (-1)^{|g||a|} f(a) x g(b)
     for dg, da, want in [(0, 1, 1), (1, 1, -1), (1, 2, 1), (2, 1, 1)]:

@@ -54,6 +54,22 @@ def test_hga_axioms_boundary_delta3():
         check_cup_identities(inst, sampler).raise_on_failure()
 
 
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_dual_cochain_hga_extended_and_cup_identities(field):
+    # sparse vectors keep the cup2(da; b) terms of d(cup2) from cancelling,
+    # which dense cochains on the boundary of Delta^3 let them do
+    rng = random.Random(63)
+    A = DualCochainDga(standard_simplex(field, 4), 8)
+    inst = dual_cochain_hga(A)
+
+    def sampler(n):
+        return [[A.random_element(rng.choice((1, 2, 3)), rng)
+                 for _ in range(n)] for _ in range(20)]
+
+    check_extended(inst, sampler).raise_on_failure()
+    check_cup_identities(inst, sampler).raise_on_failure()
+
+
 def test_trivial_hga_passes():
     rng = random.Random(61)
     A = polynomial_dga(QQ, [("x", 2), ("y", 4)])

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from torbar.fields import QQ, F5
-from torbar.graded import GradedElement, Tensor
+from torbar.fields import QQ
+from torbar.graded import GradedElement
 from torbar.dg import FreeGcDga, polynomial_dga, QuotientOracle, gc_algebra_map
 from torbar.shm import check_family, check_homotopy_family
 from torbar.shc import (ShcData, gauge_shc, iterated_tensor, nest_elements,
                         lambda_family, check_shc, tensor_shc_naturality,
-                        check_quasi_iso_on_polynomials, one_t_one,
-                        _one_tensor)
+                        check_quasi_iso_on_polynomials, _one_tensor)
 
 
 def comm_dga(field=QQ):
@@ -31,9 +30,7 @@ def test_commutative_shc_iterates():
     s = ShcData.commutative(A)
     # Phi^[0] = eta, Phi^[1] = 1, Phi^[2] = Phi
     k = s.phi_iterate(0)
-    one_el = polynomial = None
-    from torbar.dg import polynomial_dga as P
-    ground = P(QQ, [])
+    ground = polynomial_dga(QQ, [])
     assert k(1, [ground.one()]) == A.one()
     ident = s.phi_iterate(1)
     x = A.random_element(3, rng)
@@ -163,12 +160,12 @@ def test_lambda_family_rejects_bad_input():
     A = comm_dga()
     s = ShcData.commutative(A)
     u = A.generator("u")  # odd degree
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even positive degree"):
         lambda_family(s, [("x", u)])
-    w = A.generator("w")  # not a cocycle? w is a cocycle; u is odd; d(u)=w
-    # non-cocycle input: u + a is odd/mixed; use degree-4 non-cocycle: none
-    # in this algebra (d(u) = w), so craft one: u * u vanishes; take
-    # element with du != 0: u itself is odd; test passes with odd only.
+    # comm_dga() has no even non-cocycle: d v = e with |v| = 2 gives one
+    B = FreeGcDga(QQ, [("v", 2), ("e", 3)], d_gen={"v": [(1, [("e", 1)])]})
+    with pytest.raises(ValueError, match="is not a cocycle"):
+        lambda_family(ShcData.commutative(B), [("x", B.generator("v"))])
 
 
 def test_tensor_naturality_trivial_case():
@@ -176,13 +173,9 @@ def test_tensor_naturality_trivial_case():
     A = comm_dga()
     s = ShcData.commutative(A)
     ident = lambda x: x
-    h_triv = s.hc  # trivial homotopy object with zero components
-    from torbar.shc import trivial_commutativity_homotopy
     h1 = trivial_naturality(s)
     h2 = trivial_naturality(s)
     out = tensor_shc_naturality(s, s, s, s, ident, ident, h1, h2)
-    T2 = iterated_tensor(A, 2)
-    source = iterated_tensor(T2, 2) if False else None
     from torbar.dg import TensorDga
     A12 = TensorDga(A, A)
     src = TensorDga(A12, A12)

@@ -29,3 +29,48 @@ def test_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno}:{name}")
     assert not found, found
+
+
+def _trees(*dirs):
+    root = SRC.parent.parent
+    for d in dirs:
+        for path in sorted((root / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_public_definition_is_referenced():
+    """Each public function, class and method of the package is named
+    somewhere in the package, the tests or the benchmark."""
+    referenced = set()
+    for _, tree in _trees("src/torbar", "tests", "bench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    found = []
+    for path, tree in _trees("src/torbar"):
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in referenced):
+                found.append(f"{path.name}:{node.lineno}:{node.name}")
+    assert not found, found
+
+
+def test_every_function_parameter_is_read():
+    """Each parameter of a module-level function is read in its body."""
+    found = []
+    for path, tree in _trees("src/torbar"):
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            found += [f"{path.name}:{node.lineno}:{node.name}({p.arg})"
+                      for p in params if p.arg not in read]
+    assert not found, found
