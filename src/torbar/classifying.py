@@ -143,7 +143,7 @@ class WTotal(SimplicialSet):
         SS = 0, S e_0 = 0."""
         from .dg import CheckReport
         rep = CheckReport("S identities")
-        base_key = self.key(0, self.basepoint())
+        base_key = self.basepoint_key()
         for key in keys:
             p = key.degree
             se = self.s_data(p, key.data)
@@ -200,53 +200,6 @@ def torus_group(field, rank):
 
 # -- reduced subgroups and quotients ---------------------------------------
 
-class ReducedSubgroup(SimplicialGroup):
-    """The subgroup of simplices all of whose vertices are the identity."""
-
-    def __init__(self, G):
-        super().__init__(G.field)
-        self.G = G
-
-    def _vertex(self, p, data, i):
-        out = data
-        dim = p
-        for _ in range(p - i):
-            out = self.G.face(dim, dim, out)
-            dim -= 1
-        for _ in range(i):
-            out = self.G.face(dim, 0, out)
-            dim -= 1
-        return out
-
-    def contains(self, p, data):
-        one = self.G.one(0)
-        return all(self._vertex(p, data, i) == one for i in range(p + 1))
-
-    def face(self, p, i, data):
-        return self.G.face(p, i, data)
-
-    def degeneracy(self, p, i, data):
-        return self.G.degeneracy(p, i, data)
-
-    def simplices(self, p):
-        for x in self.G.simplices(p):
-            if self.contains(p, x):
-                yield x
-
-    def mul(self, p, x, y):
-        return self.G.mul(p, x, y)
-
-    def inv(self, p, x):
-        return self.G.inv(p, x)
-
-    def one(self, p):
-        return self.G.one(p)
-
-
-def reduced_subgroup(G):
-    return ReducedSubgroup(G)
-
-
 class SubgroupInclusion(SimplicialGroup):
     """A subgroup presented by a membership test and an enumerator."""
 
@@ -281,6 +234,13 @@ class SubgroupInclusion(SimplicialGroup):
 
     def one(self, p):
         return self.G.one(p)
+
+
+def reduced_subgroup(G):
+    """The subgroup of simplices all of whose vertices are the identity."""
+    one = G.one(0)
+    return SubgroupInclusion(G, lambda p, x: all(
+        G.face_by_vertices_data(x, p, (i,)) == one for i in range(p + 1)))
 
 
 class CosetSpace(SimplicialSet):

@@ -1076,22 +1076,16 @@ def gauge_transform(C, A, t, k_rule):
 
 
 def random_gauge_rule(C, A, rng, degrees):
-    """A memoized random degree-0 map C -> bar A vanishing on the coaugmentation.
+    """A random degree-0 map C -> bar A vanishing on the coaugmentation.
 
     Values are random augmentation-ideal elements of matching degree; the
-    rule is pure per instance (memoized), so repeated evaluation is stable.
+    `LinearMap` memoizes each value, so repeated evaluation is stable.
     """
     field = C.field
-    memo = {}
 
     def rule(key):
-        if key in memo:
-            return memo[key]
         if key == C.coaug_key or key.degree not in degrees:
-            val = GradedElement(field)
-        else:
-            val = A.reduced(A.random_element(key.degree, rng, terms=2))
-        memo[key] = val
-        return val
+            return GradedElement(field)
+        return A.reduced(A.random_element(key.degree, rng, terms=2))
 
     return LinearMap(field, 0, rule, name="k")

@@ -22,6 +22,7 @@ from .simplicial import (Cochain, zero_cochain, coboundary, cup, cup_many,
                          interval_cut, group_action_on_chains,
                          pontryagin_product, ConstantFreeAbelian)
 from .classifying import wbar_group, total_space
+from .hga import gm_repeated_cup1
 
 
 class KoszulComplex:
@@ -514,13 +515,6 @@ class TorusFormality:
         return None
 
     # -- the kernel ideal ---------------------------------------------------
-    def u_repeated_cup1(self, bs):
-        """U_k(b_0,...,b_k) = -U_{k-1}(...) u1 b_k."""
-        out = bs[0]
-        for b in bs[1:]:
-            out = self.hga.cup1(out, b).neg()
-        return out
-
     def kernel_ideal_suite(self, rng, bound, samples=6, any_field_variant=False):
         """All six generator families of the kernel ideal map to zero under
         f*, plus the commutator and cup-two derivation congruences."""
@@ -555,7 +549,8 @@ class TorusFormality:
             a = self.cocycle_samples(2, rng, count=1)[0]
             bs = [self.cocycle_samples(2, rng, count=1)[0]
                   for _ in range(k + 1)]
-            val = self.hga.cup2(a, self.u_repeated_cup1(bs))
+            # U_k(b_0,...,b_k) = -U_{k-1}(...) u1 b_k
+            val = self.hga.cup2(a, gm_repeated_cup1(self.hga, bs))
             if val.degree % 2 == 0 and 0 <= val.degree <= bound:
                 rep.record(self.f_star(val).is_zero(), ("cup2 U_k", k))
         # commutator congruence: f*[alpha, beta] = 0

@@ -253,6 +253,20 @@ def transpose_tensor(elem):
     return elem.map_keys(rule)
 
 
+def parity_sign(field, exponent):
+    """(-1)^exponent in the field."""
+    return field.neg(field.one) if exponent % 2 else field.one
+
+
+def prefix_degrees(elems):
+    """Partial sums of degrees, pre[i] = |a_1| + ... + |a_i|, a zero
+    element counting as degree 0."""
+    pre = [0]
+    for a in elems:
+        pre.append(pre[-1] + (a.degree() or 0))
+    return pre
+
+
 def koszul_sign(degrees, perm):
     """Sign of permuting graded symbols: perm[i] = source index of slot i."""
     sign = 1

@@ -1,21 +1,24 @@
 """Homotopy Gerstenhaber structures as data with mechanized axioms.
 
-An hga instance provides the operations E_k (and F_kl when extended) on
-some carrier of elements together with the ambient dga operations; the
-axiom checkers verify the three defining identity families, the extended
-differential formula, and the derived cup-one/cup-two identities, exactly,
-on supplied arguments.  The bar construction of an hga becomes a dg
-bialgebra; one-sided bar constructions over an hga morphism carry the
-Kadeishvili-Saneblidze dga structure.
+An hga instance (`VectorHga`) provides the operations E_k (and F_kl when
+extended) on the `GradedElement` vectors of its dga, together with that
+dga's d and product; the axiom checkers add, scale and test the vectors
+with `GradedElement`'s own operations, and verify the three defining
+identity families, the extended differential formula, and the derived
+cup-one/cup-two identities, exactly, on supplied arguments.  The bar
+construction of an hga becomes a dg bialgebra; one-sided bar
+constructions over an hga morphism carry the Kadeishvili-Saneblidze dga
+structure.
 """
-from .graded import GradedElement, LinearMap, Tensor
+from .graded import (GradedElement, LinearMap, Tensor, parity_sign,
+                     prefix_degrees)
 from .dg import (CheckReport, TwistingCochain, TensorDgc, ExteriorCoalgebra,
                  TwistedTensor)
 from .bar import BarWord, dgc_map_from_cochain
 
 
 class VectorHga:
-    """Adapter: an hga on GradedElement vectors (e.g. DualCochainDga, or a
+    """An hga on GradedElement vectors (e.g. DualCochainDga, or a
     commutative dga with trivial operations)."""
 
     def __init__(self, dga, E=None, F=None, name="hga"):
@@ -33,18 +36,6 @@ class VectorHga:
 
     def mul(self, x, y):
         return self.dga.mul(x, y)
-
-    def add(self, x, y):
-        return x + y
-
-    def scale(self, x, c):
-        return x.scale(c)
-
-    def deg(self, x):
-        return x.degree()
-
-    def is_zero(self, x):
-        return x.is_zero()
 
     def E(self, k, a, bs):
         if k == 0:
@@ -74,65 +65,8 @@ def dual_cochain_hga(dual_dga):
                      name="C*(X)")
 
 
-class FunctionalHga:
-    """Adapter: the interval-cut hga on functional cochains of a space.
-
-    `probes(degree)` supplies the evaluation keys that decide zero-ness;
-    exact arithmetic makes each decided evaluation conclusive.
-    """
-
-    def __init__(self, space, probes, name="C*(X)"):
-        from .simplicial import CochainHga
-        self.space = space
-        self.field = space.field
-        self.core = CochainHga(space)
-        self.probes = probes
-        self.name = name
-
-    def d(self, x):
-        return self.core.d(x)
-
-    def mul(self, x, y):
-        return self.core.mul(x, y)
-
-    def add(self, x, y):
-        return x.add(y)
-
-    def scale(self, x, c):
-        return x.scale(c)
-
-    def deg(self, x):
-        return x.degree
-
-    def is_zero(self, x):
-        if x.degree < 0:
-            return True
-        for key in self.probes(x.degree):
-            if x(key) != self.field.zero:
-                return False
-        return True
-
-    def E(self, k, a, bs):
-        return self.core.E(k, a, bs)
-
-    def F(self, k, l, as_, bs):
-        return self.core.F(k, l, as_, bs)
-
-
-def _sgn(field, e):
-    return field.neg(field.one) if e % 2 else field.one
-
-
-def _deg(inst, x):
-    d = inst.deg(x)
-    return 0 if d is None else d
-
-
-def _prefix(inst, args):
-    pre = [0]
-    for a in args:
-        pre.append(pre[-1] + _deg(inst, a))
-    return pre
+def _deg(x):
+    return x.degree() or 0
 
 
 def hom_defect_dE(inst, a, bs):
@@ -140,24 +74,24 @@ def hom_defect_dE(inst, a, bs):
     field = inst.field
     k = len(bs)
     args = [a] + list(bs)
-    pre = _prefix(inst, args)
+    pre = prefix_degrees(args)
     lhs = inst.d(inst.E(k, a, bs))
-    s = _sgn(field, k + 1)  # -(-1)^{|E_k|} = -(-1)^{-k}
+    s = parity_sign(field, k + 1)  # -(-1)^{|E_k|} = -(-1)^{-k}
     for i, x in enumerate(args):
         dx = inst.d(x)
         newargs = args[:i] + [dx] + args[i + 1:]
         term = inst.E(k, newargs[0], newargs[1:])
-        lhs = inst.add(lhs, inst.scale(term, field.mul(s, _sgn(field, pre[i]))))
+        lhs = lhs + term.scale(field.mul(s, parity_sign(field, pre[i])))
     # displayed right-hand side
     b1 = bs[0]
-    rhs = inst.scale(inst.mul(b1, inst.E(k - 1, a, bs[1:])),
-                     _sgn(field, (_deg(inst, a) + k - 1) * _deg(inst, b1)))
+    rhs = inst.mul(b1, inst.E(k - 1, a, bs[1:])).scale(
+        parity_sign(field, (_deg(a) + k - 1) * _deg(b1)))
     for m in range(1, k):
         merged = bs[:m - 1] + [inst.mul(bs[m - 1], bs[m])] + bs[m + 1:]
-        rhs = inst.add(rhs, inst.scale(inst.E(k - 1, a, merged), _sgn(field, m)))
-    rhs = inst.add(rhs, inst.scale(inst.mul(inst.E(k - 1, a, bs[:-1]), bs[-1]),
-                                   _sgn(field, k)))
-    return inst.add(lhs, inst.scale(rhs, field.neg(field.one)))
+        rhs = rhs + inst.E(k - 1, a, merged).scale(parity_sign(field, m))
+    rhs = rhs + inst.mul(inst.E(k - 1, a, bs[:-1]), bs[-1]).scale(
+        parity_sign(field, k))
+    return lhs - rhs
 
 
 def hom_defect_product_rule(inst, a1, a2, bs):
@@ -168,12 +102,12 @@ def hom_defect_product_rule(inst, a1, a2, bs):
     rhs = None
     for k1 in range(0, k + 1):
         k2 = k - k1
-        pre = sum(_deg(inst, b) for b in bs[:k1])
-        s = _sgn(field, _deg(inst, a2) * pre + k2 * (_deg(inst, a1) + pre))
-        term = inst.scale(inst.mul(inst.E(k1, a1, bs[:k1]),
-                                   inst.E(k2, a2, bs[k1:])), s)
-        rhs = term if rhs is None else inst.add(rhs, term)
-    return inst.add(lhs, inst.scale(rhs, field.neg(field.one)))
+        pre = sum(_deg(b) for b in bs[:k1])
+        s = parity_sign(field, _deg(a2) * pre + k2 * (_deg(a1) + pre))
+        term = inst.mul(inst.E(k1, a1, bs[:k1]),
+                        inst.E(k2, a2, bs[k1:])).scale(s)
+        rhs = term if rhs is None else rhs + term
+    return lhs - rhs
 
 
 def _compositions_nonneg(total, parts):
@@ -192,9 +126,9 @@ def hom_defect_composition(inst, a, bs, cs):
     k = len(bs)
     l = len(cs)
     lhs = inst.E(l, inst.E(k, a, bs), cs)
-    degb = [_deg(inst, b) for b in bs]
-    degc = [_deg(inst, c) for c in cs]
-    dega = _deg(inst, a)
+    degb = [_deg(b) for b in bs]
+    degc = [_deg(c) for c in cs]
+    dega = _deg(a)
     rhs = None
     for comp in _compositions_nonneg(l, 2 * k + 1):
         js = comp[0::2]
@@ -218,9 +152,9 @@ def hom_defect_composition(inst, a, bs, cs):
                 args.append(inst.E(is_[t], bs[t], inner))
                 left += degb[t] + sum(degc[ci:ci + is_[t]]) - is_[t]
                 ci += is_[t]
-        term = inst.scale(inst.E(n, a, args), _sgn(field, eps + perm + appl))
-        rhs = term if rhs is None else inst.add(rhs, term)
-    return inst.add(lhs, inst.scale(rhs, field.neg(field.one)))
+        term = inst.E(n, a, args).scale(parity_sign(field, eps + perm + appl))
+        rhs = term if rhs is None else rhs + term
+    return lhs - rhs
 
 
 def hom_defect_dF(inst, as_, bs):
@@ -228,53 +162,49 @@ def hom_defect_dF(inst, as_, bs):
     field = inst.field
     k, l = len(as_), len(bs)
     args = list(as_) + list(bs)
-    pre = _prefix(inst, args)
+    pre = prefix_degrees(args)
     lhs = inst.d(inst.F(k, l, as_, bs))
-    s = _sgn(field, k + l + 1)
+    s = parity_sign(field, k + l + 1)
     for i, x in enumerate(args):
         dx = inst.d(x)
         new = args[:i] + [dx] + args[i + 1:]
         term = inst.F(k, l, new[:k], new[k:])
-        lhs = inst.add(lhs, inst.scale(term, field.mul(s, _sgn(field, pre[i]))))
+        lhs = lhs + term.scale(field.mul(s, parity_sign(field, pre[i])))
 
-    dega = [_deg(inst, x) for x in as_]
-    degb = [_deg(inst, x) for x in bs]
+    dega = [_deg(x) for x in as_]
+    degb = [_deg(x) for x in bs]
     # A_kl
     if k == 1:
         A = inst.E(l, as_[0], bs)
     else:
-        A = inst.scale(inst.mul(as_[0], inst.F(k - 1, l, as_[1:], bs)),
-                       _sgn(field, (k - 1 + l) * dega[0]))
+        A = inst.mul(as_[0], inst.F(k - 1, l, as_[1:], bs)).scale(
+            parity_sign(field, (k - 1 + l) * dega[0]))
         for i in range(1, k):
             merged = as_[:i - 1] + [inst.mul(as_[i - 1], as_[i])] + as_[i + 1:]
-            A = inst.add(A, inst.scale(inst.F(k - 1, l, merged, bs),
-                                       _sgn(field, i)))
+            A = A + inst.F(k - 1, l, merged, bs).scale(parity_sign(field, i))
         for j in range(1, l + 1):
-            s2 = _sgn(field, k + dega[-1] * sum(degb[:j])
-                      + (l - j) * (sum(dega[:-1]) + sum(degb[:j])))
-            A = inst.add(A, inst.scale(
-                inst.mul(inst.F(k - 1, j, as_[:-1], bs[:j]),
-                         inst.E(l - j, as_[-1], bs[j:])), s2))
+            s2 = parity_sign(field, k + dega[-1] * sum(degb[:j])
+                             + (l - j) * (sum(dega[:-1]) + sum(degb[:j])))
+            A = A + inst.mul(inst.F(k - 1, j, as_[:-1], bs[:j]),
+                             inst.E(l - j, as_[-1], bs[j:])).scale(s2)
     # B_kl
     if l == 1:
-        B = inst.scale(inst.E(k, bs[0], as_),
-                       field.neg(_sgn(field, degb[0] * sum(dega))))
+        B = inst.E(k, bs[0], as_).scale(
+            field.neg(parity_sign(field, degb[0] * sum(dega))))
     else:
         B = None
         for i in range(0, k):
-            s2 = _sgn(field, degb[0] * sum(dega)
-                      + (k - i + l - 1) * (degb[0] + sum(dega[:i])))
-            term = inst.scale(inst.mul(inst.E(i, bs[0], as_[:i]),
-                                       inst.F(k - i, l - 1, as_[i:], bs[1:])), s2)
-            B = term if B is None else inst.add(B, term)
+            s2 = parity_sign(field, degb[0] * sum(dega)
+                             + (k - i + l - 1) * (degb[0] + sum(dega[:i])))
+            term = inst.mul(inst.E(i, bs[0], as_[:i]),
+                            inst.F(k - i, l - 1, as_[i:], bs[1:])).scale(s2)
+            B = term if B is None else B + term
         for j in range(1, l):
             merged = bs[:j - 1] + [inst.mul(bs[j - 1], bs[j])] + bs[j + 1:]
-            B = inst.add(B, inst.scale(inst.F(k, l - 1, as_, merged),
-                                       _sgn(field, j)))
-        B = inst.add(B, inst.scale(inst.mul(inst.F(k, l - 1, as_, bs[:-1]),
-                                            bs[-1]), _sgn(field, l)))
-    rhs = inst.add(A, inst.scale(B, _sgn(field, k)))
-    return inst.add(lhs, inst.scale(rhs, field.neg(field.one)))
+            B = B + inst.F(k, l - 1, as_, merged).scale(parity_sign(field, j))
+        B = B + inst.mul(inst.F(k, l - 1, as_, bs[:-1]), bs[-1]).scale(
+            parity_sign(field, l))
+    return lhs - (A + B.scale(parity_sign(field, k)))
 
 
 def check_hga(inst, sampler, ks=(1, 2, 3), comp_pairs=((1, 1), (1, 2), (2, 1)),
@@ -283,18 +213,17 @@ def check_hga(inst, sampler, ks=(1, 2, 3), comp_pairs=((1, 1), (1, 2), (2, 1)),
     rep = CheckReport(name or f"hga axioms for {inst.name}")
     for k in ks:
         for args in sampler(k + 1):
-            rep.record(inst.is_zero(hom_defect_dE(inst, args[0], args[1:])),
+            rep.record(hom_defect_dE(inst, args[0], args[1:]).is_zero(),
                        ("dE", k))
     for k in ks:
         for args in sampler(k + 2):
-            rep.record(inst.is_zero(
-                hom_defect_product_rule(inst, args[0], args[1], args[2:])),
-                ("product", k))
+            rep.record(hom_defect_product_rule(
+                inst, args[0], args[1], args[2:]).is_zero(), ("product", k))
     for k, l in comp_pairs:
         for args in sampler(k + l + 1):
-            rep.record(inst.is_zero(
-                hom_defect_composition(inst, args[0], args[1:k + 1],
-                                       args[k + 1:])), ("composition", k, l))
+            rep.record(hom_defect_composition(
+                inst, args[0], args[1:k + 1], args[k + 1:]).is_zero(),
+                ("composition", k, l))
     return rep
 
 
@@ -303,7 +232,7 @@ def check_extended(inst, sampler, pairs=((1, 1), (1, 2), (2, 1), (2, 2)),
     rep = CheckReport(name or f"extended hga axioms for {inst.name}")
     for k, l in pairs:
         for args in sampler(k + l):
-            rep.record(inst.is_zero(hom_defect_dF(inst, args[:k], args[k:])),
+            rep.record(hom_defect_dF(inst, args[:k], args[k:]).is_zero(),
                        ("dF", k, l))
     return rep
 
@@ -312,64 +241,53 @@ def check_cup_identities(inst, sampler, name=None):
     """d(u1) commutator identity, Hirsch formula, and d(u2)."""
     field = inst.field
     rep = CheckReport(name or "cup-one/cup-two identities")
+    minus = field.neg(field.one)
 
     def cup1(x, y):
-        return inst.scale(inst.E(1, x, [y]), field.neg(field.one))
+        return inst.E(1, x, [y]).scale(minus)
 
     def cup2(x, y):
-        return inst.scale(inst.F(1, 1, [x], [y]), field.neg(field.one))
+        return inst.F(1, 1, [x], [y]).scale(minus)
 
     for args in sampler(2):
         a, b = args
-        p, q = _deg(inst, a), _deg(inst, b)
-        lhs = inst.d(cup1(a, b))
-        lhs = inst.add(lhs, cup1(inst.d(a), b))
-        lhs = inst.add(lhs, inst.scale(cup1(a, inst.d(b)), _sgn(field, p)))
-        rhs = inst.add(inst.mul(a, b),
-                       inst.scale(inst.mul(b, a),
-                                  field.neg(_sgn(field, p * q))))
-        rep.record(inst.is_zero(
-            inst.add(lhs, inst.scale(rhs, field.neg(field.one)))), "d(cup1)")
+        p, q = _deg(a), _deg(b)
+        lhs = inst.d(cup1(a, b)) + cup1(inst.d(a), b) \
+            + cup1(a, inst.d(b)).scale(parity_sign(field, p))
+        rhs = inst.mul(a, b) + inst.mul(b, a).scale(
+            field.neg(parity_sign(field, p * q)))
+        rep.record((lhs - rhs).is_zero(), "d(cup1)")
         # d(cup2)(a;b) = a u1 b + (-1)^{pq} b u1 a; cup2 has even degree -2,
         # so its terms enter as in hom_defect_dF, with a minus sign
-        lhs2 = inst.d(cup2(a, b))
-        lhs2 = inst.add(lhs2, inst.scale(cup2(inst.d(a), b),
-                                         field.neg(field.one)))
-        lhs2 = inst.add(lhs2, inst.scale(cup2(a, inst.d(b)),
-                                         field.neg(_sgn(field, p))))
-        rhs2 = inst.add(cup1(a, b), inst.scale(cup1(b, a), _sgn(field, p * q)))
-        rep.record(inst.is_zero(
-            inst.add(lhs2, inst.scale(rhs2, field.neg(field.one)))), "d(cup2)")
+        lhs2 = inst.d(cup2(a, b)) + cup2(inst.d(a), b).scale(minus) \
+            + cup2(a, inst.d(b)).scale(field.neg(parity_sign(field, p)))
+        rhs2 = cup1(a, b) + cup1(b, a).scale(parity_sign(field, p * q))
+        rep.record((lhs2 - rhs2).is_zero(), "d(cup2)")
     for args in sampler(3):
         a, b, c = args
-        p, q, r = (_deg(inst, x) for x in args)
+        p, q, r = (_deg(x) for x in args)
         lhs = cup1(inst.mul(a, b), c)
-        rhs = inst.add(
-            inst.scale(inst.mul(a, cup1(b, c)), _sgn(field, p)),
-            inst.scale(inst.mul(cup1(a, c), b), _sgn(field, q * r)))
-        rep.record(inst.is_zero(
-            inst.add(lhs, inst.scale(rhs, field.neg(field.one)))), "Hirsch")
+        rhs = inst.mul(a, cup1(b, c)).scale(parity_sign(field, p)) \
+            + inst.mul(cup1(a, c), b).scale(parity_sign(field, q * r))
+        rep.record((lhs - rhs).is_zero(), "Hirsch")
     return rep
 
 
 def gerstenhaber_bracket(inst, a, b):
     """{[a],[b]} represented by E_1(a;b) - (-1)^{(|a|-1)(|b|-1)} E_1(b;a)."""
     field = inst.field
-    p, q = _deg(inst, a), _deg(inst, b)
-    return inst.add(inst.E(1, a, [b]),
-                    inst.scale(inst.E(1, b, [a]),
-                               field.neg(_sgn(field, (p - 1) * (q - 1)))))
+    p, q = _deg(a), _deg(b)
+    return inst.E(1, a, [b]) + inst.E(1, b, [a]).scale(
+        field.neg(parity_sign(field, (p - 1) * (q - 1))))
 
 
 def bracket_vanishing_witness(inst, a, b):
     """For an extended hga and cocycles a, b: the bracket representative is
     (-1)^{|a|-1} d(a u2 b); returns the defect (zero iff the identity holds)."""
     field = inst.field
-    p = _deg(inst, a)
-    cup2ab = inst.scale(inst.F(1, 1, [a], [b]), field.neg(field.one))
-    rhs = inst.scale(inst.d(cup2ab), _sgn(field, p - 1))
-    return inst.add(gerstenhaber_bracket(inst, a, b),
-                    inst.scale(rhs, field.neg(field.one)))
+    cup2ab = inst.F(1, 1, [a], [b]).scale(field.neg(field.one))
+    rhs = inst.d(cup2ab).scale(parity_sign(field, _deg(a) - 1))
+    return gerstenhaber_bracket(inst, a, b) - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +301,6 @@ def bar_e_cochain(hga, barA):
     EE([a] (x) [b_1|..|b_l]) = (-1)^eps E_l(a; b_.),
     eps = l |a| + sum (l-m)|b_m| (the brace dictionary), zero otherwise.
     """
-    A = hga.dga if isinstance(hga, VectorHga) else None
     field = hga.field
     source = TensorDgc(barA, barA)
 
@@ -400,10 +317,10 @@ def bar_e_cochain(hga, barA):
             dega = w1.entries[0].degree
             eps = l * dega + sum((l - m - 1) * w2.entries[m].degree
                                  for m in range(l))
-            return hga.E(l, a, bs).scale(_sgn(field, eps))
+            return hga.E(l, a, bs).scale(parity_sign(field, eps))
         return GradedElement(field)
 
-    return TwistingCochain(source, A if A is not None else hga,
+    return TwistingCochain(source, hga.dga,
                            LinearMap(field, 1, rule, name="EE"), name="EE")
 
 
@@ -462,7 +379,7 @@ class KSAlgebra:
             return coef.dga.zero()
         eps = l * dega + sum((l - m - 1) * entries[m].degree
                              for m in range(l))
-        return coef.E(l, abar, bs).scale(_sgn(field, eps))
+        return coef.E(l, abar, bs).scale(parity_sign(field, eps))
 
     def unit(self):
         return self.osb.element(BarWord(()), self.coef_hga.dga.unit_key)
@@ -478,7 +395,7 @@ class KSAlgebra:
         for m in range(0, l + 1):
             head = BarWord(w2.entries[:m])
             tail = w2.entries[m:]
-            sign = _sgn(field, b1k.degree * head.degree)
+            sign = parity_sign(field, b1k.degree * head.degree)
             bars = mu(Tensor((w1, head)))
             if bars.is_zero():
                 continue
@@ -516,7 +433,7 @@ class KSAlgebra:
                 e2 = GradedElement.single(field, k2)
                 lhs = self.osb.d(self.product(e1, e2))
                 rhs = self.product(self.osb.d(e1), e2)
-                sgn = _sgn(field, k1.degree)
+                sgn = parity_sign(field, k1.degree)
                 rhs.add_in(self.product(e1, self.osb.d(e2)), sgn)
                 rep.record(lhs == rhs, ("derivation", k1, k2))
         return rep
@@ -543,34 +460,31 @@ def gm_twisting_cochain(hga, reps):
     field = hga.field
     degs = {}
     for name, b in reps.items():
-        d = hga.deg(b) if hasattr(hga, "deg") else b.degree()
+        d = b.degree()
         if d is None or d % 2:
             raise ValueError("representatives must have even positive degree")
         degs[name] = d - 1
     coalg = ExteriorCoalgebra(field, list(degs.items()), ddeg=1)
 
     def rule(key):
-        names = [n for n, _ in key.powers]
-        if not names:
+        if not key.powers:
             return hga.zero()
-        out = reps[names[0]]
-        for n in names[1:]:
-            out = hga.E(1, out, [reps[n]])
-        return out
+        return gm_repeated_cup1(hga, [reps[n] for n, _ in key.powers])
 
-    target = hga.dga if isinstance(hga, VectorHga) else hga
-    return TwistingCochain(coalg, target, LinearMap(field, 1, rule,
-                                                    name="t_GM"), name="t_GM"), coalg
+    return TwistingCochain(coalg, hga.dga, LinearMap(field, 1, rule,
+                                                     name="t_GM"), name="t_GM"), coalg
 
 
 def gm_repeated_cup1(hga, reps_list):
-    """(-1)^{k-1} (((b_1 u1 b_2) u1 b_3) u1 ...) u1 b_k."""
-    field = hga.field
+    """E_1(...E_1(E_1(b_1; b_2); b_3)...; b_k), which is
+    (-1)^{k-1} (((b_1 u1 b_2) u1 b_3) u1 ...) u1 b_k as u1 = -E_1.
+
+    Only `hga.E` is called, so the arguments may be vectors of a
+    `VectorHga` or functional cochains of a `CochainHga`."""
     out = reps_list[0]
     for b in reps_list[1:]:
-        out = hga.scale(hga.E(1, out, [b]), field.neg(field.one))
-    k = len(reps_list)
-    return hga.scale(out, _sgn(field, k - 1))
+        out = hga.E(1, out, [b])
+    return out
 
 
 def gm_small_model(hga, reps, coef_dga):

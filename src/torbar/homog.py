@@ -217,18 +217,15 @@ def chain_level_tor(G, K_space, field, max_total):
 
         def restrict(x):
             # C*(BG) -> C*(BK) along the inclusion BK -> BG
-            from .simplicial import DualKey
             out = GradedElement(field)
             if x.is_zero():
                 return out
             deg = x.degree()
-            fn = A.functional(x)
             for data in BK.nondegenerate(deg):
-                key = BK.key(deg, data)
-                gkey = BG.key(deg, data)
-                v = fn(gkey)
+                v = x.coeff(BG.key(deg, data))
                 if v != field.zero:
-                    out.add_in(GradedElement.single(field, DualKey(key)), v)
+                    out.add_in(GradedElement.single(field, BK.key(deg, data)),
+                               v)
             return out
 
         fmap = restrict

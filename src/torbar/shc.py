@@ -189,19 +189,15 @@ def gauge_shc(A, rng, degrees=range(1, 8)):
     t_mu = base.phi.to_cochain(barAA)
     field = A.field
     unit_a = A.unit_key
-    memo = {}
 
     def k_rule(key):
-        if key in memo:
-            return memo[key]
-        val = GradedElement(field)
+        # the LinearMap below memoizes, so each key draws from rng once
         if key.length >= 2 and key.degree in degrees:
             entries = key.entries
             if not (all(k.parts[0] == unit_a for k in entries)
                     or all(k.parts[1] == unit_a for k in entries)):
-                val = A.reduced(A.random_element(key.degree, rng, terms=2))
-        memo[key] = val
-        return val
+                return A.reduced(A.random_element(key.degree, rng, terms=2))
+        return GradedElement(field)
 
     t_phi, h = gauge_transform(barAA, A, t_mu, LinearMap(field, 0, k_rule))
     phi = TwistingFamily.from_cochain(barAA, A, t_phi, name="Phi")

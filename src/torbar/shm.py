@@ -9,18 +9,10 @@ cochain, for families and homotopy families alike) and `_add_word_values`
 (cochain to family).  The displayed component formulas are implemented
 separately and used as cross-checks in the test suite.
 """
-from .graded import GradedElement, LinearMap, expand
+from .graded import (GradedElement, LinearMap, expand, parity_sign,
+                     prefix_degrees)
 from .dg import CheckReport, TwistingCochain, HomAlgebra
 from .bar import BarDgc, BarWord, dgc_map_from_cochain
-
-
-def _prefix_parities(args):
-    """Partial sums of argument degrees, pre[i] = |a_1| + ... + |a_i|."""
-    pre = [0]
-    for a in args:
-        d = a.degree()
-        pre.append(pre[-1] + (d or 0))
-    return pre
 
 
 def suspension_sign_exponent(keys):
@@ -38,17 +30,13 @@ def suspension_sign_exponent(keys):
     return sum((n - 1 - i) * keys[i].degree for i in range(n))
 
 
-def _sign(field, exponent):
-    return field.neg(field.one) if exponent % 2 else field.one
-
-
 def _add_word_values(out, A, t, args):
     """Add to `out` the value of t on [a_1|...|a_n], expanded over the
     pure terms of the reduced arguments with each word's suspension sign."""
     field = A.field
     for keys, c in expand(field, (A.reduced(a) for a in args)):
         eps = suspension_sign_exponent(keys)
-        out.add_in(t(BarWord(keys)), field.mul(c, _sign(field, eps)))
+        out.add_in(t(BarWord(keys)), field.mul(c, parity_sign(field, eps)))
     return out
 
 
@@ -61,7 +49,7 @@ def _cochain_rule(fam):
     def rule(key):
         eps = suspension_sign_exponent(key.entries)
         args = [GradedElement.single(field, k) for k in key.entries]
-        return fam(key.length, args).scale(_sign(field, eps))
+        return fam(key.length, args).scale(parity_sign(field, eps))
 
     return rule
 
@@ -213,7 +201,8 @@ class TwistingHomotopyFamily:
                         w = barB.words_from_elements(vals)
                         # slot sign (-1)^{pre+1}: fixed by the identity
                         # d H + H d = B(source) - B(target)
-                        out.add_in(w, field.mul(c, _sign(field, pre + 1)))
+                        out.add_in(w, field.mul(
+                            c, parity_sign(field, pre + 1)))
                         pre += keys[i].degree
                 n += 1
             return out
@@ -248,7 +237,7 @@ def family_defect(f, args):
     A, B = f.A, f.B
     field = A.field
     n = len(args)
-    pre = _prefix_parities(args)
+    pre = prefix_degrees(args)
     lhs = B.d(f(n, args))
     for i in range(n):
         da = A.d(args[i])
@@ -257,14 +246,14 @@ def family_defect(f, args):
         newargs = args[:i] + [da] + args[i + 1:]
         # -(-1)^{|f_(n)|} (-1)^{pre} = -(-1)^{n+1+pre}
         lhs.add_in(f(n, newargs),
-                   field.mul(_sign(field, n + 1 + pre[i]),
+                   field.mul(parity_sign(field, n + 1 + pre[i]),
                              field.neg(field.one)))
     rhs = B.zero()
     for k in range(1, n):
-        s1 = _sign(field, k + (n - k - 1) * pre[k])
+        s1 = parity_sign(field, k + (n - k - 1) * pre[k])
         rhs.add_in(B.mul(f(k, args[:k]), f(n - k, args[k:])), s1)
         merged = args[:k - 1] + [A.mul(args[k - 1], args[k])] + args[k + 1:]
-        rhs.add_in(f(n - 1, merged), _sign(field, k + 1))
+        rhs.add_in(f(n - 1, merged), parity_sign(field, k + 1))
     return lhs - rhs
 
 
@@ -282,32 +271,33 @@ def homotopy_family_defect(h, args):
     f, g = h.source, h.target
     field = A.field
     n = len(args)
-    pre = _prefix_parities(args)
+    pre = prefix_degrees(args)
     lhs = B.d(h(n, args))
     for i in range(n):
         da = A.d(args[i])
         if da.is_zero():
             continue
         newargs = args[:i] + [da] + args[i + 1:]
-        lhs.add_in(h(n, newargs), field.mul(_sign(field, n + pre[i]),
+        lhs.add_in(h(n, newargs), field.mul(parity_sign(field, n + pre[i]),
                                             field.neg(field.one)))
     rhs = B.zero()
     for k in range(1, n):
         merged = args[:k - 1] + [A.mul(args[k - 1], args[k])] + args[k + 1:]
-        rhs.add_in(h(n - 1, merged), _sign(field, k))
+        rhs.add_in(h(n - 1, merged), parity_sign(field, k))
     for k in range(0, n + 1):
         if k > 0:
             fk = f(k, args[:k])
             if not fk.is_zero():
                 rhs.add_in(B.mul(fk, h(n - k, args[k:])),
-                           _sign(field, (n - k) * pre[k]))
+                           parity_sign(field, (n - k) * pre[k]))
         if n - k > 0:
             hk = h(k, args[:k])
             if not hk.is_zero():
                 gk = g(n - k, args[k:])
                 if not gk.is_zero():
                     rhs.add_in(B.mul(hk, gk),
-                               field.mul(_sign(field, k + (n - k + 1) * pre[k]),
+                               field.mul(parity_sign(
+                                   field, k + (n - k + 1) * pre[k]),
                                          field.neg(field.one)))
     return lhs - rhs
 
@@ -347,7 +337,7 @@ def compose_component_formula(g, f, n, args):
     eps = sum (k-s)(i_s - 1) plus the Koszul application signs."""
     field = f.A.field
     out = g.B.zero()
-    pre = _prefix_parities(args)
+    pre = prefix_degrees(args)
     for comp in _compositions(n):
         k = len(comp)
         eps = sum((k - (s + 1)) * (comp[s] - 1) for s in range(k))
@@ -359,7 +349,7 @@ def compose_component_formula(g, f, n, args):
             appl += (1 - i_s) * pre[pos]
             vals.append(f(i_s, args[pos:pos + i_s]))
             pos += i_s
-        out.add_in(g(k, vals), _sign(field, eps + appl))
+        out.add_in(g(k, vals), parity_sign(field, eps + appl))
     return out
 
 
@@ -429,13 +419,15 @@ def tensor_with_strict(f, gmap, T_source, T_target, side="right", name=None):
             if side == "right":
                 fa = f(n, a_elems)
                 gb = gmap(T_source.B.mul_many(b_elems))
-                out.add_in(T_target.pair(fa, gb), field.mul(c, _sign(field, e)))
+                out.add_in(T_target.pair(fa, gb),
+                           field.mul(c, parity_sign(field, e)))
             else:
                 ga = gmap(T_source.A.mul_many(a_elems))
                 fb = f(n, b_elems)
                 # f_(n) applied past the whole a-block
                 e += f.degree(n) * sum(ka.degree for ka, _ in slots)
-                out.add_in(T_target.pair(ga, fb), field.mul(c, _sign(field, e)))
+                out.add_in(T_target.pair(ga, fb),
+                           field.mul(c, parity_sign(field, e)))
         return out
 
     if isinstance(f, TwistingHomotopyFamily):
@@ -549,7 +541,8 @@ def tensor_homotopy(f, g, T_source, T_target, name=None):
                 # (F_map (x) G_map)(a-block (x) b-block)
                 gmap_parity = (l + k + sum(comp_j)) % 2
                 cross = gmap_parity * apre[-1]
-                sign = _sign(field, eps + uninterleave + appl_f + appl_g + cross)
+                sign = parity_sign(
+                    field, eps + uninterleave + appl_f + appl_g + cross)
                 out.add_in(T_target.pair(F, G), field.mul(cc, sign))
         return out
 
@@ -616,7 +609,7 @@ def gamma(g, osb_source, push=None):
                   for i in range(len(entries)))
         args = [push(GradedElement.single(field, e)) for e in entries]
         args.append(GradedElement.single(field, bkey))
-        return g(n, args).scale(_sign(field, wdeg + eps))
+        return g(n, args).scale(parity_sign(field, wdeg + eps))
 
     def rule(key):
         w, bkey = key.parts

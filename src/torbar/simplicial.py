@@ -6,7 +6,10 @@ Simplices are immutable data handled by their space; chains are sparse
 combinations of nondegenerate simplex keys (degenerate faces are dropped
 at construction, which implements normalization once and for all).
 Cochains are computable functionals on nondegenerate simplices, so lazily
-enumerated spaces only ever answer finitely many queries.
+enumerated spaces only ever answer finitely many queries.  On a degreewise
+finite space, `DualCochainDga` is C*(X) as a `Dga` whose basis keys are the
+`SimplexKey`s themselves: the key of a simplex also names its dual cochain.
+Its E_k and F_kl go through the functionals and back.
 
 Every `SimplicialSet` owns three memos of its simplicial hot path, filled
 on first use and keyed by raw simplex data, which is sound because face
@@ -27,9 +30,10 @@ interval cuts depend only on (u.seq, n); `_cut_shapes` keeps those of the
 """
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
+from .dg import Dga, Dgc
 from .graded import GradedElement, Tensor
 from .linalg import homology, StructuralError
 
@@ -100,6 +104,9 @@ class SimplicialSet:
             got = _remember(self._key_memo, (p, data),
                             SimplexKey(self, p, data), KEY_CAP)
         return got
+
+    def basepoint_key(self):
+        return self.key(0, self.basepoint())
 
     def is_degenerate(self, p, data):
         got = self._degenerate_memo.get((p, data))
@@ -398,19 +405,19 @@ def aw_diagonal(key):
     return out
 
 
-class ChainsDgc:
+class ChainsDgc(Dgc):
     """C(X) as a dgc (homological, ddeg = -1) with the AW coproduct."""
 
     ddeg = -1
     cocomplete = False
 
     def __init__(self, X):
+        super().__init__(X.field)
         self.X = X
-        self.field = X.field
 
     @property
     def coaug_key(self):
-        return self.X.key(0, self.X.basepoint())
+        return self.X.basepoint_key()
 
     def counit_key(self, key):
         return self.field.one if key.degree == 0 else self.field.zero
@@ -421,18 +428,12 @@ class ChainsDgc:
     def diff_key(self, key):
         return self.X.boundary_key(key)
 
-    def d(self, x):
-        return x.map_keys(self.diff_key)
-
     def cop_key(self, key):
         out = []
         for k in range(key.degree + 1):
             for t, c in partial_diagonal(key, k).terms.items():
                 out.append((c, t.parts[0], t.parts[1]))
         return out
-
-    def zero(self):
-        return GradedElement(self.field)
 
 
 def shuffles(p, q):
@@ -675,16 +676,6 @@ def unit_cochain(space):
     return Cochain(space, 0, lambda k: space.field.one, name="1")
 
 
-def dual_cochain(key):
-    """The indicator functional of a nondegenerate simplex."""
-    space = key.space
-
-    def fn(k):
-        return space.field.one if k == key else space.field.zero
-
-    return Cochain(space, key.degree, fn, name=f"{key!r}*")
-
-
 def coboundary(a):
     """(da)(x) = (-1)^{|a|+1} a(dx)."""
     space = a.space
@@ -761,12 +752,6 @@ class CochainHga:
     def __init__(self, space):
         self.space = space
         self.field = space.field
-
-    def d(self, a):
-        return coboundary(a)
-
-    def mul(self, a, b):
-        return cup(a, b)
 
     def E(self, k, a, bs):
         if k == 0:
@@ -1036,43 +1021,32 @@ def group_action_on_chains(G, X, action, ge, xe):
 # Dual-basis cochain algebra for degreewise finite spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DualKey:
-    simplex: SimplexKey
-
-    @property
-    def degree(self):
-        return self.simplex.degree
-
-    def __repr__(self):
-        return f"{self.simplex!r}*"
-
-
-class DualCochainDga:
+class DualCochainDga(Dga):
     """C*(X) on the dual basis of nondegenerate simplices (finite slices).
 
-    A cochain-type dga (ddeg = +1) for bar constructions and homology; the
-    hga operations are computed through the functional interval-cut core.
-    X must be reduced for the unit/augmentation to be basis-adapted.
+    A cochain-type dga for bar constructions and homology whose basis key
+    for the dual of a simplex is the simplex's own `SimplexKey`; the hga
+    operations are computed through the functional interval-cut core.
+    X must be reduced for the unit/augmentation to be basis-adapted; only
+    the augmentation needs a basepoint.
     """
 
-    ddeg = 1
-    commutative = False
-
     def __init__(self, X, truncation):
+        super().__init__(X.field)
         self.X = X
-        self.field = X.field
         self.truncation = truncation
-        base = X.basepoint()
-        self.base_key = DualKey(X.key(0, base))
-        self.reduced_space = len(X.nondegenerate(0)) == 1
+        vertices = X.nondegenerate(0)
         # on a reduced space the unit is a basis key (bar constructions
         # need this); otherwise the unit is the sum of all vertex duals
-        self.unit_key = self.base_key if self.reduced_space else None
+        self.unit_key = X.key(0, vertices[0]) if len(vertices) == 1 else None
         self.hga = CochainHga(X)
-        self._diff_memo = {}
         self._cob_index = {}
         self._cup_index = {}
+
+    @cached_property
+    def base_key(self):
+        """The dual of the basepoint, the key the augmentation reads."""
+        return self.X.basepoint_key()
 
     @property
     def simply_connected(self):
@@ -1081,19 +1055,14 @@ class DualCochainDga:
     def basis(self, degree):
         if degree < 0 or degree > self.truncation:
             return []
-        return [DualKey(self.X.key(degree, x))
-                for x in self.X.nondegenerate(degree)]
+        return [self.X.key(degree, x) for x in self.X.nondegenerate(degree)]
 
     def functional(self, elem):
-        """A GradedElement over DualKeys as a computable Cochain."""
+        """A GradedElement as a computable Cochain."""
         degree = elem.degree()
         if degree is None:
             return zero_cochain(self.X, 0)
-
-        def fn(key):
-            return elem.coeff(DualKey(key))
-
-        return Cochain(self.X, degree, fn)
+        return Cochain(self.X, degree, elem.coeff)
 
     def vectorize(self, cochain):
         """Evaluate a functional cochain on the degree slice."""
@@ -1102,11 +1071,11 @@ class DualCochainDga:
             key = self.X.key(cochain.degree, x)
             v = cochain(key)
             if v != self.field.zero:
-                out.add_in(GradedElement.single(self.field, DualKey(key), v))
+                out.add_in(GradedElement.single(self.field, key, v))
         return out
 
     def _coboundary_index(self, degree):
-        """Transpose of the boundary: face key -> [(simplex key, coeff)].
+        """Face key -> its coboundary vector, for the keys of one degree.
 
         One pass over the (degree+1)-slice instead of one scan per dual."""
         got = self._cob_index.get(degree)
@@ -1118,24 +1087,15 @@ class DualCochainDga:
             for x in self.X.nondegenerate(degree + 1):
                 skey = self.X.key(degree + 1, x)
                 for fk, c in self.X.boundary_key(skey).terms.items():
-                    got.setdefault(fk, []).append(
-                        (skey, field.mul(sgn_flip, c)))
+                    got.setdefault(fk, GradedElement(field)).add_in(
+                        GradedElement.single(field, skey),
+                        field.mul(sgn_flip, c))
             self._cob_index[degree] = got
         return got
 
     def diff_key(self, key):
-        got = self._diff_memo.get(key)
-        if got is None:
-            out = GradedElement(self.field)
-            for skey, c in self._coboundary_index(key.degree).get(
-                    key.simplex, []):
-                out.add_in(GradedElement.single(self.field, DualKey(skey)), c)
-            got = out
-            self._diff_memo[key] = got
-        return got
-
-    def d(self, x):
-        return x.map_keys(self.diff_key)
+        got = self._coboundary_index(key.degree).get(key)
+        return GradedElement(self.field) if got is None else got
 
     def _cup_index_for(self, degree):
         """(front key, back key) -> vector of duals of the total simplices.
@@ -1154,7 +1114,7 @@ class DualCochainDga:
                     if back.degree % 2 and front.degree % 2:
                         c = field.neg(c)
                     got.setdefault((front, back), GradedElement(field)) \
-                        .add_in(GradedElement.single(field, DualKey(skey)), c)
+                        .add_in(GradedElement.single(field, skey), c)
             self._cup_index[degree] = got
         return got
 
@@ -1164,22 +1124,12 @@ class DualCochainDga:
             raise StructuralError(
                 f"cochain product beyond truncation {self.truncation}")
         return self._cup_index_for(target).get(
-            (k1.simplex, k2.simplex), GradedElement(self.field))
-
-    def mul(self, x, y):
-        out = GradedElement(self.field)
-        for k1, c1 in x.terms.items():
-            for k2, c2 in y.terms.items():
-                out.add_in(self.mul_keys(k1, k2), self.field.mul(c1, c2))
-        return out
-
-    def zero(self):
-        return GradedElement(self.field)
+            (k1, k2), GradedElement(self.field))
 
     def one(self):
         out = GradedElement(self.field)
         for x in self.X.nondegenerate(0):
-            out.add_in(GradedElement.single(self.field, DualKey(self.X.key(0, x))))
+            out.add_in(GradedElement.single(self.field, self.X.key(0, x)))
         return out
 
     def aug_key(self, key):
@@ -1189,45 +1139,23 @@ class DualCochainDga:
     def aug(self, x):
         return x.coeff(self.base_key)
 
-    def reduced(self, x):
-        s = self.aug(x)
-        if s == self.field.zero:
-            return x
-        return x - self.one().scale(s)
-
-    def element(self, key, coeff=None):
-        return GradedElement.single(self.field, key, coeff)
-
-    def random_element(self, degree, rng, terms=3, coeffs=(-2, -1, 1, 2)):
-        keys = list(self.basis(degree))
-        if not keys:
-            return self.zero()
-        out = GradedElement(self.field)
-        for _ in range(min(terms, len(keys))):
-            out.add_in(GradedElement.single(
-                self.field, rng.choice(keys),
-                self.field.of(rng.choice(coeffs))))
-        return out
-
     # hga operations on vectors, through the functional core -------------
     def E(self, k, a_vec, b_vecs):
         if k == 0:
             return a_vec
-        degs = [a_vec.degree()] + [b.degree() for b in b_vecs]
-        if any(d is None for d in degs):
-            return self.zero()
-        c = self.hga.E(k, self.functional(a_vec),
-                       [self.functional(b) for b in b_vecs])
-        if c.degree < 0:
-            return self.zero()
-        return self.vectorize(c)
+        return self._through_functionals(
+            lambda cs: self.hga.E(k, cs[0], cs[1:]), [a_vec, *b_vecs])
 
     def F(self, k, l, a_vecs, b_vecs):
-        degs = [a.degree() for a in a_vecs] + [b.degree() for b in b_vecs]
-        if any(d is None for d in degs):
+        return self._through_functionals(
+            lambda cs: self.hga.F(k, l, cs[:k], cs[k:]), [*a_vecs, *b_vecs])
+
+    def _through_functionals(self, op, vecs):
+        """op on the functionals of vecs, vectorized; zero when an argument
+        is zero or the result has negative degree."""
+        if any(v.is_zero() for v in vecs):
             return self.zero()
-        c = self.hga.F(k, l, [self.functional(a) for a in a_vecs],
-                       [self.functional(b) for b in b_vecs])
+        c = op([self.functional(v) for v in vecs])
         if c.degree < 0:
             return self.zero()
         return self.vectorize(c)
@@ -1255,19 +1183,10 @@ def chain_complex_homology(X, max_degree):
 def cochain_complex_homology(X, max_degree):
     """Cohomology of C*(X) up to max_degree - 1 (needs one extra slice).
 
-    Works for any degreewise finite space (no reducedness needed)."""
-    field = X.field
-    basis = {d: [DualKey(X.key(d, x)) for x in X.nondegenerate(d)]
-             for d in range(0, max_degree + 1)}
-
-    def diff(key):
-        c = coboundary(dual_cochain(key.simplex))
-        out = {}
-        for x in X.nondegenerate(c.degree):
-            k = X.key(c.degree, x)
-            v = c(k)
-            if v != field.zero:
-                out[DualKey(k)] = v
-        return out
-
-    return homology(basis, diff, field, ddeg=1)
+    Eliminates over the basis and coboundary of
+    `DualCochainDga(X, max_degree)`, so it works for any degreewise finite
+    space, reduced or not, with or without a basepoint."""
+    A = DualCochainDga(X, max_degree)
+    basis = {d: A.basis(d) for d in range(0, max_degree + 1)}
+    return homology(basis, lambda key: A.diff_key(key).terms, X.field,
+                    ddeg=1)

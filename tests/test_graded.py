@@ -2,10 +2,12 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, strategies as st
 
-from torbar.fields import QQ, F5
+from torbar.fields import QQ, F2, F5
 from torbar.graded import (GradedElement, LinearMap, Tensor, koszul_tensor_map,
-                           transpose_tensor, tensor_elements, koszul_sign)
+                           transpose_tensor, tensor_elements, koszul_sign,
+                           parity_sign)
 
 
 @dataclass(frozen=True)
@@ -128,3 +130,28 @@ def test_tensor_elements_and_sign_helper():
     assert c == 6 and k.degree == 3
     assert koszul_sign([1, 1], (1, 0)) == -1
     assert koszul_sign([1, 2], (1, 0)) == 1
+
+
+@given(st.sampled_from([QQ, F2, F5]), st.integers(-20, 20))
+def test_parity_sign_is_minus_one_to_the_exponent(field, e):
+    assert parity_sign(field, e) == field.of((-1) ** abs(e))
+
+
+@st.composite
+def _degrees_and_two_permutations(draw):
+    n = draw(st.integers(0, 6))
+    degrees = draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n))
+    p = draw(st.permutations(range(n)))
+    q = draw(st.permutations(range(n)))
+    return degrees, p, q
+
+
+@given(_degrees_and_two_permutations())
+def test_koszul_sign_of_a_composite_is_the_product(case):
+    # slot i of the arrangement p holds symbol p[i]; permuting that
+    # arrangement by q puts symbol p[q[i]] in slot i
+    degrees, p, q = case
+    composite = [p[i] for i in q]
+    arranged = [degrees[j] for j in p]
+    assert koszul_sign(degrees, composite) == \
+        koszul_sign(degrees, p) * koszul_sign(arranged, q)

@@ -6,38 +6,33 @@ from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement, Tensor
 from torbar.dg import polynomial_dga, ExteriorCoalgebra
 from torbar.bar import BarDgc, BarWord, check_dgc_map, bar_shuffle
-from torbar.simplicial import (simplex_boundary, standard_simplex, Cochain,
-                               DualCochainDga, dual_cochain, coboundary,
-                               ConstantGroup)
+from torbar.simplicial import (simplex_boundary, standard_simplex,
+                               DualCochainDga, ConstantGroup)
 from torbar.classifying import b_cyclic, wbar
-from torbar.hga import (VectorHga, trivial_hga, dual_cochain_hga,
-                        FunctionalHga, check_hga, check_extended,
+from torbar.hga import (trivial_hga, dual_cochain_hga,
+                        check_hga, check_extended,
                         check_cup_identities, gerstenhaber_bracket,
                         bracket_vanishing_witness, bar_e_cochain,
                         bar_product_map, bar_product, KSAlgebra,
                         gm_twisting_cochain, gm_repeated_cup1, gm_small_model)
 
 
-def functional_instance(space, rng, max_probe=None):
-    def probes(degree):
-        keys = [space.key(degree, x) for x in space.nondegenerate(degree)]
-        if max_probe is not None and len(keys) > max_probe:
-            keys = rng.sample(keys, max_probe)
-        return keys
-    return FunctionalHga(space, probes)
+def boundary_delta3_instance(field):
+    """The interval-cut hga on C*(boundary of Delta^3) over the field."""
+    return dual_cochain_hga(DualCochainDga(simplex_boundary(field, 3), 8))
 
 
-def cochain_sampler(space, rng, degree_pool=(1, 2), count=2):
+def cochain_sampler(A, rng, degree_pool=(1, 2), count=2):
+    """Argument tuples of dense cochain vectors of A: every basis key of
+    the drawn degree gets a coefficient in -3..3."""
     def sample(n):
         out = []
         for _ in range(count):
             args = []
             for _ in range(n):
                 q = rng.choice(degree_pool)
-                values = {space.key(q, x): space.field.of(rng.randint(-3, 3))
-                          for x in space.nondegenerate(q)}
-                args.append(Cochain(space, q,
-                                    lambda k, v=values: v.get(k, space.field.zero)))
+                args.append(GradedElement(A.field, {
+                    k: rng.randint(-3, 3) for k in A.basis(q)}))
             out.append(args)
         return out
     return sample
@@ -46,9 +41,8 @@ def cochain_sampler(space, rng, degree_pool=(1, 2), count=2):
 def test_hga_axioms_boundary_delta3():
     rng = random.Random(60)
     for field in (QQ, F2, F5):
-        X = simplex_boundary(field, 3)
-        inst = functional_instance(X, rng)
-        sampler = cochain_sampler(X, rng, degree_pool=(1, 2), count=2)
+        inst = boundary_delta3_instance(field)
+        sampler = cochain_sampler(inst.dga, rng, degree_pool=(1, 2), count=2)
         check_hga(inst, sampler, ks=(1, 2, 3)).raise_on_failure()
         check_extended(inst, sampler).raise_on_failure()
         check_cup_identities(inst, sampler).raise_on_failure()
@@ -86,8 +80,7 @@ def test_trivial_hga_passes():
 def test_sign_flipped_e1_fails():
     # regression guard: negating E_1 breaks the d(E_1) axiom
     rng = random.Random(62)
-    X = simplex_boundary(QQ, 3)
-    base = functional_instance(X, rng)
+    base = boundary_delta3_instance(QQ)
 
     class Flipped:
         def __getattr__(self, name):
@@ -99,28 +92,27 @@ def test_sign_flipped_e1_fails():
 
     inst = Flipped()
     # degree-one arguments: E_1 lands in the 2-simplices, which exist
-    sampler = cochain_sampler(X, rng, degree_pool=(1,), count=3)
+    sampler = cochain_sampler(base.dga, rng, degree_pool=(1,), count=3)
     rep = check_hga(inst, sampler, ks=(1,), comp_pairs=())
     assert not rep.ok
 
 
 def test_gerstenhaber_bracket_delta3():
     rng = random.Random(63)
-    X = simplex_boundary(QQ, 3)
-    inst = functional_instance(X, rng)
+    inst = boundary_delta3_instance(QQ)
     # every 2-cochain on the boundary of the 3-simplex is a cocycle
-    sampler = cochain_sampler(X, rng, degree_pool=(2,), count=1)
+    sampler = cochain_sampler(inst.dga, rng, degree_pool=(2,), count=1)
     (a, ) = sampler(1)[0]
     (b, ) = sampler(1)[0]
     br = gerstenhaber_bracket(inst, a, b)
-    assert inst.is_zero(inst.d(br))  # bracket of cocycles is a cocycle
+    assert inst.d(br).is_zero()  # bracket of cocycles is a cocycle
     # antisymmetry: {x,y} = -(-1)^{(|x|-1)(|y|-1)} {y,x}
     lhs = gerstenhaber_bracket(inst, a, b)
     rhs = gerstenhaber_bracket(inst, b, a).scale(
-        QQ.of(-((-1) ** ((a.degree - 1) * (b.degree - 1)))))
-    assert inst.is_zero(inst.add(lhs, rhs.scale(QQ.of(-1))))
+        QQ.of(-((-1) ** ((a.degree() - 1) * (b.degree() - 1)))))
+    assert (lhs - rhs).is_zero()
     # extended: the bracket representative is exactly +-d(a u2 b)
-    assert inst.is_zero(bracket_vanishing_witness(inst, a, b))
+    assert bracket_vanishing_witness(inst, a, b).is_zero()
 
 
 def test_bracket_representative_independence():
@@ -128,16 +120,16 @@ def test_bracket_representative_independence():
     # coboundaries; here: changing a by a coboundary changes the bracket
     # representative by a coboundary (checked by exactness of the change)
     rng = random.Random(64)
-    X = simplex_boundary(QQ, 3)
-    inst = functional_instance(X, rng)
-    sampler = cochain_sampler(X, rng, degree_pool=(2,), count=1)
+    inst = boundary_delta3_instance(QQ)
+    A = inst.dga
+    X = A.X
+    sampler = cochain_sampler(A, rng, degree_pool=(2,), count=1)
     (a, ) = sampler(1)[0]
     (b, ) = sampler(1)[0]
-    csampler = cochain_sampler(X, rng, degree_pool=(1,), count=1)
+    csampler = cochain_sampler(A, rng, degree_pool=(1,), count=1)
     (c, ) = csampler(1)[0]
-    a2 = a.add(inst.d(c))
-    diff = inst.add(gerstenhaber_bracket(inst, a, b),
-                    gerstenhaber_bracket(inst, a2, b).scale(QQ.of(-1)))
+    a2 = a + inst.d(c)
+    diff = gerstenhaber_bracket(inst, a, b) - gerstenhaber_bracket(inst, a2, b)
     # the difference must be a coboundary: it suffices that it vanishes on
     # the fundamental 2-cycle of the sphere (H^2 is one-dimensional)
     fundamental = GradedElement(QQ)
@@ -147,7 +139,7 @@ def test_bracket_representative_independence():
         missing = [v for v in range(4) if v not in x][0]
         fundamental.add_in(Xc.chain(2, x), QQ.of((-1) ** missing))
     assert Xc.boundary(fundamental).is_zero()
-    assert diff.eval_chain(fundamental) == QQ.zero
+    assert A.functional(diff).eval_chain(fundamental) == QQ.zero
 
 
 def test_bar_e_twisting_and_product():

@@ -74,3 +74,34 @@ def test_every_function_parameter_is_read():
             found += [f"{path.name}:{node.lineno}:{node.name}({p.arg})"
                       for p in params if p.arg not in read]
     assert not found, found
+
+
+def _body(node):
+    """A function's statements without its docstring."""
+    body = node.body
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    return body
+
+
+def test_no_duplicated_function_bodies():
+    """No two functions or methods of the package share their arguments
+    and a body of 12 or more ast nodes; a body that is one `raise`
+    statement (an interface stub) is exempt."""
+    seen = {}
+    for path, tree in _trees("src/torbar"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = _body(node)
+            if len(body) == 1 and isinstance(body[0], ast.Raise):
+                continue
+            if sum(1 for stmt in body for _ in ast.walk(stmt)) < 12:
+                continue
+            dump = ast.dump(node.args) + "".join(ast.dump(s) for s in body)
+            seen.setdefault(dump, []).append(
+                f"{path.name}:{node.lineno}:{node.name}")
+    found = [where for where in seen.values() if len(where) > 1]
+    assert not found, found
