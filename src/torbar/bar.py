@@ -11,7 +11,8 @@ import json
 
 from .graded import GradedElement, LinearMap, Tensor, expand
 from .linalg import homology, ReducedSpace, StructuralError
-from .dg import Dgc, TwistingCochain, TwistedTensor, TensorDgc
+from .dg import (CheckReport, Dgc, TwistingCochain, TwistedTensor, TensorDgc,
+                 preserves_coproduct, tensor_basis)
 
 
 class BarWord:
@@ -184,34 +185,11 @@ def dgc_map_from_cochain(t, barA=None):
 
 def check_dgc_map(g, C, D, keys):
     """Coproduct and differential compatibility of g: C -> D on basis keys."""
-    from .dg import CheckReport
-    field = C.field
     rep = CheckReport("dgc map")
     for k in keys:
-        e = GradedElement.single(field, k)
-        lhs = g.of(C.d(e))
-        rhs = D.d(g.of(e))
-        ok = lhs == rhs
-        if ok:
-            left = {}
-            for c, k1, k2 in C.cop_key(k):
-                for ka, ca in g(k1).terms.items():
-                    for kb, cb in g(k2).terms.items():
-                        key2 = (ka, kb)
-                        v = field.add(left.get(key2, field.zero),
-                                      field.mul(c, field.mul(ca, cb)))
-                        left[key2] = v
-            right = {}
-            for kk, cc in g(k).terms.items():
-                for c, k1, k2 in D.cop_key(kk):
-                    key2 = (k1, k2)
-                    v = field.add(right.get(key2, field.zero),
-                                  field.mul(cc, c))
-                    right[key2] = v
-            left = {a: b for a, b in left.items() if b != field.zero}
-            right = {a: b for a, b in right.items() if b != field.zero}
-            ok = left == right
-        rep.record(ok, k)
+        e = GradedElement.single(C.field, k)
+        rep.record(g.of(C.d(e)) == D.d(g.of(e))
+                   and preserves_coproduct(g, C, D, k), k)
     return rep
 
 
@@ -271,15 +249,7 @@ class OneSidedBar(TwistedTensor):
 
     def basis_total(self, degree):
         """All word (x) coefficient keys of the given total degree."""
-        out = []
-        for bar_deg in range(0, degree + 1):
-            words = self.barA.basis(bar_deg)
-            bdeg = degree - bar_deg
-            coefs = list(self.coef.basis(bdeg))
-            for w in words:
-                for bk in coefs:
-                    out.append(self.key(w, bk))
-        return out
+        return tensor_basis(self.barA, self.coef, degree)
 
 
 class TorTable:

@@ -5,12 +5,19 @@ Algebras and coalgebras are presented by structure maps on basis keys.
 -1 for chain-type ones (the Koszul sign rule only sees parities, so all
 machinery below is direction-agnostic).
 
+The tensor product of complexes is defined once: `tensor_basis` and
+`tensor_diff_key` (d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy) serve
+`TensorDga`, `TensorDgc` and the twisted tensor products, and
+`preserves_coproduct` is the one check that a map commutes with the
+coproducts.
+
 The module also provides the convolution algebra Hom(C, A) with its cup
 product, twisting cochains and their homotopies, twisted tensor products,
 homotopy inverses via the geometric series, and quotient oracles used to
 certify ideal-triviality.
 """
-from .graded import GradedElement, LinearMap, Tensor
+from .graded import (GradedElement, LinearMap, Tensor, bilinear, parity_sign,
+                     tensor_elements)
 from .linalg import StructuralError
 
 
@@ -54,11 +61,7 @@ class Dga:
         return x.map_keys(self.diff_key)
 
     def mul(self, x, y):
-        out = GradedElement(self.field)
-        for k1, c1 in x.terms.items():
-            for k2, c2 in y.terms.items():
-                out.add_in(self.mul_keys(k1, k2), self.field.mul(c1, c2))
-        return out
+        return bilinear(self.field, self.mul_keys, x, y)
 
     def mul_many(self, xs):
         if not xs:
@@ -207,6 +210,42 @@ class Dgc:
             if ce != {k: f.one}:
                 raise StructuralError(f"counit law fails at {k!r}")
         return True
+
+
+# ---------------------------------------------------------------------------
+# The tensor product of complexes
+# ---------------------------------------------------------------------------
+
+def tensor_basis(X, Y, degree):
+    """The keys x (x) y of total degree `degree`, |x| ascending from 0."""
+    out = []
+    for dx in range(degree + 1):
+        ys = list(Y.basis(degree - dx))
+        out += [Tensor((kx, ky)) for kx in X.basis(dx) for ky in ys]
+    return out
+
+
+def tensor_diff_key(X, Y, key):
+    """d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy on a Tensor pair."""
+    x, y = key.parts
+    field = X.field
+    out = tensor_elements(field, X.diff_key(x), GradedElement.single(field, y))
+    out.add_in(tensor_elements(field, GradedElement.single(field, x),
+                               Y.diff_key(y)), parity_sign(field, x.degree))
+    return out
+
+
+def preserves_coproduct(g, C, D, key):
+    """Delta_D g(key) = (g (x) g) Delta_C(key) for a degree-0 map g: C -> D
+    given on keys (no Koszul sign: g has even degree)."""
+    field = C.field
+    lhs = GradedElement(field, [(Tensor((k1, k2)), field.mul(cc, c))
+                                for kk, cc in g(key).terms.items()
+                                for c, k1, k2 in D.cop_key(kk)])
+    rhs = GradedElement(field)
+    for c, k1, k2 in C.cop_key(key):
+        rhs.add_in(tensor_elements(field, g(k1), g(k2)), c)
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +487,8 @@ class QuotientOracle:
 # ---------------------------------------------------------------------------
 
 class TwistedTensor:
-    """C (x)_t A with differential d_(x) - delta_t."""
+    """C (x)_t A with differential d_(x) - delta_t, d_(x) the differential
+    of the tensor product (`tensor_diff_key`)."""
 
     def __init__(self, C, A, t):
         if C.ddeg != A.ddeg:
@@ -458,7 +498,14 @@ class TwistedTensor:
         self.t = t
         self.field = C.field
         self.ddeg = C.ddeg
-        self._diff_memo = {}
+        # delta_t is built once and not memoized: `_diff` is the one cache.
+        # Neither closure holds self, so a dropped complex is freed at once.
+        delta_t = _delta_rule(C, A, t.map)
+        neg_one = self.field.neg(self.field.one)
+        self._diff = LinearMap(
+            self.field, self.ddeg,
+            lambda k: tensor_diff_key(C, A, k).add_in(delta_t(k), neg_one),
+            name="d_t")
 
     def key(self, ck, ak):
         return Tensor((ck, ak))
@@ -468,42 +515,11 @@ class TwistedTensor:
 
     def delta(self, f):
         """delta_f(c (x) a) = sum +- c_1 (x) (f(c_2) a) for f in Hom(C,A)."""
-        field = self.field
-        fodd = f.degree % 2
-
-        def rule(key):
-            ck, ak = key.parts
-            out = GradedElement(field)
-            for c, k1, k2 in self.C.cop_key(ck):
-                sign = -1 if (fodd and k1.degree % 2) else 1
-                fv = f(k2)
-                if fv.is_zero():
-                    continue
-                prod = self.A.mul(fv, GradedElement.single(field, ak))
-                coeff = c if sign > 0 else field.neg(c)
-                for kp, cp in prod.terms.items():
-                    out.add_in(GradedElement.single(field, self.key(k1, kp)),
-                               field.mul(coeff, cp))
-            return out
-
-        return LinearMap(field, f.degree, rule, name=f"delta_{f.name}")
+        return LinearMap(self.field, f.degree, _delta_rule(self.C, self.A, f),
+                         name=f"delta_{f.name}")
 
     def diff_key(self, key):
-        got = self._diff_memo.get(key)
-        if got is not None:
-            return got
-        ck, ak = key.parts
-        field = self.field
-        out = GradedElement(field)
-        for kc, cc in self.C.diff_key(ck).terms.items():
-            out.add_in(GradedElement.single(field, self.key(kc, ak)), cc)
-        sgn = field.neg(field.one) if ck.degree % 2 else field.one
-        for ka, ca in self.A.diff_key(ak).terms.items():
-            out.add_in(GradedElement.single(field, self.key(ck, ka)),
-                       field.mul(sgn, ca))
-        out.add_in(self.delta(self.t.map)(key), field.neg(field.one))
-        self._diff_memo[key] = out
-        return out
+        return self._diff(key)
 
     def d(self, x):
         return x.map_keys(self.diff_key)
@@ -517,6 +533,26 @@ class TwistedTensor:
                 f"d^2 != 0 in twisted tensor at {rep.failures[0]!r}; "
                 "the twisting cochain identity fails")
         return rep
+
+
+def _delta_rule(C, A, f):
+    """The rule of delta_f on keys c (x) a."""
+    field = C.field
+
+    def rule(key):
+        ck, ak = key.parts
+        out = GradedElement(field)
+        for c, k1, k2 in C.cop_key(ck):
+            fv = f(k2)
+            if fv.is_zero():
+                continue
+            prod = A.mul(fv, GradedElement.single(field, ak))
+            out.add_in(tensor_elements(field, GradedElement.single(field, k1),
+                                       prod),
+                       field.mul(parity_sign(field, f.degree * k1.degree), c))
+        return out
+
+    return rule
 
 
 def delta_h_iso(tt_u, tt_t, h, keys):
@@ -846,46 +882,20 @@ class TensorDga(Dga):
 
     def pair(self, x, y):
         """Element x (x) y from elements of A and B (no sign)."""
-        out = GradedElement(self.field)
-        for ka, ca in x.terms.items():
-            for kb, cb in y.terms.items():
-                out.add_in(GradedElement.single(
-                    self.field, Tensor((ka, kb))), self.field.mul(ca, cb))
-        return out
+        return tensor_elements(self.field, x, y)
 
     def basis(self, degree):
-        out = []
-        for da in range(0, degree + 1):
-            for ka in self.A.basis(da):
-                for kb in self.B.basis(degree - da):
-                    out.append(Tensor((ka, kb)))
-        return out
+        return tensor_basis(self.A, self.B, degree)
 
     def diff_key(self, key):
-        ka, kb = key.parts
-        field = self.field
-        out = GradedElement(field)
-        for k, c in self.A.diff_key(ka).terms.items():
-            out.add_in(GradedElement.single(field, Tensor((k, kb))), c)
-        sgn = field.neg(field.one) if ka.degree % 2 else field.one
-        for k, c in self.B.diff_key(kb).terms.items():
-            out.add_in(GradedElement.single(field, Tensor((ka, k))),
-                       field.mul(sgn, c))
-        return out
+        return tensor_diff_key(self.A, self.B, key)
 
     def mul_keys(self, k1, k2):
         a1, b1 = k1.parts
         a2, b2 = k2.parts
-        field = self.field
-        sgn = field.neg(field.one) if (b1.degree % 2 and a2.degree % 2) else field.one
-        out = GradedElement(field)
-        pa = self.A.mul_keys(a1, a2)
-        pb = self.B.mul_keys(b1, b2)
-        for ka, ca in pa.terms.items():
-            for kb, cb in pb.terms.items():
-                out.add_in(GradedElement.single(field, Tensor((ka, kb))),
-                           field.mul(sgn, field.mul(ca, cb)))
-        return out
+        return tensor_elements(self.field, self.A.mul_keys(a1, a2),
+                               self.B.mul_keys(b1, b2)).scale(
+            parity_sign(self.field, b1.degree * a2.degree))
 
     def aug_key(self, key):
         ka, kb = key.parts
@@ -1016,24 +1026,10 @@ class TensorDgc(Dgc):
         self.cocomplete = C.cocomplete and D.cocomplete
 
     def basis(self, degree):
-        out = []
-        for dc in range(0, degree + 1):
-            for kc in self.C.basis(dc):
-                for kd in self.D.basis(degree - dc):
-                    out.append(Tensor((kc, kd)))
-        return out
+        return tensor_basis(self.C, self.D, degree)
 
     def diff_key(self, key):
-        kc, kd = key.parts
-        field = self.field
-        out = GradedElement(field)
-        for k, c in self.C.diff_key(kc).terms.items():
-            out.add_in(GradedElement.single(field, Tensor((k, kd))), c)
-        sgn = field.neg(field.one) if kc.degree % 2 else field.one
-        for k, c in self.D.diff_key(kd).terms.items():
-            out.add_in(GradedElement.single(field, Tensor((kc, k))),
-                       field.mul(sgn, c))
-        return out
+        return tensor_diff_key(self.C, self.D, key)
 
     def cop_key(self, key):
         kc, kd = key.parts

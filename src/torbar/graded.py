@@ -6,10 +6,11 @@ Koszul pairs); one linear-algebra engine serves them all.
 
 `GradedElement` is a finite linear combination of keys; zero coefficients
 are never stored.  `LinearMap` is a lazy degree-homogeneous map given by a
-rule on keys.  `expand` is the one multilinear expansion: every map that
-feeds a list of elements term by term (tensor elements, bar words, the
-components of shm families) picks its pure terms through it and adds
-whatever Koszul signs it needs itself.
+rule on keys.  `expand` is the one multilinear expansion: x (x) y
+(`tensor_elements`), bilinear extensions of a rule on key pairs
+(`bilinear`: products, shuffles), bar words and the components of shm
+families all pick their pure terms through it and add whatever Koszul
+signs they need themselves.
 """
 from dataclasses import dataclass
 
@@ -151,19 +152,32 @@ def expand(field, elems):
     per choice of one term from each x_i, coeff the product of the chosen
     coefficients (no signs).  `elems` may be any iterable; it is read only
     until a zero element empties the expansion."""
-    combos = [((), field.one)]
+    combos = None
     for x in elems:
-        combos = [(keys + (k,), field.mul(c, c2))
-                  for keys, c in combos for k, c2 in x.terms.items()]
+        if combos is None:
+            # the first element's coefficients need no multiplication
+            combos = [((k,), c) for k, c in x.terms.items()]
+        else:
+            combos = [(keys + (k,), field.mul(c, c2))
+                      for keys, c in combos for k, c2 in x.terms.items()]
         if not combos:
             break
-    return combos
+    return [((), field.one)] if combos is None else combos
 
 
 def tensor_elements(field, *elems):
     """x (x) y (x) ... as a GradedElement over Tensor keys (no signs)."""
     return GradedElement(field, [(Tensor(keys), c)
                                  for keys, c in expand(field, elems)])
+
+
+def bilinear(field, fn, x, y):
+    """The bilinear extension of fn(key1, key2) -> GradedElement to
+    elements x and y (no signs)."""
+    out = GradedElement(field)
+    for (k1, k2), c in expand(field, (x, y)):
+        out.add_in(fn(k1, k2), c)
+    return out
 
 
 class LinearMap:
@@ -224,17 +238,8 @@ def koszul_tensor_map(f, g):
         if not isinstance(key, Tensor) or len(key.parts) != 2:
             raise TypeError(f"koszul_tensor_map needs Tensor pairs, got {key!r}")
         a, b = key.parts
-        fa = f(a)
-        gb = g(b)
-        sign = -1 if (g.degree % 2) and (a.degree % 2) else 1
-        out = GradedElement(field)
-        for ka, ca in fa.terms.items():
-            for kb, cb in gb.terms.items():
-                c = field.mul(ca, cb)
-                if sign < 0:
-                    c = field.neg(c)
-                out.add_in(GradedElement.single(field, Tensor((ka, kb)), c))
-        return out
+        return tensor_elements(field, f(a), g(b)).scale(
+            parity_sign(field, g.degree * a.degree))
 
     return LinearMap(field, f.degree + g.degree, rule,
                      name=f"({f.name})x({g.name})")

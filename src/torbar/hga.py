@@ -10,8 +10,8 @@ construction of an hga becomes a dg bialgebra; one-sided bar
 constructions over an hga morphism carry the Kadeishvili-Saneblidze dga
 structure.
 """
-from .graded import (GradedElement, LinearMap, Tensor, parity_sign,
-                     prefix_degrees)
+from .graded import (GradedElement, LinearMap, Tensor, bilinear, parity_sign,
+                     prefix_degrees, tensor_elements)
 from .dg import (CheckReport, TwistingCochain, TensorDgc, ExteriorCoalgebra,
                  TwistedTensor)
 from .bar import BarWord, dgc_map_from_cochain
@@ -332,14 +332,9 @@ def bar_product_map(hga, barA):
 
 def bar_product(hga, barA, x, y, mu=None):
     """Product of two bar elements through the dg-bialgebra structure."""
-    field = hga.field
     if mu is None:
         mu, _ = bar_product_map(hga, barA)
-    out = GradedElement(field)
-    for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
-            out.add_in(mu(Tensor((k1, k2))), field.mul(c1, c2))
-    return out
+    return bilinear(hga.field, lambda k1, k2: mu(Tensor((k1, k2))), x, y)
 
 
 class KSAlgebra:
@@ -403,20 +398,11 @@ class KSAlgebra:
             if coef.is_zero():
                 continue
             coef = self.coef_hga.mul(coef, GradedElement.single(field, b2k))
-            for kw, cw in bars.terms.items():
-                for kc, cc in coef.terms.items():
-                    out.add_in(GradedElement.single(
-                        field, self.osb.key(kw, kc)),
-                        field.mul(sign, field.mul(cw, cc)))
+            out.add_in(tensor_elements(field, bars, coef), sign)
         return out
 
     def product(self, x, y):
-        field = self.field
-        out = GradedElement(field)
-        for k1, c1 in x.terms.items():
-            for k2, c2 in y.terms.items():
-                out.add_in(self.product_keys(k1, k2), field.mul(c1, c2))
-        return out
+        return bilinear(self.field, self.product_keys, x, y)
 
     def check_dga(self, keys, name="KS product"):
         """Associativity, unit, derivation property on the given keys."""

@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 from .dg import Dga, Dgc
-from .graded import GradedElement, Tensor
+from .graded import GradedElement, Tensor, bilinear, tensor_elements
 from .linalg import homology, StructuralError
 
 
@@ -387,14 +387,8 @@ def partial_diagonal(key, k):
     n = key.degree
     if not 0 <= k <= n:
         raise ValueError(f"P^n_k needs 0 <= k <= n, got {k}, {n}")
-    front = X.face_chain(key, tuple(range(0, k + 1)))
-    back = X.face_chain(key, tuple(range(k, n + 1)))
-    out = GradedElement(X.field)
-    for kf, cf in front.terms.items():
-        for kb, cb in back.terms.items():
-            out.add_in(GradedElement.single(X.field, Tensor((kf, kb))),
-                       X.field.mul(cf, cb))
-    return out
+    return tensor_elements(X.field, X.face_chain(key, tuple(range(0, k + 1))),
+                           X.face_chain(key, tuple(range(k, n + 1))))
 
 
 def aw_diagonal(key):
@@ -475,13 +469,9 @@ def chain_shuffle(xkey, ykey, product_space):
 
 
 def shuffle_elements(xe, ye, product_space):
-    field = product_space.field
-    out = GradedElement(field)
-    for kx, cx in xe.terms.items():
-        for ky, cy in ye.terms.items():
-            out.add_in(chain_shuffle(kx, ky, product_space),
-                       field.mul(cx, cy))
-    return out
+    return bilinear(product_space.field,
+                    lambda kx, ky: chain_shuffle(kx, ky, product_space),
+                    xe, ye)
 
 
 @dataclass(frozen=True)
@@ -932,32 +922,17 @@ class ConstantFreeAbelian(SimplicialGroup):
         return (0,) * self.rank
 
 
-class ProductGroup(SimplicialGroup):
-    def __init__(self, G, H):
-        super().__init__(G.field)
-        self.G = G
-        self.H = H
-
-    def face(self, p, i, data):
-        return (self.G.face(p, i, data[0]), self.H.face(p, i, data[1]))
-
-    def degeneracy(self, p, i, data):
-        return (self.G.degeneracy(p, i, data[0]),
-                self.H.degeneracy(p, i, data[1]))
-
-    def simplices(self, p):
-        for x in self.G.simplices(p):
-            for y in self.H.simplices(p):
-                yield (x, y)
+class ProductGroup(ProductSpace, SimplicialGroup):
+    """G x H: the product space with componentwise group structure."""
 
     def mul(self, p, x, y):
-        return (self.G.mul(p, x[0], y[0]), self.H.mul(p, x[1], y[1]))
+        return (self.X.mul(p, x[0], y[0]), self.Y.mul(p, x[1], y[1]))
 
     def inv(self, p, x):
-        return (self.G.inv(p, x[0]), self.H.inv(p, x[1]))
+        return (self.X.inv(p, x[0]), self.Y.inv(p, x[1]))
 
     def one(self, p):
-        return (self.G.one(p), self.H.one(p))
+        return (self.X.one(p), self.Y.one(p))
 
 
 def degeneracies_except(space, data, n, m):

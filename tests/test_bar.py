@@ -3,7 +3,7 @@ import random
 import pytest
 
 from torbar.fields import QQ, F2, F5
-from torbar.graded import GradedElement, Tensor, transpose_tensor
+from torbar.graded import GradedElement, LinearMap, Tensor, transpose_tensor
 from torbar.dg import (FreeDga, FreeGcDga, TensorDga, TensorDgc,
                        polynomial_dga, gc_algebra_map, gauge_transform,
                        random_gauge_rule)
@@ -52,6 +52,21 @@ def test_dgc_map_fixed_point():
     for d in range(0, 8):
         for k in barA.basis(d):
             assert g(k) == GradedElement.single(QQ, k)
+
+
+def test_check_dgc_map_detects_a_non_coalgebra_map():
+    A = FreeDga(QQ, [("a", 2), ("b", 3)], d_gen={"b": [(1, ["a", "a"])]})
+    barA = BarDgc(A)
+    keys = [k for d in range(0, 8) for k in barA.basis(d)]
+    ident = LinearMap(QQ, 0, lambda k: GradedElement.single(QQ, k))
+    assert check_dgc_map(ident, barA, barA, keys).ok
+    # doubling the reduced words commutes with d but not with the
+    # coproduct, on exactly the words of length >= 2
+    double = LinearMap(QQ, 0, lambda k: GradedElement.single(
+        QQ, k, 2 if k.length else 1))
+    rep = check_dgc_map(double, barA, barA, keys)
+    assert rep.failures == [k for k in keys if k.length >= 2]
+    assert rep.checked == len(keys)
 
 
 def test_bar_shuffle_cases_and_dgc_map():

@@ -1,15 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torbar.fields import QQ, F5
 from torbar.graded import GradedElement
 from torbar.linalg import StructuralError
 from torbar.dg import (FreeDga, FreeGcDga, polynomial_dga, exterior_dga,
-                       TensorDga, HomAlgebra, TwistingCochain, TwistedTensor,
-                       QuotientOracle, gauge_transform, random_gauge_rule,
-                       trivial_homotopy)
-from torbar.bar import BarDgc, universal_cochain
+                       TensorDga, TensorDgc, HomAlgebra, TwistingCochain,
+                       TwistedTensor, QuotientOracle, gauge_transform,
+                       random_gauge_rule, trivial_homotopy)
+from torbar.bar import BarDgc, OneSidedBar, universal_cochain
+from torbar.formality import KoszulComplex
 
 
 def free_dga(field=QQ):
@@ -200,3 +202,31 @@ def test_quotient_oracle_certifies_triviality():
     h.is_trivial_under(oracle, keys).raise_on_failure()
     # and the inverse homotopy is trivial too
     h.inverse().is_trivial_under(oracle, keys).raise_on_failure()
+
+
+def _d_squared_complexes():
+    """Tensor constructions keyed by name, each with its keys of degree
+    <= 7.  The factor has nonzero differentials in odd and even degrees:
+    d b = a a and d c = a b - b a."""
+    A = FreeDga(QQ, [("a", 2), ("b", 3), ("c", 4)],
+                d_gen={"b": [(1, ["a", "a"])],
+                       "c": [(1, ["a", "b"]), (-1, ["b", "a"])]})
+    BA = BarDgc(A)
+    AA, BABA = TensorDga(A, A), TensorDgc(BA, BA)
+    osb = OneSidedBar(A, A, f=lambda x: x, barA=BA)
+    K = KoszulComplex(F5, 2)
+    complexes = {"A (x) A": (AA, AA.basis), "BA (x) BA": (BABA, BABA.basis),
+                 "B(k, A, A)": (osb, osb.basis_total), "Koszul": (K, K.basis)}
+    return {name: (X, [k for d in range(8) for k in basis(d)])
+            for name, (X, basis) in complexes.items()}
+
+
+D_SQUARED = _d_squared_complexes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tensor_differential_squares_to_zero(data):
+    X, keys = D_SQUARED[data.draw(st.sampled_from(sorted(D_SQUARED)))]
+    key = data.draw(st.sampled_from(keys))
+    assert X.d(X.diff_key(key)).is_zero(), key

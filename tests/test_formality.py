@@ -7,6 +7,7 @@ from torbar.graded import GradedElement, Tensor
 from torbar.simplicial import (cup, coboundary, interval_cut, e_surjection,
                                Surjection)
 from torbar.formality import TorusFormality, KoszulComplex
+from torbar.linalg import StructuralError
 
 
 def test_koszul_complex():
@@ -20,6 +21,17 @@ def test_koszul_complex():
     assert res.dims[0] == 1
     for d in range(1, 8):
         assert res.dims[d] == 0
+
+
+def test_koszul_d_squared_reports_every_key():
+    K = KoszulComplex(F5, 2)
+    rep = K.check_d_squared(5)
+    assert rep.ok and rep.checked == sum(len(K.basis(d)) for d in range(6))
+    # a differential with d^2 != 0 (the identity) is named at its first key
+    K.diff_key = lambda key: GradedElement.single(F5, key)
+    with pytest.raises(StructuralError,
+                       match=r"Koszul d\^2 fails at 1 \(x\) 1"):
+        K.check_d_squared(5)
 
 
 def test_f_is_equivariant_dgc_chain_map_rank1():

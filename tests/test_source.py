@@ -105,3 +105,24 @@ def test_no_duplicated_function_bodies():
                 f"{path.name}:{node.lineno}:{node.name}")
     found = [where for where in seen.values() if len(where) > 1]
     assert not found, found
+
+
+def _terms_loop(node):
+    """True for `for ... in <expr>.terms.items():`."""
+    it = node.iter if isinstance(node, ast.For) else None
+    return (isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute)
+            and it.func.attr == "items"
+            and isinstance(it.func.value, ast.Attribute)
+            and it.func.value.attr == "terms")
+
+
+def test_no_hand_rolled_tensor_expansions():
+    """No loop over one element's terms directly encloses a loop over
+    another's: x (x) y and bilinear extensions go through
+    `graded.tensor_elements` and `graded.bilinear`."""
+    found = []
+    for path, tree in _trees("src/torbar"):
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _terms_loop(node)
+                  and any(_terms_loop(stmt) for stmt in node.body)]
+    assert not found, found
