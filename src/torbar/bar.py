@@ -18,10 +18,11 @@ from .dg import (CheckReport, Dgc, TwistingCochain, TwistedTensor, TensorDgc,
 class BarWord:
     """Basis key of the reduced bar construction."""
 
-    __slots__ = ("entries", "degree")
+    __slots__ = ("entries", "degree", "_hash")
 
     def __init__(self, entries, degree=None):
         self.entries = entries
+        self._hash = hash(entries)
         if degree is None:
             degree = sum(e.degree - 1 for e in entries)
         self.degree = degree
@@ -38,7 +39,7 @@ class BarWord:
         return isinstance(other, BarWord) and self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries)
+        return self._hash
 
     def __repr__(self):
         if not self.entries:
@@ -337,8 +338,9 @@ def split_homology(basis, diff, field, bigrade):
     `basis` maps total degree -> keys.  Each column (one t) is eliminated
     once by `homology`, which also checks d^2 = 0 there.  Columns share no
     keys, so the class space of a total degree is its columns' class
-    spaces concatenated, each column's representative tags shifted by the
-    number of representatives before it.  Returns a TorTable.
+    spaces joined by `ReducedSpace.extend`, each column's representative
+    tags shifted by the number of representatives before it.  Returns a
+    TorTable.
     """
     columns = {}
     for keys in basis.values():
@@ -356,14 +358,8 @@ def split_homology(basis, diff, field, bigrade):
             if dim:
                 bigr[(s, t)] = dim
             totals[n] += dim
-            offset = len(reps[n])
+            spaces[n].extend(res.spaces[s], len(reps[n]))
             reps[n].extend(res.representatives[s])
-            col = res.spaces[s]
-            spaces[n].echelon.extend(col.echelon)
-            spaces[n].combos.extend(
-                None if combo is None else
-                {offset + i: c for i, c in combo.items()}
-                for combo in col.combos)
     return TorTable(bigr, totals, representatives=reps, spaces=spaces)
 
 

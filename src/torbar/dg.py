@@ -9,7 +9,7 @@ The tensor product of complexes is defined once: `tensor_basis` and
 `tensor_diff_key` (d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy) serve
 `TensorDga`, `TensorDgc` and the twisted tensor products, and
 `preserves_coproduct` is the one check that a map commutes with the
-coproducts.
+coproducts.  `check_d_squared` is the one d^2 = 0 check of a complex.
 
 The module also provides the convolution algebra Hom(C, A) with its cup
 product, twisting cochains and their homotopies, twisted tensor products,
@@ -185,29 +185,22 @@ class Dgc:
         raise StructuralError(f"key {key!r} not conilpotent up to 60")
 
     def check_axioms(self, keys):
-        """Coassociativity and counit law on the given basis keys."""
+        """Coassociativity and counit law on the given basis keys, each
+        side a GradedElement over Tensor keys."""
         f = self.field
         for k in keys:
-            left = {}
-            right = {}
-            for c, k1, k2 in self.cop_key(k):
-                for c2, k11, k12 in self.cop_key(k1):
-                    key = (k11, k12, k2)
-                    left[key] = f.add(left.get(key, f.zero), f.mul(c, c2))
-                for c2, k21, k22 in self.cop_key(k2):
-                    key = (k1, k21, k22)
-                    right[key] = f.add(right.get(key, f.zero), f.mul(c, c2))
-            left = {k_: v for k_, v in left.items() if v != f.zero}
-            right = {k_: v for k_, v in right.items() if v != f.zero}
+            cop = self.cop_key(k)
+            left = GradedElement(f, [(Tensor((k11, k12, k2)), f.mul(c, c2))
+                                     for c, k1, k2 in cop
+                                     for c2, k11, k12 in self.cop_key(k1)])
+            right = GradedElement(f, [(Tensor((k1, k21, k22)), f.mul(c, c2))
+                                      for c, k1, k2 in cop
+                                      for c2, k21, k22 in self.cop_key(k2)])
             if left != right:
                 raise StructuralError(f"coassociativity fails at {k!r}")
-            ce = {}
-            for c, k1, k2 in self.cop_key(k):
-                c2 = f.mul(c, self.counit_key(k1))
-                if c2 != f.zero:
-                    ce[k2] = f.add(ce.get(k2, f.zero), c2)
-            ce = {k_: v for k_, v in ce.items() if v != f.zero}
-            if ce != {k: f.one}:
+            counit = GradedElement(f, [(k2, f.mul(c, self.counit_key(k1)))
+                                       for c, k1, k2 in cop])
+            if counit != GradedElement.single(f, k):
                 raise StructuralError(f"counit law fails at {k!r}")
         return True
 
@@ -368,6 +361,16 @@ class CheckReport:
         return self
 
 
+def check_d_squared(C, keys, name):
+    """d(d k) = 0 for each key of the complex C, one case per key in a
+    CheckReport called `name`; raises StructuralError naming the first
+    failing key."""
+    rep = CheckReport(name)
+    for k in keys:
+        rep.record(C.d(C.diff_key(k)).is_zero(), k)
+    return rep.raise_on_failure()
+
+
 class TwistingCochain:
     """t in Hom(C, A) of degree ddeg with d(t) = t u t and normalizations."""
 
@@ -523,16 +526,6 @@ class TwistedTensor:
 
     def d(self, x):
         return x.map_keys(self.diff_key)
-
-    def check_d_squared(self, keys):
-        rep = CheckReport("twisted tensor d^2")
-        for k in keys:
-            rep.record(self.d(self.d(GradedElement.single(self.field, k))).is_zero(), k)
-        if not rep.ok:
-            raise StructuralError(
-                f"d^2 != 0 in twisted tensor at {rep.failures[0]!r}; "
-                "the twisting cochain identity fails")
-        return rep
 
 
 def _delta_rule(C, A, f):

@@ -16,7 +16,8 @@ import random
 from .graded import GradedElement, Tensor, tensor_elements
 from .linalg import StructuralError
 from .dg import (CheckReport, FreeGcDga, polynomial_dga, PolynomialCoalgebra,
-                 ExteriorCoalgebra, TensorDgc, preserves_coproduct)
+                 ExteriorCoalgebra, TensorDgc, check_d_squared,
+                 preserves_coproduct)
 from .simplicial import (Cochain, zero_cochain, coboundary, cup, cup_many,
                          CochainHga, ChainsDgc, partial_diagonal,
                          q_operation, e_surjection, f_surjection,
@@ -64,17 +65,6 @@ class KoszulComplex(TensorDgc):
                     field, self.L.mul(self.L.generator(f"x{i}"), a),
                     GradedElement.single(field, self.S.key(lowered))))
         return out
-
-    def check_d_squared(self, bound):
-        """d^2 = 0 on every basis key of degree <= bound, one case each;
-        raises StructuralError naming the first failing key."""
-        rep = CheckReport("koszul d2")
-        for d in range(0, bound + 1):
-            for k in self.basis(d):
-                rep.record(self.d(self.diff_key(k)).is_zero(), k)
-        if not rep.ok:
-            raise StructuralError(f"Koszul d^2 fails at {rep.failures[0]!r}")
-        return rep
 
 
 class TorusFormality:
@@ -558,7 +548,9 @@ def formality_report(field, rank, degree_bound, rng=None):
     rng = rng or random.Random(0)
     fo = TorusFormality(field, rank)
     reports = {
-        "koszul_d2": fo.K.check_d_squared(degree_bound),
+        "koszul_d2": check_d_squared(
+            fo.K, [k for d in range(degree_bound + 1) for k in fo.K.basis(d)],
+            "koszul d2"),
         "chain_map": fo.check_chain_map(degree_bound),
         "coalgebra_map": fo.check_coalgebra_map(degree_bound),
         "equivariance": fo.check_equivariance(degree_bound),

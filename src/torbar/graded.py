@@ -12,14 +12,22 @@ rule on keys.  `expand` is the one multilinear expansion: x (x) y
 families all pick their pure terms through it and add whatever Koszul
 signs they need themselves.
 """
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class Tensor:
     """Tensor product of basis keys, used for C (x) A style complexes."""
 
-    parts: tuple
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts):
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __eq__(self, other):
+        return isinstance(other, Tensor) and self.parts == other.parts
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def degree(self):

@@ -3,15 +3,36 @@
 Vectors are sparse dicts key -> coeff.  Everything is exact; there are no
 tolerances anywhere.
 
-`ReducedSpace` is the one elimination kernel.  Its `echelon` is a list of
-`(pivot, row)` pairs: each row is scaled to 1 at its pivot and is zero at
-the pivots of the rows before it.  Insertion order is reduction order;
-rows are never reordered, rescaled or mutated once appended, and the
-echelons of spaces that share no keys concatenate into an echelon.  `reduce` is the only loop that subtracts
-echelon rows and `add` the only place that chooses a pivot (the least key
-by `repr`, for determinism).  A row may carry the combination of tagged
-input vectors it was built from; rank, kernels, homology and coordinates
-of classes are all read off that bookkeeping.
+`ReducedSpace` is the one elimination kernel, a column reduction with a
+pivot lookup (Chen-Kerber 2011; Bauer, Ripser, 2021).
+
+- *Numbers.*  A space numbers keys in the order it first sees them (`add`
+  numbers a vector's new keys before reducing it), and its rows are dicts
+  on those numbers, so elimination hashes small ints, not nested keys.
+  Queries (`contains`, `express_class`) number nothing: a key without a
+  number is in no row, nothing can cancel it, and the vector is outside
+  the span.
+- *Pivots.*  `add` is the only place that chooses a pivot: the least
+  number of the reduced vector.  Each row is scaled to 1 there and lives
+  on numbers at or above it.  `echelon` lists the rows as (pivot, row) in
+  insertion order; rows are never reordered, rescaled or mutated once
+  appended.  `pivots` maps each pivot to its row.
+- *Reduction.*  `reduce` is the only loop that subtracts rows.  It pops
+  the vector's pivot numbers from a heap in increasing order and
+  subtracts the row found by lookup; that row only adds entries above the
+  popped number, so each number is settled once and a vector touches only
+  the rows it meets, never the whole echelon.  Spaces that share no keys
+  join with `extend`.
+
+A row may carry the combination of tagged input vectors it was built
+from; rank, kernels, homology and coordinates of classes are all read off
+that bookkeeping, and none of them depends on the pivot rule (or so on the
+numbering).  A kernel vector of `kernel_basis` is the one relation between
+its column and the earlier independent columns, which are independent
+whatever the pivots; a representative is a kernel vector independent of
+the boundaries and the earlier representatives; and the coordinates of a
+class are unique.  Only the shape of the rows (their fill-in) depends on
+the pivots.
 
 `homology` keeps, per degree, a *class space*: the boundaries, untagged,
 followed by the representatives, representative i tagged {i: 1}.  A cycle
@@ -19,6 +40,7 @@ reduces to zero against it, and the tags it picks up on the way are minus
 its coordinates in the representatives (`express_class`), so one space
 per degree serves every query without a copy.
 """
+from heapq import heapify, heappop, heappush
 
 
 class StructuralError(Exception):
@@ -82,44 +104,98 @@ class ReducedSpace:
 
     def __init__(self, field):
         self.field = field
-        self.echelon = []  # (pivot_col, row_dict)
+        self.index = {}    # key -> number, in order of first sight
+        self.pivots = {}   # pivot number -> position in echelon
+        self.echelon = []  # (pivot number, row dict number -> coeff)
         self.combos = []   # tag combination of each row, or None
 
     def reduce(self, vec, combo=None):
-        """The remainder of vec modulo the span (a new dict).
+        """The remainder of vec modulo the span, as a new dict on key
+        numbers, or None if vec has a key without a number: no row can
+        cancel it, so vec is outside the span.
 
         If `combo` (the tag combination that vec equals) is given, it is
         reduced in place alongside, so that the remainder equals it modulo
         the untagged rows."""
         field = self.field
-        vec = dict(vec)
-        for (pc, row), row_combo in zip(self.echelon, self.combos):
-            c = vec.get(pc)
-            if c is not None:
-                _subtract(vec, c, row, field)
-                if combo is not None and row_combo:
-                    _subtract(combo, c, row_combo, field)
-        return vec
+        zero, mul, sub = field.zero, field.mul, field.sub
+        index = self.index
+        rem = {}
+        for k, c in vec.items():
+            i = index.get(k)
+            if i is None:
+                return None
+            rem[i] = c
+        pivots = self.pivots
+        heap = [i for i in rem if i in pivots]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            c = rem.get(p)
+            if c is None:
+                continue  # cancelled since it was pushed
+            r = pivots[p]
+            # row p is 1 at p and lives on numbers above p
+            for k, v in self.echelon[r][1].items():
+                old = rem.get(k)
+                if old is None:
+                    rem[k] = sub(zero, mul(c, v))
+                    if k in pivots:
+                        heappush(heap, k)
+                else:
+                    nv = sub(old, mul(c, v))
+                    if nv == zero:
+                        del rem[k]
+                    else:
+                        rem[k] = nv
+            row_combo = self.combos[r]
+            if combo is not None and row_combo:
+                _subtract(combo, c, row_combo, field)
+        return rem
 
     def add(self, vec, combo=None):
-        """Reduce and insert; returns True if the vector was new.
+        """Number vec's new keys, reduce and insert; returns True if the
+        vector was new.
 
         `combo` is reduced in place as in `reduce`; a new row keeps its
         scaled copy."""
-        vec = self.reduce(vec, combo)
-        if not vec:
+        index = self.index
+        for k in vec:
+            if k not in index:
+                index[k] = len(index)
+        rem = self.reduce(vec, combo)
+        if not rem:
             return False
-        pc = min(vec, key=repr)
-        inv = self.field.inv(vec[pc])
-        self.echelon.append((pc, {k: self.field.mul(inv, v)
-                                  for k, v in vec.items()}))
+        field = self.field
+        pc = min(rem)
+        inv = field.inv(rem[pc])
+        self.pivots[pc] = len(self.echelon)
+        self.echelon.append((pc, rem if inv == field.one else
+                             {k: field.mul(inv, v) for k, v in rem.items()}))
         self.combos.append(None if combo is None else
-                           {k: self.field.mul(inv, v)
-                            for k, v in combo.items()})
+                           {k: field.mul(inv, v) for k, v in combo.items()})
         return True
 
+    def extend(self, other, tag_offset):
+        """Append the rows of `other`, a space that shares no key with this
+        one, its integer tags shifted by `tag_offset`.
+
+        Other's numbers move past this space's, in the same order, so
+        each row keeps its least number as pivot."""
+        shift = len(self.index)
+        for k, i in other.index.items():
+            if k in self.index:
+                raise StructuralError(f"key {k!r} lies in both spaces")
+            self.index[k] = i + shift
+        for (pc, row), combo in zip(other.echelon, other.combos):
+            self.pivots[pc + shift] = len(self.echelon)
+            self.echelon.append((pc + shift,
+                                 {k + shift: v for k, v in row.items()}))
+            self.combos.append(None if combo is None else
+                               {tag_offset + i: c for i, c in combo.items()})
+
     def contains(self, vec):
-        return not self.reduce(vec)
+        return self.reduce(vec) == {}
 
     @property
     def dim(self):
@@ -151,7 +227,7 @@ def express_class(z, space, count, field):
     not a cycle of that degree)."""
     # z - (reps combination) reduces to zero: the combination is -combo
     combo = {}
-    if space.reduce(z, combo):
+    if space.reduce(z, combo) != {}:
         return None
     return [field.neg(combo.get(i, field.zero)) for i in range(count)]
 

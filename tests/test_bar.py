@@ -6,7 +6,7 @@ from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement, LinearMap, Tensor, transpose_tensor
 from torbar.dg import (FreeDga, FreeGcDga, TensorDga, TensorDgc,
                        polynomial_dga, gc_algebra_map, gauge_transform,
-                       random_gauge_rule)
+                       random_gauge_rule, check_d_squared)
 from torbar.bar import (BarDgc, BarWord, universal_cochain,
                         dgc_map_from_cochain, check_dgc_map, bar_shuffle,
                         OneSidedBar, tor_additive)
@@ -172,7 +172,7 @@ def test_one_sided_bar_plain_and_twist():
     k = polynomial_dga(QQ, [])
     osb = OneSidedBar(A, k, f=lambda x: k.one().scale(A.aug(x)))
     keys = osb.basis_total(6)
-    osb.check_d_squared(keys)
+    check_d_squared(osb, keys, "twisted tensor d^2")
     # A = k[y] (|y| = 4) -> B = k[t], y -> t^2: d([y] (x) 1) = -(1 (x) t^2)
     A = polynomial_dga(QQ, [("y", 4)])
     B = polynomial_dga(QQ, [("t", 2)])

@@ -8,11 +8,16 @@ from torbar.simplicial import (cup, coboundary, interval_cut, e_surjection,
                                Surjection)
 from torbar.formality import TorusFormality, KoszulComplex
 from torbar.linalg import StructuralError
+from torbar.dg import check_d_squared
+
+
+def koszul_keys(K, bound):
+    return [k for d in range(bound + 1) for k in K.basis(d)]
 
 
 def test_koszul_complex():
     K = KoszulComplex(QQ, 2)
-    K.check_d_squared(8)
+    check_d_squared(K, koszul_keys(K, 8), "koszul d2")
     # rank-1 Koszul complex is acyclic in positive degrees
     K1 = KoszulComplex(QQ, 1)
     from torbar.linalg import homology
@@ -25,13 +30,13 @@ def test_koszul_complex():
 
 def test_koszul_d_squared_reports_every_key():
     K = KoszulComplex(F5, 2)
-    rep = K.check_d_squared(5)
+    rep = check_d_squared(K, koszul_keys(K, 5), "koszul d2")
     assert rep.ok and rep.checked == sum(len(K.basis(d)) for d in range(6))
     # a differential with d^2 != 0 (the identity) is named at its first key
     K.diff_key = lambda key: GradedElement.single(F5, key)
     with pytest.raises(StructuralError,
-                       match=r"Koszul d\^2 fails at 1 \(x\) 1"):
-        K.check_d_squared(5)
+                       match=r"koszul d2: first failure 1 \(x\) 1"):
+        check_d_squared(K, koszul_keys(K, 5), "koszul d2")
 
 
 def test_f_is_equivariant_dgc_chain_map_rank1():

@@ -1,14 +1,17 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement, Tensor
-from torbar.dg import polynomial_dga, ExteriorCoalgebra
+from torbar.dg import polynomial_dga, ExteriorCoalgebra, check_d_squared
 from torbar.bar import BarDgc, BarWord, check_dgc_map, bar_shuffle
 from torbar.simplicial import (simplex_boundary, standard_simplex,
                                DualCochainDga, ConstantGroup)
 from torbar.classifying import b_cyclic, wbar
+from torbar.homog import catalog_entry, tor_bar_algebra
 from torbar.hga import (trivial_hga, dual_cochain_hga,
                         check_hga, check_extended,
                         check_cup_identities, gerstenhaber_bracket,
@@ -333,7 +336,7 @@ def test_gm_small_model_d_squared():
         for d in range(0, 6):
             for ak in A.basis(d):
                 keys.append(tt.key(ck, ak))
-    tt.check_d_squared(keys)
+    check_d_squared(tt, keys, "twisted tensor d^2")
     # rank 1: d(x (x) c) = +-(1 (x) b c) -+ (x (x) dc)
     x_key = tt.C.key(["x"])
     c = A.basis(1)[0]
@@ -343,3 +346,32 @@ def test_gm_small_model_d_squared():
     for k, coeff in val.terms.items():
         ck, ak = k.parts
         assert ck in (one_key, x_key)
+
+
+def _ks_catalog_triples():
+    """The KS algebra of the one-sided bar of SU(3)/T and U(3)/U(1)^3 over
+    Q and F5, with the triples of its keys of total degree <= 4 whose bar
+    words have at most 6 letters in all.  Longer words make one triple
+    cost minutes: ([c1|c1|c1|c1] (x) 1)^3 shuffles 12 letters."""
+    out = {}
+    for name in ("SU(3)/T", "U(3)/U(1)^3"):
+        for field in (QQ, F5):
+            base, fiber, mp, _ = catalog_entry(name)
+            _, osb, ks = tor_bar_algebra(field, base, fiber, mp, 0,
+                                         sample_products=False)
+            keys = [k for n in range(5) for k in osb.basis_total(n)]
+            out[f"{name} over {field}"] = (ks, [
+                t for t in itertools.product(keys, repeat=3)
+                if sum(k.parts[0].length for k in t) <= 6])
+    return out
+
+
+KS_TRIPLES = _ks_catalog_triples()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ks_associativity_on_random_catalog_triples(data):
+    ks, triples = KS_TRIPLES[data.draw(st.sampled_from(sorted(KS_TRIPLES)))]
+    ks.check_associativity([data.draw(st.sampled_from(triples))]
+                           ).raise_on_failure()

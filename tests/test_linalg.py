@@ -2,6 +2,7 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torbar.fields import QQ, F5, F2
 from torbar.linalg import (rank, rank_dense_oracle, ReducedSpace,
@@ -233,3 +234,112 @@ def test_random_complexes_against_dense_oracle():
                     (field.of(rng.randint(-3, 3)), v) for v in in_rows])
                 assert express_class(z, res.spaces[d], len(reps), field) \
                     == coeffs
+
+
+# -- property tests of the kernel --------------------------------------------
+
+FIELDS = st.sampled_from([QQ, F5, F2])
+
+
+def _vectors(field, keys):
+    """Sparse vectors on `keys` with nonzero coefficients."""
+    return st.dictionaries(st.sampled_from(keys),
+                           st.integers(-3, 3).map(field.of),
+                           max_size=len(keys)).map(
+        lambda v: {k: c for k, c in v.items() if c != field.zero})
+
+
+@given(st.data())
+def test_reduced_space_against_dense_oracle(data):
+    field = data.draw(FIELDS)
+    keys = [f"c{i}" for i in range(data.draw(st.integers(1, 7)))]
+    rows = data.draw(st.lists(_vectors(field, keys), max_size=7))
+    space = ReducedSpace(field)
+    for r in rows:
+        space.add(r)
+    rk = rank_dense_oracle(rows, field, keys)
+    assert space.dim == rk
+    vec = data.draw(_vectors(field, keys))
+    assert space.contains(vec) == \
+        (rank_dense_oracle(rows + [vec], field, keys) == rk)
+    coeffs = data.draw(st.lists(st.integers(-3, 3).map(field.of),
+                                min_size=len(rows), max_size=len(rows)))
+    assert space.contains(combine(field, list(zip(coeffs, rows))))
+
+
+def _tagged_space(field, untagged, tagged):
+    """A class space: the untagged rows, then row j of `tagged` tagged
+    {j: 1}."""
+    space = ReducedSpace(field)
+    for r in untagged:
+        space.add(r)
+    for j, r in enumerate(tagged):
+        space.add(r, {j: field.one})
+    return space
+
+
+@given(st.data())
+def test_extend_matches_one_space_built_in_order(data):
+    field = data.draw(FIELDS)
+    parts = []
+    for name in "ab":
+        keys = [f"{name}{i}" for i in range(data.draw(st.integers(1, 5)))]
+        rows = st.lists(_vectors(field, keys), max_size=4)
+        parts.append((data.draw(rows), data.draw(rows)))
+    (ua, ta), (ub, tb) = parts
+    joined = ReducedSpace(field)
+    joined.extend(_tagged_space(field, ua, ta), 0)
+    joined.extend(_tagged_space(field, ub, tb), len(ta))
+    whole = _tagged_space(field, ua, ta)
+    for r in ub:
+        whole.add(r)
+    for j, r in enumerate(tb):
+        whole.add(r, {len(ta) + j: field.one})
+    assert joined.dim == whole.dim
+    rows = ua + ta + ub + tb
+    coeffs = data.draw(st.lists(st.integers(-3, 3).map(field.of),
+                                min_size=len(rows), max_size=len(rows)))
+    z = combine(field, list(zip(coeffs, rows)))
+    count = len(ta) + len(tb)
+    assert express_class(z, joined, count, field) == \
+        express_class(z, whole, count, field) is not None
+
+
+def test_extend_rejects_a_shared_key():
+    space = _tagged_space(QQ, [{"x": QQ.one}], [])
+    with pytest.raises(StructuralError, match="'x' lies in both spaces"):
+        space.extend(_tagged_space(QQ, [], [{"x": QQ.one, "y": QQ.one}]), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(FIELDS, st.integers(0, 10 ** 6))
+def test_homology_does_not_depend_on_the_key_numbering(field, seed):
+    """Reversing every differential's insertion order renumbers the keys
+    and moves the pivots; dims, representatives and coordinates stay."""
+    rng = random.Random(seed)
+    basis, diff, _ = random_complex(field, rng)
+    res = homology(basis, diff, field, ddeg=1)
+    rev = homology(basis, lambda k: dict(reversed(diff(k).items())), field,
+                   ddeg=1)
+    assert res.dims == rev.dims
+    for d, reps in res.representatives.items():
+        assert rev.representatives[d] == reps
+        boundaries = [diff(k) for k in basis.get(d - 1, [])]
+        coeffs = [field.of(rng.randint(-3, 3)) for _ in reps]
+        z = combine(field, list(zip(coeffs, reps)) + [
+            (field.of(rng.randint(-3, 3)), v) for v in boundaries])
+        assert express_class(z, res.spaces[d], len(reps), field) == \
+            express_class(z, rev.spaces[d], len(reps), field) == coeffs
+
+
+@given(st.data())
+def test_queries_do_not_number_unseen_keys(data):
+    field = data.draw(FIELDS)
+    keys = ["x", "y", "z"]
+    space = _tagged_space(field, [], data.draw(
+        st.lists(_vectors(field, keys), max_size=3)))
+    size = len(space.index)
+    vec = dict(data.draw(_vectors(field, keys)), w=field.one)
+    assert express_class(vec, space, space.dim, field) is None
+    assert not space.contains(vec)
+    assert len(space.index) == size

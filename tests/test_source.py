@@ -126,3 +126,17 @@ def test_no_hand_rolled_tensor_expansions():
                   if _terms_loop(node)
                   and any(_terms_loop(stmt) for stmt in node.body)]
     assert not found, found
+
+
+def test_one_owner_of_the_elimination_storage():
+    """Only `linalg` reads or writes a `ReducedSpace`'s rows and their tag
+    combinations; other modules join spaces with `ReducedSpace.extend`."""
+    found = []
+    for path, tree in _trees("src/torbar"):
+        if path.name == "linalg.py":
+            continue
+        found += [f"{path.name}:{node.lineno}:{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("echelon", "combos")]
+    assert not found, found
