@@ -12,7 +12,7 @@ import json
 from .graded import GradedElement, LinearMap, Tensor, expand
 from .linalg import homology, ReducedSpace, StructuralError
 from .dg import (CheckReport, Dgc, TwistingCochain, TwistedTensor, TensorDgc,
-                 preserves_coproduct, tensor_basis)
+                 commutes_with_d, preserves_coproduct, tensor_basis)
 
 
 class BarWord:
@@ -157,7 +157,8 @@ def dgc_map_from_cochain(t, barA=None):
 
     c maps to sum_k [t(c_(1))|...|t(c_(k))] over the reduced iterated
     coproduct; there are no signs because s^{-1} t has degree zero.
-    Requires C cocomplete.
+    Requires C cocomplete; a key that is not conilpotent raises
+    StructuralError (`Dgc.reduced_cop_levels`).
     """
     C = t.C
     if not C.cocomplete:
@@ -166,19 +167,10 @@ def dgc_map_from_cochain(t, barA=None):
     field = C.field
 
     def rule(key):
-        out = GradedElement(field)
-        if C.counit_key(key) != field.zero:
-            out.add_in(GradedElement.single(
-                field, target.coaug_key, C.counit_key(key)))
-        n = 1
-        while True:
-            terms = C.iterated_reduced_cop(key, n)
-            if not terms:
-                break
-            for c, keys in terms:
-                vals = [t(k) for k in keys]
-                out.add_in(target.words_from_elements(vals), c)
-            n += 1
+        out = GradedElement.single(field, target.coaug_key, C.counit_key(key))
+        for level in C.reduced_cop_levels(key):
+            for c, keys in level:
+                out.add_in(target.words_from_elements([t(k) for k in keys]), c)
         return out
 
     return LinearMap(field, 0, rule, name=f"B<{t.name}>")
@@ -188,8 +180,7 @@ def check_dgc_map(g, C, D, keys):
     """Coproduct and differential compatibility of g: C -> D on basis keys."""
     rep = CheckReport("dgc map")
     for k in keys:
-        e = GradedElement.single(C.field, k)
-        rep.record(g.of(C.d(e)) == D.d(g.of(e))
+        rep.record(commutes_with_d(g, C, D, k)
                    and preserves_coproduct(g, C, D, k), k)
     return rep
 

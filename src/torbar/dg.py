@@ -9,7 +9,10 @@ The tensor product of complexes is defined once: `tensor_basis` and
 `tensor_diff_key` (d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy) serve
 `TensorDga`, `TensorDgc` and the twisted tensor products, and
 `preserves_coproduct` is the one check that a map commutes with the
-coproducts.  `check_d_squared` is the one d^2 = 0 check of a complex.
+coproducts.  `check_d_squared` is the one d^2 = 0 check of a complex;
+`commutes_with_d` and `check_chain_map` are the one check that a map
+commutes with the differentials.  `Dgc.reduced_cop_levels` is the one
+iterated reduced coproduct.
 
 The module also provides the convolution algebra Hom(C, A) with its cup
 product, twisting cochains and their homotopies, twisted tensor products,
@@ -160,29 +163,30 @@ class Dgc:
         return [(c, k1, k2) for (c, k1, k2) in self.cop_key(key)
                 if k1 != self.coaug_key and k2 != self.coaug_key]
 
-    def iterated_reduced_cop(self, key, n):
-        """List of (coeff, (k_1,...,k_n)) for the reduced Delta^[n]."""
-        if n == 0:
-            return [] if key != self.coaug_key else [(self.field.one, ())]
-        out = [(self.field.one, (key,))] if key != self.coaug_key else []
-        for _ in range(n - 1):
-            nxt = []
-            for c, keys in out:
-                # expand the last slot (coassociativity makes the slot choice moot)
-                for c2, k1, k2 in self.cop_reduced_key(keys[-1]):
-                    nxt.append((self.field.mul(c, c2), keys[:-1] + (k1, k2)))
-            out = nxt
-            if not out:
-                break
-        return out
+    def reduced_cop_levels(self, key):
+        """The reduced iterated coproducts Delta^[1](key), Delta^[2](key),
+        ... up to the first zero one, each a list of (coeff, (k_1,...,k_n)).
+
+        Each level expands the last slot of the one before (coassociativity
+        makes the slot choice moot).  A key with a nonzero level past the
+        60th raises StructuralError: the coalgebra is not conilpotent
+        there."""
+        if key == self.coaug_key:
+            return
+        level = [(self.field.one, (key,))]
+        for _ in range(60):
+            yield level
+            level = [(self.field.mul(c, c2), keys[:-1] + (k1, k2))
+                     for c, keys in level
+                     for c2, k1, k2 in self.cop_reduced_key(keys[-1])]
+            if not level:
+                return
+        raise StructuralError(f"key {key!r} not conilpotent up to 60")
 
     def nilpotence_degree(self, key):
-        """Least n with reduced Delta^[n](key) = 0 (cocompleteness witness),
-        searched up to 60."""
-        for n in range(1, 61):
-            if not self.iterated_reduced_cop(key, n):
-                return n
-        raise StructuralError(f"key {key!r} not conilpotent up to 60")
+        """Least n with reduced Delta^[n](key) = 0 (cocompleteness
+        witness)."""
+        return 1 + sum(1 for _ in self.reduced_cop_levels(key))
 
     def check_axioms(self, keys):
         """Coassociativity and counit law on the given basis keys, each
@@ -241,6 +245,11 @@ def preserves_coproduct(g, C, D, key):
     return lhs == rhs
 
 
+def commutes_with_d(g, C, D, key):
+    """g d_C(key) = d_D g(key) for a degree-0 map g: C -> D given on keys."""
+    return C.diff_key(key).map_keys(g) == D.d(g(key))
+
+
 # ---------------------------------------------------------------------------
 # Hom(C, A) as a dga
 # ---------------------------------------------------------------------------
@@ -297,8 +306,8 @@ class HomAlgebra:
     def geometric_inverse(self, h):
         """Inverse of h = 1 + k in Hom_0: sum_n (1 - h)^{u n}.
 
-        Terminates degreewise because C is cocomplete; a bound of 60 terms
-        guards against non-conilpotent input.
+        Terminates degreewise because C is cocomplete;
+        `Dgc.reduced_cop_levels` raises on non-conilpotent input.
         """
         if not self.C.cocomplete:
             raise StructuralError("homotopy inverse needs a cocomplete dgc")
@@ -306,8 +315,7 @@ class HomAlgebra:
         unit = self.unit()
 
         def k_map(key):
-            val = h(key) - unit(key)
-            return val
+            return h(key) - unit(key)
 
         def rule(key):
             # sum over n of (-1)^n k^{u n}(key); k has even degree so there
@@ -316,18 +324,13 @@ class HomAlgebra:
             out = GradedElement(field)
             out.add_in(unit(key))
             sign = field.neg(field.one)
-            for n in range(1, 61):
-                terms = C.iterated_reduced_cop(key, n)
-                if not terms:
-                    return out
+            for level in C.reduced_cop_levels(key):
                 acc = GradedElement(field)
-                for c, keys in terms:
-                    vals = [k_map(k2) for k2 in keys]
-                    prod = A.mul_many(vals)
-                    acc.add_in(prod, c)
+                for c, keys in level:
+                    acc.add_in(A.mul_many([k_map(k2) for k2 in keys]), c)
                 out.add_in(acc, sign)
                 sign = field.neg(sign)
-            raise StructuralError(f"geometric series did not terminate at {key!r}")
+            return out
 
         return LinearMap(self.field, 0, rule, name="h^-1")
 
@@ -369,6 +372,15 @@ def check_d_squared(C, keys, name):
     for k in keys:
         rep.record(C.d(C.diff_key(k)).is_zero(), k)
     return rep.raise_on_failure()
+
+
+def check_chain_map(g, C, D, keys, name):
+    """g d_C = d_D g for a degree-0 map g: C -> D given on keys, one case
+    per key in a CheckReport called `name`."""
+    rep = CheckReport(name)
+    for k in keys:
+        rep.record(commutes_with_d(g, C, D, k), k)
+    return rep
 
 
 class TwistingCochain:
@@ -513,8 +525,8 @@ class TwistedTensor:
     def key(self, ck, ak):
         return Tensor((ck, ak))
 
-    def element(self, ck, ak, coeff=None):
-        return GradedElement.single(self.field, self.key(ck, ak), coeff)
+    def element(self, ck, ak):
+        return GradedElement.single(self.field, self.key(ck, ak))
 
     def delta(self, f):
         """delta_f(c (x) a) = sum +- c_1 (x) (f(c_2) a) for f in Hom(C,A)."""
@@ -555,15 +567,10 @@ def delta_h_iso(tt_u, tt_t, h, keys):
     """
     dh = tt_t.delta(h.map)
     dh_inv = tt_t.delta(h.inverse().map)
-    rep = CheckReport("delta_h chain map")
-    field = tt_t.field
+    rep = check_chain_map(dh, tt_u, tt_t, keys, "delta_h chain map")
     for k in keys:
-        e = GradedElement.single(field, k)
-        lhs = dh.of(tt_u.d(e))
-        rhs = tt_t.d(dh.of(e))
-        rep.record(lhs == rhs, k)
-        roundtrip = dh.of(dh_inv.of(e))
-        rep.record(roundtrip == e, ("inverse", k))
+        e = GradedElement.single(tt_t.field, k)
+        rep.record(dh.of(dh_inv.of(e)) == e, ("inverse", k))
     rep.raise_on_failure()
     return dh, dh_inv
 
@@ -591,6 +598,13 @@ class Word:
         return "*".join(self.letters) if self.letters else "1"
 
 
+def _generator_differentials(field, d_gen, key_of):
+    """name -> d(name) from a spec {name: [(coeff, key_of argument), ...]}."""
+    return {name: GradedElement(field, [(key_of(arg), coeff)
+                                        for coeff, arg in spec])
+            for name, spec in (d_gen or {}).items()}
+
+
 class FreeDga(Dga):
     """Tensor algebra on graded generators with an assignable differential.
 
@@ -606,13 +620,7 @@ class FreeDga(Dga):
         if any(d <= 0 for d in self.gens.values()):
             raise ValueError("generator degrees must be positive")
         self.unit_key = Word((), 0)
-        self._dgen = {}
-        for name, spec in (d_gen or {}).items():
-            elem = GradedElement(field)
-            for coeff, names in spec:
-                elem.add_in(GradedElement.single(
-                    field, self.word(names), field.of(coeff)))
-            self._dgen[name] = elem
+        self._dgen = _generator_differentials(field, d_gen, self.word)
         self.simply_connected = (simply_connected if simply_connected is not None
                                  else all(d >= 2 for d in self.gens.values()))
 
@@ -700,20 +708,8 @@ class FreeGcDga(Dga):
         self.gens = dict(gens)
         self.order = {n: i for i, n in enumerate(self.gens)}
         self.unit_key = Monomial((), 0)
-        self._dgen_spec = d_gen or {}
-        self._dgen = None
+        self._dgen = _generator_differentials(field, d_gen, self.monomial)
         self.simply_connected = all(d >= 2 for d in self.gens.values())
-
-    def _dgen_map(self):
-        if self._dgen is None:
-            self._dgen = {}
-            for name, spec in self._dgen_spec.items():
-                elem = GradedElement(self.field)
-                for coeff, powers in spec:
-                    elem.add_in(GradedElement.single(
-                        self.field, self.monomial(powers), self.field.of(coeff)))
-                self._dgen[name] = elem
-        return self._dgen
 
     def monomial(self, powers):
         """powers: iterable of (name, exp) or of names."""
@@ -786,11 +782,10 @@ class FreeGcDga(Dga):
         # sign is the parity of the preceding factors.
         field = self.field
         out = GradedElement(field)
-        dgen = self._dgen_map()
         pre = 0
         for idx, (name, e) in enumerate(key.powers):
             d = self.gens[name]
-            dg = dgen.get(name)
+            dg = self._dgen.get(name)
             if dg is not None and not dg.is_zero():
                 sgn = field.neg(field.one) if pre % 2 else field.one
                 prefix = key.powers[:idx]
@@ -806,18 +801,15 @@ class FreeGcDga(Dga):
 
 def free_dga_endo(A, scale):
     """The endomorphism of a FreeDga scaling every generator by `scale`."""
+    f = A.field
 
-    def fmap(x):
-        f = A.field
-        out = GradedElement(f)
-        for k, c in x.terms.items():
-            factor = f.one
-            for _ in k.letters:
-                factor = f.mul(factor, f.of(scale))
-            out.add_in(GradedElement.single(f, k), f.mul(c, factor))
-        return out
+    def key_image(k):
+        factor = f.one
+        for _ in k.letters:
+            factor = f.mul(factor, f.of(scale))
+        return GradedElement.single(f, k, factor)
 
-    return fmap
+    return lambda x: x.map_keys(key_image)
 
 
 def gc_algebra_map(A, B, images):
@@ -827,19 +819,16 @@ def gc_algebra_map(A, B, images):
         if not img.is_zero() and img.degree() != A.gens[name]:
             raise ValueError(f"image of {name} has wrong degree")
 
-    def fmap(x):
-        out = GradedElement(B.field)
-        for key, c in x.terms.items():
-            factors = []
-            for name, e in key.powers:
-                img = images.get(name)
-                if img is None:
-                    raise KeyError(f"no image for generator {name}")
-                factors.extend([img] * e)
-            out.add_in(B.mul_many(factors), c)
-        return out
+    def key_image(key):
+        factors = []
+        for name, e in key.powers:
+            img = images.get(name)
+            if img is None:
+                raise KeyError(f"no image for generator {name}")
+            factors.extend([img] * e)
+        return B.mul_many(factors)
 
-    return fmap
+    return lambda x: x.map_keys(key_image)
 
 
 def polynomial_dga(field, gens):

@@ -16,13 +16,13 @@ import random
 from .graded import GradedElement, Tensor, tensor_elements
 from .linalg import StructuralError
 from .dg import (CheckReport, FreeGcDga, polynomial_dga, PolynomialCoalgebra,
-                 ExteriorCoalgebra, TensorDgc, check_d_squared,
-                 preserves_coproduct)
+                 ExteriorCoalgebra, TensorDgc, check_chain_map,
+                 check_d_squared, preserves_coproduct)
 from .simplicial import (Cochain, zero_cochain, coboundary, cup, cup_many,
                          CochainHga, ChainsDgc, partial_diagonal,
                          q_operation, e_surjection, f_surjection,
                          interval_cut, group_action_on_chains,
-                         pontryagin_product, ConstantFreeAbelian)
+                         ConstantFreeAbelian)
 from .classifying import wbar_group, total_space
 from .hga import gm_repeated_cup1
 
@@ -48,9 +48,6 @@ class KoszulComplex(TensorDgc):
     def key(self, xs, alpha):
         return Tensor((self.L.monomial([(f"x{i}", 1) for i in xs]),
                        self.S.key(tuple(alpha))))
-
-    def one(self):
-        return self.key([], (0,) * self.rank)
 
     def diff_key(self, key):
         lk, sk = key.parts
@@ -106,13 +103,9 @@ class TorusFormality:
             return self.T.chain(0, self.T.one(0))
         out = self.loops[names[0]]
         for i in names[1:]:
-            out = pontryagin_product(self.T, out, self.loops[i])
-        return out
-
-    def phi_elem(self, x):
-        out = GradedElement(self.field)
-        for k, c in x.terms.items():
-            out.add_in(self.phi(k), c)
+            # the Pontryagin product: T acting on itself
+            out = group_action_on_chains(self.T, self.T, self.T.mul, out,
+                                         self.loops[i])
         return out
 
     # -- F: K -> C(ET) ----------------------------------------------------
@@ -131,26 +124,19 @@ class TorusFormality:
         elif not sk.powers:
             val = self.E.chain(0, self.E.basepoint())
         else:
-            val = GradedElement(self.field)
-            dk = self.K.diff_key(key)
-            for k2, c2 in dk.terms.items():
-                val.add_in(self.E.s_chain(self.F_key(k2)), c2)
+            val = self.K.diff_key(key).map_keys(
+                lambda k2: self.E.s_chain(self.F_key(k2)))
         self._F_memo[key] = val
         return val
-
-    def F(self, x):
-        return x.map_keys(self.F_key)
 
     # -- f: S -> C(BT) and the formality morphism f* ----------------------
     def f_key(self, skey):
         got = self._f_memo.get(skey)
         if got is not None:
             return got
-        val = GradedElement(self.field)
         chain = self.F_key(Tensor((self.K.L.unit_key, skey)))
-        for k, c in chain.terms.items():
-            data = self.E.projection(k.degree, k.data)
-            val.add_in(self.BT.chain(k.degree, data), c)
+        val = chain.map_keys(lambda k: self.BT.chain(
+            k.degree, self.E.projection(k.degree, k.data)))
         self._f_memo[skey] = val
         return val
 
@@ -245,13 +231,10 @@ class TorusFormality:
 
     # -- structural checks -------------------------------------------------
     def check_chain_map(self, bound):
-        rep = CheckReport("F chain map")
-        for d in range(0, bound + 1):
-            for k in self.K.basis(d):
-                lhs = self.E.boundary(self.F_key(k))
-                rhs = self.F(self.K.d(GradedElement.single(self.field, k)))
-                rep.record(lhs == rhs, k)
-        return rep
+        """F d_K = d F, exactly, on Koszul keys <= bound."""
+        keys = [k for d in range(0, bound + 1) for k in self.K.basis(d)]
+        return check_chain_map(self.F_key, self.K, ChainsDgc(self.E), keys,
+                               "F chain map")
 
     def check_coalgebra_map(self, bound):
         """Delta F = (F (x) F) Delta, exactly, on Koszul keys <= bound."""
@@ -294,12 +277,14 @@ class TorusFormality:
             basis.extend(self.K.L.basis(d))
         for k in basis:
             e = GradedElement.single(self.field, k)
-            rep.record(self.T.boundary(self.phi_elem(e)).is_zero(), ("cycle", k))
+            rep.record(self.T.boundary(e.map_keys(self.phi)).is_zero(),
+                       ("cycle", k))
         for _ in range(6):
             k1 = rng.choice(basis)
             k2 = rng.choice(basis)
-            lhs = self.phi_elem(self.K.L.mul_keys(k1, k2))
-            rhs = pontryagin_product(self.T, self.phi(k1), self.phi(k2))
+            lhs = self.K.L.mul_keys(k1, k2).map_keys(self.phi)
+            rhs = group_action_on_chains(self.T, self.T, self.T.mul,
+                                         self.phi(k1), self.phi(k2))
             rep.record(lhs == rhs, ("mult", k1, k2))
         CT = ChainsDgc(self.T)
         for k in basis:
@@ -526,19 +511,6 @@ class TorusFormality:
                 cup(b, self.hga.cup2(c, a)))
             rep.record(self.f_star(lhs2) == self.f_star(rhs2),
                        ("right derivation",))
-        return rep
-
-    def g12_dimension_fact(self):
-        """Every term of AW_{g12} has first factor of dimension >= 3; its
-        transpose therefore kills cochains of degree <= 2 in the first
-        slot.  Checked on standard simplices via naturality."""
-        from .simplicial import G12, standard_simplex
-        rep = CheckReport("g12 first-factor dimension")
-        for n in (3, 4, 5):
-            X = standard_simplex(self.field, n)
-            key = X.key(n, tuple(range(n + 1)))
-            for c, factors in interval_cut(G12, key):
-                rep.record(factors[0].degree >= 3, (n,))
         return rep
 
 

@@ -10,7 +10,8 @@ rule on keys.  `expand` is the one multilinear expansion: x (x) y
 (`tensor_elements`), bilinear extensions of a rule on key pairs
 (`bilinear`: products, shuffles), bar words and the components of shm
 families all pick their pure terms through it and add whatever Koszul
-signs they need themselves.
+signs they need themselves.  `suspension_exponent` is the one
+desuspension sign of bar words, twisting families and braces.
 """
 
 
@@ -269,6 +270,22 @@ def transpose_tensor(elem):
 def parity_sign(field, exponent):
     """(-1)^exponent in the field."""
     return field.neg(field.one) if exponent % 2 else field.one
+
+
+def suspension_exponent(degrees):
+    """sum (n-1-i) d_i over the degrees d_0, ..., d_{n-1} of n entries: the
+    desuspension sign exponent for assembling [a_1|...|a_n] from values.
+
+    This is the plain protocol sum (n-i) deg a_i: each desuspension crosses
+    the not-yet-desuspended entries to its left.  With the standard tensor
+    bar differential and the unsigned deconcatenation coproduct this is
+    the unique convention under which the displayed twisting-family
+    identities hold.  It differs from the alternative sum (n-i)(deg a_i - 1)
+    by the global word-length twist n(n-1)/2.  Taken on (a, b_1, ..., b_l)
+    it is the brace exponent l|a| + sum (l-m)|b_m|.
+    """
+    n = len(degrees)
+    return sum((n - 1 - i) * d for i, d in enumerate(degrees))
 
 
 def prefix_degrees(elems):

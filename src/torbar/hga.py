@@ -11,7 +11,7 @@ constructions over an hga morphism carry the Kadeishvili-Saneblidze dga
 structure.
 """
 from .graded import (GradedElement, LinearMap, Tensor, bilinear, parity_sign,
-                     prefix_degrees, tensor_elements)
+                     prefix_degrees, suspension_exponent, tensor_elements)
 from .dg import (CheckReport, TwistingCochain, TensorDgc, ExteriorCoalgebra,
                  TwistedTensor)
 from .bar import BarWord, dgc_map_from_cochain
@@ -207,10 +207,9 @@ def hom_defect_dF(inst, as_, bs):
     return lhs - (A + B.scale(parity_sign(field, k)))
 
 
-def check_hga(inst, sampler, ks=(1, 2, 3), comp_pairs=((1, 1), (1, 2), (2, 1)),
-              name=None):
+def check_hga(inst, sampler, ks=(1, 2, 3), comp_pairs=((1, 1), (1, 2), (2, 1))):
     """The three hga axiom families on sampled argument tuples."""
-    rep = CheckReport(name or f"hga axioms for {inst.name}")
+    rep = CheckReport(f"hga axioms for {inst.name}")
     for k in ks:
         for args in sampler(k + 1):
             rep.record(hom_defect_dE(inst, args[0], args[1:]).is_zero(),
@@ -227,9 +226,8 @@ def check_hga(inst, sampler, ks=(1, 2, 3), comp_pairs=((1, 1), (1, 2), (2, 1)),
     return rep
 
 
-def check_extended(inst, sampler, pairs=((1, 1), (1, 2), (2, 1), (2, 2)),
-                   name=None):
-    rep = CheckReport(name or f"extended hga axioms for {inst.name}")
+def check_extended(inst, sampler, pairs=((1, 1), (1, 2), (2, 1), (2, 2))):
+    rep = CheckReport(f"extended hga axioms for {inst.name}")
     for k, l in pairs:
         for args in sampler(k + l):
             rep.record(hom_defect_dF(inst, args[:k], args[k:]).is_zero(),
@@ -237,10 +235,10 @@ def check_extended(inst, sampler, pairs=((1, 1), (1, 2), (2, 1), (2, 2)),
     return rep
 
 
-def check_cup_identities(inst, sampler, name=None):
+def check_cup_identities(inst, sampler):
     """d(u1) commutator identity, Hirsch formula, and d(u2)."""
     field = inst.field
-    rep = CheckReport(name or "cup-one/cup-two identities")
+    rep = CheckReport("cup-one/cup-two identities")
     minus = field.neg(field.one)
 
     def cup1(x, y):
@@ -294,12 +292,20 @@ def bracket_vanishing_witness(inst, a, b):
 # The bar dg-bialgebra of an hga and the Kadeishvili-Saneblidze product
 # ---------------------------------------------------------------------------
 
+def braced_E(hga, a, bs):
+    """(-1)^eps E_l(a; b_1, ..., b_l), eps the suspension exponent of
+    (a, b_1, ..., b_l), that is l|a| + sum (l-m)|b_m| (the brace
+    dictionary).  A zero argument counts as degree 0: E_l vanishes on it.
+    """
+    eps = suspension_exponent([_deg(x) for x in [a, *bs]])
+    return hga.E(len(bs), a, bs).scale(parity_sign(hga.field, eps))
+
+
 def bar_e_cochain(hga, barA):
     """The twisting cochain EE: B A (x) B A -> A of the hga product.
 
     EE([a]|x 1) = a, EE(1 (x) [b]) = b,
-    EE([a] (x) [b_1|..|b_l]) = (-1)^eps E_l(a; b_.),
-    eps = l |a| + sum (l-m)|b_m| (the brace dictionary), zero otherwise.
+    EE([a] (x) [b_1|..|b_l]) = `braced_E`(a; b_.), zero otherwise.
     """
     field = hga.field
     source = TensorDgc(barA, barA)
@@ -312,12 +318,9 @@ def bar_e_cochain(hga, barA):
         if k == 0 and l == 1:
             return GradedElement.single(field, w2.entries[0])
         if k == 1 and l >= 1:
-            a = GradedElement.single(field, w1.entries[0])
-            bs = [GradedElement.single(field, e) for e in w2.entries]
-            dega = w1.entries[0].degree
-            eps = l * dega + sum((l - m - 1) * w2.entries[m].degree
-                                 for m in range(l))
-            return hga.E(l, a, bs).scale(parity_sign(field, eps))
+            return braced_E(hga, GradedElement.single(field, w1.entries[0]),
+                            [GradedElement.single(field, e)
+                             for e in w2.entries])
         return GradedElement(field)
 
     return TwistingCochain(source, hga.dga,
@@ -362,19 +365,14 @@ class KSAlgebra:
 
     def frak_e(self, a_elem, entries):
         """frakE(a; [b_{m+1}..b_l]) with entries pushed into the coefficients."""
-        coef = self.coef_hga
-        field = self.field
-        l = len(entries)
-        if l == 0:
+        if not entries:
             return a_elem
-        abar = coef.dga.reduced(a_elem)
-        bs = [self.push(GradedElement.single(field, e)) for e in entries]
-        dega = abar.degree()
-        if dega is None:
-            return coef.dga.zero()
-        eps = l * dega + sum((l - m - 1) * entries[m].degree
-                             for m in range(l))
-        return coef.E(l, abar, bs).scale(parity_sign(field, eps))
+        abar = self.coef_hga.dga.reduced(a_elem)
+        if abar.is_zero():
+            return abar
+        return braced_E(self.coef_hga, abar,
+                        [self.push(GradedElement.single(self.field, e))
+                         for e in entries])
 
     def unit(self):
         return self.osb.element(BarWord(()), self.coef_hga.dga.unit_key)
@@ -404,10 +402,10 @@ class KSAlgebra:
     def product(self, x, y):
         return bilinear(self.field, self.product_keys, x, y)
 
-    def check_dga(self, keys, name="KS product"):
+    def check_dga(self, keys):
         """Associativity, unit, derivation property on the given keys."""
         field = self.field
-        rep = CheckReport(name)
+        rep = CheckReport("KS product")
         unit = self.unit()
         for k in keys:
             e = GradedElement.single(field, k)
@@ -424,9 +422,9 @@ class KSAlgebra:
                 rep.record(lhs == rhs, ("derivation", k1, k2))
         return rep
 
-    def check_associativity(self, triples, name="KS associativity"):
+    def check_associativity(self, triples):
         field = self.field
-        rep = CheckReport(name)
+        rep = CheckReport("KS associativity")
         for k1, k2, k3 in triples:
             e1, e2, e3 = (GradedElement.single(field, k) for k in (k1, k2, k3))
             lhs = self.product(self.product(e1, e2), e3)

@@ -161,18 +161,10 @@ def tor_koszul_oracle(field, base_spec, fiber_spec, map_spec, max_total):
     Btmp = polynomial_dga(field, B_gens)
     Atmp = base_spec.build(field)
     fmap = map_spec.build(Atmp, Btmp)
-    R2 = FreeGcDga(field, B_gens + s_gens)
-
-    def embed(x):
-        out = GradedElement(field)
-        for k, c in x.terms.items():
-            out.add_in(GradedElement.single(field, R2.monomial(k.powers)), c)
-        return out
-
-    R2._dgen = {}
-    for name, d in base_spec.gens:
-        img = fmap(GradedElement.single(field, Atmp.monomial([(name, 1)])))
-        R2._dgen[f"s_{name}"] = embed(img)
+    d_gen = {f"s_{name}": [(c, k.powers) for k, c
+                           in fmap(Atmp.generator(name)).terms.items()]
+             for name, _ in base_spec.gens}
+    R2 = FreeGcDga(field, B_gens + s_gens, d_gen)
 
     def bigrade(key):
         k = sum(e for n, e in key.powers if n.startswith("s_"))

@@ -6,28 +6,14 @@ bar-level dgc maps are derived views, and composition is performed at the
 cochain level (g o f = g . Bf), which keeps all signs inside the two
 conversions between families and cochains: `_cochain_rule` (family to
 cochain, for families and homotopy families alike) and `_add_word_values`
-(cochain to family).  The displayed component formulas are implemented
-separately and used as cross-checks in the test suite.
+(cochain to family).  Both take their sign from
+`graded.suspension_exponent`.  The displayed component formulas are
+implemented separately and used as cross-checks in the test suite.
 """
 from .graded import (GradedElement, LinearMap, expand, parity_sign,
-                     prefix_degrees)
+                     prefix_degrees, suspension_exponent, tensor_elements)
 from .dg import CheckReport, TwistingCochain, HomAlgebra
 from .bar import BarDgc, BarWord, dgc_map_from_cochain
-
-
-def suspension_sign_exponent(keys):
-    """Desuspension sign for assembling [a_1|...|a_n] from values.
-
-    We use the plain protocol sum (n-i) deg a_i: each desuspension crosses
-    the not-yet-desuspended entries to its left.  With the standard tensor
-    bar differential and the unsigned deconcatenation coproduct this is
-    the unique convention under which the displayed twisting-family
-    identities hold; it matches the brace dictionary of the hga module and
-    differs from the alternative sum (n-i)(deg a_i - 1) by the global
-    word-length twist n(n-1)/2.
-    """
-    n = len(keys)
-    return sum((n - 1 - i) * keys[i].degree for i in range(n))
 
 
 def _add_word_values(out, A, t, args):
@@ -35,7 +21,7 @@ def _add_word_values(out, A, t, args):
     pure terms of the reduced arguments with each word's suspension sign."""
     field = A.field
     for keys, c in expand(field, (A.reduced(a) for a in args)):
-        eps = suspension_sign_exponent(keys)
+        eps = suspension_exponent([k.degree for k in keys])
         out.add_in(t(BarWord(keys)), field.mul(c, parity_sign(field, eps)))
     return out
 
@@ -47,7 +33,7 @@ def _cochain_rule(fam):
     field = fam.A.field
 
     def rule(key):
-        eps = suspension_sign_exponent(key.entries)
+        eps = suspension_exponent([k.degree for k in key.entries])
         args = [GradedElement.single(field, k) for k in key.entries]
         return fam(key.length, args).scale(parity_sign(field, eps))
 
@@ -187,12 +173,8 @@ class TwistingHomotopyFamily:
 
         def rule(key):
             out = GradedElement(field)
-            n = 1
-            while True:
-                terms = barA.iterated_reduced_cop(key, n)
-                if not terms:
-                    break
-                for c, keys in terms:
+            for level in barA.reduced_cop_levels(key):
+                for c, keys in level:
                     pre = 0
                     for i in range(len(keys)):
                         vals = [tf(k) for k in keys[:i]]
@@ -204,7 +186,6 @@ class TwistingHomotopyFamily:
                         out.add_in(w, field.mul(
                             c, parity_sign(field, pre + 1)))
                         pre += keys[i].degree
-                n += 1
             return out
 
         return LinearMap(field, -1, rule, name=f"B<{self.name}>")
@@ -218,14 +199,14 @@ class TwistingHomotopyFamily:
             barA, self.B, rule, self.source, other.target,
             name=name or f"{self.name}u{other.name}")
 
-    def inverse(self, name=None):
+    def inverse(self):
         """The geometric-series inverse, a homotopy target ~ source."""
         barA = BarDgc(self.A)
         hom = HomAlgebra(barA, self.B)
         inv = hom.geometric_inverse(self.to_cochain(barA).map)
         return TwistingHomotopyFamily.from_cochain(
             barA, self.B, inv, self.target, self.source,
-            name=name or f"{self.name}^-1")
+            name=f"{self.name}^-1")
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +238,8 @@ def family_defect(f, args):
     return lhs - rhs
 
 
-def check_family(f, sampler, ns=(1, 2, 3, 4), name=None):
-    rep = CheckReport(name or f"family axiom for {f.name}")
+def check_family(f, sampler, ns=(1, 2, 3, 4)):
+    rep = CheckReport(f"family axiom for {f.name}")
     for n in ns:
         for args in sampler(n):
             rep.record(family_defect(f, list(args)).is_zero(), (n, args))
@@ -302,8 +283,8 @@ def homotopy_family_defect(h, args):
     return lhs - rhs
 
 
-def check_homotopy_family(h, sampler, ns=(1, 2, 3, 4), name=None):
-    rep = CheckReport(name or f"homotopy family axiom for {h.name}")
+def check_homotopy_family(h, sampler, ns=(1, 2, 3, 4)):
+    rep = CheckReport(f"homotopy family axiom for {h.name}")
     for n in ns:
         for args in sampler(n):
             rep.record(homotopy_family_defect(h, list(args)).is_zero(),
@@ -363,7 +344,7 @@ def _compositions(total):
             yield (first,) + rest
 
 
-def compose_homotopy_map(h, m, name=None):
+def compose_homotopy_map(h, m):
     """h o m for an shm homotopy h and an shm map m (precomposition)."""
     barA = BarDgc(m.A)
     barB = BarDgc(m.B)
@@ -372,10 +353,10 @@ def compose_homotopy_map(h, m, name=None):
     rule = hc.map @ bm
     return TwistingHomotopyFamily.from_cochain(
         barA, h.B, rule, compose(h.source, m), compose(h.target, m),
-        name=name or f"{h.name}o{m.name}")
+        name=f"{h.name}o{m.name}")
 
 
-def compose_map_homotopy(m, h, name=None):
+def compose_map_homotopy(m, h):
     """m o h for an shm map m and an shm homotopy h (postcomposition).
 
     The twisting homotopy of a coalgebra homotopy K is unit - t o K in our
@@ -388,7 +369,7 @@ def compose_map_homotopy(m, h, name=None):
     rule = HomAlgebra(barA, m.B).unit() - tm.map @ H
     return TwistingHomotopyFamily.from_cochain(
         barA, m.B, rule, compose(m, h.source), compose(m, h.target),
-        name=name or f"{m.name}o{h.name}")
+        name=f"{m.name}o{h.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +420,7 @@ def tensor_with_strict(f, gmap, T_source, T_target, side="right", name=None):
                           name=name or f"{f.name}(x)strict")
 
 
-def tensor_shm(f, g, T_source, T_target, name=None):
+def tensor_shm(f, g, T_source, T_target):
     """f (x) g := (f (x) 1) o (1 (x) g) for twisting families f, g."""
     from .dg import TensorDga
     mid = TensorDga(f.A, g.B)
@@ -447,7 +428,7 @@ def tensor_shm(f, g, T_source, T_target, name=None):
                               name=f"{f.name}(x)1")
     right = tensor_with_strict(g, lambda x: x, T_source, mid, side="left",
                                name=f"1(x){g.name}")
-    return compose(left, right, name=name or f"{f.name}(x){g.name}")
+    return compose(left, right, name=f"{f.name}(x){g.name}")
 
 
 def tensor_shm_other_order(f, g, T_source, T_target):
@@ -459,7 +440,7 @@ def tensor_shm_other_order(f, g, T_source, T_target):
     return compose(left, right)
 
 
-def tensor_homotopy(f, g, T_source, T_target, name=None):
+def tensor_homotopy(f, g, T_source, T_target):
     """The explicit homotopy from (1 (x) g) o (f (x) 1) to (f (x) 1) o (1 (x) g).
 
     h_(0) = eta (x) eta and for n >= 1
@@ -550,7 +531,7 @@ def tensor_homotopy(f, g, T_source, T_target, name=None):
     target = tensor_shm(f, g, T_source, T_target)
     return TwistingHomotopyFamily(T_source, T_target, component,
                                   source, target,
-                                  name=name or f"h({f.name},{g.name})")
+                                  name=f"h({f.name},{g.name})")
 
 
 def _hn_index_set(n):
@@ -571,64 +552,47 @@ def hn_summand_count(n):
 # Gamma: transporting one-sided bar constructions along shm maps
 # ---------------------------------------------------------------------------
 
-def compose_family_cochain(g, t, barA, name=None):
+def compose_family_cochain(g, t, barA):
     """The twisting cochain g o t: B A -> B' for a family g: B => B' and a
     twisting cochain t: B A -> B (composition through B t)."""
     barB = BarDgc(g.A)
     bt = dgc_map_from_cochain(t, barB)
     tg = g.to_cochain(barB)
-    return TwistingCochain(barA, g.B, tg.map @ bt,
-                           name=name or f"{g.name}o{t.name}")
+    return TwistingCochain(barA, g.B, tg.map @ bt, name=f"{g.name}o{t.name}")
 
 
-def gamma(g, osb_source, push=None):
+def gamma(g, osb_source):
     """Gamma_g: B A (x)_t B -> B A (x)_{g o t} B' for an shm map g: B => B'.
 
     Gamma([a_1|..|a_k] (x) b) = sum_m [a_1|..|a_m] (x)
         frak_g([a_{m+1}|..|a_k] (x) b),
-    where frak_g pushes word entries into B (via `push`, the structure map
-    of the twisted tensor; identity by default) and feeds the word extended
-    by b into the family of g.  Returns (map, target one-sided bar).
+    where frak_g feeds the word extended by b into the family of g, its
+    entries taken unpushed.  Returns (map, target one-sided bar).
     """
     from .bar import OneSidedBar
     field = osb_source.field
     barA = osb_source.barA
-    push = push or (lambda x: x)
     t_target = compose_family_cochain(g, osb_source.t, barA)
     osb_target = OneSidedBar(osb_source.base, g.B, twisting=t_target,
                              barA=barA)
 
     def frak_g(entries, bkey):
         # (1^{(x)k} (x) s^{-1}) then the family of g; the desuspension
-        # passes the word, and entries enter through `push`.
+        # passes the word, then the suspension sign of the extended word
+        # [entries|b]
         wdeg = sum(e.degree - 1 for e in entries)
-        n = len(entries) + 1
-        # suspension protocol sign for the extended word [entries|b]; the
-        # final slot contributes (n - n)|b| = 0
-        eps = sum((n - 1 - i) * entries[i].degree
-                  for i in range(len(entries)))
-        args = [push(GradedElement.single(field, e)) for e in entries]
-        args.append(GradedElement.single(field, bkey))
-        return g(n, args).scale(parity_sign(field, wdeg + eps))
+        keys = entries + (bkey,)
+        eps = suspension_exponent([k.degree for k in keys])
+        args = [GradedElement.single(field, k) for k in keys]
+        return g(len(keys), args).scale(parity_sign(field, wdeg + eps))
 
     def rule(key):
         w, bkey = key.parts
         out = GradedElement(field)
-        k = w.length
-        for m in range(0, k + 1):
-            head = BarWord(w.entries[:m])
-            val = frak_g(w.entries[m:], bkey)
-            for kb, cb in val.terms.items():
-                out.add_in(GradedElement.single(
-                    field, osb_target.key(head, kb)), cb)
+        for m in range(0, w.length + 1):
+            head = GradedElement.single(field, BarWord(w.entries[:m]))
+            out.add_in(tensor_elements(field, head,
+                                       frak_g(w.entries[m:], bkey)))
         return out
 
     return LinearMap(field, 0, rule, name=f"Gamma_{g.name}"), osb_target
-
-
-def check_chain_map(phi, source_d, target_d, keys, name="chain map"):
-    rep = CheckReport(name)
-    for k in keys:
-        e = GradedElement.single(phi.field, k)
-        rep.record(phi.of(source_d(e)) == target_d(phi.of(e)), k)
-    return rep

@@ -34,7 +34,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 from .dg import Dga, Dgc
-from .graded import GradedElement, Tensor, bilinear, tensor_elements
+from .graded import (GradedElement, Tensor, bilinear, parity_sign,
+                     suspension_exponent, tensor_elements)
 from .linalg import homology, StructuralError
 
 
@@ -767,17 +768,19 @@ class CochainHga:
         """a u_2 b = -F_11(a;b) = -(AW(2,1,2,1))^T(a;b)."""
         return self.F(1, 1, [a], [b]).neg()
 
-    def braces(self, a, bs):
-        """Voronov braces a{b_1,...,b_k} = (-1)^eps E_k(a;b_bullet),
-        eps = k deg a + sum (k-m) deg b_m."""
-        k = len(bs)
-        e = k * a.degree + sum((k - m - 1) * bs[m].degree for m in range(k))
-        return self.E(k, a, bs).scale(self.field.of((-1) ** (e % 2)))
+    def _brace_sign(self, a, bs):
+        """(-1)^eps, eps = k deg a + sum (k-m) deg b_m, the suspension
+        exponent of (a, b_1, ..., b_k)."""
+        eps = suspension_exponent([x.degree for x in [a, *bs]])
+        return parity_sign(self.field, eps)
 
-    def braces_to_E(self, k, brace_fn, a, bs):
+    def braces(self, a, bs):
+        """Voronov braces a{b_1,...,b_k} = (-1)^eps E_k(a;b_bullet)."""
+        return self.E(len(bs), a, bs).scale(self._brace_sign(a, bs))
+
+    def braces_to_E(self, brace_fn, a, bs):
         """Inverse dictionary: recover E_k from a braces-style operation."""
-        e = k * a.degree + sum((k - m - 1) * bs[m].degree for m in range(k))
-        return brace_fn(a, bs).scale(self.field.of((-1) ** (e % 2)))
+        return brace_fn(a, bs).scale(self._brace_sign(a, bs))
 
 
 def q_operation(key, k, l, pi, base_space):
@@ -968,28 +971,11 @@ def loop_shuffle_action(G, X, action, gdata, key):
     return out
 
 
-def pontryagin_product(G, xe, ye):
-    """The product on C(G): shuffle into C(G x G) then multiply."""
-    prod = ProductSpace(G, G)
-    field = G.field
-    out = GradedElement(field)
-    sh = shuffle_elements(xe, ye, prod)
-    for k, c in sh.terms.items():
-        x, y = k.data
-        out.add_in(G.chain(k.degree, G.mul(k.degree, x, y)), c)
-    return out
-
-
 def group_action_on_chains(G, X, action, ge, xe):
-    """a * c for chains a on G and c on a G-space X (shuffle then act)."""
-    prod = ProductSpace(G, X)
-    field = X.field
-    out = GradedElement(field)
-    sh = shuffle_elements(ge, xe, prod)
-    for k, c in sh.terms.items():
-        g, x = k.data
-        out.add_in(X.chain(k.degree, action(k.degree, g, x)), c)
-    return out
+    """a * c for chains a on G and c on a G-space X (shuffle then act).
+    With X = G acting by `G.mul` this is the Pontryagin product on C(G)."""
+    return shuffle_elements(ge, xe, ProductSpace(G, X)).map_keys(
+        lambda k: X.chain(k.degree, action(k.degree, *k.data)))
 
 
 # ---------------------------------------------------------------------------

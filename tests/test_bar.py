@@ -4,9 +4,10 @@ import pytest
 
 from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement, LinearMap, Tensor, transpose_tensor
-from torbar.dg import (FreeDga, FreeGcDga, TensorDga, TensorDgc,
-                       polynomial_dga, gc_algebra_map, gauge_transform,
-                       random_gauge_rule, check_d_squared)
+from torbar.dg import (Dgc, FreeDga, FreeGcDga, Monomial, TensorDga,
+                       TensorDgc, TwistingCochain, polynomial_dga,
+                       gc_algebra_map, gauge_transform, random_gauge_rule,
+                       check_d_squared)
 from torbar.bar import (BarDgc, BarWord, universal_cochain,
                         dgc_map_from_cochain, check_dgc_map, bar_shuffle,
                         OneSidedBar, tor_additive)
@@ -42,6 +43,64 @@ def test_bar_dgc_axioms_and_cocompleteness():
     # cocompleteness: nilpotence degree is word length + 1
     w = BarWord((A.word(["a"]), A.word(["b"]), A.word(["a"])))
     assert barA.nilpotence_degree(w) == 4
+
+
+def _levels_by_first_slot(C, key):
+    """The reduced iterated coproducts of key built by expanding the first
+    slot, each level a GradedElement over Tensor keys."""
+    f = C.field
+    level = [] if key == C.coaug_key else [(f.one, (key,))]
+    levels = []
+    while level:
+        levels.append(GradedElement(f, [(Tensor(ks), c) for c, ks in level]))
+        level = [(f.mul(c, c2), (k1, k2) + ks[1:])
+                 for c, ks in level for c2, k1, k2 in C.cop_key(ks[0])
+                 if C.coaug_key not in (k1, k2)]
+    return levels
+
+
+def test_reduced_cop_levels_agree_with_the_first_slot_route():
+    # reduced_cop_levels expands the last slot; coassociativity makes the
+    # first-slot route give the same levels, signs included on B A (x) B A
+    A = FreeDga(QQ, [("a", 2), ("b", 3)], d_gen={"b": [(1, ["a", "a"])]})
+    barA = BarDgc(A)
+    BB = TensorDgc(barA, barA)
+    longest = 0
+    for C, top in ((barA, 6), (BB, 4)):
+        for key in [k for d in range(top + 1) for k in C.basis(d)]:
+            levels = [GradedElement(QQ, [(Tensor(ks), c) for c, ks in level])
+                      for level in C.reduced_cop_levels(key)]
+            assert levels == _levels_by_first_slot(C, key), key
+            assert C.nilpotence_degree(key) == len(levels) + 1
+            longest = max(longest, len(levels))
+    assert longest >= 4
+
+
+class _NotConilpotent(Dgc):
+    """Declares itself cocomplete, but its key x has reduced coproduct
+    x (x) x, so no iterated coproduct of x vanishes."""
+
+    coaug_key = Monomial((), 0)
+    x = Monomial((("x", 1),), 0)
+
+    def diff_key(self, key):
+        return GradedElement(self.field)
+
+    def cop_key(self, key):
+        one, u = self.field.one, self.coaug_key
+        if key == u:
+            return [(one, u, u)]
+        return [(one, u, key), (one, key, u), (one, key, key)]
+
+
+def test_dgc_map_from_cochain_raises_on_a_key_that_is_not_conilpotent():
+    C = _NotConilpotent(QQ)
+    A = FreeDga(QQ, [("a", 2)])
+    t = TwistingCochain(C, A, lambda key: GradedElement(QQ))
+    with pytest.raises(StructuralError, match="key x not conilpotent up to 60"):
+        dgc_map_from_cochain(t)(C.x)
+    with pytest.raises(StructuralError, match="key x not conilpotent"):
+        C.nilpotence_degree(C.x)
 
 
 def test_dgc_map_fixed_point():

@@ -46,7 +46,7 @@ def test_f_is_equivariant_dgc_chain_map_rank1():
     fo.check_s_identities(6).raise_on_failure()
     # recursion anchors: F(1) = e0, F(y) = S F(x . 1)
     e0 = fo.E.chain(0, fo.E.basepoint())
-    assert fo.F_key(fo.K.one()) == e0
+    assert fo.F_key(fo.K.coaug_key) == e0
     k_x = Tensor((fo.K.L.monomial([("x0", 1)]), fo.K.S.key((0,))))
     k_y = Tensor((fo.K.L.unit_key, fo.K.S.key((1,))))
     assert fo.F_key(k_y) == fo.E.s_chain(fo.F_key(k_x))
@@ -159,11 +159,6 @@ def test_kernel_ideal_suite():
     fo2 = TorusFormality(F2, 1)
     fo2.kernel_ideal_suite(rng, 4, samples=3,
                            any_field_variant=True).raise_on_failure()
-
-
-def test_g12_dimension_argument():
-    fo = TorusFormality(QQ, 1)
-    fo.g12_dimension_fact().raise_on_failure()
 
 
 def test_naturality_of_operations_under_torus_inclusion():

@@ -5,14 +5,15 @@ import pytest
 from torbar.fields import QQ, F5
 from torbar.graded import GradedElement, LinearMap
 from torbar.dg import (FreeDga, TensorDga, HomAlgebra, QuotientOracle,
-                       gauge_transform, random_gauge_rule, free_dga_endo)
+                       check_chain_map, gauge_transform, random_gauge_rule,
+                       free_dga_endo)
 from torbar.bar import BarDgc, BarWord, universal_cochain, dgc_map_from_cochain
 from torbar.shm import (TwistingFamily, TwistingHomotopyFamily, check_family,
                         check_homotopy_family, compose,
                         compose_component_formula, compose_map_homotopy,
                         compose_homotopy_map, tensor_with_strict, tensor_shm,
                         tensor_shm_other_order, tensor_homotopy,
-                        hn_summand_count, gamma, check_chain_map)
+                        hn_summand_count, gamma)
 
 
 def make_dga(field=QQ):
@@ -394,8 +395,8 @@ def test_gamma_strict_and_chain_map():
     # nonstrict g: chain map property, exactly
     g = gauge_family(A, rng, degrees=range(1, 8), name="g")
     gm2, tgt2 = gamma(g, osb)
-    check_chain_map(gm2, osb.d, tgt2.d, osb.basis_total(6) + osb.basis_total(7),
-                    name="Gamma chain map").raise_on_failure()
+    check_chain_map(gm2, osb, tgt2, osb.basis_total(6) + osb.basis_total(7),
+                    "Gamma chain map").raise_on_failure()
     # congruence to 1 (x) g_(1): components of the same word length agree,
     # the deformation terms having shorter words
     for kk in osb.basis_total(5):

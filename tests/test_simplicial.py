@@ -283,7 +283,7 @@ def test_braces_dictionary_roundtrip():
     a = rand_cochain(X, 2, rng)
     bs = [rand_cochain(X, 1, rng), rand_cochain(X, 2, rng)]
     br = H.braces(a, bs)
-    back = H.braces_to_E(2, lambda aa, bb: H.braces(aa, bb), a, bs)
+    back = H.braces_to_E(lambda aa, bb: H.braces(aa, bb), a, bs)
     ek = H.E(2, a, bs)
     deg = br.degree
     for x in X.nondegenerate(deg):

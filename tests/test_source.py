@@ -140,3 +140,36 @@ def test_one_owner_of_the_elimination_storage():
                   if isinstance(node, ast.Attribute)
                   and node.attr in ("echelon", "combos")]
     assert not found, found
+
+
+def _adds_with_loop_coefficient(node):
+    """True for a `for k, c in <x>.terms.items():` loop whose last
+    statement is `<y>.add_in(<value>, c)`."""
+    target = node.target
+    if not (_terms_loop(node) and isinstance(target, ast.Tuple)
+            and len(target.elts) == 2 and isinstance(target.elts[1], ast.Name)):
+        return False
+    last = node.body[-1]
+    call = last.value if isinstance(last, ast.Expr) else None
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "add_in" and len(call.args) == 2
+            and isinstance(call.args[1], ast.Name)
+            and call.args[1].id == target.elts[1].id)
+
+
+def test_no_hand_rolled_linear_extensions():
+    """A map applying a key rule linearly goes through
+    `GradedElement.map_keys`, the one loop that adds rule(k) scaled by
+    the coefficient of k."""
+    found = []
+    for path, tree in _trees("src/torbar"):
+        exempt = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "GradedElement":
+                exempt |= {id(n) for fn in cls.body
+                           if isinstance(fn, ast.FunctionDef)
+                           and fn.name == "map_keys" for n in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.For) and id(node) not in exempt
+                  and _adds_with_loop_coefficient(node)]
+    assert not found, found
