@@ -9,7 +9,7 @@ has degree sum(|a_i| - 1).
 """
 import json
 
-from .graded import GradedElement, LinearMap, Tensor, expand
+from .graded import GradedElement, LinearMap, Tensor, expand, parity_sign
 from .linalg import homology, ReducedSpace, StructuralError
 from .dg import (CheckReport, Dgc, TwistingCochain, TwistedTensor, TensorDgc,
                  commutes_with_d, preserves_coproduct, tensor_basis)
@@ -111,7 +111,7 @@ class BarDgc(Dgc):
         for i, a in enumerate(entries):
             da = A.diff_key(a)
             if not da.is_zero():
-                sgn = field.one if pre % 2 else field.neg(field.one)
+                sgn = parity_sign(field, pre + 1)
                 for k, c in da.terms.items():
                     if A.aug_key(k) != field.zero:
                         continue
@@ -122,7 +122,7 @@ class BarDgc(Dgc):
         pre = 0
         for i in range(len(entries) - 1):
             pre += entries[i].degree - 1
-            sgn = field.neg(field.one) if pre % 2 else field.one
+            sgn = parity_sign(field, pre)
             prod = A.reduced(A.mul_keys(entries[i], entries[i + 1]))
             for k, c in prod.terms.items():
                 w = BarWord(entries[:i] + (k,) + entries[i + 2:])

@@ -14,13 +14,23 @@ coproducts.  `check_d_squared` is the one d^2 = 0 check of a complex;
 commutes with the differentials.  `Dgc.reduced_cop_levels` is the one
 iterated reduced coproduct.
 
+Each sign rule is decided once.  `FreeGcDga.mul_keys` is the one Koszul
+sign of graded-commutative monomials, and `FreeGcCoalgebra` (the exterior
+coalgebra on odd generators, the divided-power coalgebra on even ones)
+is the graded dual of that monomial basis, its coproduct read off
+`mul_keys`.  The Leibniz check and the differential of Hom(C, A) go
+through `graded.d_operation`, and every (-1)^e through
+`graded.parity_sign`.
+
 The module also provides the convolution algebra Hom(C, A) with its cup
 product, twisting cochains and their homotopies, twisted tensor products,
 homotopy inverses via the geometric series, and quotient oracles used to
 certify ideal-triviality.
 """
-from .graded import (GradedElement, LinearMap, Tensor, bilinear, parity_sign,
-                     tensor_elements)
+from itertools import product
+
+from .graded import (GradedElement, LinearMap, Tensor, bilinear, d_operation,
+                     parity_sign, tensor_elements)
 from .linalg import StructuralError
 
 
@@ -99,7 +109,8 @@ class Dga:
         return out
 
     def check_axioms(self, degrees, rng, samples=10):
-        """Sampled d^2 = 0, Leibniz, associativity, unit and augmentation."""
+        """Sampled d^2 = 0, Leibniz (d of the product is zero),
+        associativity, unit and augmentation."""
         f = self.field
         for _ in range(samples):
             p = rng.choice(degrees)
@@ -108,11 +119,8 @@ class Dga:
             y = self.random_element(q, rng)
             if not self.d(self.d(x)).is_zero():
                 raise StructuralError(f"d^2 != 0 at {x!r}")
-            lhs = self.d(self.mul(x, y))
-            rhs = self.mul(self.d(x), y)
-            sgn = f.neg(f.one) if p % 2 else f.one
-            rhs = rhs + self.mul(x, self.d(y)).scale(sgn)
-            if lhs != rhs:
+            if not d_operation(lambda xs: self.mul(*xs), 0, self.d, self.d,
+                               [x, y]).is_zero():
                 raise StructuralError(f"Leibniz fails at {x!r}, {y!r}")
             z = self.random_element(rng.choice(degrees), rng)
             if self.mul(self.mul(x, y), z) != self.mul(x, self.mul(y, z)):
@@ -273,33 +281,29 @@ class HomAlgebra:
     def cup(self, f, g):
         """f u g = mu_A (f (x) g) Delta_C."""
         A, C, field = self.A, self.C, self.field
-        godd = g.degree % 2
 
         def rule(key):
             out = GradedElement(field)
             for c, k1, k2 in C.cop_key(key):
-                sign = -1 if (godd and k1.degree % 2) else 1
                 fa = f(k1)
                 if fa.is_zero():
                     continue
                 gb = g(k2)
                 if gb.is_zero():
                     continue
-                coeff = c if sign > 0 else field.neg(c)
-                out.add_in(A.mul(fa, gb), coeff)
+                out.add_in(A.mul(fa, gb), field.mul(
+                    c, parity_sign(field, g.degree * k1.degree)))
             return out
 
         return LinearMap(self.field, f.degree + g.degree, rule)
 
     def d(self, f):
-        """d(f) = d_A f - (-1)^{|f|} f d_C."""
+        """d(f) = d_A f - (-1)^{|f|} f d_C (`graded.d_operation`)."""
         A, C, field = self.A, self.C, self.field
-        sgn = field.neg(field.one) if f.degree % 2 == 0 else field.one
 
         def rule(key):
-            out = A.d(f(key))
-            out.add_in(f.of(C.d(GradedElement.single(field, key))), sgn)
-            return out
+            return d_operation(lambda xs: f.of(xs[0]), f.degree, C.d, A.d,
+                               [GradedElement.single(field, key)])
 
         return LinearMap(self.field, f.degree + self.A.ddeg, rule)
 
@@ -656,7 +660,7 @@ class FreeDga(Dga):
         for i, name in enumerate(key.letters):
             dg = self._dgen.get(name)
             if dg is not None and not dg.is_zero():
-                sgn = field.neg(field.one) if pre % 2 else field.one
+                sgn = parity_sign(field, pre)
                 left = key.letters[:i]
                 right = key.letters[i + 1:]
                 for k, c in dg.terms.items():
@@ -774,8 +778,7 @@ class FreeGcDga(Dga):
                 return GradedElement(field)
         items = tuple((n, merged[n]) for n in self.gens if n in merged)
         key = Monomial(items, k1.degree + k2.degree)
-        coeff = field.neg(field.one) if sign % 2 else field.one
-        return GradedElement.single(field, key, coeff)
+        return GradedElement.single(field, key, parity_sign(field, sign))
 
     def diff_key(self, key):
         # Leibniz: d(x^e) = e x^{e-1} dx for even x, e = 1 for odd x; the
@@ -787,7 +790,7 @@ class FreeGcDga(Dga):
             d = self.gens[name]
             dg = self._dgen.get(name)
             if dg is not None and not dg.is_zero():
-                sgn = field.neg(field.one) if pre % 2 else field.one
+                sgn = parity_sign(field, pre)
                 prefix = key.powers[:idx]
                 suffix = (((name, e - 1),) if e > 1 else ()) + key.powers[idx + 1:]
                 pm = Monomial(prefix, sum(self.gens[n] * ee for n, ee in prefix))
@@ -884,113 +887,37 @@ class TensorDga(Dga):
         return self.field.mul(self.A.aug_key(ka), self.B.aug_key(kb))
 
 
-class ExteriorCoalgebra(Dgc):
-    """The exterior coalgebra on odd-degree primitives; basis = subsets.
+class FreeGcCoalgebra(Dgc):
+    """The graded dual of `FreeGcDga`'s monomial basis, zero differential
+    of degree `ddeg`: the exterior coalgebra on odd generators, the
+    divided-power coalgebra on even ones.
 
-    Keys are Monomial instances with exponents one; the coproduct is the
-    sum over splittings with the shuffle Koszul sign.  Zero differential.
+    Keys are the monomials of `algebra`, the FreeGcDga on the same
+    generators.  Delta m sums c m' (x) m'' over the splittings of m's
+    exponents, c the coefficient of m in m' m'' (`FreeGcDga.mul_keys`):
+    the unshuffle Koszul sign on odd generators, one on even ones.
     """
 
-    def __init__(self, field, gens, ddeg=1):
+    def __init__(self, field, gens, ddeg):
         super().__init__(field)
-        self.gens = dict(gens)
-        if any(d % 2 == 0 for d in self.gens.values()):
-            raise ValueError("exterior coalgebra generators must be odd")
-        self.order = {n: i for i, n in enumerate(self.gens)}
+        self.algebra = FreeGcDga(field, gens)
         self.ddeg = ddeg
-        self.coaug_key = Monomial((), 0)
-
-    def key(self, names):
-        names = sorted(names, key=self.order.__getitem__)
-        return Monomial(tuple((n, 1) for n in names),
-                        sum(self.gens[n] for n in names))
-
-    def basis(self, degree=None):
-        from itertools import combinations
-        names = list(self.gens)
-        out = []
-        for r in range(len(names) + 1):
-            for comb in combinations(names, r):
-                k = self.key(list(comb))
-                if degree is None or k.degree == degree:
-                    out.append(k)
-        return out
-
-    def diff_key(self, key):
-        return GradedElement(self.field)
-
-    def cop_key(self, key):
-        names = [n for n, _ in key.powers]
-        out = []
-        for mask in range(1 << len(names)):
-            left = [names[i] for i in range(len(names)) if mask >> i & 1]
-            right = [names[i] for i in range(len(names)) if not mask >> i & 1]
-            # Koszul sign of unshuffling (all generators odd): parity of
-            # crossings between right elements preceding left elements
-            inv = 0
-            for i in range(len(names)):
-                for j in range(i + 1, len(names)):
-                    if (not mask >> i & 1) and (mask >> j & 1):
-                        inv += self.gens[names[i]] * self.gens[names[j]]
-            c = self.field.of((-1) ** (inv % 2))
-            out.append((c, self.key(left), self.key(right)))
-        return out
-
-
-class PolynomialCoalgebra(Dgc):
-    """The cocommutative coalgebra on even cogenerators y_i; the basis is
-    y_alpha for multi-indices alpha, Delta y_alpha = sum y_beta (x) y_gamma
-    over beta + gamma = alpha.  Zero differential."""
-
-    def __init__(self, field, gens, ddeg=-1):
-        super().__init__(field)
-        self.gens = list(gens)
-        if any(d % 2 for _, d in self.gens):
-            raise ValueError("cogenerators must have even degree")
-        self.ddeg = ddeg
-        self.coaug_key = Monomial((), 0)
-
-    def key(self, alpha):
-        items = tuple((n, a) for (n, _), a in zip(self.gens, alpha) if a)
-        return Monomial(items, sum(d * a for (_, d), a in zip(self.gens, alpha)))
-
-    def alpha(self, key):
-        lookup = dict(key.powers)
-        return tuple(lookup.get(n, 0) for n, _ in self.gens)
+        self.coaug_key = self.algebra.unit_key
 
     def basis(self, degree):
-        out = []
-
-        def rec(i, rem, acc):
-            if i == len(self.gens):
-                if rem == 0:
-                    out.append(self.key(tuple(acc)))
-                return
-            d = self.gens[i][1]
-            for a in range(rem // d + 1):
-                rec(i + 1, rem - d * a, acc + [a])
-
-        if degree >= 0:
-            rec(0, degree, [])
-        return out
+        return self.algebra.basis(degree)
 
     def diff_key(self, key):
         return GradedElement(self.field)
 
     def cop_key(self, key):
-        alpha = self.alpha(key)
+        A = self.algebra
         out = []
-
-        def rec(i, beta):
-            if i == len(alpha):
-                gamma = tuple(a - b for a, b in zip(alpha, beta))
-                out.append((self.field.one, self.key(tuple(beta)),
-                            self.key(gamma)))
-                return
-            for b in range(alpha[i] + 1):
-                rec(i + 1, beta + [b])
-
-        rec(0, [])
+        for split in product(*(range(e + 1) for _, e in key.powers)):
+            left = A.monomial([(n, b) for (n, _), b in zip(key.powers, split)])
+            right = A.monomial([(n, e - b) for (n, e), b
+                                in zip(key.powers, split)])
+            out.append((A.mul_keys(left, right).coeff(key), left, right))
         return out
 
 
@@ -1020,10 +947,8 @@ class TensorDgc(Dgc):
         for c, c1, c2 in self.C.cop_key(kc):
             for c_, d1, d2 in self.D.cop_key(kd):
                 # sign from T moving d1 past c2
-                sgn = -1 if (d1.degree % 2 and c2.degree % 2) else 1
-                coeff = field.mul(c, c_)
-                if sgn < 0:
-                    coeff = field.neg(coeff)
+                coeff = field.mul(field.mul(c, c_), parity_sign(
+                    field, d1.degree * c2.degree))
                 out.append((coeff, Tensor((c1, d1)), Tensor((c2, d2))))
         return out
 

@@ -13,10 +13,9 @@ of cocycles, and the kernel-ideal generator families).
 """
 import random
 
-from .graded import GradedElement, Tensor, tensor_elements
+from .graded import GradedElement, Tensor, parity_sign, tensor_elements
 from .linalg import StructuralError
-from .dg import (CheckReport, FreeGcDga, polynomial_dga, PolynomialCoalgebra,
-                 ExteriorCoalgebra, TensorDgc, check_chain_map,
+from .dg import (CheckReport, FreeGcCoalgebra, TensorDgc, check_chain_map,
                  check_d_squared, preserves_coproduct)
 from .simplicial import (Cochain, zero_cochain, coboundary, cup, cup_many,
                          CochainHga, ChainsDgc, partial_diagonal,
@@ -29,8 +28,9 @@ from .hga import gm_repeated_cup1
 
 class KoszulComplex(TensorDgc):
     """K = Lambda (x) S, the tensor coalgebra of the exterior coalgebra
-    Lambda (the factor `C`) and the polynomial coalgebra S (`D`), with the
-    twisted differential d(a . y_alpha) = sum x_i ^ a . y_alpha|i.
+    Lambda on x_i (the factor `C`) and the polynomial coalgebra S on y_i
+    (`D`), both `FreeGcCoalgebra`s, with the twisted differential
+    d(a . y_alpha) = sum x_i ^ a . y_alpha|i.
 
     Keys are Tensor((exterior monomial, cogenerator monomial)); basis,
     coproduct and counit are those of the tensor coalgebra, whose Koszul
@@ -39,28 +39,28 @@ class KoszulComplex(TensorDgc):
     """
 
     def __init__(self, field, rank):
-        xs = [(f"x{i}", 1) for i in range(rank)]
-        self.rank = rank
-        self.L = FreeGcDga(field, xs)
-        self.S = PolynomialCoalgebra(field, [(f"y{i}", 2) for i in range(rank)])
-        super().__init__(ExteriorCoalgebra(field, xs, ddeg=-1), self.S)
+        super().__init__(
+            FreeGcCoalgebra(field, [(f"x{i}", 1) for i in range(rank)], -1),
+            FreeGcCoalgebra(field, [(f"y{i}", 2) for i in range(rank)], -1))
+        self.L = self.C.algebra
 
     def key(self, xs, alpha):
+        """x_{i in xs} . y_alpha."""
         return Tensor((self.L.monomial([(f"x{i}", 1) for i in xs]),
-                       self.S.key(tuple(alpha))))
+                       self.D.algebra.monomial([(f"y{i}", a) for i, a
+                                                in enumerate(alpha)])))
 
     def diff_key(self, key):
         lk, sk = key.parts
-        alpha = self.S.alpha(sk)
         field = self.field
         a = GradedElement.single(field, lk)
         out = GradedElement(field)
-        for i in range(self.rank):
-            if alpha[i]:
-                lowered = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                out.add_in(tensor_elements(
-                    field, self.L.mul(self.L.generator(f"x{i}"), a),
-                    GradedElement.single(field, self.S.key(lowered))))
+        for name, _ in sk.powers:
+            lowered = self.D.algebra.monomial(
+                [(n, e - 1 if n == name else e) for n, e in sk.powers])
+            out.add_in(tensor_elements(
+                field, self.L.mul(self.L.generator(f"x{name[1:]}"), a),
+                GradedElement.single(field, lowered)))
         return out
 
 
@@ -77,7 +77,8 @@ class TorusFormality:
         self.E = total_space(self.T)
         self.BT = self.E.base
         self.K = KoszulComplex(field, rank)
-        self.H = polynomial_dga(field, [(f"y{i}", 2) for i in range(rank)])
+        # H*(BT) = k[y]: the algebra on the keys of the coalgebra S
+        self.H = self.K.D.algebra
         self.hga = CochainHga(self.BT)
         self._F_memo = {}
         self._f_memo = {}
@@ -141,23 +142,18 @@ class TorusFormality:
         return val
 
     def f(self, alpha):
-        return self.f_key(self.K.S.key(tuple(alpha)))
+        _, skey = self.K.key((), alpha).parts
+        return self.f_key(skey)
 
     def f_star(self, cochain):
-        """f*(c) in H*(BT) = k[y*]: evaluate c on the f(y_alpha)."""
+        """f*(c) in H*(BT) = k[y*]: evaluate c on the f(y_alpha); the keys
+        of S are those of H."""
         deg = cochain.degree
-        out = GradedElement(self.field)
         if deg < 0 or deg % 2:
-            return out
-        for sk in self.K.S.basis(deg):
-            v = cochain.eval_chain(self.f_key(sk))
-            if v != self.field.zero:
-                alpha = self.K.S.alpha(sk)
-                out.add_in(GradedElement.single(
-                    self.field,
-                    self.H.monomial([(f"y{i}", a) for i, a in
-                                     enumerate(alpha) if a])), v)
-        return out
+            return GradedElement(self.field)
+        return GradedElement(self.field, [
+            (sk, cochain.eval_chain(self.f_key(sk)))
+            for sk in self.K.D.basis(deg)])
 
     # -- canonical cochains on BT ------------------------------------------
     def canonical_cocycle(self, i):
@@ -337,9 +333,7 @@ class TorusFormality:
 
     def verify_vanishing_suite(self, bound):
         """(i) (S (x) S) P^{n+1}_k = 0 on simplices of F(a.c), |a| = 1;
-        (ii) Q^n_{k,l} = 0 on all
-
- F-image simplices; (iii) AW_u f = 0 for
+        (ii) Q^n_{k,l} = 0 on all F-image simplices; (iii) AW_u f = 0 for
         enclave surjections u."""
         rep = CheckReport("vanishing suite")
         for key in self.f_image_simplices(bound, top_letter=True):
@@ -368,20 +362,12 @@ class TorusFormality:
             if not u.has_enclave():
                 raise ValueError(f"{u} has no enclave")
             for d in range(0, bound + 1):
-                for sk in self.K.S.basis(d):
-                    chain = self.f_key(sk)
-                    acc = {}
-                    for key, c in chain.terms.items():
-                        for coeff, factors in interval_cut(u, key):
-                            t = Tensor(tuple(factors))
-                            v = self.field.add(
-                                acc.get(t, self.field.zero),
-                                self.field.mul(c, coeff))
-                            if v == self.field.zero:
-                                acc.pop(t, None)
-                            else:
-                                acc[t] = v
-                    rep.record(not acc, ("AW_u f", u.seq, sk))
+                for sk in self.K.D.basis(d):
+                    aw = GradedElement(self.field, [
+                        (Tensor(factors), self.field.mul(c, coeff))
+                        for key, c in self.f_key(sk).terms.items()
+                        for coeff, factors in interval_cut(u, key)])
+                    rep.record(aw.is_zero(), ("AW_u f", u.seq, sk))
         return rep
 
     def check_fstar_kills_operations(self, rng, bound, samples=30):
@@ -493,8 +479,8 @@ class TorusFormality:
                 if bound >= 4 else ((1, 1))
             a = self.random_support_cochain(p, rng)
             b = self.random_support_cochain(q, rng)
-            comm = cup(a, b).add(
-                cup(b, a).scale(self.field.of(-((-1) ** (p * q)))))
+            comm = cup(a, b).add(cup(b, a).scale(
+                self.field.neg(parity_sign(self.field, p * q))))
             rep.record(self.f_star(comm).is_zero(), ("commutator", p, q))
         # cup-two derivation congruences after applying f*
         for _ in range(samples):

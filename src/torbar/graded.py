@@ -10,8 +10,16 @@ rule on keys.  `expand` is the one multilinear expansion: x (x) y
 (`tensor_elements`), bilinear extensions of a rule on key pairs
 (`bilinear`: products, shuffles), bar words and the components of shm
 families all pick their pure terms through it and add whatever Koszul
-signs they need themselves.  `suspension_exponent` is the one
-desuspension sign of bar words, twisting families and braces.
+signs they need themselves.
+
+This module is the one home of Koszul signs.  `parity_sign` is the one
+(-1)^e in a field; `koszul_sign` the sign of permuting graded symbols and
+`interleave_exponent` its O(n) form for un-interleaving pairs;
+`suspension_exponent` the one desuspension sign of bar words, twisting
+families and braces.  `d_operation` is the one differential of a
+multilinear operation, d(op) = d op - (-1)^{|op|} op d: the Leibniz check
+of a dga, the differential of Hom(C, A) and the differential axioms of
+the hga and shm layers all go through it.
 """
 
 
@@ -260,9 +268,8 @@ def transpose_tensor(elem):
 
     def rule(key):
         a, b = key.parts
-        sign = -1 if (a.degree % 2) and (b.degree % 2) else 1
-        c = field.one if sign > 0 else field.neg(field.one)
-        return GradedElement.single(field, Tensor((b, a)), c)
+        return GradedElement.single(field, Tensor((b, a)),
+                                    parity_sign(field, a.degree * b.degree))
 
     return elem.map_keys(rule)
 
@@ -295,6 +302,41 @@ def prefix_degrees(elems):
     for a in elems:
         pre.append(pre[-1] + (a.degree() or 0))
     return pre
+
+
+def d_operation(op, degree, d_in, d_out, args):
+    """The differential of a multilinear operation `op` (a function of a
+    list of elements) of degree `degree`, evaluated on the list `args`:
+
+        (d op)(a) = d op(a) - (-1)^{|op|} sum_i (-1)^{|a_1|+...+|a_{i-1}|}
+                    op(a_1, ..., d a_i, ..., a_n),
+
+    `d_in` the differential of the arguments, `d_out` that of the values.
+    An axiom "d(op) = rhs" holds on args iff the result minus rhs is zero.
+    Terms whose d a_i is zero are skipped: op vanishes on them.
+    """
+    field = args[0].field
+    pre = prefix_degrees(args)
+    # a fresh sum: d_out may return a memoized value, never to be mutated
+    out = GradedElement(field).add_in(d_out(op(args)))
+    for i, a in enumerate(args):
+        da = d_in(a)
+        if not da.is_zero():
+            out.add_in(op(args[:i] + [da] + args[i + 1:]),
+                       parity_sign(field, degree + 1 + pre[i]))
+    return out
+
+
+def interleave_exponent(adegs, bdegs):
+    """sum_{i<j} |b_i||a_j|, in one pass: the Koszul exponent of
+    un-interleaving (a_1 (x) b_1) (x) ... (x) (a_n (x) b_n) into
+    (a_1 (x) ... (x) a_n) (x) (b_1 (x) ... (x) b_n)."""
+    e = 0
+    bsum = 0
+    for a, b in zip(adegs, bdegs):
+        e += bsum * a
+        bsum += b
+    return e
 
 
 def koszul_sign(degrees, perm):

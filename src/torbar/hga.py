@@ -10,9 +10,9 @@ construction of an hga becomes a dg bialgebra; one-sided bar
 constructions over an hga morphism carry the Kadeishvili-Saneblidze dga
 structure.
 """
-from .graded import (GradedElement, LinearMap, Tensor, bilinear, parity_sign,
-                     prefix_degrees, suspension_exponent, tensor_elements)
-from .dg import (CheckReport, TwistingCochain, TensorDgc, ExteriorCoalgebra,
+from .graded import (GradedElement, LinearMap, Tensor, bilinear, d_operation,
+                     parity_sign, suspension_exponent, tensor_elements)
+from .dg import (CheckReport, TwistingCochain, TensorDgc, FreeGcCoalgebra,
                  TwistedTensor)
 from .bar import BarWord, dgc_map_from_cochain
 
@@ -73,15 +73,8 @@ def hom_defect_dE(inst, a, bs):
     """Defect of the differential axiom for E_k (zero iff it holds)."""
     field = inst.field
     k = len(bs)
-    args = [a] + list(bs)
-    pre = prefix_degrees(args)
-    lhs = inst.d(inst.E(k, a, bs))
-    s = parity_sign(field, k + 1)  # -(-1)^{|E_k|} = -(-1)^{-k}
-    for i, x in enumerate(args):
-        dx = inst.d(x)
-        newargs = args[:i] + [dx] + args[i + 1:]
-        term = inst.E(k, newargs[0], newargs[1:])
-        lhs = lhs + term.scale(field.mul(s, parity_sign(field, pre[i])))
+    lhs = d_operation(lambda xs: inst.E(k, xs[0], xs[1:]), -k, inst.d,
+                      inst.d, [a] + list(bs))
     # displayed right-hand side
     b1 = bs[0]
     rhs = inst.mul(b1, inst.E(k - 1, a, bs[1:])).scale(
@@ -161,15 +154,8 @@ def hom_defect_dF(inst, as_, bs):
     """Defect of d(F_kl) = A_kl + (-1)^k B_kl."""
     field = inst.field
     k, l = len(as_), len(bs)
-    args = list(as_) + list(bs)
-    pre = prefix_degrees(args)
-    lhs = inst.d(inst.F(k, l, as_, bs))
-    s = parity_sign(field, k + l + 1)
-    for i, x in enumerate(args):
-        dx = inst.d(x)
-        new = args[:i] + [dx] + args[i + 1:]
-        term = inst.F(k, l, new[:k], new[k:])
-        lhs = lhs + term.scale(field.mul(s, parity_sign(field, pre[i])))
+    lhs = d_operation(lambda xs: inst.F(k, l, xs[:k], xs[k:]), -k - l,
+                      inst.d, inst.d, list(as_) + list(bs))
 
     dega = [_deg(x) for x in as_]
     degb = [_deg(x) for x in bs]
@@ -250,15 +236,13 @@ def check_cup_identities(inst, sampler):
     for args in sampler(2):
         a, b = args
         p, q = _deg(a), _deg(b)
-        lhs = inst.d(cup1(a, b)) + cup1(inst.d(a), b) \
-            + cup1(a, inst.d(b)).scale(parity_sign(field, p))
+        # d(cup1)(a;b) = ab - (-1)^{pq} ba; cup1 has degree -1
+        lhs = d_operation(lambda xs: cup1(*xs), -1, inst.d, inst.d, [a, b])
         rhs = inst.mul(a, b) + inst.mul(b, a).scale(
             field.neg(parity_sign(field, p * q)))
         rep.record((lhs - rhs).is_zero(), "d(cup1)")
-        # d(cup2)(a;b) = a u1 b + (-1)^{pq} b u1 a; cup2 has even degree -2,
-        # so its terms enter as in hom_defect_dF, with a minus sign
-        lhs2 = inst.d(cup2(a, b)) + cup2(inst.d(a), b).scale(minus) \
-            + cup2(a, inst.d(b)).scale(field.neg(parity_sign(field, p)))
+        # d(cup2)(a;b) = a u1 b + (-1)^{pq} b u1 a; cup2 has degree -2
+        lhs2 = d_operation(lambda xs: cup2(*xs), -2, inst.d, inst.d, [a, b])
         rhs2 = cup1(a, b) + cup1(b, a).scale(parity_sign(field, p * q))
         rep.record((lhs2 - rhs2).is_zero(), "d(cup2)")
     for args in sampler(3):
@@ -403,7 +387,9 @@ class KSAlgebra:
         return bilinear(self.field, self.product_keys, x, y)
 
     def check_dga(self, keys):
-        """Associativity, unit, derivation property on the given keys."""
+        """The two unit laws and the derivation property (the differential
+        of the product vanishes) on the given keys.  Associativity is
+        `check_associativity`."""
         field = self.field
         rep = CheckReport("KS product")
         unit = self.unit()
@@ -413,13 +399,11 @@ class KSAlgebra:
             rep.record(self.product(unit, e) == e, ("unit-l", k))
         for i, k1 in enumerate(keys):
             for k2 in keys[:max(1, len(keys) // 4)]:
-                e1 = GradedElement.single(field, k1)
-                e2 = GradedElement.single(field, k2)
-                lhs = self.osb.d(self.product(e1, e2))
-                rhs = self.product(self.osb.d(e1), e2)
-                sgn = parity_sign(field, k1.degree)
-                rhs.add_in(self.product(e1, self.osb.d(e2)), sgn)
-                rep.record(lhs == rhs, ("derivation", k1, k2))
+                defect = d_operation(
+                    lambda xs: self.product(*xs), 0, self.osb.d, self.osb.d,
+                    [GradedElement.single(field, k1),
+                     GradedElement.single(field, k2)])
+                rep.record(defect.is_zero(), ("derivation", k1, k2))
         return rep
 
     def check_associativity(self, triples):
@@ -448,7 +432,7 @@ def gm_twisting_cochain(hga, reps):
         if d is None or d % 2:
             raise ValueError("representatives must have even positive degree")
         degs[name] = d - 1
-    coalg = ExteriorCoalgebra(field, list(degs.items()), ddeg=1)
+    coalg = FreeGcCoalgebra(field, list(degs.items()), 1)
 
     def rule(key):
         if not key.powers:

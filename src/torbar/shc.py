@@ -8,8 +8,8 @@ assembly for tensor products.  No structure maps for cochain algebras are
 constructed here; instances are inputs (commutative dgas canonically, or
 synthetic gauge perturbations for testing).
 """
-from .graded import (GradedElement, LinearMap, Tensor, expand, parity_sign,
-                     transpose_tensor)
+from .graded import (GradedElement, LinearMap, Tensor, expand,
+                     interleave_exponent, parity_sign, transpose_tensor)
 from .dg import CheckReport, TensorDga, polynomial_dga, gauge_transform
 from .bar import BarDgc
 from .shm import (TwistingFamily, TwistingHomotopyFamily, compose,
@@ -132,11 +132,9 @@ def _one_tensor(s, AAA, fam):
         for keys, c in expand(field, args):
             slots = [k.parts[0].parts + (k.parts[1],) for k in keys]
             # un-interleave: move the (b, c)-pairs past the a's
-            e = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    e += (slots[i][1].degree + slots[i][2].degree) \
-                        * slots[j][0].degree
+            e = interleave_exponent([sl[0].degree for sl in slots],
+                                    [sl[1].degree + sl[2].degree
+                                     for sl in slots])
             a_elems = [GradedElement.single(field, sl[0]) for sl in slots]
             bc_elems = [s.AA.pair(GradedElement.single(field, sl[1]),
                                   GradedElement.single(field, sl[2]))
@@ -146,7 +144,7 @@ def _one_tensor(s, AAA, fam):
             # map application: F_(n) (degree fam.degree(n)) past the a-block
             e += fam.degree(n) * sum(sl[0].degree for sl in slots)
             out.add_in(s.AA.pair(left, rightv),
-                       field.mul(c, field.of((-1) ** (e % 2))))
+                       field.mul(c, parity_sign(field, e)))
         return out
 
     name = f"1(x){fam.name}"

@@ -10,8 +10,9 @@ cochain, for families and homotopy families alike) and `_add_word_values`
 `graded.suspension_exponent`.  The displayed component formulas are
 implemented separately and used as cross-checks in the test suite.
 """
-from .graded import (GradedElement, LinearMap, expand, parity_sign,
-                     prefix_degrees, suspension_exponent, tensor_elements)
+from .graded import (GradedElement, LinearMap, d_operation, expand,
+                     interleave_exponent, parity_sign, prefix_degrees,
+                     suspension_exponent, tensor_elements)
 from .dg import CheckReport, TwistingCochain, HomAlgebra
 from .bar import BarDgc, BarWord, dgc_map_from_cochain
 
@@ -219,16 +220,7 @@ def family_defect(f, args):
     field = A.field
     n = len(args)
     pre = prefix_degrees(args)
-    lhs = B.d(f(n, args))
-    for i in range(n):
-        da = A.d(args[i])
-        if da.is_zero():
-            continue
-        newargs = args[:i] + [da] + args[i + 1:]
-        # -(-1)^{|f_(n)|} (-1)^{pre} = -(-1)^{n+1+pre}
-        lhs.add_in(f(n, newargs),
-                   field.mul(parity_sign(field, n + 1 + pre[i]),
-                             field.neg(field.one)))
+    lhs = d_operation(lambda xs: f(n, xs), f.degree(n), A.d, B.d, args)
     rhs = B.zero()
     for k in range(1, n):
         s1 = parity_sign(field, k + (n - k - 1) * pre[k])
@@ -253,14 +245,7 @@ def homotopy_family_defect(h, args):
     field = A.field
     n = len(args)
     pre = prefix_degrees(args)
-    lhs = B.d(h(n, args))
-    for i in range(n):
-        da = A.d(args[i])
-        if da.is_zero():
-            continue
-        newargs = args[:i] + [da] + args[i + 1:]
-        lhs.add_in(h(n, newargs), field.mul(parity_sign(field, n + pre[i]),
-                                            field.neg(field.one)))
+    lhs = d_operation(lambda xs: h(n, xs), h.degree(n), A.d, B.d, args)
     rhs = B.zero()
     for k in range(1, n):
         merged = args[:k - 1] + [A.mul(args[k - 1], args[k])] + args[k + 1:]
@@ -276,10 +261,8 @@ def homotopy_family_defect(h, args):
             if not hk.is_zero():
                 gk = g(n - k, args[k:])
                 if not gk.is_zero():
-                    rhs.add_in(B.mul(hk, gk),
-                               field.mul(parity_sign(
-                                   field, k + (n - k + 1) * pre[k]),
-                                         field.neg(field.one)))
+                    rhs.add_in(B.mul(hk, gk), parity_sign(
+                        field, k + 1 + (n - k + 1) * pre[k]))
     return lhs - rhs
 
 
@@ -392,11 +375,8 @@ def tensor_with_strict(f, gmap, T_source, T_target, side="right", name=None):
             slots = [k.parts for k in keys]
             a_elems = [GradedElement.single(field, ka) for ka, _ in slots]
             b_elems = [GradedElement.single(field, kb) for _, kb in slots]
-            # un-interleaving sign: sum_{i<j} |b_i||a_j|
-            e = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    e += slots[i][1].degree * slots[j][0].degree
+            e = interleave_exponent([ka.degree for ka, _ in slots],
+                                    [kb.degree for _, kb in slots])
             if side == "right":
                 fa = f(n, a_elems)
                 gb = gmap(T_source.B.mul_many(b_elems))
@@ -464,10 +444,7 @@ def tensor_homotopy(f, g, T_source, T_target):
             bdegs = [kb.degree for _, kb in slots]
             a_el = [GradedElement.single(field, ka) for ka, _ in slots]
             b_el = [GradedElement.single(field, kb) for _, kb in slots]
-            uninterleave = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    uninterleave += bdegs[i] * adegs[j]
+            uninterleave = interleave_exponent(adegs, bdegs)
             for k, l, comp_i, comp_j in _hn_index_set(n):
                 eps = sum((s + 1) * (comp_i[s] - 1) for s in range(k)) \
                     + sum((l - (t + 1)) * (comp_j[t] - 1) for t in range(l)) \

@@ -34,8 +34,9 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 from .dg import Dga, Dgc
-from .graded import (GradedElement, Tensor, bilinear, parity_sign,
-                     suspension_exponent, tensor_elements)
+from .graded import (GradedElement, Tensor, bilinear, interleave_exponent,
+                     koszul_sign, parity_sign, suspension_exponent,
+                     tensor_elements)
 from .linalg import homology, StructuralError
 
 
@@ -439,8 +440,7 @@ def shuffles(p, q):
     universe = range(p + q)
     for alpha in combinations(universe, p):
         beta = tuple(i for i in universe if i not in alpha)
-        inv = sum(1 for a in alpha for b in beta if b < a)
-        out.append((alpha, beta, -1 if inv % 2 else 1))
+        out.append((alpha, beta, koszul_sign([1] * (p + q), alpha + beta)))
     return out
 
 
@@ -557,6 +557,7 @@ def _cut_shapes(seq, n):
     m = len(seq)
     r = max(seq)
     last = {v: t for t, v in enumerate(seq)}
+    by_label = sorted(range(m), key=seq.__getitem__)
     out = []
     for cuts in combinations_with_replacement(range(n + 1), m - 1):
         qs = (0,) + cuts + (n,)
@@ -570,19 +571,17 @@ def _cut_shapes(seq, n):
                 break
         if not ok:
             continue
-        sign = 1
+        endpoints = 0
         weights = []
         for t in range(m):
             w = qs[t + 1] - qs[t]
             if last[seq[t]] != t:
                 w += 1
-                if qs[t + 1] % 2:
-                    sign = -sign
+                endpoints += qs[t + 1]
             weights.append(w)
-        for t in range(m):
-            for t2 in range(t + 1, m):
-                if seq[t] > seq[t2] and weights[t] % 2 and weights[t2] % 2:
-                    sign = -sign
+        sign = koszul_sign(weights, by_label)
+        if endpoints % 2:
+            sign = -sign
         out.append((sign, tuple(tuple(vs) for vs in verts)))
     return tuple(out)
 
@@ -671,8 +670,7 @@ def coboundary(a):
     """(da)(x) = (-1)^{|a|+1} a(dx)."""
     space = a.space
     field = space.field
-    sgn = field.one if (a.degree + 1) % 2 == 0 else field.neg(field.one)
-    # (-1)^{|a|+1}: for even |a|+1 the sign is +1
+    sgn = parity_sign(field, a.degree + 1)
 
     def fn(key):
         return field.mul(sgn, a.eval_chain(space.boundary_key(key)))
@@ -682,21 +680,18 @@ def coboundary(a):
 
 def _koszul_eval(field, cochains, factors):
     """(a_1 (x)...(x) a_r)(x_1 (x)...(x) x_r) with the Koszul pairing sign."""
-    e = 0
     degs = [a.degree for a in cochains]
     fdegs = [f.degree for f in factors]
     if degs != fdegs:
         return field.zero
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            e += degs[j] * fdegs[i]
     val = field.one
     for a, f in zip(cochains, factors):
         v = a(f)
         if v == field.zero:
             return field.zero
         val = field.mul(val, v)
-    return field.mul(field.of((-1) ** (e % 2)), val)
+    return field.mul(parity_sign(field, interleave_exponent(degs, fdegs)),
+                     val)
 
 
 def surjection_op(u, cochains, name=""):
@@ -709,7 +704,7 @@ def surjection_op(u, cochains, name=""):
     total = sum(a.degree for a in cochains)
     ddeg = u.degree
     out_deg = total - ddeg
-    sgn = field.of((-1) ** ((ddeg * total) % 2))
+    sgn = parity_sign(field, ddeg * total)
 
     def fn(key):
         s = field.zero
@@ -1043,8 +1038,8 @@ class DualCochainDga(Dga):
         if got is None:
             got = {}
             field = self.field
-            sgn_flip = field.neg(field.one) if degree % 2 == 0 else field.one
             # (d a)(s) = (-1)^{|a|+1} a(ds): |a| = degree
+            sgn_flip = parity_sign(field, degree + 1)
             for x in self.X.nondegenerate(degree + 1):
                 skey = self.X.key(degree + 1, x)
                 for fk, c in self.X.boundary_key(skey).terms.items():
@@ -1072,10 +1067,10 @@ class DualCochainDga(Dga):
                 skey = self.X.key(degree, x)
                 for c, (front, back) in interval_cut(u, skey):
                     # Koszul pairing sign (-1)^{|b||front|}
-                    if back.degree % 2 and front.degree % 2:
-                        c = field.neg(c)
                     got.setdefault((front, back), GradedElement(field)) \
-                        .add_in(GradedElement.single(field, skey), c)
+                        .add_in(GradedElement.single(field, skey),
+                                field.mul(c, parity_sign(
+                                    field, back.degree * front.degree)))
             self._cup_index[degree] = got
         return got
 

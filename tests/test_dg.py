@@ -1,15 +1,17 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torbar.fields import QQ, F5
+from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement
 from torbar.linalg import StructuralError
 from torbar.dg import (FreeDga, FreeGcDga, polynomial_dga, exterior_dga,
                        TensorDga, TensorDgc, HomAlgebra, TwistingCochain,
                        TwistedTensor, QuotientOracle, gauge_transform,
-                       random_gauge_rule, trivial_homotopy, check_d_squared)
+                       random_gauge_rule, trivial_homotopy, check_d_squared,
+                       FreeGcCoalgebra)
 from torbar.bar import BarDgc, OneSidedBar, universal_cochain
 from torbar.formality import KoszulComplex
 
@@ -24,6 +26,53 @@ def test_free_dga_axioms():
     A = free_dga()
     A.check_axioms([2, 3, 4, 5], rng, samples=12)
     assert [k.degree for k in A.basis(5)] == [5, 5]
+
+
+def exterior_cop_reference(C, key):
+    """The exterior coalgebra's closed form: Delta x_S = sum over S = L u R
+    of the unshuffle sign x_L (x) x_R (all generators odd)."""
+    names = [n for n, _ in key.powers]
+    out = {}
+    for mask in range(1 << len(names)):
+        left = [n for i, n in enumerate(names) if mask >> i & 1]
+        right = [n for i, n in enumerate(names) if not mask >> i & 1]
+        inv = sum(C.algebra.gens[names[i]] * C.algebra.gens[names[j]]
+                  for i in range(len(names)) for j in range(i + 1, len(names))
+                  if not mask >> i & 1 and mask >> j & 1)
+        out[(C.algebra.monomial(left), C.algebra.monomial(right))] = \
+            C.field.of(-1 if inv % 2 else 1)
+    return out
+
+
+def polynomial_cop_reference(C, key):
+    """The divided-power closed form: Delta y_alpha = sum over
+    beta + gamma = alpha of y_beta (x) y_gamma."""
+    out = {}
+    for beta in itertools.product(*(range(e + 1) for _, e in key.powers)):
+        left = [(n, b) for (n, _), b in zip(key.powers, beta)]
+        right = [(n, e - b) for (n, e), b in zip(key.powers, beta)]
+        out[(C.algebra.monomial(left), C.algebra.monomial(right))] = \
+            C.field.one
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F2], ids=str)
+def test_free_gc_coalgebra_axioms_and_closed_forms(field):
+    odd = FreeGcCoalgebra(field, [("x1", 1), ("x3", 3), ("x5", 5)], 1)
+    even = FreeGcCoalgebra(field, [("y2", 2), ("y4", 4)], -1)
+    mixed = FreeGcCoalgebra(field, [("x1", 1), ("y2", 2), ("x3", 3)], 1)
+    for C, reference in ((odd, exterior_cop_reference),
+                         (even, polynomial_cop_reference), (mixed, None)):
+        keys = [k for d in range(10) for k in C.basis(d)]
+        assert C.check_axioms(keys)
+        if reference is None:
+            continue
+        for k in keys:
+            assert {(k1, k2): c for c, k1, k2 in C.cop_key(k)} == \
+                reference(C, k), k
+    # every subset of the odd generators; y2^4, y2^2 y4 and y4^2
+    assert sum(len(odd.basis(d)) for d in range(10)) == 8
+    assert len(even.basis(8)) == 3
 
 
 def test_free_gc_dga_axioms():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from torbar.fields import QQ, F2, F5
-from torbar.graded import GradedElement, Tensor
+from torbar.graded import GradedElement
 from torbar.simplicial import (cup, coboundary, interval_cut, e_surjection,
                                Surjection)
 from torbar.formality import TorusFormality, KoszulComplex
@@ -47,8 +47,8 @@ def test_f_is_equivariant_dgc_chain_map_rank1():
     # recursion anchors: F(1) = e0, F(y) = S F(x . 1)
     e0 = fo.E.chain(0, fo.E.basepoint())
     assert fo.F_key(fo.K.coaug_key) == e0
-    k_x = Tensor((fo.K.L.monomial([("x0", 1)]), fo.K.S.key((0,))))
-    k_y = Tensor((fo.K.L.unit_key, fo.K.S.key((1,))))
+    k_x = fo.K.key([0], (0,))
+    k_y = fo.K.key([], (1,))
     assert fo.F_key(k_y) == fo.E.s_chain(fo.F_key(k_x))
     # F(x . 1) = c * e0: a single 1-simplex
     assert len(fo.F_key(k_x).terms) == 1

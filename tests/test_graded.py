@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from torbar.fields import QQ, F2, F5
 from torbar.graded import (GradedElement, LinearMap, Tensor, koszul_tensor_map,
                            transpose_tensor, tensor_elements, koszul_sign,
-                           parity_sign)
+                           interleave_exponent, parity_sign)
 
 
 @dataclass(frozen=True)
@@ -155,3 +155,15 @@ def test_koszul_sign_of_a_composite_is_the_product(case):
     arranged = [degrees[j] for j in p]
     assert koszul_sign(degrees, composite) == \
         koszul_sign(degrees, p) * koszul_sign(arranged, q)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 4), st.integers(-3, 4)),
+                max_size=6))
+def test_interleave_exponent_is_the_sign_of_the_interleaving(pairs):
+    # symbols a_1, b_1, ..., a_n, b_n (a_i at 2i, b_i at 2i+1) rearranged
+    # into a_1, ..., a_n, b_1, ..., b_n
+    n = len(pairs)
+    degrees = [d for pair in pairs for d in pair]
+    perm = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+    e = interleave_exponent([a for a, _ in pairs], [b for _, b in pairs])
+    assert (-1) ** (e % 2) == koszul_sign(degrees, perm)

@@ -1,6 +1,6 @@
 import pytest
 
-from torbar.fields import QQ, F5, F2
+from torbar.fields import QQ, F5, F2, PrimeField
 from torbar.graded import GradedElement
 from torbar.classifying import b_cyclic
 from torbar.homog import (CATALOG, AlgebraMapSpec, PolynomialAlgebraSpec,
@@ -124,6 +124,19 @@ def test_chain_level_tor_of_k_z2_2():
     for d1 in range(4):
         for d2 in range(4 - d1):
             assert ring.product_class(d1, 0, d2, 0) == [F2.one], (d1, d2)
+
+
+def test_chain_level_tor_of_k_z3_2_at_an_odd_prime():
+    """Tor of C*(K(Z/3,2)) over F3 to degree 2: one class in each degree,
+    x1 x1 = 0 and 1 x2 = x2.  Over F2 x1 x1 = x2 (the test above).  Here
+    x1 has odd degree, so graded commutativity gives 2 x1^2 = 0 and, with
+    2 invertible, x1^2 = 0: the paper's hypothesis that 2 is invertible,
+    seen at chain level."""
+    F3 = PrimeField(3)
+    ring, _, _ = chain_level_tor(b_cyclic(F3, 3), None, F3, 2)
+    assert ring.table.totals == {0: 1, 1: 1, 2: 1}
+    assert ring.product_class(1, 0, 1, 0) == [F3.zero]
+    assert ring.product_class(0, 0, 2, 0) == [F3.one]
 
 
 def test_chain_level_tor_with_coefficients_in_c_bg():

@@ -173,3 +173,50 @@ def test_no_hand_rolled_linear_extensions():
                   if isinstance(node, ast.For) and id(node) not in exempt
                   and _adds_with_loop_coefficient(node)]
     assert not found, found
+
+
+def _int_value(node):
+    """The value of an int literal such as 1 or -1, else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        v = _int_value(node.operand)
+        return None if v is None else -v
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    return None
+
+
+def _is_field_one(node):
+    return isinstance(node, ast.Attribute) and node.attr == "one"
+
+
+def _is_field_minus_one(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "neg" and len(node.args) == 1
+            and _is_field_one(node.args[0]))
+
+
+def _hand_written_sign(node):
+    """True for `(-1) ** e` and for a conditional expression choosing
+    between one and minus one (ints, or a field's `one` and `neg(one)`)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _int_value(node.left) == -1
+    if isinstance(node, ast.IfExp):
+        a, b = node.body, node.orelse
+        return ({_int_value(a), _int_value(b)} == {1, -1}
+                or (_is_field_one(a) and _is_field_minus_one(b))
+                or (_is_field_minus_one(a) and _is_field_one(b)))
+    return False
+
+def test_every_sign_from_parity_sign():
+    """Every (-1)^e of the package is `graded.parity_sign`: no power of
+    -1 and no conditional between one and minus one elsewhere."""
+    found = []
+    for path, tree in _trees("src/torbar"):
+        exempt = set()
+        if path.name == "graded.py":
+            exempt = {id(n) for fn in tree.body
+                      if isinstance(fn, ast.FunctionDef)
+                      and fn.name == "parity_sign" for n in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in exempt and _hand_written_sign(node)]
+    assert not found, found
