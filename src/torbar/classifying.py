@@ -14,6 +14,8 @@ convention in which
 read as ((d_0 g_p) g_{p-1}, [g_{p-2},...,g_0]) for k = 0 and as
 (d_p g_p, [d_{p-1} g_{p-1},..., d_1 g_1]) for k = p.
 """
+from itertools import product
+
 from .graded import GradedElement
 from .linalg import StructuralError
 from .simplicial import (SimplicialSet, SimplicialGroup, ConstantGroup,
@@ -21,11 +23,42 @@ from .simplicial import (SimplicialSet, SimplicialGroup, ConstantGroup,
 
 
 class WBar(SimplicialSet):
-    """BG for a simplicial group G."""
+    """BG for a simplicial group G (W-bar, as in May, Simplicial Objects in
+    Algebraic Topology, 1967).
+
+    Heads and tails.  Take a (p+q)-simplex x = (x_0, ..., x_{p+q-1}).
+    Its back q-face (d_0 p times) is x[p:], since d_0 drops the first
+    entry.  Its front p-face (the last face q times) depends only on the
+    head x[:p], entry m mapped by G's q-fold last face, since the last
+    face drops the last entry and takes the last face of the others.  So
+    the simplices with front sigma and back tau are exactly h + tau, with
+    each h_m in the fibre of G's q-fold last face over sigma_m (`heads`),
+    and the fibre of the q-fold last face over sigma is every head
+    followed by every q-simplex (`last_face_fibre`).  A W-bar space has
+    both methods when G has `last_face_fibre`; `DualCochainDga` then
+    enumerates its cup products from the heads.
+    """
 
     def __init__(self, G):
         super().__init__(G.field)
         self.G = G
+        if hasattr(G, "last_face_fibre"):
+            self.heads = self._heads
+            self.last_face_fibre = self._last_face_fibre
+
+    def _heads(self, p, q, data):
+        """The heads over the p-simplex `data`: the tuples h of p entries
+        with h_m in G's q-fold last-face fibre over data[m], entry 0
+        varying fastest as in `simplices`."""
+        fibres = [self.G.last_face_fibre(p - 1 - m, q, g)
+                  for m, g in enumerate(data)]
+        return [h[::-1] for h in product(*fibres[::-1])]
+
+    def _last_face_fibre(self, p, q, data):
+        """The (p+q)-simplices whose q-fold last face is the p-simplex
+        `data`, in the order of `simplices(p + q)`."""
+        heads = self._heads(p, q, data)
+        return [h + t for t in self.simplices(q) for h in heads]
 
     def face(self, p, k, data):
         G = self.G

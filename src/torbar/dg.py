@@ -97,15 +97,19 @@ class Dga:
             return x
         return x - self.one().scale(s)
 
-    def random_element(self, degree, rng, terms=3, coeffs=(-2, -1, 1, 2)):
+    def random_element(self, degree, rng, terms=3):
+        """A sum of up to `terms` random basis keys of the degree, each
+        drawn with a nonzero coefficient among the images of -2, -1, 1, 2
+        in the field (over F2 that is 1 only)."""
         keys = list(self.basis(degree))
         if not keys:
             return self.zero()
-        out = GradedElement(self.field)
+        f = self.field
+        coeffs = [c for c in map(f.of, (-2, -1, 1, 2)) if c != f.zero]
+        out = GradedElement(f)
         for _ in range(min(terms, len(keys))):
             k = rng.choice(keys)
-            c = self.field.of(rng.choice(coeffs))
-            out.add_in(GradedElement.single(self.field, k, c))
+            out.add_in(GradedElement.single(f, k, rng.choice(coeffs)))
         return out
 
     def check_axioms(self, degrees, rng, samples=10):
@@ -197,8 +201,9 @@ class Dgc:
         return 1 + sum(1 for _ in self.reduced_cop_levels(key))
 
     def check_axioms(self, keys):
-        """Coassociativity and counit law on the given basis keys, each
-        side a GradedElement over Tensor keys."""
+        """Coassociativity and both counit laws, (eps (x) 1) Delta = id and
+        (1 (x) eps) Delta = id, on the given basis keys, each side a
+        GradedElement."""
         f = self.field
         for k in keys:
             cop = self.cop_key(k)
@@ -210,10 +215,13 @@ class Dgc:
                                       for c2, k21, k22 in self.cop_key(k2)])
             if left != right:
                 raise StructuralError(f"coassociativity fails at {k!r}")
-            counit = GradedElement(f, [(k2, f.mul(c, self.counit_key(k1)))
-                                       for c, k1, k2 in cop])
-            if counit != GradedElement.single(f, k):
-                raise StructuralError(f"counit law fails at {k!r}")
+            for counit in (
+                    GradedElement(f, [(k2, f.mul(c, self.counit_key(k1)))
+                                      for c, k1, k2 in cop]),
+                    GradedElement(f, [(k1, f.mul(c, self.counit_key(k2)))
+                                      for c, k1, k2 in cop])):
+                if counit != GradedElement.single(f, k):
+                    raise StructuralError(f"counit law fails at {k!r}")
         return True
 
 

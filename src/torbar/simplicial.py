@@ -884,6 +884,11 @@ class ConstantGroup(SimplicialGroup):
     def is_degenerate(self, p, data):
         return p > 0
 
+    def last_face_fibre(self, p, q, data):
+        """The (p+q)-simplices whose q-fold last face is the p-simplex
+        `data`: only `data` itself, every face being the identity."""
+        return (data,)
+
     def mul(self, p, x, y):
         return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
 
@@ -985,6 +990,16 @@ class DualCochainDga(Dga):
     operations are computed through the functional interval-cut core.
     X must be reduced for the unit/augmentation to be basis-adapted; only
     the augmentation needs a basepoint.
+
+    The cup product of the duals of a p-simplex sigma and a q-simplex tau
+    is the transpose of the interval cuts of (1, 2): the sum of the duals
+    of the nondegenerate (p+q)-simplices x with front p-face sigma and
+    back q-face tau, each with the cut sign +1 times the Koszul pairing
+    sign (-1)^{pq}.  On a W-bar space the back face of x is its tail
+    x[p:] and its front face depends only on its head x[:p], so `X.heads`
+    lists the candidates h + tau directly (see `classifying.WBar`).  A
+    space without `heads` builds the cup index of the whole slice instead,
+    one interval cut per simplex, on the first product landing there.
     """
 
     def __init__(self, X, truncation):
@@ -997,6 +1012,7 @@ class DualCochainDga(Dga):
         self.unit_key = X.key(0, vertices[0]) if len(vertices) == 1 else None
         self.hga = CochainHga(X)
         self._cob_index = {}
+        self._heads = getattr(X, "heads", None)
         self._cup_index = {}
 
     @cached_property
@@ -1057,7 +1073,8 @@ class DualCochainDga(Dga):
         """(front key, back key) -> vector of duals of the total simplices.
 
         Built from the interval cuts of the surjection (1, 2), whose
-        transpose is the cup product."""
+        transpose is the cup product, on every simplex of the slice: the
+        product of spaces without `heads`."""
         got = self._cup_index.get(degree)
         if got is None:
             got = {}
@@ -1075,12 +1092,22 @@ class DualCochainDga(Dga):
         return got
 
     def mul_keys(self, k1, k2):
-        target = k1.degree + k2.degree
-        if target > self.truncation:
+        p, q = k1.degree, k2.degree
+        n = p + q
+        if n > self.truncation:
             raise StructuralError(
                 f"cochain product beyond truncation {self.truncation}")
-        return self._cup_index_for(target).get(
-            (k1, k2), GradedElement(self.field))
+        if self._heads is None:
+            return self._cup_index_for(n).get(
+                (k1, k2), GradedElement(self.field))
+        # the nondegenerate h + tail, each with the cut sign +1 of (1, 2)
+        # times the Koszul pairing sign (-1)^{pq}
+        X, tail = self.X, k2.data
+        sign = parity_sign(self.field, p * q)
+        return GradedElement(self.field, {
+            X.key(n, x): sign
+            for x in (h + tail for h in self._heads(p, q, k1.data))
+            if not X.is_degenerate(n, x)})
 
     def one(self):
         out = GradedElement(self.field)

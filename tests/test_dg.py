@@ -75,6 +75,22 @@ def test_free_gc_coalgebra_axioms_and_closed_forms(field):
     assert len(even.basis(8)) == 3
 
 
+def test_dgc_check_axioms_checks_both_counit_laws():
+    class LeftCounitalOnly(FreeGcCoalgebra):
+        """Delta x = 1 (x) x: coassociative, (eps (x) 1) Delta = id, but
+        (1 (x) eps) Delta x = 0."""
+
+        def cop_key(self, key):
+            return [(c, k1, k2) for c, k1, k2 in super().cop_key(key)
+                    if k2 != self.coaug_key or k1 == self.coaug_key]
+
+    good = FreeGcCoalgebra(QQ, [("x", 1)], 1)
+    assert good.check_axioms([k for d in range(2) for k in good.basis(d)])
+    bad = LeftCounitalOnly(QQ, [("x", 1)], 1)
+    with pytest.raises(StructuralError, match=r"counit law fails at x"):
+        bad.check_axioms([k for d in range(2) for k in bad.basis(d)])
+
+
 def test_free_gc_dga_axioms():
     rng = random.Random(4)
     # commutative model with an acyclic pair: da = 0, du = w

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from torbar import simplicial
 from torbar.classifying import WBar, WTotal, b_cyclic, torus_group, wbar
-from torbar.fields import QQ, F2, F5
+from torbar.fields import QQ, F2, F5, PrimeField
 from torbar.graded import GradedElement, Tensor, transpose_tensor
 from torbar.linalg import StructuralError
 from torbar.simplicial import (SimplexComplex, standard_simplex,
@@ -311,26 +311,38 @@ def test_dual_cochain_dga():
         BarDgc(A)
 
 
-# (space, truncation, degrees): every sum of three degrees stays within the
-# truncation.  On B(Z/2,2) a product in degree 6 would build the cup index
-# of all 6-simplices (about 12 s); the seeded draws below reach degree 4.
+# (space, truncation, degrees, reach): every sum of three degrees stays
+# within the truncation, and some sampled product of two nonzero cochains
+# must land in degree `reach` (the boundary of Delta^3 has no nonzero
+# 4-cochain to multiply further).  On B(Z/2,2) the products come from the
+# W-bar heads, so the products of three 2-cochains in degree 6 take well
+# under a second; building the cup index of all 6-simplices took 11 s.
 DGA_AXIOM_INSTANCES = {
-    "Delta^4 over Q": (lambda: standard_simplex(QQ, 4), 6, (0, 1, 2)),
-    "Delta^4 over F5": (lambda: standard_simplex(F5, 4), 6, (0, 1, 2)),
+    "Delta^4 over Q": (lambda: standard_simplex(QQ, 4), 6, (0, 1, 2), 6),
+    "Delta^4 over F5": (lambda: standard_simplex(F5, 4), 6, (0, 1, 2), 6),
     "boundary of Delta^3 over F5": (lambda: simplex_boundary(F5, 3), 6,
-                                    (0, 1, 2)),
-    "B(Z/2,2) over F2": (lambda: wbar(b_cyclic(F2, 2)), 6, (0, 2)),
+                                    (0, 1, 2), 4),
+    "B(Z/2,2) over F2": (lambda: wbar(b_cyclic(F2, 2)), 6, (0, 2), 6),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DGA_AXIOM_INSTANCES))
 def test_dual_cochain_dga_satisfies_dga_axioms(name):
     # d^2, Leibniz, associativity, unit and augmentation through the
-    # generic Dga checker: the coboundary and cup indices against each
-    # other, and the non-reduced unit on the boundary of Delta^3
-    make, truncation, degrees = DGA_AXIOM_INSTANCES[name]
+    # generic Dga checker: the coboundary index against the cup product,
+    # and the non-reduced unit on the boundary of Delta^3
+    make, truncation, degrees, reach = DGA_AXIOM_INSTANCES[name]
     A = DualCochainDga(make(), truncation)
+    reached = set()
+    mul_keys = A.mul_keys
+
+    def recording_mul_keys(k1, k2):
+        reached.add(k1.degree + k2.degree)
+        return mul_keys(k1, k2)
+
+    A.mul_keys = recording_mul_keys
     assert A.check_axioms(degrees, random.Random(48), samples=20)
+    assert reach in reached, sorted(reached)
 
 
 def test_finite_simplicial_set_json_roundtrip():
@@ -396,16 +408,59 @@ def _reference_cup_index(A, degree):
     return out
 
 
-# B(Z/2,2) has 768 nondegenerate 5-simplices; degree 5 is checked over F2,
-# the field of the cochain products the hga_ek benchmark takes there
+# The whole-slice cup index of Delta^5, and the products from W-bar heads
+# on every key pair of B(Z/m,2) and of B(Z/3), whose odd simplices pin
+# the sign (-1)^{pq}.  B(Z/2,2) has 768 nondegenerate 5-simplices; degree
+# 5 is checked over F2, the field of the cochain products the hga_ek
+# benchmark takes there.
 @pytest.mark.parametrize("field, top", [(QQ, 4), (F5, 4), (F2, 5)])
 def test_cup_index_matches_partial_diagonal_reference(field, top):
-    for X, truncation in ((standard_simplex(field, 5), 5),
-                          (wbar(b_cyclic(field, 2)), top)):
-        A = DualCochainDga(X, truncation)
-        for degree in range(truncation + 1):
-            assert A._cup_index_for(degree) == \
-                _reference_cup_index(A, degree), (X, degree)
+    A = DualCochainDga(standard_simplex(field, 5), 5)
+    for degree in range(6):
+        assert A._cup_index_for(degree) == \
+            _reference_cup_index(A, degree), degree
+    for X in (wbar(b_cyclic(field, 3 if field is F5 else 2)),
+              wbar(ConstantGroup(field, (3,)))):
+        A = DualCochainDga(X, top)
+        for degree in range(top + 1):
+            reference = _reference_cup_index(A, degree)
+            for p in range(degree + 1):
+                for k1 in A.basis(p):
+                    for k2 in A.basis(degree - p):
+                        assert A.mul_keys(k1, k2) == reference.get(
+                            (k1, k2), A.zero()), (k1, k2)
+        assert A._cup_index == {}
+
+
+def _last_face_fibres_by_search(X, p, q):
+    """y -> the (p+q)-simplices of X whose q-fold last face is y, in the
+    order of `X.simplices(p + q)`."""
+    out = {}
+    for x in X.simplices(p + q):
+        face = x
+        for n in range(p + q, p, -1):
+            face = X.face(n, n, face)
+        out.setdefault(face, []).append(x)
+    return out
+
+
+@pytest.mark.parametrize("field, m", [(F2, 2), (PrimeField(3), 3)], ids=str)
+def test_last_face_fibres_match_search(field, m):
+    G = b_cyclic(field, m)
+    for X in (G.G, G, wbar(G)):
+        for p in range(5):
+            for q in range(5 - p):
+                search = _last_face_fibres_by_search(X, p, q)
+                for y in X.simplices(p):
+                    assert list(X.last_face_fibre(p, q, y)) == \
+                        search.get(y, []), (X, p, q, y)
+
+
+def test_triple_cup_product_on_k_z2_2_builds_no_cup_index():
+    A = DualCochainDga(wbar(b_cyclic(F2, 2)), 6)
+    x = A.element(A.basis(2)[0])
+    assert len(A.mul(A.mul(x, x), x).terms) == 4096
+    assert A._cup_index == {}
 
 
 def _plain(cuts):
