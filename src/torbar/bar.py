@@ -217,13 +217,15 @@ class OneSidedBar(TwistedTensor):
     """B(k, A, B) = B A (x)_{f o t_A} B for a dga map or twisting cochain.
 
     `f` may be a dga morphism given as an element map A -> B (callable on
-    keys returning GradedElements) or already a twisting cochain B A -> B.
+    GradedElements), kept as `self.f`, or the bar may be built from a
+    twisting cochain B A -> B alone, and then `self.f` is None.
     """
 
     def __init__(self, A, B, f=None, twisting=None, barA=None):
         self.barA = barA if barA is not None else BarDgc(A)
         self.base = A
         self.coef = B
+        self.f = f
         field = A.field
         if twisting is None:
             if f is None:
@@ -255,13 +257,13 @@ class TorTable:
     against which `express_class` reads the coordinates of any cycle.
     """
 
-    def __init__(self, bidegrees, totals, representatives=None, products=None,
-                 spaces=None):
+    def __init__(self, bidegrees, totals, representatives, spaces):
         self.bidegrees = dict(bidegrees)
         self.totals = dict(totals)
-        self.representatives = representatives or {}
-        self.products = products or []
-        self.spaces = spaces or {}
+        self.representatives = representatives
+        self.spaces = spaces
+        # sampled products, set by `homog`
+        self.products = []
 
     def poincare(self):
         degs = sorted(d for d, v in self.totals.items() if v)

@@ -98,17 +98,15 @@ class Dga:
         return x - self.one().scale(s)
 
     def random_element(self, degree, rng, terms=3):
-        """A sum of up to `terms` random basis keys of the degree, each
-        drawn with a nonzero coefficient among the images of -2, -1, 1, 2
-        in the field (over F2 that is 1 only)."""
+        """A sum of `terms` distinct random basis keys of the degree (all
+        of them if there are fewer), each with a nonzero coefficient drawn
+        among the images of -2, -1, 1, 2 in the field (over F2 that is 1
+        only)."""
         keys = list(self.basis(degree))
-        if not keys:
-            return self.zero()
         f = self.field
         coeffs = [c for c in map(f.of, (-2, -1, 1, 2)) if c != f.zero]
         out = GradedElement(f)
-        for _ in range(min(terms, len(keys))):
-            k = rng.choice(keys)
+        for k in rng.sample(keys, min(terms, len(keys))):
             out.add_in(GradedElement.single(f, k, rng.choice(coeffs)))
         return out
 
@@ -495,18 +493,16 @@ def trivial_homotopy(C, A, t):
 class QuotientOracle:
     """A dga morphism q: A -> Q certifying ideal membership by q(x) = 0.
 
-    `q` maps elements of A to elements of Q; `is_zero_q` decides zero in Q
-    (defaults to GradedElement.is_zero).
+    `q` maps elements of A to elements of Q.
     """
 
-    def __init__(self, A, q, name="q", is_zero_q=None):
+    def __init__(self, A, q, name="q"):
         self.A = A
         self.q = q
         self.name = name
-        self._is_zero = is_zero_q or (lambda e: e.is_zero())
 
     def is_zero(self, x):
-        return self._is_zero(self.q(x))
+        return self.q(x).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -626,15 +622,14 @@ class FreeDga(Dga):
     shm/hga combinators that fails in general fails here.
     """
 
-    def __init__(self, field, gens, d_gen=None, simply_connected=None):
+    def __init__(self, field, gens, d_gen=None):
         super().__init__(field)
         self.gens = dict(gens)
         if any(d <= 0 for d in self.gens.values()):
             raise ValueError("generator degrees must be positive")
         self.unit_key = Word((), 0)
         self._dgen = _generator_differentials(field, d_gen, self.word)
-        self.simply_connected = (simply_connected if simply_connected is not None
-                                 else all(d >= 2 for d in self.gens.values()))
+        self.simply_connected = all(d >= 2 for d in self.gens.values())
 
     def word(self, names):
         return Word(tuple(names), sum(self.gens[n] for n in names))

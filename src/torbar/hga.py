@@ -15,6 +15,7 @@ from .graded import (GradedElement, LinearMap, Tensor, bilinear, d_operation,
 from .dg import (CheckReport, TwistingCochain, TensorDgc, FreeGcCoalgebra,
                  TwistedTensor)
 from .bar import BarWord, dgc_map_from_cochain
+from .linalg import StructuralError
 
 
 class VectorHga:
@@ -221,36 +222,42 @@ def check_extended(inst, sampler, pairs=((1, 1), (1, 2), (2, 1), (2, 2))):
     return rep
 
 
+def cup1(h, a, b):
+    """a u_1 b = -E_1(a; b), for any hga `h` with `field` and `E`: a
+    `VectorHga` on vectors or a `CochainHga` on functional cochains."""
+    return h.E(1, a, [b]).scale(h.field.neg(h.field.one))
+
+
+def cup2(h, a, b):
+    """a u_2 b = -F_11(a; b), for any hga `h` with `field` and `F`."""
+    return h.F(1, 1, [a], [b]).scale(h.field.neg(h.field.one))
+
+
 def check_cup_identities(inst, sampler):
     """d(u1) commutator identity, Hirsch formula, and d(u2)."""
     field = inst.field
     rep = CheckReport("cup-one/cup-two identities")
-    minus = field.neg(field.one)
-
-    def cup1(x, y):
-        return inst.E(1, x, [y]).scale(minus)
-
-    def cup2(x, y):
-        return inst.F(1, 1, [x], [y]).scale(minus)
-
     for args in sampler(2):
         a, b = args
         p, q = _deg(a), _deg(b)
         # d(cup1)(a;b) = ab - (-1)^{pq} ba; cup1 has degree -1
-        lhs = d_operation(lambda xs: cup1(*xs), -1, inst.d, inst.d, [a, b])
+        lhs = d_operation(lambda xs: cup1(inst, *xs), -1, inst.d, inst.d,
+                          [a, b])
         rhs = inst.mul(a, b) + inst.mul(b, a).scale(
             field.neg(parity_sign(field, p * q)))
         rep.record((lhs - rhs).is_zero(), "d(cup1)")
         # d(cup2)(a;b) = a u1 b + (-1)^{pq} b u1 a; cup2 has degree -2
-        lhs2 = d_operation(lambda xs: cup2(*xs), -2, inst.d, inst.d, [a, b])
-        rhs2 = cup1(a, b) + cup1(b, a).scale(parity_sign(field, p * q))
+        lhs2 = d_operation(lambda xs: cup2(inst, *xs), -2, inst.d, inst.d,
+                           [a, b])
+        rhs2 = cup1(inst, a, b) + cup1(inst, b, a).scale(
+            parity_sign(field, p * q))
         rep.record((lhs2 - rhs2).is_zero(), "d(cup2)")
     for args in sampler(3):
         a, b, c = args
         p, q, r = (_deg(x) for x in args)
-        lhs = cup1(inst.mul(a, b), c)
-        rhs = inst.mul(a, cup1(b, c)).scale(parity_sign(field, p)) \
-            + inst.mul(cup1(a, c), b).scale(parity_sign(field, q * r))
+        lhs = cup1(inst, inst.mul(a, b), c)
+        rhs = inst.mul(a, cup1(inst, b, c)).scale(parity_sign(field, p)) \
+            + inst.mul(cup1(inst, a, c), b).scale(parity_sign(field, q * r))
         rep.record((lhs - rhs).is_zero(), "Hirsch")
     return rep
 
@@ -266,9 +273,7 @@ def gerstenhaber_bracket(inst, a, b):
 def bracket_vanishing_witness(inst, a, b):
     """For an extended hga and cocycles a, b: the bracket representative is
     (-1)^{|a|-1} d(a u2 b); returns the defect (zero iff the identity holds)."""
-    field = inst.field
-    cup2ab = inst.F(1, 1, [a], [b]).scale(field.neg(field.one))
-    rhs = inst.d(cup2ab).scale(parity_sign(field, _deg(a) - 1))
+    rhs = inst.d(cup2(inst, a, b)).scale(parity_sign(inst.field, _deg(a) - 1))
     return gerstenhaber_bracket(inst, a, b) - rhs
 
 
@@ -330,15 +335,18 @@ class KSAlgebra:
     (a (x) a) o (b (x) b) = sum_m +-
         (a o [b_1|..|b_m]) (x) frakE(a; [b_{m+1}|..|b_l]) b,
     the sign being (-1)^{|a| deg[b_1..b_m]}; frakE(a; 1) = a and otherwise
-    EE([a-bar], .) through the coefficient hga, entries pushed along the
-    structure map of the one-sided bar.
+    EE([a-bar], .) through the coefficient hga, the entries pushed into
+    the coefficients along the one-sided bar's dga map `osb.f`.  A bar
+    built from a twisting cochain alone has no such map and is refused.
     """
 
-    def __init__(self, osb, base_hga, coef_hga, push=None):
+    def __init__(self, osb, base_hga, coef_hga):
+        if osb.f is None:
+            raise StructuralError("the KS product needs a one-sided bar "
+                                  "built from a dga map")
         self.osb = osb
         self.base_hga = base_hga
         self.coef_hga = coef_hga
-        self.push = push or (lambda x: x)
         self.field = osb.field
         self._mu = None
 
@@ -355,7 +363,7 @@ class KSAlgebra:
         if abar.is_zero():
             return abar
         return braced_E(self.coef_hga, abar,
-                        [self.push(GradedElement.single(self.field, e))
+                        [self.osb.f(GradedElement.single(self.field, e))
                          for e in entries])
 
     def unit(self):

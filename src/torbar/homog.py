@@ -1,7 +1,11 @@
-"""The homogeneous-space pipeline: polynomial-algebra inputs, Tor rings
-via the bar construction with the Kadeishvili-Saneblidze product, an
-independent Koszul-resolution oracle, chain-level Eilenberg-Moore
-instances on simplicial groups, and a catalog of known-answer pairs.
+"""The homogeneous-space pipeline: Tor rings via the bar construction
+with the Kadeishvili-Saneblidze product, an independent
+Koszul-resolution oracle, chain-level Eilenberg-Moore instances on
+simplicial groups, and a catalog of known-answer pairs.
+
+Every Tor route takes one pair (A, B, f): the algebras A = H*(BG) and
+B = H*(BK) and the algebra map f: A -> B, built once per field
+(`catalog_entry`) and shared by the bar route and the oracle.
 """
 import re
 
@@ -15,7 +19,7 @@ from .classifying import wbar
 
 
 # ---------------------------------------------------------------------------
-# Input specifications
+# Polynomial input
 # ---------------------------------------------------------------------------
 
 def parse_polynomial(B, text):
@@ -54,38 +58,6 @@ def parse_polynomial(B, text):
     return out
 
 
-class PolynomialAlgebraSpec:
-    """Generators with names and even positive degrees."""
-
-    def __init__(self, gens):
-        for name, d in gens:
-            if d <= 0 or d % 2:
-                raise ValueError(
-                    f"generator {name} must have even positive degree")
-        self.gens = list(gens)
-
-    def build(self, field):
-        return polynomial_dga(field, self.gens)
-
-
-class AlgebraMapSpec:
-    """Images of the source generators, degree preservation enforced."""
-
-    def __init__(self, images):
-        self.images = dict(images)  # name -> expression string or element
-
-    def build(self, A, B):
-        imgs = {}
-        for name, _ in A.gens.items():
-            expr = self.images.get(name, "0")
-            img = expr if isinstance(expr, GradedElement) else \
-                parse_polynomial(B, expr)
-            if not img.is_zero() and img.degree() != A.gens[name]:
-                raise ValueError(f"image of {name} does not preserve degree")
-            imgs[name] = img
-        return gc_algebra_map(A, B, imgs)
-
-
 # ---------------------------------------------------------------------------
 # Tor rings
 # ---------------------------------------------------------------------------
@@ -118,17 +90,14 @@ class TorRing:
         return self.class_of(z.terms, d1 + d2)
 
 
-def tor_bar_algebra(field, base_spec, fiber_spec, map_spec, max_total,
-                    sample_products=True):
-    """Tor of polynomial data through the one-sided bar construction with
-    the Kadeishvili-Saneblidze product (trivial hga on commutative input)."""
-    A = base_spec.build(field)
-    B = fiber_spec.build(field)
-    fmap = map_spec.build(A, B)
-    osb = OneSidedBar(A, B, f=fmap)
+def tor_bar_algebra(A, B, f, max_total, sample_products=True):
+    """Tor of the pair f: A -> B of polynomial algebras through the
+    one-sided bar construction with the Kadeishvili-Saneblidze product
+    (trivial hga on commutative input)."""
+    osb = OneSidedBar(A, B, f=f)
     table = tor_additive(osb, max_total)
-    ks = KSAlgebra(osb, trivial_hga(A), trivial_hga(B), push=fmap)
-    ring = TorRing(table, field, ks.product)
+    ks = KSAlgebra(osb, trivial_hga(A), trivial_hga(B))
+    ring = TorRing(table, A.field, ks.product)
     if sample_products:
         _attach_products(ring, max_total)
     return ring, osb, ks
@@ -153,18 +122,16 @@ def _attach_products(ring, max_total):
     table.products = entries
 
 
-def tor_koszul_oracle(field, base_spec, fiber_spec, map_spec, max_total):
+def tor_koszul_oracle(A, B, f, max_total):
     """Independent oracle: the commutative dga Lambda(s_g) (x) B with
-    d(s_g) = iota(g); same bigraded dimensions, product from the dga."""
-    B_gens = list(fiber_spec.gens)
-    s_gens = [(f"s_{name}", d - 1) for name, d in base_spec.gens]
-    Btmp = polynomial_dga(field, B_gens)
-    Atmp = base_spec.build(field)
-    fmap = map_spec.build(Atmp, Btmp)
+    d(s_g) = f(g) for each generator g of A; same bigraded dimensions,
+    product from the dga."""
+    field = A.field
+    s_gens = [(f"s_{name}", d - 1) for name, d in A.gens.items()]
     d_gen = {f"s_{name}": [(c, k.powers) for k, c
-                           in fmap(Atmp.generator(name)).terms.items()]
-             for name, _ in base_spec.gens}
-    R2 = FreeGcDga(field, B_gens + s_gens, d_gen)
+                           in f(A.generator(name)).terms.items()]
+             for name in A.gens}
+    R2 = FreeGcDga(field, list(B.gens.items()) + s_gens, d_gen)
 
     def bigrade(key):
         k = sum(e for n, e in key.powers if n.startswith("s_"))
@@ -200,14 +167,12 @@ def chain_level_tor(G, K_space, field, max_total):
 
         def fmap(x):
             return B.one().scale(A.aug(x))
-
-        push = fmap
     else:
         BK = wbar(K_space)
         B = DualCochainDga(BK, trunc)
         hga_B = dual_cochain_hga(B)
 
-        def restrict(x):
+        def fmap(x):
             # C*(BG) -> C*(BK) along the inclusion BK -> BG
             out = GradedElement(field)
             if x.is_zero():
@@ -219,12 +184,9 @@ def chain_level_tor(G, K_space, field, max_total):
                     out.add_in(GradedElement.single(field, BK.key(deg, data)),
                                v)
             return out
-
-        fmap = restrict
-        push = restrict
     osb = OneSidedBar(A, B, f=fmap)
     table = tor_additive(osb, max_total)
-    ks = KSAlgebra(osb, hga_A, hga_B, push=push)
+    ks = KSAlgebra(osb, hga_A, hga_B)
     return TorRing(table, field, ks.product), osb, ks
 
 
@@ -274,23 +236,28 @@ CATALOG = {
 }
 
 
-def catalog_entry(name):
+def catalog_entry(field, name):
+    """The pair of a catalog entry over the field, with its known answer:
+    (A, B, f, expected), A and B the polynomial algebras of the base and
+    fiber generators, f: A -> B the map of the entry's images and
+    `expected` the Poincare dimensions of G/K."""
     data = CATALOG[name]
-    return (PolynomialAlgebraSpec(data["base"]),
-            PolynomialAlgebraSpec(data["fiber"]),
-            AlgebraMapSpec(data["map"]),
-            data["poincare_dims"])
+    A = polynomial_dga(field, data["base"])
+    B = polynomial_dga(field, data["fiber"])
+    f = gc_algebra_map(A, B, {g: parse_polynomial(B, text)
+                              for g, text in data["map"].items()})
+    return A, B, f, data["poincare_dims"]
 
 
 def run_catalog_entry(field, name, max_total, sample_products=False):
-    base, fiber, mp, expected = catalog_entry(name)
-    ring, osb, ks = tor_bar_algebra(field, base, fiber, mp, max_total,
+    A, B, f, expected = catalog_entry(field, name)
+    ring, osb, ks = tor_bar_algebra(A, B, f, max_total,
                                     sample_products=sample_products)
     report = CheckReport(f"catalog {name} over {field}")
     for d in range(0, max_total + 1):
         report.record(ring.table.totals.get(d, 0) == expected.get(d, 0),
                       ("dimension", d))
-    oracle_ring = tor_koszul_oracle(field, base, fiber, mp, max_total)
+    oracle_ring = tor_koszul_oracle(A, B, f, max_total)
     bar_b = {bd: v for bd, v in ring.table.bidegrees.items() if v}
     kos_b = {bd: v for bd, v in oracle_ring.table.bidegrees.items() if v}
     report.record(bar_b == kos_b, ("bigraded tables", bar_b, kos_b))

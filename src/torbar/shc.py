@@ -48,13 +48,13 @@ def _multiplication(A):
 class ShcData:
     """Structure data for a strongly homotopy commutative algebra."""
 
-    def __init__(self, A, phi, ha=None, hc=None, oracle=None, name="shc"):
+    def __init__(self, A, phi, name="shc"):
         self.A = A
         self.AA = TensorDga(A, A)
         self.phi = phi          # TwistingFamily AA => A with phi_(1) = mul
-        self.ha = ha            # homotopy Phi(Phi (x) 1) ~ Phi(1 (x) Phi)
-        self.hc = hc            # homotopy Phi T ~ Phi
-        self.oracle = oracle
+        # the homotopies, assigned by the constructors once phi is in place
+        self.ha = None          # Phi(Phi (x) 1) ~ Phi(1 (x) Phi)
+        self.hc = None          # Phi T ~ Phi
         self.name = name
         self._iterates = {}
 

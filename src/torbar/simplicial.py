@@ -654,9 +654,6 @@ class Cochain:
         return Cochain(self.space, self.degree,
                        lambda k: f.mul(c, self(k)), name=f"{c}*{self.name}")
 
-    def neg(self):
-        return self.scale(self.space.field.neg(self.space.field.one))
-
 
 def zero_cochain(space, degree):
     return Cochain(space, degree, lambda k: space.field.zero, name="0")
@@ -754,14 +751,6 @@ class CochainHga:
             raise ValueError("F_kl arity mismatch")
         return surjection_op(f_surjection(k, l), list(as_) + list(bs),
                              name=f"F{k}{l}")
-
-    def cup1(self, a, b):
-        """a u_1 b = -E_1(a;b)."""
-        return self.E(1, a, [b]).neg()
-
-    def cup2(self, a, b):
-        """a u_2 b = -F_11(a;b) = -(AW(2,1,2,1))^T(a;b)."""
-        return self.F(1, 1, [a], [b]).neg()
 
     def _brace_sign(self, a, bs):
         """(-1)^eps, eps = k deg a + sum (k-m) deg b_m, the suspension

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement, Tensor
 from torbar.dg import polynomial_dga, check_d_squared
-from torbar.bar import BarDgc, BarWord, check_dgc_map, bar_shuffle
+from torbar.bar import (BarDgc, BarWord, OneSidedBar, check_dgc_map,
+                        bar_shuffle, universal_cochain)
+from torbar.linalg import StructuralError
 from torbar.simplicial import (simplex_boundary, standard_simplex,
                                DualCochainDga, ConstantGroup)
 from torbar.classifying import b_cyclic, wbar
@@ -246,7 +248,6 @@ def test_ks_algebra_derivation_and_associativity():
     X = wbar(G)
     A = DualCochainDga(X, 12)
     hga = dual_cochain_hga(A)
-    from torbar.bar import OneSidedBar, BarWord
     osb = OneSidedBar(A, A, f=lambda x: x)
     ks = KSAlgebra(osb, hga, hga)
     cell = {d: A.basis(d)[0] for d in range(0, 6)}
@@ -266,11 +267,23 @@ def test_ks_algebra_on_k_z2_2_smoke():
     K = wbar(G)
     A = DualCochainDga(K, 5)
     hga = dual_cochain_hga(A)
-    from torbar.bar import OneSidedBar
     osb = OneSidedBar(A, A, f=lambda x: x)
     ks = KSAlgebra(osb, hga, hga)
     keys = [k for k in osb.basis_total(2)]
     ks.check_dga(keys).raise_on_failure()
+
+
+def test_ks_algebra_needs_a_dga_map():
+    """A one-sided bar built from a twisting cochain alone has no map to
+    push bar entries into the coefficients along, so the KS product is
+    refused rather than pushed along the identity."""
+    A = polynomial_dga(QQ, [("c", 2)])
+    hga = trivial_hga(A)
+    barA = BarDgc(A)
+    osb = OneSidedBar(A, A, twisting=universal_cochain(barA), barA=barA)
+    assert osb.f is None
+    with pytest.raises(StructuralError):
+        KSAlgebra(osb, hga, hga)
 
 
 def test_ks_componentwise_term():
@@ -280,7 +293,6 @@ def test_ks_componentwise_term():
     K = wbar(G)
     A = DualCochainDga(K, 4)
     hga = dual_cochain_hga(A)
-    from torbar.bar import OneSidedBar
     osb = OneSidedBar(A, A, f=lambda x: x)
     ks = KSAlgebra(osb, hga, hga)
     a2 = A.basis(2)[0]
@@ -356,9 +368,8 @@ def _ks_catalog_triples():
     out = {}
     for name in ("SU(3)/T", "U(3)/U(1)^3"):
         for field in (QQ, F5):
-            base, fiber, mp, _ = catalog_entry(name)
-            _, osb, ks = tor_bar_algebra(field, base, fiber, mp, 0,
-                                         sample_products=False)
+            A, B, f, _ = catalog_entry(field, name)
+            _, osb, ks = tor_bar_algebra(A, B, f, 0, sample_products=False)
             keys = [k for n in range(5) for k in osb.basis_total(n)]
             out[f"{name} over {field}"] = (ks, [
                 t for t in itertools.product(keys, repeat=3)

@@ -2,10 +2,11 @@ import pytest
 
 from torbar.fields import QQ, F5, F2, PrimeField
 from torbar.graded import GradedElement
-from torbar.classifying import b_cyclic
-from torbar.homog import (CATALOG, AlgebraMapSpec, PolynomialAlgebraSpec,
-                          catalog_entry, chain_level_tor, run_catalog_entry,
-                          tor_bar_algebra, tor_koszul_oracle)
+from torbar.classifying import SubgroupInclusion, b_cyclic
+from torbar.dg import gc_algebra_map, polynomial_dga
+from torbar.homog import (CATALOG, catalog_entry, chain_level_tor,
+                          run_catalog_entry, tor_bar_algebra,
+                          tor_koszul_oracle)
 from torbar.linalg import rank_dense_oracle
 
 
@@ -26,8 +27,8 @@ IDS = [f"{name}/{field}" for field, name in PAIRS]
 
 
 def bar_ring(field, name, max_total, sample_products=False):
-    base, fiber, mp, _ = catalog_entry(name)
-    return tor_bar_algebra(field, base, fiber, mp, max_total,
+    A, B, f, _ = catalog_entry(field, name)
+    return tor_bar_algebra(A, B, f, max_total,
                            sample_products=sample_products)
 
 
@@ -47,11 +48,10 @@ def assert_unit_coordinates(ring, field):
 def test_representatives_have_unit_coordinates(field, name):
     """On the bar side, and on the oracle side, whose class spaces are
     the concatenated spaces of its columns."""
-    base, fiber, mp, _ = catalog_entry(name)
-    ring, _, _ = bar_ring(field, name, 4)
+    A, B, f, _ = catalog_entry(field, name)
+    ring, _, _ = tor_bar_algebra(A, B, f, 4, sample_products=False)
     assert_unit_coordinates(ring, field)
-    assert_unit_coordinates(tor_koszul_oracle(field, base, fiber, mp, 4),
-                            field)
+    assert_unit_coordinates(tor_koszul_oracle(A, B, f, 4), field)
 
 
 @pytest.mark.parametrize("field,name", PAIRS, ids=IDS)
@@ -93,11 +93,11 @@ def test_class_spaces_of_columns_sharing_a_total_degree(field):
     total degree 8, t^4 sits in column t = 8 and x_3 y_5 in column
     t = 10, so the class space of degree 8 concatenates two columns and
     the second one's representative tag is shifted by one."""
-    base = PolynomialAlgebraSpec([("c", 4), ("e", 6)])
-    fiber = PolynomialAlgebraSpec([("t", 2)])
-    mp = AlgebraMapSpec({"c": "0", "e": "0"})
-    ring, osb, ks = tor_bar_algebra(field, base, fiber, mp, 8)
-    oracle = tor_koszul_oracle(field, base, fiber, mp, 8)
+    A = polynomial_dga(field, [("c", 4), ("e", 6)])
+    B = polynomial_dga(field, [("t", 2)])
+    f = gc_algebra_map(A, B, {"c": B.zero(), "e": B.zero()})
+    ring, osb, ks = tor_bar_algebra(A, B, f, 8)
+    oracle = tor_koszul_oracle(A, B, f, 8)
     for side in (ring, oracle):
         assert side.table.totals[8] == 2
         assert {bd for bd in side.table.bidegrees if sum(bd) == 8} == \
@@ -149,3 +149,21 @@ def test_chain_level_tor_with_coefficients_in_c_bg():
     assert table.totals == {0: 1, 1: 0, 2: 0}
     assert len(table.representatives[0]) == 1
     assert ring.product_class(0, 0, 0, 0) == [F2.one]
+
+
+def test_chain_level_tor_over_a_proper_subgroup():
+    """G = B(Z/4) and K its subgroup of even entries, a copy of B(Z/2):
+    Tor_{C*(BG)}(F2, C*(BK)) to degree 2 is H*(G/K; F2) = H*(BZ/2; F2),
+    one class in each degree with x1 x1 = x2.  The subgroup runs as a
+    simplicial group (faces, degeneracies and products through the
+    inclusion), and W-bar of it has no `heads`, so its cup products come
+    from the whole-slice cup index.  Inverses are checked directly."""
+    G = b_cyclic(F2, 4)
+    K = SubgroupInclusion(
+        G, lambda p, x: all(v % 2 == 0 for g in x for v in g))
+    ring, _, _ = chain_level_tor(G, K, F2, 2)
+    assert ring.table.totals == {0: 1, 1: 1, 2: 1}
+    assert ring.product_class(1, 0, 1, 0) == [F2.one]
+    assert ring.product_class(0, 0, 2, 0) == [F2.one]
+    for x in K.simplices(2):
+        assert K.mul(2, x, K.inv(2, x)) == K.one(2), x

@@ -241,14 +241,30 @@ def test_tensor_homotopy_small_components():
 
 
 def test_tensor_homotopy_axiom_and_endpoints():
+    """The homotopy axiom up to n = 4 on samples without a zero argument
+    (a zero argument makes the defect vanish unevaluated), so that h_(3)
+    and h_(4) run their terms with k >= 2 and with l >= 2 blocks."""
     rng = random.Random(22)
     A = make_dga()
     T = TensorDga(A, A)
     f = gauge_family(A, rng, name="f")
     g = gauge_family(A, rng, name="g")
     h = tensor_homotopy(f, g, T, T)
-    check_homotopy_family(h, sampler(T, rng, degs=(2, 3), count=1),
-                          ns=(1, 2, 3)).raise_on_failure()
+    checked = []
+
+    def draw():
+        x = T.zero()
+        while x.is_zero():
+            x = T.random_element(rng.choice((2, 3)), rng, terms=2)
+        return x
+
+    def sample(n):
+        checked.append([draw() for _ in range(n)])
+        return checked[-1:]
+
+    check_homotopy_family(h, sample, ns=(1, 2, 3, 4)).raise_on_failure()
+    assert len(checked) == 4
+    assert not any(x.is_zero() for args in checked for x in args)
 
 
 def test_hn_summand_count():

@@ -220,3 +220,81 @@ def test_every_sign_from_parity_sign():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if id(node) not in exempt and _hand_written_sign(node)]
     assert not found, found
+
+
+
+def _defaulted(args, shift=0):
+    """(position or None, name) of each parameter with a default; a
+    keyword-only one has no position.  `shift` skips leading parameters
+    (self)."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(i - shift, a.arg) for i, a in enumerate(positional)
+             if i >= first]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _passes(call, position, name):
+    """True when the call passes the parameter, by keyword or position."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _callee(call, cls, modules):
+    """The name a call reaches: `name(...)`, `module.name(...)`, `cls(...)`
+    inside class `cls`, or `super().__init__(...)` (the first base)."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return cls.name if cls is not None and func.id == "cls" else func.id
+    if not isinstance(func, ast.Attribute):
+        return None
+    if isinstance(func.value, ast.Name) and func.value.id in modules:
+        return func.attr
+    if (cls is not None and func.attr == "__init__" and cls.bases
+            and isinstance(cls.bases[0], ast.Name)
+            and isinstance(func.value, ast.Call)
+            and isinstance(func.value.func, ast.Name)
+            and func.value.func.id == "super"):
+        return cls.bases[0].id
+    return None
+
+
+def test_every_default_is_passed_somewhere():
+    """Each defaulted parameter of a module-level function or a class
+    `__init__` of the package is passed, positionally or by keyword, by
+    some call in the package, the tests or the benchmark: a default that
+    no call overrides is a constant."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    defaults = {}
+    for path, tree in _trees("src/torbar"):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                params = _defaulted(node.args)
+            elif isinstance(node, ast.ClassDef):
+                params = [p for fn in node.body if isinstance(fn, ast.FunctionDef)
+                          and fn.name == "__init__"
+                          for p in _defaulted(fn.args, shift=1)]
+            else:
+                continue
+            for position, name in params:
+                defaults[(node.name, position, name)] = \
+                    f"{path.name}:{node.lineno}:{node.name}({name})"
+    passed = set()
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                target = _callee(child, cls, modules)
+                passed.update(key for key in defaults if key[0] == target
+                              and _passes(child, *key[1:]))
+            visit(child, child if isinstance(child, ast.ClassDef) else cls)
+
+    for _, tree in _trees("src/torbar", "tests", "bench"):
+        visit(tree, None)
+    found = sorted(where for key, where in defaults.items()
+                   if key not in passed)
+    assert not found, found
