@@ -1,11 +1,25 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-A field object mediates all coefficient arithmetic.  Rational coefficients
-are `fractions.Fraction`, prime-field coefficients are plain ints in
-``0..p-1``.  Keeping coefficients as cheap builtin values makes the sparse
-linear algebra fast; the field object carries the operations.
+A field object mediates all coefficient arithmetic.  An integral rational
+is a plain int and any other rational a `fractions.Fraction`; prime-field
+coefficients are plain ints in ``0..p-1``.  Keeping coefficients as cheap
+builtin values makes the sparse linear algebra fast; the field object
+carries the operations.
+
+The rationals normalize where a value is made: `of`, `parse`, `add`,
+`sub`, `mul` and `inv` turn an integral `Fraction` into its int, and `neg`
+keeps the type.  Most exact computations here have integer inputs (signs,
+structure constants, a map's coefficients), and elimination divides only
+by its pivots, so most coefficients stay ints and skip `Fraction`'s
+arithmetic.  Equality, hashing and `str` agree between an int and the
+equal `Fraction`, so no caller sees the difference.
 """
 from fractions import Fraction
+
+
+def _rational(q):
+    """q, or its numerator when q is an integral `Fraction`."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class Rationals:
@@ -14,34 +28,37 @@ class Rationals:
     name = "Q"
     char = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, n):
-        return Fraction(n)
+        return n if type(n) is int else _rational(Fraction(n))
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int else _rational(c)
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int else _rational(c)
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int else _rational(c)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
+        return _rational(1 / Fraction(a))
 
     def fmt(self, a):
         return str(a)
 
     def parse(self, s):
-        return Fraction(s.strip())
+        return _rational(Fraction(s.strip()))
 
     def elements(self):
         raise ValueError("Q is infinite")

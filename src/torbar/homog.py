@@ -125,16 +125,24 @@ def _attach_products(ring, max_total):
 def tor_koszul_oracle(A, B, f, max_total):
     """Independent oracle: the commutative dga Lambda(s_g) (x) B with
     d(s_g) = f(g) for each generator g of A; same bigraded dimensions,
-    product from the dga."""
+    product from the dga.
+
+    The suspension of g is named s_g, with as many more leading s as it
+    takes for no suspension to share a name with a generator of B."""
     field = A.field
-    s_gens = [(f"s_{name}", d - 1) for name, d in A.gens.items()]
-    d_gen = {f"s_{name}": [(c, k.powers) for k, c
-                           in f(A.generator(name)).terms.items()]
+    prefix = "s_"
+    while any(prefix + name in B.gens for name in A.gens):
+        prefix = "s" + prefix
+    susp = {name: prefix + name for name in A.gens}
+    s_gens = [(susp[name], d - 1) for name, d in A.gens.items()]
+    d_gen = {susp[name]: [(c, k.powers) for k, c
+                          in f(A.generator(name)).terms.items()]
              for name in A.gens}
     R2 = FreeGcDga(field, list(B.gens.items()) + s_gens, d_gen)
+    suspended = set(susp.values())
 
     def bigrade(key):
-        k = sum(e for n, e in key.powers if n.startswith("s_"))
+        k = sum(e for n, e in key.powers if n in suspended)
         return (-k, key.degree + k)
 
     basis = {n: R2.basis(n) for n in range(0, max_total + 1)}

@@ -6,12 +6,15 @@ tolerances anywhere.
 `ReducedSpace` is the one elimination kernel, a column reduction with a
 pivot lookup (Chen-Kerber 2011; Bauer, Ripser, 2021).
 
-- *Numbers.*  A space numbers keys in the order it first sees them (`add`
-  numbers a vector's new keys before reducing it), and its rows are dicts
-  on those numbers, so elimination hashes small ints, not nested keys.
-  Queries (`contains`, `express_class`) number nothing: a key without a
-  number is in no row, nothing can cancel it, and the vector is outside
-  the span.
+- *Numbers.*  A space's rows are dicts on key numbers, so elimination
+  hashes small ints, not nested keys.  `kernel_basis` numbers a degree's
+  target keys rarest first before it adds any column: in increasing order
+  of the number of the degree's columns that contain them, ties in order
+  of first sight (`rarest_first`).  Rare keys then take the pivots, and a
+  pivot row with few entries causes little fill-in.  `add` numbers any
+  key still without a number in the order it first sees it.  Queries
+  (`contains`, `express_class`) number nothing: a key without a number is
+  in no row, nothing can cancel it, and the vector is outside the span.
 - *Pivots.*  `add` is the only place that chooses a pivot: the least
   number of the reduced vector.  Each row is scaled to 1 there and lives
   on numbers at or above it.  `echelon` lists the rows as (pivot, row) in
@@ -104,7 +107,7 @@ class ReducedSpace:
 
     def __init__(self, field):
         self.field = field
-        self.index = {}    # key -> number, in order of first sight
+        self.index = {}    # key -> number
         self.pivots = {}   # pivot number -> position in echelon
         self.echelon = []  # (pivot number, row dict number -> coeff)
         self.combos = []   # tag combination of each row, or None
@@ -153,16 +156,20 @@ class ReducedSpace:
                 _subtract(combo, c, row_combo, field)
         return rem
 
+    def number(self, keys):
+        """Give each of `keys` without a number the next one, in order."""
+        index = self.index
+        for k in keys:
+            if k not in index:
+                index[k] = len(index)
+
     def add(self, vec, combo=None):
         """Number vec's new keys, reduce and insert; returns True if the
         vector was new.
 
         `combo` is reduced in place as in `reduce`; a new row keeps its
         scaled copy."""
-        index = self.index
-        for k in vec:
-            if k not in index:
-                index[k] = len(index)
+        self.number(vec)
         rem = self.reduce(vec, combo)
         if not rem:
             return False
@@ -202,15 +209,27 @@ class ReducedSpace:
         return len(self.echelon)
 
 
+def rarest_first(columns):
+    """The keys of the dicts `columns`, in increasing order of the number
+    of dicts that contain them, ties in order of first sight."""
+    counts = {}
+    for col in columns:
+        for k in col:
+            counts[k] = counts.get(k, 0) + 1
+    return sorted(counts, key=counts.__getitem__)
+
+
 def kernel_basis(rows_by_colkey, field, col_keys):
     """Kernel and image of the matrix whose column at key k is
     rows_by_colkey[k] (a dict rowkey -> coeff).
 
-    Columns are added in the order of `col_keys`, column k tagged {k: 1}.
-    Returns (kernel, image): the combinations of the columns that reduce
-    to zero, as dicts col_key -> coeff, and the ReducedSpace of the other
-    columns, which spans the image."""
+    The row keys are numbered rarest first, then columns are added in the
+    order of `col_keys`, column k tagged {k: 1}.  Returns (kernel, image):
+    the combinations of the columns that reduce to zero, as dicts
+    col_key -> coeff, and the ReducedSpace of the other columns, which
+    spans the image."""
     image = ReducedSpace(field)
+    image.number(rarest_first(rows_by_colkey[ck] for ck in col_keys))
     kernel = []
     for ck in col_keys:
         combo = {ck: field.one}

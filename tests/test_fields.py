@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torbar.fields import QQ, F2, F5, PrimeField, field_by_name
+from torbar.graded import GradedElement
 
 
 def test_field_by_name():
@@ -59,3 +61,36 @@ def test_fraction_coercion_into_fp():
     assert F5.of(Fraction(1, 2)) == 3  # 1/2 = 3 mod 5
     with pytest.raises(ValueError):
         PrimeField(4)
+
+
+RATIONALS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                      st.fractions(max_denominator=12),
+                      st.integers(-40, 40).map(lambda n: Fraction(n)))
+
+
+def assert_rational(value, expected):
+    """value equals the plain Fraction result and is an int exactly when
+    that result is integral."""
+    assert value == expected
+    assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+
+@given(RATIONALS, RATIONALS)
+def test_q_stores_integral_rationals_as_ints(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert_rational(QQ.of(a), fa)
+    assert_rational(QQ.parse(f" {fa} "), fa)
+    assert_rational(QQ.parse(f"{3 * fa.numerator}/{3 * fa.denominator}"), fa)
+    assert_rational(QQ.add(a, b), fa + fb)
+    assert_rational(QQ.sub(a, b), fa - fb)
+    assert_rational(QQ.mul(a, b), fa * fb)
+    assert_rational(QQ.neg(QQ.of(a)), -fa)
+    if fa:
+        assert_rational(QQ.inv(a), 1 / fa)
+    assert str(QQ.of(a)) == QQ.fmt(fa) and hash(QQ.of(a)) == hash(fa)
+
+
+def test_q_constants_and_graded_coefficients_are_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    e = GradedElement(QQ, {"k": Fraction(4, 2)})
+    assert e.terms == {"k": 2} and type(e.terms["k"]) is int

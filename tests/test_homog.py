@@ -110,6 +110,24 @@ def test_class_spaces_of_columns_sharing_a_total_degree(field):
     assert any(c[1] != field.zero for c in coords)
 
 
+@pytest.mark.parametrize("fiber", ["s_t", "s_c"])
+def test_koszul_oracle_keeps_suspensions_apart_from_fiber_generators(fiber):
+    """k[c] -> k[x], c -> x^2 with |c| = 4: Tor is k[x]/(x^2), classes in
+    degrees 0 and 2.  A fiber generator named like a suspension, `s_t`,
+    must not count as one, nor may `s_c` merge with the suspension of c."""
+    A = polynomial_dga(QQ, [("c", 4)])
+    B = polynomial_dga(QQ, [(fiber, 2)])
+    x = B.generator(fiber)
+    f = gc_algebra_map(A, B, {"c": B.mul(x, x)})
+    ring, _, _ = tor_bar_algebra(A, B, f, 6, sample_products=False)
+    oracle = tor_koszul_oracle(A, B, f, 6)
+    for side in (ring, oracle):
+        assert [side.table.totals.get(d, 0) for d in range(7)] == \
+            [1, 0, 1, 0, 0, 0, 0]
+    assert {bd: v for bd, v in oracle.table.bidegrees.items() if v} == \
+        {bd: v for bd, v in ring.table.bidegrees.items() if v}
+
+
 def test_chain_level_tor_of_k_z2_2():
     """Tor of C*(K(Z/2,2)) over F2 is F2[x], |x| = 1: one class in each
     degree, and every product of representatives is the class of its

@@ -298,3 +298,26 @@ def test_every_default_is_passed_somewhere():
     found = sorted(where for key, where in defaults.items()
                    if key not in passed)
     assert not found, found
+
+
+def test_fractions_only_in_fields():
+    """Only `fields` imports `fractions` or names `Fraction`, so how a
+    rational coefficient is stored stays that module's choice."""
+    found = []
+    for path, tree in _trees("src/torbar"):
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names
+                      if name.split(".")[0] in ("fractions", "Fraction")]
+    assert not found, found
