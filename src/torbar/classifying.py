@@ -34,19 +34,17 @@ class WBar(SimplicialSet):
     the simplices with front sigma and back tau are exactly h + tau, with
     each h_m in the fibre of G's q-fold last face over sigma_m (`heads`),
     and the fibre of the q-fold last face over sigma is every head
-    followed by every q-simplex (`last_face_fibre`).  A W-bar space has
-    both methods when G has `last_face_fibre`; `DualCochainDga` then
-    enumerates its cup products from the heads.
+    followed by every q-simplex (`last_face_fibre`; `WBarGroup` inherits
+    it, so W-bar of a W-bar group has heads too).  Every simplicial group
+    of the package has a `last_face_fibre`, so every W-bar space has
+    heads, and `DualCochainDga` enumerates its cup products from them.
     """
 
     def __init__(self, G):
         super().__init__(G.field)
         self.G = G
-        if hasattr(G, "last_face_fibre"):
-            self.heads = self._heads
-            self.last_face_fibre = self._last_face_fibre
 
-    def _heads(self, p, q, data):
+    def heads(self, p, q, data):
         """The heads over the p-simplex `data`: the tuples h of p entries
         with h_m in G's q-fold last-face fibre over data[m], entry 0
         varying fastest as in `simplices`."""
@@ -54,10 +52,10 @@ class WBar(SimplicialSet):
                   for m, g in enumerate(data)]
         return [h[::-1] for h in product(*fibres[::-1])]
 
-    def _last_face_fibre(self, p, q, data):
+    def last_face_fibre(self, p, q, data):
         """The (p+q)-simplices whose q-fold last face is the p-simplex
         `data`, in the order of `simplices(p + q)`."""
-        heads = self._heads(p, q, data)
+        heads = self.heads(p, q, data)
         return [h + t for t in self.simplices(q) for h in heads]
 
     def face(self, p, k, data):
@@ -234,13 +232,13 @@ def torus_group(field, rank):
 # -- reduced subgroups and quotients ---------------------------------------
 
 class SubgroupInclusion(SimplicialGroup):
-    """A subgroup presented by a membership test and an enumerator."""
+    """A subgroup of G presented by a membership test; its simplices are
+    those of G that pass it, in G's order."""
 
-    def __init__(self, G, contains, enumerate_p=None):
+    def __init__(self, G, contains):
         super().__init__(G.field)
         self.G = G
         self._contains = contains
-        self._enumerate = enumerate_p
 
     def contains(self, p, x):
         return self._contains(p, x)
@@ -255,9 +253,12 @@ class SubgroupInclusion(SimplicialGroup):
         return self.G.degeneracy(p, i, data)
 
     def simplices(self, p):
-        if self._enumerate is not None:
-            return iter(self._enumerate(p))
         return (x for x in self.G.simplices(p) if self.contains(p, x))
+
+    def last_face_fibre(self, p, q, data):
+        """Faces are G's: G's fibre over `data` filtered by membership."""
+        return [x for x in self.G.last_face_fibre(p, q, data)
+                if self.contains(p + q, x)]
 
     def mul(self, p, x, y):
         return self.G.mul(p, x, y)

@@ -13,7 +13,8 @@ of cocycles, and the kernel-ideal generator families).
 """
 import random
 
-from .graded import GradedElement, Tensor, parity_sign, tensor_elements
+from .graded import (GradedElement, LinearMap, Tensor, parity_sign,
+                     tensor_elements)
 from .linalg import StructuralError
 from .dg import (CheckReport, FreeGcCoalgebra, TensorDgc, check_chain_map,
                  check_d_squared, preserves_coproduct)
@@ -80,8 +81,9 @@ class TorusFormality:
         # H*(BT) = k[y]: the algebra on the keys of the coalgebra S
         self.H = self.K.D.algebra
         self.hga = CochainHga(self.BT)
-        self._F_memo = {}
-        self._f_memo = {}
+        # F: K -> C(ET) and f: S -> C(BT), each computed once per key
+        self.F_key = LinearMap(field, 0, self._F_rule, name="F")
+        self.f_key = LinearMap(field, 0, self._f_rule, name="f")
         # representative loops: the canonical generators of Z^n, optionally
         # symmetrized  c~ = (c - iota_* c)/2
         self.loops = []
@@ -114,32 +116,21 @@ class TorusFormality:
         return group_action_on_chains(self.T, self.E, self.E.action,
                                       chain_T, chain_E)
 
-    def F_key(self, key):
-        got = self._F_memo.get(key)
-        if got is not None:
-            return got
+    def _F_rule(self, key):
         lk, sk = key.parts
         if lk.powers:
             pure = Tensor((self.K.L.unit_key, sk))
-            val = self.act(self.phi(lk), self.F_key(pure))
-        elif not sk.powers:
-            val = self.E.chain(0, self.E.basepoint())
-        else:
-            val = self.K.diff_key(key).map_keys(
-                lambda k2: self.E.s_chain(self.F_key(k2)))
-        self._F_memo[key] = val
-        return val
+            return self.act(self.phi(lk), self.F_key(pure))
+        if not sk.powers:
+            return self.E.chain(0, self.E.basepoint())
+        return self.K.diff_key(key).map_keys(
+            lambda k2: self.E.s_chain(self.F_key(k2)))
 
     # -- f: S -> C(BT) and the formality morphism f* ----------------------
-    def f_key(self, skey):
-        got = self._f_memo.get(skey)
-        if got is not None:
-            return got
+    def _f_rule(self, skey):
         chain = self.F_key(Tensor((self.K.L.unit_key, skey)))
-        val = chain.map_keys(lambda k: self.BT.chain(
+        return chain.map_keys(lambda k: self.BT.chain(
             k.degree, self.E.projection(k.degree, k.data)))
-        self._f_memo[skey] = val
-        return val
 
     def f(self, alpha):
         _, skey = self.K.key((), alpha).parts

@@ -9,7 +9,11 @@ Cochains are computable functionals on nondegenerate simplices, so lazily
 enumerated spaces only ever answer finitely many queries.  On a degreewise
 finite space, `DualCochainDga` is C*(X) as a `Dga` whose basis keys are the
 `SimplexKey`s themselves: the key of a simplex also names its dual cochain.
-Its E_k and F_kl go through the functionals and back.
+Its E_k and F_kl go through the functionals and back.  So does its cup
+product, except on W-bar spaces, where the simplices of a product are
+listed from the heads over the front face and the tail that is the back
+face (`classifying.WBar.heads`, built from the `last_face_fibre` that every
+`SimplicialGroup` has).
 
 Every `SimplicialSet` owns three memos of its simplicial hot path, filled
 on first use and keyed by raw simplex data, which is sound because face
@@ -28,15 +32,13 @@ between callers and immutable (bools, keys and tuples).  The shapes of
 interval cuts depend only on (u.seq, n); `_cut_shapes` keeps those of the
 256 most recent pairs.
 """
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .dg import Dga, Dgc
 from .graded import (GradedElement, Tensor, bilinear, interleave_exponent,
-                     koszul_sign, parity_sign, suspension_exponent,
-                     tensor_elements)
+                     koszul_sign, parity_sign, tensor_elements)
 from .linalg import homology, StructuralError
 
 
@@ -264,119 +266,6 @@ class ProductSpace(SimplicialSet):
 
     def basepoint(self):
         return (self.X.basepoint(), self.Y.basepoint())
-
-
-class FiniteSimplicialSet(SimplicialSet):
-    """A finite simplicial set given by face tables on nondegenerate
-    simplices; arbitrary simplices are normal forms s_I tau.
-
-    Simplex data: (indices, name) with `indices` the strictly decreasing
-    tuple I such that the simplex is s_{i_1} ... s_{i_m} tau (applied right
-    to left), tau nondegenerate of dimension p - m.
-    """
-
-    def __init__(self, field, dims, faces, base=None):
-        """dims: name -> dimension; faces: name -> list of face data in
-        normal form ((), name) or (indices, name)."""
-        super().__init__(field)
-        self.dims = dict(dims)
-        self.face_table = {k: [self._norm(f) for f in v]
-                           for k, v in faces.items()}
-        self.base = base
-
-    @staticmethod
-    def _norm(f):
-        if isinstance(f, str):
-            return ((), f)
-        idx, name = f
-        return (tuple(idx), name)
-
-    def face(self, p, i, data):
-        idx, name = data
-        idx = list(idx)
-        # commute d_i past the degeneracies s_j (idx is decreasing)
-        for pos in range(len(idx)):
-            j = idx[pos]
-            if i < j:
-                idx[pos] = j - 1
-            elif i in (j, j + 1):
-                del idx[pos]
-                return (tuple(idx), name)
-            else:
-                i -= 1
-        faces = self.face_table[name]
-        fi, fn = faces[i]
-        # compose the remaining degeneracies with the face's normal form
-        out = list(fi)
-        for j in reversed(idx):
-            out = self._apply_s(out, j)
-        return (tuple(out), fn)
-
-    def degeneracy(self, p, i, data):
-        idx, name = data
-        return (tuple(self._apply_s(list(idx), i)), name)
-
-    @staticmethod
-    def _apply_s(idx, i):
-        """Insert s_i into a decreasing list of degeneracy indices."""
-        # s_i s_j = s_{j+1} s_i for i <= j: push i rightwards, bumping js
-        out = []
-        pos = 0
-        while pos < len(idx) and idx[pos] >= i:
-            out.append(idx[pos] + 1)
-            pos += 1
-        out.append(i)
-        out.extend(idx[pos:])
-        return out
-
-    def simplices(self, p):
-        for name, d in self.dims.items():
-            if d == p:
-                yield ((), name)
-            elif d < p:
-                m = p - d
-                for comb in self._dec_tuples(m, p - 1):
-                    yield (comb, name)
-
-    @staticmethod
-    def _dec_tuples(m, top):
-        """Strictly decreasing m-tuples with entries in 0..top, valid
-        normal forms s_{i_1} > ... > s_{i_m}."""
-        from itertools import combinations
-        for comb in combinations(range(top + 1), m):
-            yield tuple(sorted(comb, reverse=True))
-
-    def is_degenerate(self, p, data):
-        return len(data[0]) > 0
-
-    def basepoint(self):
-        if self.base is None:
-            raise StructuralError("no basepoint declared")
-        return ((), self.base)
-
-    @classmethod
-    def from_json(cls, field, text_or_dict):
-        data = (json.loads(text_or_dict) if isinstance(text_or_dict, str)
-                else text_or_dict)
-        dims = {}
-        faces = {}
-        for p_str, entries in data["simplices"].items():
-            p = int(p_str)
-            for name, face_list in entries.items():
-                dims[name] = p
-                if p > 0:
-                    faces[name] = face_list
-        return cls(field, dims, faces, base=data.get("basepoint"))
-
-    def to_json(self):
-        by_dim = {}
-        for name, d in self.dims.items():
-            by_dim.setdefault(str(d), {})[name] = [
-                [list(i), n] for i, n in self.face_table.get(name, [])]
-        out = {"simplices": by_dim}
-        if self.base is not None:
-            out["basepoint"] = self.base
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -752,20 +641,6 @@ class CochainHga:
         return surjection_op(f_surjection(k, l), list(as_) + list(bs),
                              name=f"F{k}{l}")
 
-    def _brace_sign(self, a, bs):
-        """(-1)^eps, eps = k deg a + sum (k-m) deg b_m, the suspension
-        exponent of (a, b_1, ..., b_k)."""
-        eps = suspension_exponent([x.degree for x in [a, *bs]])
-        return parity_sign(self.field, eps)
-
-    def braces(self, a, bs):
-        """Voronov braces a{b_1,...,b_k} = (-1)^eps E_k(a;b_bullet)."""
-        return self.E(len(bs), a, bs).scale(self._brace_sign(a, bs))
-
-    def braces_to_E(self, brace_fn, a, bs):
-        """Inverse dictionary: recover E_k from a braces-style operation."""
-        return brace_fn(a, bs).scale(self._brace_sign(a, bs))
-
 
 def q_operation(key, k, l, pi, base_space):
     """Q^n_{k,l}(sigma) = sigma(0..k, l..n) (x) pi_* sigma(k..l)."""
@@ -803,6 +678,12 @@ class SimplicialGroup(SimplicialSet):
         raise NotImplementedError
 
     def one(self, p):
+        raise NotImplementedError
+
+    def last_face_fibre(self, p, q, data):
+        """The (p+q)-simplices whose q-fold last face is the p-simplex
+        `data`, in the order of `simplices(p + q)`; W-bar of the group
+        multiplies cochains from these (`classifying.WBar.heads`)."""
         raise NotImplementedError
 
     def basepoint(self):
@@ -913,6 +794,8 @@ class ConstantFreeAbelian(SimplicialGroup):
     def one(self, p):
         return (0,) * self.rank
 
+    last_face_fibre = ConstantGroup.last_face_fibre
+
 
 class ProductGroup(ProductSpace, SimplicialGroup):
     """G x H: the product space with componentwise group structure."""
@@ -925,6 +808,13 @@ class ProductGroup(ProductSpace, SimplicialGroup):
 
     def one(self, p):
         return (self.X.one(p), self.Y.one(p))
+
+    def last_face_fibre(self, p, q, data):
+        """Faces are componentwise: the product of the two factors'
+        fibres, in the order of `ProductSpace.simplices`."""
+        x, y = data
+        return list(product(self.X.last_face_fibre(p, q, x),
+                            self.Y.last_face_fibre(p, q, y)))
 
 
 def degeneracies_except(space, data, n, m):
@@ -986,9 +876,10 @@ class DualCochainDga(Dga):
     back q-face tau, each with the cut sign +1 times the Koszul pairing
     sign (-1)^{pq}.  On a W-bar space the back face of x is its tail
     x[p:] and its front face depends only on its head x[:p], so `X.heads`
-    lists the candidates h + tau directly (see `classifying.WBar`).  A
-    space without `heads` builds the cup index of the whole slice instead,
-    one interval cut per simplex, on the first product landing there.
+    lists the candidates h + tau directly (see `classifying.WBar`).  Any
+    other space (a simplex, its boundary, a coset space) multiplies by
+    the definition itself: `cup` on the two functionals, vectorized, the
+    route E_k and F_kl take too.
     """
 
     def __init__(self, X, truncation):
@@ -1001,8 +892,6 @@ class DualCochainDga(Dga):
         self.unit_key = X.key(0, vertices[0]) if len(vertices) == 1 else None
         self.hga = CochainHga(X)
         self._cob_index = {}
-        self._heads = getattr(X, "heads", None)
-        self._cup_index = {}
 
     @cached_property
     def base_key(self):
@@ -1058,44 +947,23 @@ class DualCochainDga(Dga):
         got = self._coboundary_index(key.degree).get(key)
         return GradedElement(self.field) if got is None else got
 
-    def _cup_index_for(self, degree):
-        """(front key, back key) -> vector of duals of the total simplices.
-
-        Built from the interval cuts of the surjection (1, 2), whose
-        transpose is the cup product, on every simplex of the slice: the
-        product of spaces without `heads`."""
-        got = self._cup_index.get(degree)
-        if got is None:
-            got = {}
-            field = self.field
-            u = Surjection((1, 2))
-            for x in self.X.nondegenerate(degree):
-                skey = self.X.key(degree, x)
-                for c, (front, back) in interval_cut(u, skey):
-                    # Koszul pairing sign (-1)^{|b||front|}
-                    got.setdefault((front, back), GradedElement(field)) \
-                        .add_in(GradedElement.single(field, skey),
-                                field.mul(c, parity_sign(
-                                    field, back.degree * front.degree)))
-            self._cup_index[degree] = got
-        return got
-
     def mul_keys(self, k1, k2):
         p, q = k1.degree, k2.degree
         n = p + q
         if n > self.truncation:
             raise StructuralError(
                 f"cochain product beyond truncation {self.truncation}")
-        if self._heads is None:
-            return self._cup_index_for(n).get(
-                (k1, k2), GradedElement(self.field))
+        X = self.X
+        if not hasattr(X, "heads"):
+            return self._through_functionals(
+                lambda cs: cup(*cs), [self.element(k1), self.element(k2)])
         # the nondegenerate h + tail, each with the cut sign +1 of (1, 2)
         # times the Koszul pairing sign (-1)^{pq}
-        X, tail = self.X, k2.data
+        tail = k2.data
         sign = parity_sign(self.field, p * q)
         return GradedElement(self.field, {
             X.key(n, x): sign
-            for x in (h + tail for h in self._heads(p, q, k1.data))
+            for x in (h + tail for h in X.heads(p, q, k1.data))
             if not X.is_degenerate(n, x)})
 
     def one(self):

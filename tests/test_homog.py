@@ -174,8 +174,9 @@ def test_chain_level_tor_over_a_proper_subgroup():
     Tor_{C*(BG)}(F2, C*(BK)) to degree 2 is H*(G/K; F2) = H*(BZ/2; F2),
     one class in each degree with x1 x1 = x2.  The subgroup runs as a
     simplicial group (faces, degeneracies and products through the
-    inclusion), and W-bar of it has no `heads`, so its cup products come
-    from the whole-slice cup index.  Inverses are checked directly."""
+    inclusion), and its `last_face_fibre` is G's filtered by membership,
+    so the cup products on W-bar of it come from heads.  Inverses are
+    checked directly."""
     G = b_cyclic(F2, 4)
     K = SubgroupInclusion(
         G, lambda p, x: all(v % 2 == 0 for g in x for v in g))

@@ -1,6 +1,8 @@
 """Checks on the source of the package itself."""
 import ast
+import importlib
 import pathlib
+import pkgutil
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "torbar"
 
@@ -320,4 +322,24 @@ def test_fractions_only_in_fields():
                 continue
             found += [f"{path.name}:{node.lineno}:{name}" for name in names
                       if name.split(".")[0] in ("fractions", "Fraction")]
+    assert not found, found
+
+
+def test_every_simplicial_group_has_a_last_face_fibre():
+    """Each `SimplicialGroup` of the package overrides the
+    `last_face_fibre` stub, so W-bar of every group multiplies cochains
+    from heads; a group that lost its fibre would stop W-bar's cup
+    products with `NotImplementedError`."""
+    from torbar.simplicial import SimplicialGroup
+    for info in pkgutil.iter_modules([str(SRC)]):
+        importlib.import_module(f"torbar.{info.name}")
+    groups, todo = [], [SimplicialGroup]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        groups += subclasses
+        todo += subclasses
+    groups = {cls for cls in groups if cls.__module__.startswith("torbar.")}
+    assert len(groups) >= 5, groups
+    found = sorted(f"{cls.__module__}.{cls.__name__}" for cls in groups
+                   if cls.last_face_fibre is SimplicialGroup.last_face_fibre)
     assert not found, found
