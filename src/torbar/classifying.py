@@ -233,12 +233,13 @@ def torus_group(field, rank):
 
 class SubgroupInclusion(SimplicialGroup):
     """A subgroup of G presented by a membership test; its simplices are
-    those of G that pass it, in G's order."""
+    those of G that pass it, in G's order, filtered once per degree."""
 
     def __init__(self, G, contains):
         super().__init__(G.field)
         self.G = G
         self._contains = contains
+        self._members = {}
 
     def contains(self, p, x):
         return self._contains(p, x)
@@ -253,7 +254,11 @@ class SubgroupInclusion(SimplicialGroup):
         return self.G.degeneracy(p, i, data)
 
     def simplices(self, p):
-        return (x for x in self.G.simplices(p) if self.contains(p, x))
+        got = self._members.get(p)
+        if got is None:
+            got = self._members[p] = tuple(
+                x for x in self.G.simplices(p) if self.contains(p, x))
+        return got
 
     def last_face_fibre(self, p, q, data):
         """Faces are G's: G's fibre over `data` filtered by membership."""

@@ -705,7 +705,7 @@ class FreeGcDga(Dga):
     exterior on odd ones, with an assignable differential.
 
     Serves as polynomial algebras (zero differential), exterior algebras,
-    Koszul-resolution algebras, and commutative shc test instances.
+    and Koszul-resolution algebras.
     """
 
     commutative = True

@@ -105,14 +105,6 @@ class TwistingFamily:
         barB = barB or BarDgc(self.B)
         return dgc_map_from_cochain(self.to_cochain(barA), barB)
 
-    def is_strict_under(self, oracle, sampler, max_n=4):
-        """b-strictness certificate: q f_(n) = 0 for 2 <= n <= max_n."""
-        rep = CheckReport(f"{self.name} strict under {oracle.name}")
-        for n in range(2, max_n + 1):
-            for args in sampler(n):
-                rep.record(oracle.is_zero(self(n, args)), (n, args))
-        return rep
-
 
 class TwistingHomotopyFamily:
     """Components h_(n): A^{(x)n} -> B of degree -n with h_(0) = eta_B,
@@ -190,24 +182,6 @@ class TwistingHomotopyFamily:
             return out
 
         return LinearMap(field, -1, rule, name=f"B<{self.name}>")
-
-    def cup(self, other, name=None):
-        """h u k: source ~ other.target through the convolution product."""
-        barA = BarDgc(self.A)
-        hom = HomAlgebra(barA, self.B)
-        rule = hom.cup(self.to_cochain(barA).map, other.to_cochain(barA).map)
-        return TwistingHomotopyFamily.from_cochain(
-            barA, self.B, rule, self.source, other.target,
-            name=name or f"{self.name}u{other.name}")
-
-    def inverse(self):
-        """The geometric-series inverse, a homotopy target ~ source."""
-        barA = BarDgc(self.A)
-        hom = HomAlgebra(barA, self.B)
-        inv = hom.geometric_inverse(self.to_cochain(barA).map)
-        return TwistingHomotopyFamily.from_cochain(
-            barA, self.B, inv, self.target, self.source,
-            name=f"{self.name}^-1")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from torbar.fields import QQ, F5, F2, PrimeField
@@ -126,6 +128,37 @@ def test_koszul_oracle_keeps_suspensions_apart_from_fiber_generators(fiber):
             [1, 0, 1, 0, 0, 0, 0]
     assert {bd: v for bd, v in oracle.table.bidegrees.items() if v} == \
         {bd: v for bd, v in ring.table.bidegrees.items() if v}
+
+
+def test_tor_table_to_json():
+    """SU(3)/T over Q: the JSON form of the table, with the sampled
+    products only when they were asked for."""
+    ring, _, _ = bar_ring(QQ, "SU(3)/T", 6)
+    data = ring.table.to_json()
+    assert data["bidegrees"] == [[0, 0, 1], [0, 2, 2], [0, 4, 2], [0, 6, 1]]
+    assert data["poincare"] == "1+2*q^2+2*q^4+q^6"
+    assert data["totals"] == {str(d): v
+                              for d, v in ring.table.totals.items()}
+    assert "products" not in data
+    sampled, _, _ = bar_ring(QQ, "SU(3)/T", 6, sample_products=True)
+    data = sampled.table.to_json()
+    assert len(data["products"]) == 14
+    assert json.loads(json.dumps(data)) == data
+
+
+def test_pu2_over_f2_formal_square_vanishes():
+    """The catalog's expected failure.  H*(PU(2); F2) = F2[x]/x^4 has
+    x1^2 = x2 != 0, but the formal Tor of H*(BPU(2)) -> H*(BT) over F2
+    has x1 x1 = 0: the formal route needs 2 invertible, and over F2 it
+    is not.  At chain level the square survives:
+    `test_chain_level_tor_of_k_z2_2` shows x1 x1 = x2.  Both formal
+    routes, the bar ring and the Koszul oracle, agree on x1 x1 = 0 and
+    x1 x2 = x3."""
+    A, B, f, _ = catalog_entry(F2, "PU(2)@F2")
+    ring, _, _ = tor_bar_algebra(A, B, f, 6, sample_products=False)
+    for side in (ring, tor_koszul_oracle(A, B, f, 6)):
+        assert side.product_class(1, 0, 1, 0) == [F2.zero]
+        assert side.product_class(1, 0, 2, 0) == [F2.one]
 
 
 def test_chain_level_tor_of_k_z2_2():

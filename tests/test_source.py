@@ -343,3 +343,20 @@ def test_every_simplicial_group_has_a_last_face_fibre():
     found = sorted(f"{cls.__module__}.{cls.__name__}" for cls in groups
                    if cls.last_face_fibre is SimplicialGroup.last_face_fibre)
     assert not found, found
+
+
+def test_tracer_modules_are_the_package_modules():
+    """`bench/tracing.py` imports every module in its `MODULES` list for a
+    traced run, so the list must name exactly the package's modules: a
+    module deleted without its name (or added without one) fails here by
+    name, not in the traced benchmark runs.  The list is read with `ast`,
+    so the tracer is not imported."""
+    path = SRC.parent.parent / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "MODULES"
+                       for t in node.targets)]
+    assert len(modules) == 1, modules
+    assert set(modules[0]) == {p.stem for p in SRC.glob("*.py")} \
+        - {"__init__"}
