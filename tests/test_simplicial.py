@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torbar import simplicial
+from torbar import classifying, simplicial
 from torbar.classifying import (SubgroupInclusion, WBar, WTotal, b_cyclic,
                                 torus_group, wbar)
 from torbar.fields import QQ, F2, F5, PrimeField
@@ -491,9 +491,9 @@ def _memo_run():
     replaced by their data so that runs on different spaces compare."""
     A = DualCochainDga(wbar(b_cyclic(F2, 2)), 4)
     X = A.X
-    memos = (X._degenerate_memo, X._key_memo, X._cut_memo)
+    memos = (X._degenerate_memo, X._key_memo, X._cut_memo, X.G._face_memo)
     caps = (simplicial.DEGENERATE_CAP, simplicial.KEY_CAP,
-            simplicial.CUT_CAP)
+            simplicial.CUT_CAP, classifying.GROUP_FACE_CAP)
     out = []
 
     def record(value):
@@ -521,9 +521,21 @@ def test_memos_stay_within_small_caps(monkeypatch):
     assert min(sizes) > 8
     for name in ("DEGENERATE_CAP", "KEY_CAP", "CUT_CAP"):
         monkeypatch.setattr(simplicial, name, 8)
+    monkeypatch.setattr(classifying, "GROUP_FACE_CAP", 8)
     got, sizes = _memo_run()
     assert got == expected
     assert max(sizes) <= 8
+
+
+def test_warm_wbar_group_faces_match_the_formula():
+    G = b_cyclic(F2, 2)
+    cases = [(p, k, x) for p in range(1, 6) for x in G.simplices(p)
+             for k in range(p + 1)]
+    for p, k, x in cases:
+        G.face(p, k, x)
+    assert 8 < len(G._face_memo) <= classifying.GROUP_FACE_CAP
+    for p, k, x in cases:
+        assert G.face(p, k, x) == WBar.face(G, p, k, x), (p, k, x)
 
 
 def _simplices_of(space, p):
@@ -572,3 +584,34 @@ def test_wbar_wtotal_simplicial_identities_property(data):
     expected = any(X.degeneracy(p - 1, i, X.face(p, i, x)) == x
                    for i in range(p))
     assert X.is_degenerate(p, x) == expected
+
+
+def _face_by_deletion(X, data, p, vertices):
+    """The face spanned by `vertices`, one vertex deleted at a time from
+    the highest down: the reference for faces taken through a table."""
+    out = data
+    dim = p
+    for i in range(p, -1, -1):
+        if i not in vertices:
+            out = X.face(dim, i, out)
+            dim -= 1
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_faces_through_one_table_match_deletion_property(data):
+    X = PROPERTY_SPACES[data.draw(st.sampled_from(sorted(PROPERTY_SPACES)))]
+    p = data.draw(st.integers(0, 5))
+    x = data.draw(_simplices_of(X, p))
+    vertex_sets = st.sets(st.integers(0, p), min_size=1)
+    vertex_tuples = data.draw(st.lists(
+        vertex_sets.map(lambda vs: tuple(sorted(vs))), min_size=1, max_size=8))
+    table = {}
+    for vs in vertex_tuples:
+        expected = _face_by_deletion(X, x, p, vs)
+        assert X.face_by_vertices_data(x, p, vs, table) == expected
+        assert X.face_by_vertices_data(x, p, vs) == expected
+    # every face the table keeps is the face of its own vertex tuple
+    assert all(face == _face_by_deletion(X, x, p, vs)
+               for vs, face in table.items())
