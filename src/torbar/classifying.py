@@ -41,6 +41,14 @@ class WBar(SimplicialSet):
     of the package has a `last_face_fibre`, so every W-bar space has
     heads, and `DualCochainDga` enumerates its cup products from them.
 
+    Degeneracy.  s_k of a (p-1)-simplex y applies G's s_{k-1-m} to each
+    entry y_m with m < k, writes the identity 1_{p-1-k} of G into entry
+    k and keeps y[k:] after it (`degeneracy`).  G's degeneracies are
+    injective, so a p-simplex x is s_k of some y exactly when x_k is the
+    identity and each x_m with m < k is s_{k-1-m} of a simplex of G
+    (`degenerate_at`).  No face is computed, and a nondegenerate simplex
+    usually fails the first comparison for every k.
+
     Faces are memoized on `WBarGroup` only.  A W-bar space has many more
     simplices than its group, each asked for by a few interval cuts, which
     share the faces of one simplex already.  A memo of the faces of every
@@ -93,6 +101,11 @@ class WBar(SimplicialSet):
         out.extend(data[k:])
         return tuple(out)
 
+    def degenerate_at(self, p, k, data):
+        G = self.G
+        return data[k] == G.one(p - 1 - k) and all(
+            G.degenerate_at(p - 1 - m, k - 1 - m, data[m]) for m in range(k))
+
     def simplices(self, p):
         def rec(dims):
             if not dims:
@@ -118,6 +131,10 @@ class WBarGroup(WBar, SimplicialGroup):
     entries, so the few simplices of the group are asked for again and
     again: the memo holds 94 entries through the E_1 scans of the hga_ek
     benchmark on B(Z/2,2), and 298 through the torus formality report.
+
+    It also keeps its identity simplex of each degree asked for (`one`),
+    one entry per degree, since W-bar of the group compares entries
+    against it in every degeneracy test.
     """
 
     def __init__(self, G):
@@ -125,6 +142,7 @@ class WBarGroup(WBar, SimplicialGroup):
             raise TypeError("WBarGroup needs a simplicial group")
         super().__init__(G)
         self._face_memo = {}
+        self._ones = {}
 
     def face(self, p, k, data):
         if k == 0:
@@ -143,7 +161,11 @@ class WBarGroup(WBar, SimplicialGroup):
         return tuple(self.G.inv(p - 1 - m, a) for m, a in enumerate(x))
 
     def one(self, p):
-        return tuple(self.G.one(p - 1 - m) for m in range(p))
+        got = self._ones.get(p)
+        if got is None:
+            got = self._ones[p] = tuple(self.G.one(p - 1 - m)
+                                        for m in range(p))
+        return got
 
 
 class WTotal(SimplicialSet):
@@ -166,6 +188,12 @@ class WTotal(SimplicialSet):
     def degeneracy(self, p, k, data):
         g, bg = data
         return (self.G.degeneracy(p, k, g), self.base.degeneracy(p, k, bg))
+
+    def degenerate_at(self, p, k, data):
+        """s_k acts on both coordinates, so both must be s_k images."""
+        g, bg = data
+        return (self.G.degenerate_at(p, k, g)
+                and self.base.degenerate_at(p, k, bg))
 
     def simplices(self, p):
         for bg in self.base.simplices(p):
@@ -280,6 +308,9 @@ class SubgroupInclusion(SimplicialGroup):
 
     def degeneracy(self, p, i, data):
         return self.G.degeneracy(p, i, data)
+
+    def degenerate_at(self, p, k, data):
+        return self.G.degenerate_at(p, k, data)
 
     def simplices(self, p):
         got = self._members.get(p)

@@ -20,7 +20,11 @@ on first use and keyed by raw simplex data, which is sound because face
 and degeneracy are pure functions of (p, data):
 
 - `is_degenerate(p, data)`, keyed by (p, data), at most DEGENERATE_CAP
-  (65536) entries;
+  (65536) entries.  It asks the space's `degenerate_at(p, k, data)` for
+  each k < p: whether x is s_k of a (p-1)-simplex.  The generic answer
+  tests x = s_k d_k x; a simplex, a constant group, a product, a W-bar
+  space and its total space read it off the entries of x instead, with
+  no face or degeneracy computed;
 - `key(p, data)`, keyed by (p, data), at most KEY_CAP (65536) entries: one
   shared `SimplexKey` per simplex, so memoized cuts hold references to
   keys, not copies of them;
@@ -121,13 +125,18 @@ class SimplicialSet:
     def basepoint_key(self):
         return self.key(0, self.basepoint())
 
+    def degenerate_at(self, p, k, data):
+        """Whether the p-simplex `data` is s_k of a (p-1)-simplex, that is
+        x = s_k d_k x.  Spaces whose degeneracies have a formula override
+        this to read the answer off the entries of `data`."""
+        return self.degeneracy(p - 1, k, self.face(p, k, data)) == data
+
     def is_degenerate(self, p, data):
         got = self._degenerate_memo.get((p, data))
         if got is None:
-            # x is degenerate iff x = s_i d_i x for some i
             got = _remember(self._degenerate_memo, (p, data), any(
-                self.degeneracy(p - 1, i, self.face(p, i, data)) == data
-                for i in range(p)), DEGENERATE_CAP)
+                self.degenerate_at(p, k, data) for k in range(p)),
+                DEGENERATE_CAP)
         return got
 
     def nondegenerate(self, p):
@@ -252,8 +261,8 @@ class SimplexComplex(SimplicialSet):
                 continue
             yield comb
 
-    def is_degenerate(self, p, data):
-        return any(data[i] == data[i + 1] for i in range(p))
+    def degenerate_at(self, p, k, data):
+        return data[k] == data[k + 1]
 
     def basepoint(self):
         return (0,)
@@ -282,6 +291,11 @@ class ProductSpace(SimplicialSet):
     def degeneracy(self, p, i, data):
         x, y = data
         return (self.X.degeneracy(p, i, x), self.Y.degeneracy(p, i, y))
+
+    def degenerate_at(self, p, k, data):
+        """s_k acts componentwise, so both components must be s_k images."""
+        x, y = data
+        return self.X.degenerate_at(p, k, x) and self.Y.degenerate_at(p, k, y)
 
     def simplices(self, p):
         for x in self.X.simplices(p):
@@ -776,8 +790,9 @@ class ConstantGroup(SimplicialGroup):
                     yield (v,) + rest
         return rec(0)
 
-    def is_degenerate(self, p, data):
-        return p > 0
+    def degenerate_at(self, p, k, data):
+        """Every degeneracy is the identity."""
+        return True
 
     def last_face_fibre(self, p, q, data):
         """The (p+q)-simplices whose q-fold last face is the p-simplex
@@ -807,9 +822,6 @@ class ConstantFreeAbelian(SimplicialGroup):
     def degeneracy(self, p, i, data):
         return data
 
-    def is_degenerate(self, p, data):
-        return p > 0
-
     def mul(self, p, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
@@ -819,6 +831,7 @@ class ConstantFreeAbelian(SimplicialGroup):
     def one(self, p):
         return (0,) * self.rank
 
+    degenerate_at = ConstantGroup.degenerate_at
     last_face_fibre = ConstantGroup.last_face_fibre
 
 
@@ -952,20 +965,22 @@ class DualCochainDga(Dga):
     def _coboundary_index(self, degree):
         """Face key -> its coboundary vector, for the keys of one degree.
 
-        One pass over the (degree+1)-slice instead of one scan per dual."""
+        One pass over the (degree+1)-slice instead of one scan per dual.
+        `boundary_key` has combined its terms, so each (face, coface) pair
+        occurs once and the rows are collected as plain dicts, each
+        wrapped in one `GradedElement` at the end."""
         got = self._cob_index.get(degree)
         if got is None:
-            got = {}
+            rows = {}
             field = self.field
             # (d a)(s) = (-1)^{|a|+1} a(ds): |a| = degree
             sgn_flip = parity_sign(field, degree + 1)
             for x in self.X.nondegenerate(degree + 1):
                 skey = self.X.key(degree + 1, x)
                 for fk, c in self.X.boundary_key(skey).terms.items():
-                    got.setdefault(fk, GradedElement(field)).add_in(
-                        GradedElement.single(field, skey),
-                        field.mul(sgn_flip, c))
-            self._cob_index[degree] = got
+                    rows.setdefault(fk, {})[skey] = field.mul(sgn_flip, c)
+            got = self._cob_index[degree] = {
+                fk: GradedElement(field, row) for fk, row in rows.items()}
         return got
 
     def diff_key(self, key):

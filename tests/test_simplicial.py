@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torbar import classifying, simplicial
-from torbar.classifying import (SubgroupInclusion, WBar, WTotal, b_cyclic,
-                                torus_group, wbar)
+from torbar.classifying import (CosetSpace, SubgroupInclusion, WBar, WTotal,
+                                b_cyclic, quotient, torus_group, wbar)
 from torbar.fields import QQ, F2, F5, PrimeField
 from torbar.graded import GradedElement, Tensor, transpose_tensor
 from torbar.hga import cup1, cup2
@@ -410,6 +410,22 @@ def test_cup_index_matches_partial_diagonal_reference(field, top):
                             (k1, k2), A.zero()), (X, k1, k2)
 
 
+@pytest.mark.parametrize("X, top", [
+    (wbar(b_cyclic(F2, 2)), 4),
+    (wbar(b_cyclic(PrimeField(3), 3)), 3),
+    (_even_subgroup(F2), 4),
+    (wbar(_even_subgroup(F2)), 4),
+], ids=["B(Z/2,2)", "B(Z/3,2)", "even in B(Z/4)", "B(even in B(Z/4))"])
+def test_coboundary_index_matches_functional_coboundary(X, top):
+    # odd and even degrees over F3 pin the sign (-1)^{|a|+1}; B(Z/3,2)
+    # stops at degree 3, since its 5-slice has 59,049 simplices
+    A = DualCochainDga(X, top)
+    for degree in range(top + 1):
+        for k in A.basis(degree):
+            assert A.diff_key(k) == A.vectorize(coboundary(A.functional(
+                GradedElement.single(A.field, k)))), k
+
+
 def _last_face_fibres_by_search(X, p, q):
     """y -> the (p+q)-simplices of X whose q-fold last face is y, in the
     order of `X.simplices(p + q)`."""
@@ -538,15 +554,35 @@ def test_warm_wbar_group_faces_match_the_formula():
         assert G.face(p, k, x) == WBar.face(G, p, k, x), (p, k, x)
 
 
+def test_warm_wbar_group_identity_matches_the_formula():
+    # B(B(Z/2)) takes its entries from the identities B(Z/2) keeps
+    for G in (b_cyclic(F2, 2), classifying.wbar_group(b_cyclic(F2, 2))):
+        for p in (3, 0, 6, 3):
+            G.one(p)
+        assert sorted(G._ones) == [0, 3, 6]
+        for p in range(7):
+            fresh = tuple(G.G.one(p - 1 - m) for m in range(p))
+            assert G.one(p) == fresh and G.one(p) is G.one(p)
+        assert sorted(G._ones) == list(range(7))
+
+
 def _simplices_of(space, p):
-    """A hypothesis strategy for the p-simplices of a constant group, a
-    product group, a W-bar space or its total space."""
+    """A hypothesis strategy for the p-simplices of a simplex or its
+    boundary, a constant group, a product, a W-bar space or its total
+    space, or of an enumerable subgroup or coset space."""
+    if isinstance(space, SimplexComplex):
+        return st.lists(st.integers(0, space.n), min_size=p + 1,
+                        max_size=p + 1).map(lambda vs: tuple(sorted(vs))) \
+            .filter(lambda vs: not space.boundary_only
+                    or len(set(vs)) <= space.n)
     if isinstance(space, ConstantGroup):
         return st.tuples(*(st.integers(0, m - 1) for m in space.moduli))
     if isinstance(space, ConstantFreeAbelian):
         return st.tuples(*(st.integers(-3, 3) for _ in range(space.rank)))
-    if isinstance(space, ProductGroup):
+    if isinstance(space, ProductSpace):
         return st.tuples(_simplices_of(space.X, p), _simplices_of(space.Y, p))
+    if isinstance(space, (SubgroupInclusion, CosetSpace)):
+        return st.sampled_from(list(space.simplices(p)))
     if isinstance(space, WTotal):
         return st.tuples(_simplices_of(space.G, p),
                          _simplices_of(space.base, p))
@@ -584,6 +620,38 @@ def test_wbar_wtotal_simplicial_identities_property(data):
     expected = any(X.degeneracy(p - 1, i, X.face(p, i, x)) == x
                    for i in range(p))
     assert X.is_degenerate(p, x) == expected
+
+
+# The spaces whose `degenerate_at` reads the data (W-bar, total spaces,
+# simplices, constant and product groups, subgroups), and a coset space,
+# which keeps the generic test
+DEGENERATE_AT_SPACES = {
+    **PROPERTY_SPACES,
+    "Delta^4": standard_simplex(F2, 4),
+    "boundary of Delta^4": simplex_boundary(F2, 4),
+    "even in B(Z/4)": _even_subgroup(F2),
+    "B(Z/4) / even": quotient(b_cyclic(F2, 4), _even_subgroup(F2)),
+    "Delta^2 x boundary of Delta^3": ProductSpace(
+        standard_simplex(F2, 2), simplex_boundary(F2, 3)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_degenerate_at_matches_definition_property(data):
+    X = DEGENERATE_AT_SPACES[data.draw(
+        st.sampled_from(sorted(DEGENERATE_AT_SPACES)))]
+    p = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, p - 1))
+    # a drawn simplex, and s_j of a drawn (p-1)-simplex, so that both
+    # answers occur for every k
+    j = data.draw(st.integers(0, p - 1))
+    sy = X.degeneracy(p - 1, j, data.draw(_simplices_of(X, p - 1)))
+    assert X.degenerate_at(p, j, sy)
+    for x in (data.draw(_simplices_of(X, p)), sy):
+        # x is s_k of a (p-1)-simplex iff x = s_k d_k x
+        expected = X.degeneracy(p - 1, k, X.face(p, k, x)) == x
+        assert X.degenerate_at(p, k, x) == expected, (p, k, x)
 
 
 def _face_by_deletion(X, data, p, vertices):

@@ -345,6 +345,25 @@ def test_every_simplicial_group_has_a_last_face_fibre():
     assert not found, found
 
 
+def test_is_degenerate_is_defined_once():
+    """Only `SimplicialSet` defines `is_degenerate`, the memoized test
+    over `degenerate_at`; a space states its degeneracy criterion by
+    overriding `degenerate_at`, so a second `is_degenerate` would bypass
+    the memo or disagree with the criterion."""
+    found = []
+    for path, tree in _trees("src/torbar"):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name == "SimplicialSet":
+                continue
+            for node in cls.body:
+                names = ([node.name] if isinstance(node, ast.FunctionDef)
+                         else [t.id for t in getattr(node, "targets", [])
+                               if isinstance(t, ast.Name)])
+                found += [f"{path.name}:{node.lineno}:{cls.name}"
+                          for name in names if name == "is_degenerate"]
+    assert not found, found
+
+
 def test_tracer_modules_are_the_package_modules():
     """`bench/tracing.py` imports every module in its `MODULES` list for a
     traced run, so the list must name exactly the package's modules: a
