@@ -3,16 +3,16 @@
 subgroups and quotient simplicial sets.
 
 A p-simplex of BG is a tuple [g_{p-1}, ..., g_0] stored left to right
-(entry m has dimension p-1-m); a p-simplex of EG is a pair
-(g_p, [g_{p-1}, ..., g_0]).  Face and degeneracy formulas follow the
-convention in which
+(entry m has dimension p-1-m), with faces
 
-  d_k(g_p, [g_{p-1},...,g_0]) =
-    (d_k g_p, [d_{k-1} g_{p-1},..., d_1 g_{p-k+1},
-               (d_0 g_{p-k}) g_{p-k-1}, g_{p-k-2},..., g_0]),
+  d_k [g_{p-1},...,g_0] = [d_{k-1} g_{p-1},..., d_1 g_{p-k+1},
+                           (d_0 g_{p-k}) g_{p-k-1}, g_{p-k-2},..., g_0],
 
-read as ((d_0 g_p) g_{p-1}, [g_{p-2},...,g_0]) for k = 0 and as
-(d_p g_p, [d_{p-1} g_{p-1},..., d_1 g_1]) for k = p.
+read as [g_{p-2},...,g_0] for k = 0 and as [d_{p-1} g_{p-1},..., d_1 g_1]
+for k = p.  EG is the decalage of BG (Stevenson, TAC 2012): a p-simplex
+of EG is the flat tuple (g_p, ..., g_0), a (p+1)-simplex of BG whose d_0
+is forgotten, and d_k, s_k of EG are d_{k+1}, s_{k+1} of BG.  The
+forgotten face is the projection EG -> BG; G acts on the first entry.
 """
 from itertools import product
 
@@ -169,7 +169,11 @@ class WBarGroup(WBar, SimplicialGroup):
 
 
 class WTotal(SimplicialSet):
-    """EG, the total space of the universal G-bundle over BG."""
+    """EG, the total space of the universal G-bundle over BG: the decalage
+    of `base` = W-bar of G.  A p-simplex is the flat tuple
+    (g_p, g_{p-1}, ..., g_0), a (p+1)-simplex of the base, and the face,
+    degeneracy and degeneracy test at (p, k) are the base's at
+    (p+1, k+1)."""
 
     def __init__(self, G):
         super().__init__(G.field)
@@ -177,45 +181,33 @@ class WTotal(SimplicialSet):
         self.base = WBar(G)
 
     def face(self, p, k, data):
-        g, bg = data
-        G = self.G
         if p == 0:
             raise ValueError("no faces in dimension 0")
-        if k == 0:
-            return (G.mul(p - 1, G.face(p, 0, g), bg[0]), bg[1:])
-        return (G.face(p, k, g), self.base.face(p, k, bg))
+        return self.base.face(p + 1, k + 1, data)
 
     def degeneracy(self, p, k, data):
-        g, bg = data
-        return (self.G.degeneracy(p, k, g), self.base.degeneracy(p, k, bg))
+        return self.base.degeneracy(p + 1, k + 1, data)
 
     def degenerate_at(self, p, k, data):
-        """s_k acts on both coordinates, so both must be s_k images."""
-        g, bg = data
-        return (self.G.degenerate_at(p, k, g)
-                and self.base.degenerate_at(p, k, bg))
+        return self.base.degenerate_at(p + 1, k + 1, data)
 
     def simplices(self, p):
-        for bg in self.base.simplices(p):
-            for g in self.G.simplices(p):
-                yield (g, bg)
+        return self.base.simplices(p + 1)
 
     def basepoint(self):
-        return (self.G.one(0), ())
+        return (self.G.one(0),)
 
     def action(self, p, h, data):
-        """The left G-action h . (g_p, [..]) = (h g_p, [..])."""
-        g, bg = data
-        return (self.G.mul(p, h, g), bg)
+        """The left G-action h . (g_p, ..., g_0) = (h g_p, ..., g_0)."""
+        return (self.G.mul(p, h, data[0]),) + data[1:]
 
     def projection(self, p, data):
-        """pi: EG -> BG drops the group coordinate."""
-        return data[1]
+        """pi: EG -> BG is the base's d_0, the face EG forgets."""
+        return data[1:]
 
     def s_data(self, p, data):
-        """S(g_p, [g_{p-1},...,g_0]) = (1_{p+1}, [g_p, g_{p-1},...,g_0])."""
-        g, bg = data
-        return (self.G.one(p + 1), (g,) + bg)
+        """S(g_p, ..., g_0) = (1_{p+1}, g_p, ..., g_0)."""
+        return (self.G.one(p + 1),) + data
 
     def s_chain_key(self, key):
         """Chain-level S: zero on degenerate images."""

@@ -21,9 +21,8 @@ from .dg import (CheckReport, FreeGcCoalgebra, TensorDgc, check_chain_map,
 from .simplicial import (Cochain, zero_cochain, coboundary, cup, cup_many,
                          CochainHga, ChainsDgc, partial_diagonal,
                          q_operation, e_surjection, f_surjection,
-                         interval_cut, group_action_on_chains,
-                         ConstantFreeAbelian)
-from .classifying import wbar_group, total_space
+                         interval_cut, group_action_on_chains)
+from .classifying import torus_group, total_space
 from .hga import cup1, cup2, gm_repeated_cup1
 
 
@@ -74,7 +73,7 @@ class TorusFormality:
         self.field = field
         self.rank = rank
         self.symmetrize = symmetrize
-        self.T = wbar_group(ConstantFreeAbelian(field, rank))
+        self.T = torus_group(field, rank)
         self.E = total_space(self.T)
         self.BT = self.E.base
         self.K = KoszulComplex(field, rank)
@@ -154,7 +153,7 @@ class TorusFormality:
             g1 = key.data[0]       # in T_1: a 1-tuple of a Z^n element
             return self.field.of(g1[0][i])
 
-        return Cochain(self.BT, 2, fn, name=f"u{i}")
+        return Cochain(self.BT, 2, fn)
 
     def random_support_cochain(self, degree, rng, support=6):
         """A finite-support cochain on sampled nondegenerate simplices."""
@@ -165,7 +164,7 @@ class TorusFormality:
                 values[self.BT.key(degree, data)] = \
                     self.field.of(rng.choice((-2, -1, 1, 2)))
         return Cochain(self.BT, degree,
-                       lambda k: values.get(k, self.field.zero), name="r")
+                       lambda k: values.get(k, self.field.zero))
 
     def random_simplex(self, degree, rng):
         """A random nondegenerate BT simplex of the given degree (30 tries)."""

@@ -30,6 +30,9 @@ and degeneracy are pure functions of (p, data):
   keys, not copies of them;
 - `interval_cut(u, key)`, keyed by (u.seq, p, data) on key.space, at most
   CUT_CAP (8192) entries, each a tuple of (coeff, tuple of factor keys).
+  The Alexander-Whitney diagonal is the cut of `AW` = (1, 2), every term
+  with sign +1: the coproduct of `ChainsDgc`, each `partial_diagonal` and
+  the transpose `cup` all read it, so they share this memo.
 
 A memo that is full is emptied before its next entry.  Results are shared
 between callers and immutable (bools, keys and tuples).  The shapes of
@@ -42,8 +45,8 @@ memoizes its faces, keyed by (k, data), at most
 are not memoized.  Instead, one interval cut takes all of its factors'
 faces of one simplex through one table (vertex tuple -> face data, see
 `face_by_vertices_data`), so the deletions those faces share are taken
-once.  The table is transient, not a memo: the cut creates it and drops
-it when it returns.
+once; `q_operation` takes its two faces the same way.  The table is
+transient, not a memo: the cut creates it and drops it when it returns.
 """
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -51,7 +54,7 @@ from itertools import combinations_with_replacement, product
 
 from .dg import Dga, Dgc
 from .graded import (GradedElement, Tensor, bilinear, interleave_exponent,
-                     koszul_sign, parity_sign, tensor_elements)
+                     koszul_sign, parity_sign)
 from .linalg import homology, StructuralError
 
 
@@ -194,11 +197,6 @@ class SimplicialSet:
                 data, p, vertices[:j] + (j,) + vertices[j:], table))
         return got
 
-    def face_chain(self, key, vertices):
-        """sigma(v_0,...,v_q) as a normalized chain."""
-        data = self.face_by_vertices_data(key.data, key.degree, vertices)
-        return self.chain(len(vertices) - 1, data)
-
     def check_simplicial_identities(self, samples):
         """Face/degeneracy identities on (p, data) samples."""
         for p, data in samples:
@@ -307,57 +305,8 @@ class ProductSpace(SimplicialSet):
 
 
 # ---------------------------------------------------------------------------
-# Partial diagonals, shuffle map, interval cuts
+# Shuffle map, interval cuts, partial diagonals
 # ---------------------------------------------------------------------------
-
-def partial_diagonal(key, k):
-    """P^n_k(sigma) = sigma(0..k) (x) sigma(k..n), zero when degenerate."""
-    X = key.space
-    n = key.degree
-    if not 0 <= k <= n:
-        raise ValueError(f"P^n_k needs 0 <= k <= n, got {k}, {n}")
-    return tensor_elements(X.field, X.face_chain(key, tuple(range(0, k + 1))),
-                           X.face_chain(key, tuple(range(k, n + 1))))
-
-
-def aw_diagonal(key):
-    """The Alexander-Whitney coproduct sum_k P^n_k."""
-    out = GradedElement(key.space.field)
-    for k in range(key.degree + 1):
-        out.add_in(partial_diagonal(key, k))
-    return out
-
-
-class ChainsDgc(Dgc):
-    """C(X) as a dgc (homological, ddeg = -1) with the AW coproduct."""
-
-    ddeg = -1
-    cocomplete = False
-
-    def __init__(self, X):
-        super().__init__(X.field)
-        self.X = X
-
-    @property
-    def coaug_key(self):
-        return self.X.basepoint_key()
-
-    def counit_key(self, key):
-        return self.field.one if key.degree == 0 else self.field.zero
-
-    def basis(self, degree):
-        return [self.X.key(degree, x) for x in self.X.nondegenerate(degree)]
-
-    def diff_key(self, key):
-        return self.X.boundary_key(key)
-
-    def cop_key(self, key):
-        out = []
-        for k in range(key.degree + 1):
-            for t, c in partial_diagonal(key, k).terms.items():
-                out.append((c, t.parts[0], t.parts[1]))
-        return out
-
 
 def shuffles(p, q):
     """(p, q)-shuffles: pairs (alpha, beta) partitioning 0..p+q-1 with
@@ -379,21 +328,21 @@ def chain_shuffle(xkey, ykey, product_space):
     p, q = xkey.degree, ykey.degree
     out = GradedElement(field)
     for alpha, beta, sign in shuffles(p, q):
-        # ascending degeneracies s_{i_m}...s_{i_1}, i_1 < ... < i_m; the
-        # dimension grows by one each step
-        x = xkey.data
-        dim = p
-        for i in sorted(beta):
-            x = X.degeneracy(dim, i, x)
-            dim += 1
-        y = ykey.data
-        dim = q
-        for i in sorted(alpha):
-            y = Y.degeneracy(dim, i, y)
-            dim += 1
+        x = degeneracies(X, p, xkey.data, beta)
+        y = degeneracies(Y, q, ykey.data, alpha)
         out.add_in(product_space.chain(p + q, (x, y)),
                    field.of(sign))
     return out
+
+
+def degeneracies(space, p, data, indices):
+    """s_{i_m} ... s_{i_1} of the p-simplex `data` for ascending indices
+    i_1 < ... < i_m: s_{i_1} first, the dimension growing by one each
+    step."""
+    for i in indices:
+        data = space.degeneracy(p, i, data)
+        p += 1
+    return data
 
 
 def shuffle_elements(xe, ye, product_space):
@@ -468,6 +417,8 @@ def f_surjection(k, l):
 
 G12 = Surjection((2, 3, 1, 3, 1, 2, 1))
 G21 = Surjection((3, 1, 3, 2, 3, 2, 1))
+# the Alexander-Whitney diagonal, whose transpose is the cup product
+AW = Surjection((1, 2))
 
 
 @lru_cache(maxsize=256)
@@ -541,6 +492,45 @@ def interval_cut(u, key):
     return _remember(X._cut_memo, memo_key, tuple(out), CUT_CAP)
 
 
+def partial_diagonal(key, k):
+    """P^n_k(sigma) = sigma(0..k) (x) sigma(k..n), zero when degenerate:
+    the term of the interval cut of AW whose front factor has degree k."""
+    n = key.degree
+    if not 0 <= k <= n:
+        raise ValueError(f"P^n_k needs 0 <= k <= n, got {k}, {n}")
+    return GradedElement(key.space.field, [
+        (Tensor(factors), c) for c, factors in interval_cut(AW, key)
+        if factors[0].degree == k])
+
+
+class ChainsDgc(Dgc):
+    """C(X) as a dgc (homological, ddeg = -1) with the AW coproduct."""
+
+    ddeg = -1
+    cocomplete = False
+
+    def __init__(self, X):
+        super().__init__(X.field)
+        self.X = X
+
+    @property
+    def coaug_key(self):
+        return self.X.basepoint_key()
+
+    def counit_key(self, key):
+        return self.field.one if key.degree == 0 else self.field.zero
+
+    def basis(self, degree):
+        return [self.X.key(degree, x) for x in self.X.nondegenerate(degree)]
+
+    def diff_key(self, key):
+        return self.X.boundary_key(key)
+
+    def cop_key(self, key):
+        """The interval cut of AW, each of whose terms has sign +1."""
+        return [(c, a, b) for c, (a, b) in interval_cut(AW, key)]
+
+
 # ---------------------------------------------------------------------------
 # Cochains as computable functionals
 # ---------------------------------------------------------------------------
@@ -548,13 +538,12 @@ def interval_cut(u, key):
 class Cochain:
     """A normalized cochain: degree + functional on nondegenerate keys."""
 
-    __slots__ = ("space", "degree", "fn", "name")
+    __slots__ = ("space", "degree", "fn")
 
-    def __init__(self, space, degree, fn, name=""):
+    def __init__(self, space, degree, fn):
         self.space = space
         self.degree = degree
         self.fn = fn
-        self.name = name
 
     def __call__(self, key):
         if key.degree != self.degree:
@@ -574,21 +563,20 @@ class Cochain:
         if other.degree != self.degree:
             raise ValueError("adding cochains of different degrees")
         return Cochain(self.space, self.degree,
-                       lambda k: f.add(self(k), other(k)),
-                       name=f"({self.name}+{other.name})")
+                       lambda k: f.add(self(k), other(k)))
 
     def scale(self, c):
         f = self.space.field
         return Cochain(self.space, self.degree,
-                       lambda k: f.mul(c, self(k)), name=f"{c}*{self.name}")
+                       lambda k: f.mul(c, self(k)))
 
 
 def zero_cochain(space, degree):
-    return Cochain(space, degree, lambda k: space.field.zero, name="0")
+    return Cochain(space, degree, lambda k: space.field.zero)
 
 
 def unit_cochain(space):
-    return Cochain(space, 0, lambda k: space.field.one, name="1")
+    return Cochain(space, 0, lambda k: space.field.one)
 
 
 def coboundary(a):
@@ -600,7 +588,7 @@ def coboundary(a):
     def fn(key):
         return field.mul(sgn, a.eval_chain(space.boundary_key(key)))
 
-    return Cochain(space, a.degree + 1, fn, name=f"d({a.name})")
+    return Cochain(space, a.degree + 1, fn)
 
 
 def _koszul_eval(field, cochains, factors):
@@ -619,7 +607,7 @@ def _koszul_eval(field, cochains, factors):
                      val)
 
 
-def surjection_op(u, cochains, name=""):
+def surjection_op(u, cochains):
     """transpose AW_u applied to cochains: the cochain with
     value (-1)^{d(u) sum|a_i|} (a_1 (x)...(x) a_r)(AW_u(sigma))."""
     if not isinstance(u, Surjection):
@@ -639,13 +627,12 @@ def surjection_op(u, cochains, name=""):
                 s = field.add(s, field.mul(coeff, v))
         return field.mul(sgn, s)
 
-    return Cochain(space, out_deg, fn, name=name or f"AW{u.seq}^T")
+    return Cochain(space, out_deg, fn)
 
 
 def cup(a, b):
     """The cochain cup product, transpose of the AW diagonal."""
-    return surjection_op(Surjection((1, 2)), [a, b],
-                         name=f"({a.name}{b.name})")
+    return surjection_op(AW, [a, b])
 
 
 def cup_many(cochains):
@@ -671,27 +658,28 @@ class CochainHga:
             return a
         if len(bs) != k:
             raise ValueError(f"E_{k} takes {k} b-arguments")
-        return surjection_op(e_surjection(k), [a] + list(bs),
-                             name=f"E{k}({a.name};..)")
+        return surjection_op(e_surjection(k), [a] + list(bs))
 
     def F(self, k, l, as_, bs):
         if len(as_) != k or len(bs) != l:
             raise ValueError("F_kl arity mismatch")
-        return surjection_op(f_surjection(k, l), list(as_) + list(bs),
-                             name=f"F{k}{l}")
+        return surjection_op(f_surjection(k, l), list(as_) + list(bs))
 
 
 def q_operation(key, k, l, pi, base_space):
-    """Q^n_{k,l}(sigma) = sigma(0..k, l..n) (x) pi_* sigma(k..l)."""
+    """Q^n_{k,l}(sigma) = sigma(0..k, l..n) (x) pi_* sigma(k..l), both
+    faces taken through one table, as in `interval_cut`."""
     X = key.space
     n = key.degree
     if not 0 <= k < l <= n:
         raise ValueError("Q^n_{k,l} needs 0 <= k < l <= n")
     field = X.field
-    first = X.face_by_vertices_data(key.data, n,
-                                    tuple(range(0, k + 1)) + tuple(range(l, n + 1)))
+    faces = {}
+    first = X.face_by_vertices_data(
+        key.data, n, tuple(range(0, k + 1)) + tuple(range(l, n + 1)), faces)
     dim1 = (k + 1) + (n - l + 1) - 1
-    second = X.face_by_vertices_data(key.data, n, tuple(range(k, l + 1)))
+    second = X.face_by_vertices_data(key.data, n, tuple(range(k, l + 1)),
+                                     faces)
     out = GradedElement(field)
     if X.is_degenerate(dim1, first):
         return out
@@ -809,30 +797,21 @@ class ConstantGroup(SimplicialGroup):
         return (0,) * len(self.moduli)
 
 
-class ConstantFreeAbelian(SimplicialGroup):
-    """The constant simplicial group Z^n (lazy; not enumerable)."""
+class ConstantFreeAbelian(ConstantGroup):
+    """The constant simplicial group Z^n = (Z/0)^n: a constant group whose
+    products are not reduced and which is not enumerable."""
 
     def __init__(self, field, rank):
-        super().__init__(field)
-        self.rank = rank
+        super().__init__(field, (0,) * rank)
 
-    def face(self, p, i, data):
-        return data
-
-    def degeneracy(self, p, i, data):
-        return data
+    def simplices(self, p):
+        return SimplicialSet.simplices(self, p)
 
     def mul(self, p, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
     def inv(self, p, x):
         return tuple(-a for a in x)
-
-    def one(self, p):
-        return (0,) * self.rank
-
-    degenerate_at = ConstantGroup.degenerate_at
-    last_face_fibre = ConstantGroup.last_face_fibre
 
 
 class ProductGroup(ProductSpace, SimplicialGroup):
@@ -855,23 +834,10 @@ class ProductGroup(ProductSpace, SimplicialGroup):
                             self.Y.last_face_fibre(p, q, y)))
 
 
-def degeneracies_except(space, data, n, m):
-    """s_{<n> minus m} applied to a 1-simplex: the n+1 simplex obtained by
-    applying s_i for i in {0..n}, i != m, ascending."""
-    dim = 1
-    out = data
-    for i in range(0, n + 1):
-        if i == m:
-            continue
-        out = space.degeneracy(dim, i, out)
-        dim += 1
-    return out
-
-
 def loop_action_summand(G, X, action, gdata, m, key):
     """a^g_m(sigma) = (s_{<n>\\m} g) . s_m sigma as a chain of X."""
     n = key.degree
-    gsimp = degeneracies_except(G, gdata, n, m)
+    gsimp = degeneracies(G, 1, gdata, [i for i in range(n + 1) if i != m])
     s_m_sigma = X.degeneracy(n, m, key.data)
     acted = action(n + 1, gsimp, s_m_sigma)
     return X.chain(n + 1, acted)

@@ -141,7 +141,7 @@ def test_loop_action_and_equivariance_lemma():
     # sample 1- and 2-simplices of the lazy total space directly
     sample_keys = []
     for m in (1, 2, -1):
-        data = (((m,),), ((),))
+        data = (((m,),), ())
         if not E.is_degenerate(1, data):
             sample_keys.append(E.key(1, data))
     two = E.s_data(1, sample_keys[0].data)

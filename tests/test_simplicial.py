@@ -7,13 +7,13 @@ from torbar import classifying, simplicial
 from torbar.classifying import (CosetSpace, SubgroupInclusion, WBar, WTotal,
                                 b_cyclic, quotient, torus_group, wbar)
 from torbar.fields import QQ, F2, F5, PrimeField
-from torbar.graded import GradedElement, Tensor, transpose_tensor
+from torbar.graded import (GradedElement, Tensor, tensor_elements,
+                           transpose_tensor)
 from torbar.hga import cup1, cup2
 from torbar.linalg import StructuralError
 from torbar.simplicial import (SimplexComplex, standard_simplex,
                                simplex_boundary, ProductSpace,
-                               partial_diagonal,
-                               aw_diagonal, ChainsDgc, chain_shuffle,
+                               partial_diagonal, ChainsDgc, chain_shuffle,
                                shuffle_elements, Surjection, e_surjection,
                                f_surjection, G12, G21, interval_cut,
                                Cochain, coboundary, cup,
@@ -51,16 +51,34 @@ def test_boundary_squares_to_zero_and_sphere_homology():
         assert resc.dims[0] == 1 and resc.dims[1] == 0 and resc.dims[2] == 1
 
 
+def _aw_by_deletion(key):
+    """The AW diagonal sum_k sigma(0..k) (x) sigma(k..n), each face taken
+    by deleting one vertex at a time: a reference that does not go
+    through `interval_cut`."""
+    X, n = key.space, key.degree
+    out = GradedElement(X.field)
+    for k in range(n + 1):
+        front = _face_by_deletion(X, key.data, n, range(k + 1))
+        back = _face_by_deletion(X, key.data, n, range(k, n + 1))
+        out.add_in(tensor_elements(X.field, X.chain(k, front),
+                                   X.chain(n - k, back)))
+    return out
+
+
 def test_partial_diagonal_cases():
     X = simplex_boundary(QQ, 3)
     key = X.key(2, (0, 1, 2))
     p0 = partial_diagonal(key, 0)
     (t, c), = p0.terms.items()
     assert t.parts[0].degree == 0 and t.parts[1] == key
-    # sum of partial diagonals is the AW coproduct; coassociativity and
+    with pytest.raises(ValueError):
+        partial_diagonal(key, 3)
+    # the partial diagonals sum to the AW coproduct; coassociativity and
     # the counit law through the generic dgc checker
-    total = aw_diagonal(key)
+    total = _aw_by_deletion(key)
     assert len(total.terms) == 3
+    assert sum((partial_diagonal(key, k) for k in range(3)),
+               GradedElement(QQ)) == total
     C = ChainsDgc(X)
     C_keys = [X.key(2, x) for x in X.nondegenerate(2)]
     assert C.check_axioms(C_keys)
@@ -163,7 +181,7 @@ def test_interval_cut_aw_case():
     total = GradedElement(QQ)
     for c, factors in cuts:
         total.add_in(GradedElement.single(QQ, Tensor(tuple(factors))), c)
-    assert total == aw_diagonal(key)
+    assert total == _aw_by_deletion(key)
 
 
 def test_aw121_equals_sum_of_q_operations():
@@ -358,19 +376,19 @@ def test_check_group_names_the_failing_law():
 # -- memos of the simplicial hot path ------------------------------------------
 
 def _reference_cup_index(A, degree):
-    """The cup index from partial diagonals with the Koszul pairing sign."""
+    """The cup index from the AW diagonal by vertex deletion, with the
+    Koszul pairing sign."""
     field = A.field
     out = {}
     for x in A.X.nondegenerate(degree):
         skey = A.X.key(degree, x)
-        for k in range(degree + 1):
-            for t, c in partial_diagonal(skey, k).terms.items():
-                front, back = t.parts
-                sgn = field.neg(field.one) \
-                    if (back.degree % 2 and front.degree % 2) else field.one
-                out.setdefault((front, back), GradedElement(field)).add_in(
-                    GradedElement.single(field, skey),
-                    field.mul(sgn, c))
+        for t, c in _aw_by_deletion(skey).terms.items():
+            front, back = t.parts
+            sgn = field.neg(field.one) \
+                if (back.degree % 2 and front.degree % 2) else field.one
+            out.setdefault((front, back), GradedElement(field)).add_in(
+                GradedElement.single(field, skey),
+                field.mul(sgn, c))
     return out
 
 
@@ -575,17 +593,16 @@ def _simplices_of(space, p):
                         max_size=p + 1).map(lambda vs: tuple(sorted(vs))) \
             .filter(lambda vs: not space.boundary_only
                     or len(set(vs)) <= space.n)
+    if isinstance(space, ConstantFreeAbelian):
+        return st.tuples(*(st.integers(-3, 3) for _ in space.moduli))
     if isinstance(space, ConstantGroup):
         return st.tuples(*(st.integers(0, m - 1) for m in space.moduli))
-    if isinstance(space, ConstantFreeAbelian):
-        return st.tuples(*(st.integers(-3, 3) for _ in range(space.rank)))
     if isinstance(space, ProductSpace):
         return st.tuples(_simplices_of(space.X, p), _simplices_of(space.Y, p))
     if isinstance(space, (SubgroupInclusion, CosetSpace)):
         return st.sampled_from(list(space.simplices(p)))
     if isinstance(space, WTotal):
-        return st.tuples(_simplices_of(space.G, p),
-                         _simplices_of(space.base, p))
+        return _simplices_of(space.base, p + 1)
     if isinstance(space, WBar):
         return st.tuples(*(_simplices_of(space.G, p - 1 - m)
                            for m in range(p)))
@@ -620,6 +637,65 @@ def test_wbar_wtotal_simplicial_identities_property(data):
     expected = any(X.degeneracy(p - 1, i, X.face(p, i, x)) == x
                    for i in range(p))
     assert X.is_degenerate(p, x) == expected
+
+
+# The structure maps of EG on pairs (g_p, [g_{p-1}, ..., g_0]), written out
+# from the face formula of W-bar: a reference for the flat `WTotal`, which
+# must agree with them under (g, bg) <-> (g,) + bg.
+def _pair(x):
+    return x[0], x[1:]
+
+
+def _pair_face(E, p, k, data):
+    g, bg = data
+    G = E.G
+    if k == 0:
+        return (G.mul(p - 1, G.face(p, 0, g), bg[0]), bg[1:])
+    return (G.face(p, k, g), E.base.face(p, k, bg))
+
+
+def _pair_degeneracy(E, p, k, data):
+    g, bg = data
+    return (E.G.degeneracy(p, k, g), E.base.degeneracy(p, k, bg))
+
+
+def _pair_degenerate_at(E, p, k, data):
+    g, bg = data
+    return E.G.degenerate_at(p, k, g) and E.base.degenerate_at(p, k, bg)
+
+
+DECALAGE_SPACES = {
+    "E(Z/2)": WTotal(ConstantGroup(F2, (2,))),
+    "E(BZ/2)": WTotal(b_cyclic(F2, 2)),
+    "E(BZ^2)": WTotal(torus_group(QQ, 2)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_total_space_is_the_decalage_of_wbar_property(data):
+    E = DECALAGE_SPACES[data.draw(st.sampled_from(sorted(DECALAGE_SPACES)))]
+    p = data.draw(st.integers(0, 4))
+    x = data.draw(_simplices_of(E, p))
+    g, bg = _pair(x)
+    for k in range(p + 1):
+        if p:
+            assert _pair(E.face(p, k, x)) == _pair_face(E, p, k, (g, bg))
+        assert _pair(E.degeneracy(p, k, x)) == \
+            _pair_degeneracy(E, p, k, (g, bg))
+    for k in range(p):
+        assert E.degenerate_at(p, k, x) == \
+            _pair_degenerate_at(E, p, k, (g, bg))
+    assert E.projection(p, x) == bg
+    h = data.draw(_simplices_of(E.G, p))
+    assert _pair(E.action(p, h, x)) == (E.G.mul(p, h, g), bg)
+    assert _pair(E.s_data(p, x)) == (E.G.one(p + 1), (g,) + bg)
+    # the coproduct of C(EG) is the AW diagonal by vertex deletion
+    key = E.key(p, x)
+    cop = GradedElement(E.field)
+    for c, a, b in ChainsDgc(E).cop_key(key):
+        cop.add_in(GradedElement.single(E.field, Tensor((a, b))), c)
+    assert cop == _aw_by_deletion(key)
 
 
 # The spaces whose `degenerate_at` reads the data (W-bar, total spaces,

@@ -364,6 +364,29 @@ def test_is_degenerate_is_defined_once():
     assert not found, found
 
 
+def test_faces_by_vertices_only_in_cuts():
+    """Only `interval_cut`, `q_operation` and `reduced_subgroup` take a
+    face by its vertices.  The AW diagonal is the interval cut of (1, 2),
+    which shares the cut memo and takes the faces of one simplex through
+    one table; a second path to its faces fails here."""
+    allowed = {"interval_cut", "q_operation", "reduced_subgroup"}
+    found = []
+
+    def visit(path, node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "face_by_vertices_data"
+                    and function not in allowed):
+                found.append(f"{path.name}:{child.lineno}:{function}")
+            visit(path, child, child.name
+                  if isinstance(child, ast.FunctionDef) else function)
+
+    for path, tree in _trees("src/torbar"):
+        visit(path, tree, None)
+    assert not found, found
+
+
 def test_tracer_modules_are_the_package_modules():
     """`bench/tracing.py` imports every module in its `MODULES` list for a
     traced run, so the list must name exactly the package's modules: a
