@@ -5,27 +5,33 @@ one-sided bar constructions and differential Tor.
 Bar words store entries as basis keys of the underlying dga with
 coefficients folded outward; entries are reduced (no unit factors).  A
 word [a_1|...|a_k] denotes the desuspended tensor s^{-1}a_1 (x) ... and
-has degree sum(|a_i| - 1).
+has degree sum(|a_i| - 1).  A `BarDgc` hands out one `BarWord` per tuple
+of entries from its table, and every construction that holds a bar
+(`KSAlgebra`, the families and the Gamma map of `shm`) builds its words
+through it.
 """
 import json
 
-from .graded import GradedElement, LinearMap, Tensor, expand, parity_sign
+from .graded import (GradedElement, LinearMap, Tensor, _remember, expand,
+                     parity_sign)
 from .linalg import homology, ReducedSpace, StructuralError
 from .dg import (CheckReport, Dgc, TwistingCochain, TwistedTensor, TensorDgc,
                  commutes_with_d, preserves_coproduct, tensor_basis)
 
 
 class BarWord:
-    """Basis key of the reduced bar construction."""
+    """Basis key of the reduced bar construction.
+
+    The `BarDgc` that builds a word keeps it in its table (at most
+    WORD_CAP entries, emptied when full), so equal words of one bar are
+    mostly one object; equality is still by value."""
 
     __slots__ = ("entries", "degree", "_hash")
 
-    def __init__(self, entries, degree=None):
+    def __init__(self, entries):
         self.entries = entries
         self._hash = hash(entries)
-        if degree is None:
-            degree = sum(e.degree - 1 for e in entries)
-        self.degree = degree
+        self.degree = sum(e.degree - 1 for e in entries)
 
     @property
     def length(self):
@@ -47,8 +53,18 @@ class BarWord:
         return "[" + "|".join(repr(e) for e in self.entries) + "]"
 
 
+WORD_CAP = 1 << 16
+
+
 class BarDgc(Dgc):
-    """B A for an augmented dga A (cohomological grading)."""
+    """B A for an augmented dga A (cohomological grading).
+
+    Every word it makes comes from its table (`_intern`, keyed by the
+    entries).  The differential and the coproduct of each word are
+    computed once and kept for the bar's lifetime, in plain dicts: a
+    `LinearMap` over a bound method would tie the bar into a reference
+    cycle, and a dropped bar would wait for the cycle collector.
+    """
 
     def __init__(self, A):
         super().__init__(A.field)
@@ -59,16 +75,26 @@ class BarDgc(Dgc):
                              "(connected dga)")
         self.A = A
         self.ddeg = 1
-        self.coaug_key = BarWord((), 0)
+        self._words = {}
+        self._diffs = {}
+        self._cops = {}
+        self.coaug_key = self._intern(())
         self.cocomplete = True
 
+    def _intern(self, entries):
+        """The bar's one BarWord with these entries (a tuple of keys)."""
+        got = self._words.get(entries)
+        if got is None:
+            got = _remember(self._words, entries, BarWord(entries), WORD_CAP)
+        return got
+
     def word(self, keys):
-        return BarWord(tuple(keys))
+        return self._intern(tuple(keys))
 
     def words_from_elements(self, elems):
         """Multilinear expansion of [x_1|...|x_k] with reduced entries."""
         reduced = (self.A.reduced(x) for x in elems)
-        return GradedElement(self.field, [(BarWord(keys), c) for keys, c
+        return GradedElement(self.field, [(self._intern(keys), c) for keys, c
                                           in expand(self.field, reduced)])
 
     def basis(self, degree):
@@ -82,16 +108,14 @@ class BarDgc(Dgc):
             return [self.coaug_key]
         out = []
 
+        # entries have degree >= 2, so the unit (degree 0) is never one
         def extend(entries, rem):
             if rem == 0:
-                out.append(BarWord(tuple(entries)))
+                out.append(self._intern(tuple(entries)))
                 return
             for d in range(2, rem + 2):
                 for k in self.A.basis(d):
-                    if k == self.A.unit_key:
-                        continue
-                    if d - 1 <= rem:
-                        extend(entries + [k], rem - (d - 1))
+                    extend(entries + [k], rem - (d - 1))
 
         extend([], degree)
         return out
@@ -101,8 +125,12 @@ class BarDgc(Dgc):
 
         d[..|a_i|..] = -sum (-1)^{e_{i-1}} [..|da_i|..]
                        + sum (-1)^{e_i} [..|a_i a_{i+1}|..],
-        e_i the bar degree of the first i entries.
+        e_i the bar degree of the first i entries.  Computed once per
+        word; the value is shared and must not be mutated.
         """
+        got = self._diffs.get(key)
+        if got is not None:
+            return got
         A = self.A
         field = self.field
         out = GradedElement(field)
@@ -115,7 +143,7 @@ class BarDgc(Dgc):
                 for k, c in da.terms.items():
                     if A.aug_key(k) != field.zero:
                         continue
-                    w = BarWord(entries[:i] + (k,) + entries[i + 1:])
+                    w = self._intern(entries[:i] + (k,) + entries[i + 1:])
                     out.add_in(GradedElement.single(field, w),
                                field.mul(sgn, c))
             pre += a.degree - 1
@@ -125,17 +153,22 @@ class BarDgc(Dgc):
             sgn = parity_sign(field, pre)
             prod = A.reduced(A.mul_keys(entries[i], entries[i + 1]))
             for k, c in prod.terms.items():
-                w = BarWord(entries[:i] + (k,) + entries[i + 2:])
+                w = self._intern(entries[:i] + (k,) + entries[i + 2:])
                 out.add_in(GradedElement.single(field, w), field.mul(sgn, c))
+        self._diffs[key] = out
         return out
 
     def cop_key(self, key):
-        """Deconcatenation coproduct (no signs)."""
-        entries = key.entries
-        out = []
-        for i in range(len(entries) + 1):
-            out.append((self.field.one, BarWord(entries[:i]), BarWord(entries[i:])))
-        return out
+        """Deconcatenation coproduct (no signs), a tuple computed once per
+        word: its heads and tails are the same objects on every call."""
+        got = self._cops.get(key)
+        if got is None:
+            entries = key.entries
+            one = self.field.one
+            got = self._cops[key] = tuple(
+                (one, self._intern(entries[:i]), self._intern(entries[i:]))
+                for i in range(len(entries) + 1))
+        return got
 
 
 def universal_cochain(barA):

@@ -16,10 +16,10 @@ forgotten face is the projection EG -> BG; G acts on the first entry.
 """
 from itertools import product
 
-from .graded import GradedElement
+from .graded import GradedElement, _remember
 from .linalg import StructuralError
 from .simplicial import (SimplicialSet, SimplicialGroup, ConstantGroup,
-                         ConstantFreeAbelian, _remember)
+                         ConstantFreeAbelian)
 
 GROUP_FACE_CAP = 1 << 13
 

@@ -22,6 +22,10 @@ is the graded dual of that monomial basis, its coproduct read off
 through `graded.d_operation`, and every (-1)^e through
 `graded.parity_sign`.
 
+A `FreeGcDga` hands out one `Monomial` per monomial from its table, at
+most MONOMIAL_CAP entries and emptied when full, so dict lookups of its
+keys mostly hit on identity; its basis of each degree is enumerated once.
+
 The module also provides the convolution algebra Hom(C, A) with its cup
 product, twisting cochains and their homotopies, twisted tensor products,
 homotopy inverses via the geometric series, and quotient oracles used to
@@ -29,8 +33,8 @@ certify ideal-triviality.
 """
 from itertools import product
 
-from .graded import (GradedElement, LinearMap, Tensor, bilinear, d_operation,
-                     parity_sign, tensor_elements)
+from .graded import (GradedElement, LinearMap, Tensor, _remember, bilinear,
+                     d_operation, parity_sign, tensor_elements)
 from .linalg import StructuralError
 
 
@@ -680,19 +684,24 @@ class FreeDga(Dga):
 
 
 class Monomial:
-    """Commutative monomial: sorted tuple of (name, exponent)."""
+    """Commutative monomial: sorted tuple of (name, exponent).
 
-    __slots__ = ("powers", "degree")
+    The `FreeGcDga` that builds a monomial keeps it in its table (at most
+    MONOMIAL_CAP entries, emptied when full), so equal monomials of one
+    algebra are mostly one object; equality is still by value."""
+
+    __slots__ = ("powers", "degree", "_hash")
 
     def __init__(self, powers, degree):
         self.powers = powers
         self.degree = degree
+        self._hash = hash(powers)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.powers == other.powers
 
     def __hash__(self):
-        return hash(self.powers)
+        return self._hash
 
     def __repr__(self):
         if not self.powers:
@@ -700,12 +709,17 @@ class Monomial:
         return "*".join(n if e == 1 else f"{n}^{e}" for n, e in self.powers)
 
 
+MONOMIAL_CAP = 1 << 16
+
+
 class FreeGcDga(Dga):
     """Free graded-commutative dga: polynomial on even generators tensor
     exterior on odd ones, with an assignable differential.
 
     Serves as polynomial algebras (zero differential), exterior algebras,
-    and Koszul-resolution algebras.
+    and Koszul-resolution algebras.  Every monomial it makes comes from
+    its table (`_intern`, keyed by powers), and `basis(d)` is enumerated
+    once per degree and kept as a tuple.
     """
 
     commutative = True
@@ -714,9 +728,21 @@ class FreeGcDga(Dga):
         super().__init__(field)
         self.gens = dict(gens)
         self.order = {n: i for i, n in enumerate(self.gens)}
-        self.unit_key = Monomial((), 0)
+        self._odd = {n for n, d in self.gens.items() if d % 2}
+        self._monomials = {}
+        self._bases = {}
+        self.unit_key = self._intern(())
         self._dgen = _generator_differentials(field, d_gen, self.monomial)
         self.simply_connected = all(d >= 2 for d in self.gens.values())
+
+    def _intern(self, powers):
+        """The algebra's one Monomial with these (sorted) powers."""
+        got = self._monomials.get(powers)
+        if got is None:
+            got = _remember(self._monomials, powers, Monomial(
+                powers, sum(self.gens[n] * e for n, e in powers)),
+                MONOMIAL_CAP)
+        return got
 
     def monomial(self, powers):
         """powers: iterable of (name, exp) or of names."""
@@ -729,25 +755,26 @@ class FreeGcDga(Dga):
             e = acc.pop(name, 0)
             if e == 0:
                 continue
-            if self.gens[name] % 2 and e > 1:
+            if name in self._odd and e > 1:
                 return None  # odd generator squares to zero
             items.append((name, e))
         if acc:
             raise KeyError(f"unknown generators {sorted(acc)}")
-        return Monomial(tuple(items), sum(self.gens[n] * e for n, e in items))
+        return self._intern(tuple(items))
 
     def generator(self, name):
         return GradedElement.single(self.field, self.monomial([name]))
 
     def basis(self, degree):
-        if degree < 0:
-            return []
+        got = self._bases.get(degree)
+        if got is not None:
+            return got
         names = list(self.gens)
         out = []
 
         def extend(i, rem, acc):
             if rem == 0:
-                out.append(Monomial(tuple(acc), degree))
+                out.append(self._intern(tuple(acc)))
                 return
             if i >= len(names):
                 return
@@ -759,29 +786,30 @@ class FreeGcDga(Dga):
                 if d * e <= rem:
                     extend(i + 1, rem - d * e, acc + [(n, e)])
 
-        extend(0, degree, [])
-        return out
+        if degree >= 0:
+            extend(0, degree, [])
+        got = self._bases[degree] = tuple(out)
+        return got
 
     def mul_keys(self, k1, k2):
         # Koszul sign from interleaving odd generators into sorted order.
-        field = self.field
+        odd, order = self._odd, self.order
+        odd1 = [order[n] for n, _ in k1.powers if n in odd]
         sign = 0
-        odd1 = [n for n, e in k1.powers if self.gens[n] % 2]
-        for n2, e2 in k2.powers:
-            if self.gens[n2] % 2:
-                crossings = sum(1 for n1 in odd1 if self.order[n1] > self.order[n2])
-                sign += crossings * e2
-        merged = {}
-        for n, e in k1.powers:
-            merged[n] = merged.get(n, 0) + e
+        if odd1:
+            for n2, e2 in k2.powers:
+                if n2 in odd:
+                    o2 = order[n2]
+                    sign += e2 * sum(1 for o1 in odd1 if o1 > o2)
+        merged = dict(k1.powers)
         for n, e in k2.powers:
             merged[n] = merged.get(n, 0) + e
-        for n, e in merged.items():
-            if self.gens[n] % 2 and e > 1:
-                return GradedElement(field)
-        items = tuple((n, merged[n]) for n in self.gens if n in merged)
-        key = Monomial(items, k1.degree + k2.degree)
-        return GradedElement.single(field, key, parity_sign(field, sign))
+        if odd and any(e > 1 for n, e in merged.items() if n in odd):
+            return GradedElement(self.field)
+        key = self._intern(tuple((n, merged[n]) for n in self.gens
+                                 if n in merged))
+        return GradedElement.single(self.field, key,
+                                    parity_sign(self.field, sign))
 
     def diff_key(self, key):
         # Leibniz: d(x^e) = e x^{e-1} dx for even x, e = 1 for odd x; the
@@ -796,8 +824,8 @@ class FreeGcDga(Dga):
                 sgn = parity_sign(field, pre)
                 prefix = key.powers[:idx]
                 suffix = (((name, e - 1),) if e > 1 else ()) + key.powers[idx + 1:]
-                pm = Monomial(prefix, sum(self.gens[n] * ee for n, ee in prefix))
-                sm = Monomial(suffix, sum(self.gens[n] * ee for n, ee in suffix))
+                pm = self._intern(prefix)
+                sm = self._intern(suffix)
                 prod = self.mul(GradedElement.single(field, pm),
                                 self.mul(dg, GradedElement.single(field, sm)))
                 out.add_in(prod, field.mul(sgn, field.of(e)))

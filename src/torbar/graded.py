@@ -2,7 +2,12 @@
 
 A *basis key* is any hashable object with an integer ``degree`` attribute.
 Modules register their own key kinds (simplices, bar words, monomials,
-Koszul pairs); one linear-algebra engine serves them all.
+Koszul pairs); one linear-algebra engine serves them all.  Equal keys
+may be one object: a space keeps one `SimplexKey` per simplex, a
+`FreeGcDga` one `Monomial` per monomial and a `BarDgc` one `BarWord` per
+word, each in a table bounded by `_remember`, so most dict lookups hit on
+identity.  Equality by value stays the fallback: a key built elsewhere,
+or after its table was emptied, finds the same entries.
 
 `GradedElement` is a finite linear combination of keys; zero coefficients
 are never stored.  `LinearMap` is a lazy degree-homogeneous map given by a
@@ -21,6 +26,14 @@ multilinear operation, d(op) = d op - (-1)^{|op|} op d: the Leibniz check
 of a dga, the differential of Hom(C, A) and the differential axioms of
 the hga and shm layers all go through it.
 """
+
+
+def _remember(memo, key, value, cap):
+    """Store value in a bounded memo, emptying the memo first if full."""
+    if len(memo) >= cap:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 class Tensor:

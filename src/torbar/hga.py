@@ -14,7 +14,7 @@ from .graded import (GradedElement, LinearMap, Tensor, bilinear, d_operation,
                      parity_sign, suspension_exponent, tensor_elements)
 from .dg import (CheckReport, TwistingCochain, TensorDgc, FreeGcCoalgebra,
                  TwistedTensor)
-from .bar import BarWord, dgc_map_from_cochain
+from .bar import dgc_map_from_cochain
 from .linalg import StructuralError
 
 
@@ -367,7 +367,8 @@ class KSAlgebra:
                          for e in entries])
 
     def unit(self):
-        return self.osb.element(BarWord(()), self.coef_hga.dga.unit_key)
+        return self.osb.element(self.osb.barA.coaug_key,
+                                self.coef_hga.dga.unit_key)
 
     def product_keys(self, key1, key2):
         w1, b1k = key1.parts
@@ -378,7 +379,7 @@ class KSAlgebra:
         a_elem = GradedElement.single(field, b1k)
         l = w2.length
         for m in range(0, l + 1):
-            head = BarWord(w2.entries[:m])
+            head = self.osb.barA.word(w2.entries[:m])
             tail = w2.entries[m:]
             sign = parity_sign(field, b1k.degree * head.degree)
             bars = mu(Tensor((w1, head)))

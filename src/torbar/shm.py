@@ -14,16 +14,18 @@ from .graded import (GradedElement, LinearMap, d_operation, expand,
                      interleave_exponent, parity_sign, prefix_degrees,
                      suspension_exponent, tensor_elements)
 from .dg import CheckReport, TwistingCochain, HomAlgebra
-from .bar import BarDgc, BarWord, dgc_map_from_cochain
+from .bar import BarDgc, dgc_map_from_cochain
 
 
-def _add_word_values(out, A, t, args):
+def _add_word_values(out, barA, t, args):
     """Add to `out` the value of t on [a_1|...|a_n], expanded over the
-    pure terms of the reduced arguments with each word's suspension sign."""
+    pure terms of the reduced arguments with each word's suspension sign;
+    the words are those of `barA`."""
+    A = barA.A
     field = A.field
     for keys, c in expand(field, (A.reduced(a) for a in args)):
         eps = suspension_exponent([k.degree for k in keys])
-        out.add_in(t(BarWord(keys)), field.mul(c, parity_sign(field, eps)))
+        out.add_in(t(barA.word(keys)), field.mul(c, parity_sign(field, eps)))
     return out
 
 
@@ -89,7 +91,7 @@ class TwistingFamily:
                 s = A.aug(args[0])
                 if s != field.zero:
                     out.add_in(B.one(), s)
-            return _add_word_values(out, A, t, args)
+            return _add_word_values(out, barA, t, args)
 
         return cls(A, B, component, name=name or t.name)
 
@@ -138,7 +140,7 @@ class TwistingHomotopyFamily:
         A = barA.A
 
         def component(n, args):
-            return _add_word_values(B.zero(), A, h_map, args)
+            return _add_word_values(B.zero(), barA, h_map, args)
 
         return cls(A, B, component, source, target, name=name)
 
@@ -541,7 +543,7 @@ def gamma(g, osb_source):
         w, bkey = key.parts
         out = GradedElement(field)
         for m in range(0, w.length + 1):
-            head = GradedElement.single(field, BarWord(w.entries[:m]))
+            head = GradedElement.single(field, barA.word(w.entries[:m]))
             out.add_in(tensor_elements(field, head,
                                        frak_g(w.entries[m:], bkey)))
         return out

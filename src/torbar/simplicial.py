@@ -53,8 +53,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 
 from .dg import Dga, Dgc
-from .graded import (GradedElement, Tensor, bilinear, interleave_exponent,
-                     koszul_sign, parity_sign)
+from .graded import (GradedElement, Tensor, _remember, bilinear,
+                     interleave_exponent, koszul_sign, parity_sign)
 from .linalg import homology, StructuralError
 
 
@@ -83,14 +83,6 @@ class SimplexKey:
 DEGENERATE_CAP = 1 << 16
 KEY_CAP = 1 << 16
 CUT_CAP = 1 << 13
-
-
-def _remember(memo, key, value, cap):
-    """Store value in a bounded memo, emptying the memo first if full."""
-    if len(memo) >= cap:
-        memo.clear()
-    memo[key] = value
-    return value
 
 
 class SimplicialSet:

@@ -11,8 +11,10 @@ from torbar.dg import (Dgc, FreeDga, FreeGcDga, Monomial, TensorDga,
 from torbar.bar import (BarDgc, BarWord, universal_cochain,
                         dgc_map_from_cochain, check_dgc_map, bar_shuffle,
                         OneSidedBar, tor_additive)
+from torbar.homog import catalog_entry, tor_bar_algebra
 from torbar.linalg import StructuralError
 from torbar.shm import TwistingFamily
+from torbar import bar, dg
 
 
 def test_bar_of_ground_field():
@@ -325,3 +327,61 @@ def test_horizon_is_explicit():
     table = tor_additive(osb, 4)
     with pytest.raises(KeyError):
         table.totals[9]
+
+
+def test_equal_words_are_one_object():
+    """`basis`, `word`, `words_from_elements`, `diff_key` and `cop_key` of
+    one BarDgc all hand out the bar's one BarWord per word; each word's
+    differential and coproduct are computed once."""
+    A = FreeGcDga(QQ, [("a", 2), ("u", 3), ("w", 4)],
+                  d_gen={"u": [(1, [("a", 2)]), (2, [("w", 1)])]})
+    barA = BarDgc(A)
+    basis = {d: barA.basis(d) for d in range(8)}
+    known = {id(w) for words in basis.values() for w in words}
+    assert len(known) == len({w.entries for words in basis.values()
+                              for w in words}) > 100
+    assert basis[0] == [barA.coaug_key]
+    built = 0
+    for words in basis.values():
+        for w in words:
+            assert barA.word(list(w.entries)) is w
+            elems = [GradedElement.single(QQ, k) for k in w.entries]
+            assert [id(k) for k in barA.words_from_elements(elems).terms] \
+                == [id(w)]
+            assert barA.cop_key(w) is barA.cop_key(w)
+            for _, head, tail in barA.cop_key(w):
+                assert id(head) in known and id(tail) in known, w
+            if w.degree < 7:
+                assert barA.diff_key(w) is barA.diff_key(w)
+                for w2 in barA.diff_key(w).terms:
+                    assert id(w2) in known, (w, w2)
+                    built += 1
+    assert built > 100
+
+
+def _catalog_tables():
+    """Totals, bidegrees and product coordinates of two catalog pairs over
+    Q and F5, with the sizes of their monomial and word tables."""
+    out, sizes = [], []
+    for name in ("SU(3)/T", "U(2)/U(1)xU(1)"):
+        for field in (QQ, F5):
+            A, B, f, _ = catalog_entry(field, name)
+            ring, osb, _ = tor_bar_algebra(A, B, f, 6)
+            table = ring.table
+            out.append((name, str(field), table.totals, table.bidegrees,
+                        [(e["factors"], e["coords"]) for e in table.products]))
+            sizes += [len(A._monomials), len(B._monomials),
+                      len(osb.barA._words)]
+    return out, sizes
+
+
+def test_key_tables_stay_within_small_caps(monkeypatch):
+    """Emptying the monomial and word tables whenever they hold 8 keys
+    changes no catalog table: equality by value is the fallback."""
+    expected, sizes = _catalog_tables()
+    assert max(sizes) > 8
+    monkeypatch.setattr(dg, "MONOMIAL_CAP", 8)
+    monkeypatch.setattr(bar, "WORD_CAP", 8)
+    got, sizes = _catalog_tables()
+    assert got == expected
+    assert max(sizes) <= 8

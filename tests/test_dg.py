@@ -295,3 +295,34 @@ def test_tensor_differential_squares_to_zero(data):
     X, keys = D_SQUARED[data.draw(st.sampled_from(sorted(D_SQUARED)))]
     key = data.draw(st.sampled_from(keys))
     assert X.d(X.diff_key(key)).is_zero(), key
+
+
+def test_equal_monomials_are_one_object():
+    """`basis`, `monomial`, `mul_keys` and `diff_key` of one FreeGcDga all
+    hand out the algebra's one Monomial per monomial, and `basis` is
+    enumerated once per degree."""
+    A = FreeGcDga(QQ, [("a", 2), ("u", 3), ("w", 4)],
+                  d_gen={"u": [(1, [("a", 2)]), (2, [("w", 1)])]})
+    basis = {d: A.basis(d) for d in range(13)}
+    assert all(A.basis(d) is basis[d] for d in basis)
+    assert [len({k.powers for k in basis[d]}) for d in basis] \
+        == [1, 0, 1, 1, 2, 1, 2, 2, 3, 2, 3, 3, 4]
+    known = {id(k) for keys in basis.values() for k in keys}
+    assert A.monomial([]) is A.unit_key and id(A.unit_key) in known
+    for keys in basis.values():
+        for k in keys:
+            assert A.monomial(k.powers) is k
+    built = 0
+    for d1 in range(7):
+        for d2 in range(13 - d1):
+            for k1 in basis[d1]:
+                for k2 in basis[d2]:
+                    for k in A.mul_keys(k1, k2).terms:
+                        assert id(k) in known, (k1, k2, k)
+                        built += 1
+    for keys in list(basis.values())[:12]:
+        for k in keys:
+            for k2 in A.diff_key(k).terms:
+                assert id(k2) in known, (k, k2)
+                built += 1
+    assert built > 100

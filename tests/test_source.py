@@ -402,3 +402,31 @@ def test_tracer_modules_are_the_package_modules():
     assert len(modules) == 1, modules
     assert set(modules[0]) == {p.stem for p in SRC.glob("*.py")} \
         - {"__init__"}
+
+
+def test_keys_built_only_by_their_owners_tables():
+    """Only `FreeGcDga._intern` constructs a `Monomial` and only
+    `BarDgc._intern` a `BarWord`, so every monomial and word of the
+    package comes from its owner's table and equal keys are one object; a
+    key built anywhere else would be an equal copy that dict lookups
+    compare by value."""
+    owners = {"Monomial": ("FreeGcDga", "_intern"),
+              "BarWord": ("BarDgc", "_intern")}
+    found = []
+
+    def visit(path, node, cls, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name in owners and owners[name] != (cls, function):
+                    found.append(f"{path.name}:{child.lineno}:{name}")
+            visit(path, child,
+                  child.name if isinstance(child, ast.ClassDef) else cls,
+                  child.name if isinstance(child, ast.FunctionDef)
+                  else function)
+
+    for path, tree in _trees("src/torbar"):
+        visit(path, tree, None, None)
+    assert not found, found
