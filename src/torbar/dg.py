@@ -27,9 +27,9 @@ most MONOMIAL_CAP entries and emptied when full, so dict lookups of its
 keys mostly hit on identity; its basis of each degree is enumerated once.
 
 The module also provides the convolution algebra Hom(C, A) with its cup
-product, twisting cochains and their homotopies, twisted tensor products,
-homotopy inverses via the geometric series, and quotient oracles used to
-certify ideal-triviality.
+product and the geometric-series inverse of 1 + k, twisting cochains,
+twisted tensor products, and gauge transformations, which give the
+non-strict twisting cochains the shm tests run on.
 """
 from itertools import product
 
@@ -350,7 +350,7 @@ class HomAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Twisting cochains and homotopies
+# Twisting cochains
 # ---------------------------------------------------------------------------
 
 class CheckReport:
@@ -430,85 +430,6 @@ class TwistingCochain:
         return rep
 
 
-class TwistingHomotopy:
-    """h in Hom_0(C, A) with d(h) = t u h - h u u and normalizations."""
-
-    def __init__(self, C, A, rule, source, target, name="h"):
-        self.C = C
-        self.A = A
-        self.name = name
-        self.source = source    # t
-        self.target = target    # u
-        self.map = rule if isinstance(rule, LinearMap) else \
-            LinearMap(C.field, 0, rule, name=name)
-        if self.map.degree != 0:
-            raise ValueError("twisting homotopies have degree 0")
-
-    def __call__(self, key):
-        return self.map(key)
-
-    def check(self, keys):
-        hom = HomAlgebra(self.C, self.A)
-        lhs = hom.d(self.map)
-        rhs = hom.cup(self.source.map, self.map) - hom.cup(self.map, self.target.map)
-        rep = CheckReport(f"twisting homotopy {self.name}")
-        for k in keys:
-            ok = lhs(k) == rhs(k)
-            if ok:
-                ok = self.A.aug(self.map(k)) == self.C.counit_key(k)
-            if ok and k == self.C.coaug_key:
-                ok = self.map(k) == self.A.one()
-            rep.record(ok, k)
-        return rep
-
-    def inverse(self):
-        """h^{-1} = sum (1-h)^{u n}, a homotopy from target to source."""
-        hom = HomAlgebra(self.C, self.A)
-        inv = hom.geometric_inverse(self.map)
-        return TwistingHomotopy(self.C, self.A, inv, self.target, self.source,
-                                name=f"{self.name}^-1")
-
-    def cup(self, other):
-        """h u k : t ~ v through matching endpoints.
-
-        The endpoints are not compared: distinct objects with equal rules
-        are accepted, and matching them is the caller's responsibility."""
-        hom = HomAlgebra(self.C, self.A)
-        return TwistingHomotopy(self.C, self.A, hom.cup(self.map, other.map),
-                                self.source, other.target,
-                                name=f"{self.name}u{other.name}")
-
-    def is_trivial_under(self, oracle, keys):
-        """a-triviality certificate: h(c) - eta eps(c) dies in the quotient."""
-        hom = HomAlgebra(self.C, self.A)
-        unit = hom.unit()
-        rep = CheckReport(f"{self.name} trivial under {oracle.name}")
-        for k in keys:
-            rep.record(oracle.is_zero(self.map(k) - unit(k)), k)
-        return rep
-
-
-def trivial_homotopy(C, A, t):
-    """The unit homotopy eta eps : t ~ t."""
-    hom = HomAlgebra(C, A)
-    return TwistingHomotopy(C, A, hom.unit(), t, t, name="1")
-
-
-class QuotientOracle:
-    """A dga morphism q: A -> Q certifying ideal membership by q(x) = 0.
-
-    `q` maps elements of A to elements of Q.
-    """
-
-    def __init__(self, A, q, name="q"):
-        self.A = A
-        self.q = q
-        self.name = name
-
-    def is_zero(self, x):
-        return self.q(x).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # Twisted tensor products
 # ---------------------------------------------------------------------------
@@ -525,10 +446,25 @@ class TwistedTensor:
         self.t = t
         self.field = C.field
         self.ddeg = C.ddeg
-        # delta_t is built once and not memoized: `_diff` is the one cache.
-        # Neither closure holds self, so a dropped complex is freed at once.
-        delta_t = _delta_rule(C, A, t.map)
-        neg_one = self.field.neg(self.field.one)
+        # delta_t is not memoized: `_diff` is the one cache.  Neither
+        # closure holds self, so a dropped complex is freed at once.
+        field, tmap = self.field, t.map
+
+        def delta_t(key):
+            """delta_t(c (x) a) = sum +- c_1 (x) (t(c_2) a)."""
+            ck, ak = key.parts
+            out = GradedElement(field)
+            for c, k1, k2 in C.cop_key(ck):
+                tv = tmap(k2)
+                if tv.is_zero():
+                    continue
+                prod = A.mul(tv, GradedElement.single(field, ak))
+                out.add_in(tensor_elements(
+                    field, GradedElement.single(field, k1), prod),
+                    field.mul(parity_sign(field, tmap.degree * k1.degree), c))
+            return out
+
+        neg_one = field.neg(field.one)
         self._diff = LinearMap(
             self.field, self.ddeg,
             lambda k: tensor_diff_key(C, A, k).add_in(delta_t(k), neg_one),
@@ -540,51 +476,11 @@ class TwistedTensor:
     def element(self, ck, ak):
         return GradedElement.single(self.field, self.key(ck, ak))
 
-    def delta(self, f):
-        """delta_f(c (x) a) = sum +- c_1 (x) (f(c_2) a) for f in Hom(C,A)."""
-        return LinearMap(self.field, f.degree, _delta_rule(self.C, self.A, f),
-                         name=f"delta_{f.name}")
-
     def diff_key(self, key):
         return self._diff(key)
 
     def d(self, x):
         return x.map_keys(self.diff_key)
-
-
-def _delta_rule(C, A, f):
-    """The rule of delta_f on keys c (x) a."""
-    field = C.field
-
-    def rule(key):
-        ck, ak = key.parts
-        out = GradedElement(field)
-        for c, k1, k2 in C.cop_key(ck):
-            fv = f(k2)
-            if fv.is_zero():
-                continue
-            prod = A.mul(fv, GradedElement.single(field, ak))
-            out.add_in(tensor_elements(field, GradedElement.single(field, k1),
-                                       prod),
-                       field.mul(parity_sign(field, f.degree * k1.degree), c))
-        return out
-
-    return rule
-
-
-def delta_h_iso(tt_u, tt_t, h, keys):
-    """delta_h : C (x)_u A -> C (x)_t A for a homotopy h: t ~ u.
-
-    Returns (map, inverse_map); both are verified chain maps on `keys`.
-    """
-    dh = tt_t.delta(h.map)
-    dh_inv = tt_t.delta(h.inverse().map)
-    rep = check_chain_map(dh, tt_u, tt_t, keys, "delta_h chain map")
-    for k in keys:
-        e = GradedElement.single(tt_t.field, k)
-        rep.record(dh.of(dh_inv.of(e)) == e, ("inverse", k))
-    rep.raise_on_failure()
-    return dh, dh_inv
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +518,9 @@ class FreeDga(Dga):
 
     `gens`: list of (name, degree); `d_gen`: dict name -> element spec,
     where a spec is a list of (coeff, [names...]) pairs.  The differential
-    extends by the Leibniz rule.  The universal test bed: any identity in
-    shm/hga combinators that fails in general fails here.
+    extends by the Leibniz rule.  The universal test bed: an identity of
+    the bar construction, twisting cochains or shm families that fails in
+    general fails here.
     """
 
     def __init__(self, field, gens, d_gen=None):
@@ -896,10 +793,6 @@ class TensorDga(Dga):
         self.commutative = A.commutative and B.commutative
         self.simply_connected = A.simply_connected and B.simply_connected
 
-    def pair(self, x, y):
-        """Element x (x) y from elements of A and B (no sign)."""
-        return tensor_elements(self.field, x, y)
-
     def basis(self, degree):
         return tensor_basis(self.A, self.B, degree)
 
@@ -989,24 +882,24 @@ class TensorDgc(Dgc):
 
 
 # ---------------------------------------------------------------------------
-# Gauge transformations: synthetic nonstrict twisting cochains + homotopies
+# Gauge transformations: synthetic nonstrict twisting cochains
 # ---------------------------------------------------------------------------
 
 def gauge_transform(C, A, t, k_rule):
-    """Conjugate the twisting cochain t by h = 1 + k.
+    """The twisting cochain t' = h^{-1} u t u h - h^{-1} u d(h), t
+    conjugated by h = 1 + k.
 
     `k_rule` is a degree-0 LinearMap C -> A with k(coaug) = 0 and values in
-    the augmentation ideal.  Returns (t_prime, h) where h: t ~ t_prime is a
-    twisting homotopy; t' = h^{-1} u t u h - h^{-1} u d(h).
+    the augmentation ideal.  On C = B A with t universal, t' is the
+    cochain of an shm map A => A (`shm.TwistingFamily`), non-strict for
+    a generic k.
     """
     hom = HomAlgebra(C, A)
     h_map = hom.unit() + k_rule
     h_inv = hom.geometric_inverse(h_map)
     dh = hom.d(h_map)
     t_prime_map = hom.cup(h_inv, hom.cup(t.map, h_map)) - hom.cup(h_inv, dh)
-    t_prime = TwistingCochain(C, A, t_prime_map, name=f"{t.name}'")
-    h = TwistingHomotopy(C, A, h_map, t, t_prime, name="gauge")
-    return t_prime, h
+    return TwistingCochain(C, A, t_prime_map, name=f"{t.name}'")
 
 
 def random_gauge_rule(C, A, rng, degrees):

@@ -1,19 +1,15 @@
-import random
-
 import pytest
 
 from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement, LinearMap, Tensor, transpose_tensor
 from torbar.dg import (Dgc, FreeDga, FreeGcDga, Monomial, TensorDga,
                        TensorDgc, TwistingCochain, polynomial_dga,
-                       gc_algebra_map, gauge_transform, random_gauge_rule,
-                       check_d_squared)
+                       gc_algebra_map, check_d_squared)
 from torbar.bar import (BarDgc, BarWord, universal_cochain,
                         dgc_map_from_cochain, check_dgc_map, bar_shuffle,
                         OneSidedBar, tor_additive)
 from torbar.homog import catalog_entry, tor_bar_algebra
 from torbar.linalg import StructuralError
-from torbar.shm import TwistingFamily
 from torbar import bar, dg
 
 
@@ -185,46 +181,6 @@ def test_bar_shuffle_commutativity_square():
             lhs = bar_T(shAB.of(e))
             rhs = shBA.of(transpose_tensor(e))
             assert lhs == rhs, f"commutativity square fails at {key!r}"
-
-
-def test_bar_shuffle_natural_for_shm_maps():
-    rng = random.Random(31)
-    A = FreeDga(QQ, [("a", 2), ("c", 3)], d_gen={"c": [(1, ["a", "a"])]})
-    B = FreeDga(QQ, [("b", 3)], d_gen={})
-    barA, barB = BarDgc(A), BarDgc(B)
-    # f: A => A nonstrict via gauge; g: B => B strict
-    t = universal_cochain(barA)
-    krule = random_gauge_rule(barA, A, rng, degrees=range(1, 7))
-    t2, _ = gauge_transform(barA, A, t, krule)
-    f = TwistingFamily.from_cochain(barA, A, t2, name="f")
-    from torbar.dg import free_dga_endo
-    g = TwistingFamily.strict(B, B, free_dga_endo(B, 2), name="g")
-
-    AB = TensorDga(A, B)
-    barAB = BarDgc(AB)
-    sh, _, src = bar_shuffle(barA, barB, barAB)
-    sh2, _, src2 = bar_shuffle(barA, barB, barAB)
-
-    from torbar.shm import tensor_shm
-    fg = tensor_shm(f, g, AB, AB)
-    bfg = fg.bar_map(barAB, barAB)
-    bf = f.bar_map(barA, barA)
-    bg = g.bar_map(barB, barB)
-
-    for d in range(0, 6):
-        for key in src.basis(d):
-            e = GradedElement.single(QQ, key)
-            lhs = bfg.of(sh.of(e))
-            # (Bf (x) Bg) then shuffle
-            moved = GradedElement(QQ)
-            wa, wb = key.parts
-            for ka, ca in bf(wa).terms.items():
-                for kb, cb in bg(wb).terms.items():
-                    # Bg has degree 0: no Koszul sign
-                    moved.add_in(GradedElement.single(
-                        QQ, Tensor((ka, kb))), QQ.mul(ca, cb))
-            rhs = sh2.of(moved)
-            assert lhs == rhs, f"shuffle naturality fails at {key!r}"
 
 
 def test_one_sided_bar_plain_and_twist():
