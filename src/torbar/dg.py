@@ -163,12 +163,6 @@ class Dgc:
     def counit_key(self, key):
         return self.field.one if key == self.coaug_key else self.field.zero
 
-    def zero(self):
-        return GradedElement(self.field)
-
-    def one(self):
-        return GradedElement.single(self.field, self.coaug_key)
-
     def d(self, x):
         return x.map_keys(self.diff_key)
 

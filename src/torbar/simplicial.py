@@ -28,16 +28,22 @@ and degeneracy are pure functions of (p, data):
 - `key(p, data)`, keyed by (p, data), at most KEY_CAP (65536) entries: one
   shared `SimplexKey` per simplex, so memoized cuts hold references to
   keys, not copies of them;
-- `interval_cut(u, key)`, keyed by (u.seq, p, data) on key.space, at most
-  CUT_CAP (8192) entries, each a tuple of (coeff, tuple of factor keys).
-  The Alexander-Whitney diagonal is the cut of `AW` = (1, 2), every term
-  with sign +1: the coproduct of `ChainsDgc`, each `partial_diagonal` and
-  the transpose `cup` all read it, so they share this memo.
+- `interval_cut(u, key, dims)`, keyed by (u.seq, dims, p, data) on
+  key.space, at most CUT_CAP (8192) entries, each a tuple of (coeff,
+  tuple of factor keys).  `dims` is None for the full cut, or the factor
+  dimensions of the only terms a caller reads: `surjection_op` (so E_k,
+  F_kl, `cup`, cup1 and cup2) passes its cochains' degrees and cuts no
+  shape that its cochains pair to zero.  The Alexander-Whitney diagonal
+  is the full cut of `AW` = (1, 2), every term with sign +1: the
+  coproduct of `ChainsDgc` and each `partial_diagonal` read it, so they
+  share one entry per simplex.
 
 A memo that is full is emptied before its next entry.  Results are shared
 between callers and immutable (bools, keys and tuples).  The shapes of
-interval cuts depend only on (u.seq, n); `_cut_shapes` keeps those of the
-256 most recent pairs.
+interval cuts depend only on (u.seq, n): `_cut_shapes` enumerates them
+once per pair, `_cut_shapes_by_dims` groups them by factor dimensions
+(keeping the enumeration order in each group), and each keeps those of
+the 256 most recent pairs.
 
 One more memo has the same form: a W-bar group (`classifying.WBarGroup`)
 memoizes its faces, keyed by (k, data), at most
@@ -149,16 +155,18 @@ class SimplicialSet:
         return GradedElement.single(self.field, self.key(p, data))
 
     def boundary_key(self, key):
-        out = GradedElement(self.field)
+        """sum_i (-1)^i d_i x over the nondegenerate faces, as one
+        `GradedElement`, which adds up faces that coincide."""
         p = key.degree
         if p == 0:
-            return out
-        sign = self.field.one
+            return GradedElement(self.field)
+        signs = (self.field.one, self.field.neg(self.field.one))
+        terms = []
         for i in range(p + 1):
             f = self.face(p, i, key.data)
-            out.add_in(self.chain(p - 1, f), sign)
-            sign = self.field.neg(sign)
-        return out
+            if not self.is_degenerate(p - 1, f):
+                terms.append((self.key(p - 1, f), signs[i % 2]))
+        return GradedElement(self.field, terms)
 
     def boundary(self, chain):
         return chain.map_keys(self.boundary_key)
@@ -456,23 +464,41 @@ def _cut_shapes(seq, n):
     return tuple(out)
 
 
-def interval_cut(u, key):
+@lru_cache(maxsize=256)
+def _cut_shapes_by_dims(seq, n):
+    """The shapes of `_cut_shapes(seq, n)` grouped by their factor
+    dimensions, each group in enumeration order."""
+    groups = {}
+    for term in _cut_shapes(seq, n):
+        groups.setdefault(tuple(len(vs) - 1 for vs in term[1]),
+                          []).append(term)
+    return {dims: tuple(terms) for dims, terms in groups.items()}
+
+
+def interval_cut(u, key, dims=None):
     """AW_u(sigma): the signed sum over interval cuts.
 
     Returns a tuple of (coeff, tuple of factor SimplexKeys) with
     degenerate-factor terms dropped (normalization), memoized on the
-    space of `key`."""
+    space of `key`.  With `dims` a tuple of factor dimensions, only the
+    terms whose factors have those dimensions are cut, in the order of
+    the full cut; a caller that pairs the factors with cochains of known
+    degrees reads no other term."""
     if not isinstance(u, Surjection):
         u = Surjection(tuple(u))
     X = key.space
     n = key.degree
-    memo_key = (u.seq, n, key.data)
+    memo_key = (u.seq, dims, n, key.data)
     got = X._cut_memo.get(memo_key)
     if got is not None:
         return got
+    if dims is None:
+        shapes = _cut_shapes(u.seq, n)
+    else:
+        shapes = _cut_shapes_by_dims(u.seq, n).get(dims, ())
     out = []
     faces = {}
-    for sign, shape in _cut_shapes(u.seq, n):
+    for sign, shape in shapes:
         factors = []
         for vs in shape:
             data = X.face_by_vertices_data(key.data, n, vs, faces)
@@ -583,43 +609,37 @@ def coboundary(a):
     return Cochain(space, a.degree + 1, fn)
 
 
-def _koszul_eval(field, cochains, factors):
-    """(a_1 (x)...(x) a_r)(x_1 (x)...(x) x_r) with the Koszul pairing sign."""
-    degs = [a.degree for a in cochains]
-    fdegs = [f.degree for f in factors]
-    if degs != fdegs:
-        return field.zero
-    val = field.one
-    for a, f in zip(cochains, factors):
-        v = a(f)
-        if v == field.zero:
-            return field.zero
-        val = field.mul(val, v)
-    return field.mul(parity_sign(field, interleave_exponent(degs, fdegs)),
-                     val)
-
-
 def surjection_op(u, cochains):
     """transpose AW_u applied to cochains: the cochain with
-    value (-1)^{d(u) sum|a_i|} (a_1 (x)...(x) a_r)(AW_u(sigma))."""
+    value (-1)^{d(u) sum|a_i|} (a_1 (x)...(x) a_r)(AW_u(sigma)).
+
+    a_i pairs to zero with a factor of another degree, so only the terms
+    of the cut whose factor dimensions are the |a_i| are cut, and each
+    has the same Koszul pairing sign (-1)^{sum_{i<j} |a_i||a_j|}."""
     if not isinstance(u, Surjection):
         u = Surjection(tuple(u))
     space = cochains[0].space
     field = space.field
-    total = sum(a.degree for a in cochains)
-    ddeg = u.degree
-    out_deg = total - ddeg
-    sgn = parity_sign(field, ddeg * total)
+    zero = field.zero
+    dims = tuple(a.degree for a in cochains)
+    total = sum(dims)
+    sgn = parity_sign(field, u.degree * total
+                      + interleave_exponent(dims, dims))
+    evals = [a.fn for a in cochains]
 
     def fn(key):
-        s = field.zero
-        for coeff, factors in interval_cut(u, key):
-            v = _koszul_eval(field, cochains, factors)
-            if v != field.zero:
-                s = field.add(s, field.mul(coeff, v))
+        s = zero
+        for coeff, factors in interval_cut(u, key, dims):
+            for ev, x in zip(evals, factors):
+                v = ev(x)
+                if v == zero:
+                    break
+                coeff = field.mul(coeff, v)
+            else:
+                s = field.add(s, coeff)
         return field.mul(sgn, s)
 
-    return Cochain(space, out_deg, fn)
+    return Cochain(space, total - u.degree, fn)
 
 
 def cup(a, b):

@@ -6,7 +6,7 @@ from torbar.fields import QQ, F2
 from torbar.graded import GradedElement, Tensor
 from torbar.simplicial import (partial_diagonal, chain_complex_homology,
                                loop_action_summand, loop_shuffle_action,
-                               group_action_on_chains, ConstantGroup)
+                               group_action_on_chains)
 from torbar.classifying import (wbar, wbar_group, total_space, cyclic_group,
                                 b_cyclic, torus_group, reduced_subgroup,
                                 quotient, SubgroupInclusion)

@@ -4,8 +4,7 @@ import pytest
 
 from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement
-from torbar.simplicial import (cup, coboundary, interval_cut, e_surjection,
-                               Surjection)
+from torbar.simplicial import cup, coboundary
 from torbar.formality import TorusFormality, KoszulComplex
 from torbar.linalg import StructuralError
 from torbar.dg import check_d_squared

@@ -7,17 +7,16 @@ from torbar import classifying, simplicial
 from torbar.classifying import (CosetSpace, SubgroupInclusion, WBar, WTotal,
                                 b_cyclic, quotient, torus_group, wbar)
 from torbar.fields import QQ, F2, F5, PrimeField
-from torbar.graded import (GradedElement, Tensor, tensor_elements,
-                           transpose_tensor)
+from torbar.graded import GradedElement, Tensor, tensor_elements
 from torbar.hga import cup1, cup2
 from torbar.linalg import StructuralError
 from torbar.simplicial import (SimplexComplex, standard_simplex,
                                simplex_boundary, ProductSpace,
                                partial_diagonal, ChainsDgc, chain_shuffle,
-                               shuffle_elements, Surjection, e_surjection,
-                               f_surjection, G12, G21, interval_cut,
-                               Cochain, coboundary, cup,
-                               zero_cochain, CochainHga, q_operation,
+                               Surjection, e_surjection,
+                               f_surjection, AW, G12, G21, interval_cut,
+                               Cochain, coboundary, cup, CochainHga,
+                               q_operation,
                                ConstantGroup, chain_complex_homology,
                                cochain_complex_homology, DualCochainDga,
                                ConstantFreeAbelian, ProductGroup)
@@ -506,6 +505,78 @@ def test_interval_cut_same_on_miss_hit_and_twin():
                     assert all(isinstance(fs, tuple) for _, fs in miss)
                     assert _plain(miss) == _plain(fresh), (u, n, x)
                     assert all(k.space is twin for _, fs in fresh for k in fs)
+
+
+def _compositions(total, parts, top):
+    """The tuples of `parts` integers in 0..top that sum to `total`."""
+    if parts == 1:
+        return [(total,)] if 0 <= total <= top else []
+    return [(d,) + rest for d in range(min(total, top) + 1)
+            for rest in _compositions(total - d, parts - 1, top)]
+
+
+@pytest.mark.parametrize("u", [
+    AW, e_surjection(1), e_surjection(2), e_surjection(3), f_surjection(1, 2),
+    f_surjection(2, 1), f_surjection(2, 2), G12, G21], ids=repr)
+def test_interval_cut_with_dims_is_the_full_cut_restricted(u):
+    """The cut with factor dimensions `dims` is the subsequence of the full
+    cut whose factors have those dimensions, on a memo miss and a hit;
+    every shape's dimensions sum to n + |u|, so the compositions of that
+    sum cover every dims some shape has, and others too."""
+    X = wbar(b_cyclic(F2, 2))
+    for n in range(6):
+        for x in X.nondegenerate(n):
+            key = X.key(n, x)
+            cuts = {}
+            for dims in _compositions(n + u.degree, u.arity, n):
+                miss = interval_cut(u, key, dims)
+                assert interval_cut(u, key, dims) is miss
+                cuts[dims] = miss
+            full = interval_cut(u, key)
+            for dims, cut in cuts.items():
+                assert cut == tuple(
+                    (c, fs) for c, fs in full
+                    if tuple(f.degree for f in fs) == dims), (n, x, dims)
+            assert sum(len(cut) for cut in cuts.values()) == len(full)
+            assert interval_cut(u, key, (n + 1,) + (0,) * (u.arity - 1)) \
+                == ()
+
+
+def _boundary_by_definition(X, p, x):
+    """sum_i (-1)^i chain(d_i x) as {(p - 1, face): coeff}, a face counted
+    when no s_k d_k of it gives it back."""
+    out = {}
+    for i in range(p + 1):
+        f = X.face(p, i, x)
+        if any(X.degeneracy(p - 2, k, X.face(p - 1, k, f)) == f
+               for k in range(p - 1)):
+            continue
+        c = out.get((p - 1, f), 0) + (-1) ** i
+        if c:
+            out[(p - 1, f)] = c
+        else:
+            del out[(p - 1, f)]
+    return out
+
+
+def test_boundary_key_matches_definition():
+    """On spaces where faces of one simplex coincide, so that their terms
+    add up (coefficient +-2) or cancel."""
+    merged = set()
+    for X, top in ((wbar(b_cyclic(QQ, 2)), 5),
+                   (quotient(b_cyclic(QQ, 4), _even_subgroup(QQ)), 4)):
+        for p in range(1, top + 1):
+            for x in X.nondegenerate(p):
+                got = {(k.degree, k.data): c
+                       for k, c in X.boundary_key(X.key(p, x)).terms.items()}
+                expected = _boundary_by_definition(X, p, x)
+                assert got == expected, (X, p, x)
+                faces = [X.face(p, i, x) for i in range(p + 1)]
+                if len(set(faces)) < len(faces):
+                    merged.add((type(X).__name__,
+                                any(abs(c) > 1 for c in got.values())))
+    assert merged == {(name, adds) for name in ("WBar", "CosetSpace")
+                      for adds in (False, True)}
 
 
 def test_memoized_is_degenerate_matches_definition():

@@ -17,11 +17,18 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def _trees(*dirs):
+    root = SRC.parent.parent
+    for d in dirs:
+        for path in sorted((root / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_unused_imports():
-    """Every module-level import of a module is used in that module."""
+    """Every module-level import of a package or test module is used in
+    that module."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _trees("src/torbar", "tests"):
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
         for node in tree.body:
@@ -31,13 +38,6 @@ def test_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno}:{name}")
     assert not found, found
-
-
-def _trees(*dirs):
-    root = SRC.parent.parent
-    for d in dirs:
-        for path in sorted((root / d).rglob("*.py")):
-            yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 def test_every_public_definition_is_referenced():
