@@ -272,7 +272,7 @@ class OneSidedBar(TwistedTensor):
             twisting = TwistingCochain(self.barA, B,
                                        LinearMap(field, 1, rule, name="f.t_A"),
                                        name="f.t_A")
-        super().__init__(self.barA, B, twisting)
+        super().__init__(twisting)
 
     def basis_total(self, degree):
         """All word (x) coefficient keys of the given total degree."""

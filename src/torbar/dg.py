@@ -46,7 +46,6 @@ class Dga:
     """
 
     ddeg = 1
-    commutative = False
     simply_connected = False
 
     def __init__(self, field):
@@ -430,13 +429,11 @@ class TwistingCochain:
 
 class TwistedTensor:
     """C (x)_t A with differential d_(x) - delta_t, d_(x) the differential
-    of the tensor product (`tensor_diff_key`)."""
+    of the tensor product (`tensor_diff_key`), for t: C -> A."""
 
-    def __init__(self, C, A, t):
-        if C.ddeg != A.ddeg:
-            raise ValueError("need matching differential degrees")
-        self.C = C
-        self.A = A
+    def __init__(self, t):
+        self.C = C = t.C
+        self.A = A = t.A
         self.t = t
         self.field = C.field
         self.ddeg = C.ddeg
@@ -613,8 +610,6 @@ class FreeGcDga(Dga):
     once per degree and kept as a tuple.
     """
 
-    commutative = True
-
     def __init__(self, field, gens, d_gen=None):
         super().__init__(field)
         self.gens = dict(gens)
@@ -765,14 +760,6 @@ def polynomial_dga(field, gens):
     return FreeGcDga(field, gens)
 
 
-def exterior_dga(field, gens):
-    """Lambda(x_1,...,x_n) on odd degrees, zero differential."""
-    for name, d in gens:
-        if d % 2 == 0:
-            raise ValueError(f"exterior generator {name} must have odd degree")
-    return FreeGcDga(field, gens)
-
-
 class TensorDga(Dga):
     """A (x) B with componentwise structure and Koszul signs."""
 
@@ -784,7 +771,6 @@ class TensorDga(Dga):
         self.B = B
         self.ddeg = A.ddeg
         self.unit_key = Tensor((A.unit_key, B.unit_key))
-        self.commutative = A.commutative and B.commutative
         self.simply_connected = A.simply_connected and B.simply_connected
 
     def basis(self, degree):
@@ -879,8 +865,8 @@ class TensorDgc(Dgc):
 # Gauge transformations: synthetic nonstrict twisting cochains
 # ---------------------------------------------------------------------------
 
-def gauge_transform(C, A, t, k_rule):
-    """The twisting cochain t' = h^{-1} u t u h - h^{-1} u d(h), t
+def gauge_transform(t, k_rule):
+    """The twisting cochain t' = h^{-1} u t u h - h^{-1} u d(h), t: C -> A
     conjugated by h = 1 + k.
 
     `k_rule` is a degree-0 LinearMap C -> A with k(coaug) = 0 and values in
@@ -888,12 +874,12 @@ def gauge_transform(C, A, t, k_rule):
     cochain of an shm map A => A (`shm.TwistingFamily`), non-strict for
     a generic k.
     """
-    hom = HomAlgebra(C, A)
+    hom = HomAlgebra(t.C, t.A)
     h_map = hom.unit() + k_rule
     h_inv = hom.geometric_inverse(h_map)
     dh = hom.d(h_map)
     t_prime_map = hom.cup(h_inv, hom.cup(t.map, h_map)) - hom.cup(h_inv, dh)
-    return TwistingCochain(C, A, t_prime_map, name=f"{t.name}'")
+    return TwistingCochain(t.C, t.A, t_prime_map, name=f"{t.name}'")
 
 
 def random_gauge_rule(C, A, rng, degrees):

@@ -108,13 +108,6 @@ class GradedElement:
             raise ValueError(f"inhomogeneous element, degrees {sorted(degs)}")
         return degs.pop()
 
-    def homogeneous_parts(self):
-        """Degree -> GradedElement, for inhomogeneous sums."""
-        parts = {}
-        for k, c in self.terms.items():
-            parts.setdefault(k.degree, {})[k] = c
-        return {d: GradedElement(self.field, t) for d, t in sorted(parts.items())}
-
     def coeff(self, key):
         return self.terms.get(key, self.field.zero)
 
@@ -253,26 +246,6 @@ class LinearMap:
             raise ValueError("subtracting maps of different degrees")
         return LinearMap(self.field, self.degree,
                          lambda k: self(k) - other(k))
-
-
-
-def koszul_tensor_map(f, g):
-    """f (x) g on Tensor pairs: (f(x)g)(a(x)b) = (-1)^{|g||a|} f(a)(x)g(b).
-
-    Both maps must be degree-homogeneous; inputs must be Tensor pairs
-    whose first part feeds f and second part feeds g.
-    """
-    field = f.field
-
-    def rule(key):
-        if not isinstance(key, Tensor) or len(key.parts) != 2:
-            raise TypeError(f"koszul_tensor_map needs Tensor pairs, got {key!r}")
-        a, b = key.parts
-        return tensor_elements(field, f(a), g(b)).scale(
-            parity_sign(field, g.degree * a.degree))
-
-    return LinearMap(field, f.degree + g.degree, rule,
-                     name=f"({f.name})x({g.name})")
 
 
 def transpose_tensor(elem):

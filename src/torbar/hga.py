@@ -1,33 +1,44 @@
 """Homotopy Gerstenhaber structures as data with mechanized axioms.
 
-An hga instance (`VectorHga`) provides the operations E_k (and F_kl when
-extended) on the `GradedElement` vectors of its dga, together with that
-dga's d and product; the axiom checkers add, scale and test the vectors
-with `GradedElement`'s own operations, and verify the three defining
-identity families, the extended differential formula, and the derived
-cup-one/cup-two identities, exactly, on supplied arguments.  The bar
-construction of an hga becomes a dg bialgebra; one-sided bar
+`VectorHga(dga)` is the hga on the `GradedElement` vectors of a dga, its
+operations E_k and F_kl read off the dga: the interval cuts of
+`simplicial.CochainHga` on a `DualCochainDga`, evaluated on the vectors'
+functionals, and zero on a graded-commutative `FreeGcDga`.  No dga
+computes an hga operation itself.  The axiom checkers add, scale and test
+the vectors with `GradedElement`'s own operations, and verify the three
+defining identity families, the extended differential formula, and the
+derived cup-one/cup-two identities, exactly, on supplied arguments.  The
+bar construction of an hga becomes a dg bialgebra; one-sided bar
 constructions over an hga morphism carry the Kadeishvili-Saneblidze dga
-structure.
+structure, fixed by the hgas of their two algebras.
 """
 from .graded import (GradedElement, LinearMap, Tensor, bilinear, d_operation,
                      parity_sign, suspension_exponent, tensor_elements)
-from .dg import (CheckReport, TwistingCochain, TensorDgc, FreeGcCoalgebra,
-                 TwistedTensor)
+from .dg import (CheckReport, FreeGcDga, TwistingCochain, TensorDgc,
+                 FreeGcCoalgebra, TwistedTensor)
 from .bar import dgc_map_from_cochain
 from .linalg import StructuralError
+from .simplicial import CochainHga, DualCochainDga
 
 
 class VectorHga:
-    """An hga on GradedElement vectors (e.g. DualCochainDga, or a
-    commutative dga with trivial operations)."""
+    """The hga on the vectors of a dga, read off the dga: interval cuts on
+    a `DualCochainDga`, all operations zero on a `FreeGcDga` (any
+    graded-commutative dga is an hga that way).  Any other dga raises
+    ValueError."""
 
-    def __init__(self, dga, E=None, F=None, name="hga"):
+    def __init__(self, dga):
+        if isinstance(dga, DualCochainDga):
+            self._cuts = CochainHga(dga.X)
+            self.name = "C*(X)"
+        elif isinstance(dga, FreeGcDga):
+            self._cuts = None
+            self.name = f"trivial({type(dga).__name__})"
+        else:
+            raise ValueError(f"no hga structure is known on a "
+                             f"{type(dga).__name__}")
         self.dga = dga
         self.field = dga.field
-        self.name = name
-        self._E = E
-        self._F = F
 
     def zero(self):
         return self.dga.zero()
@@ -41,29 +52,21 @@ class VectorHga:
     def E(self, k, a, bs):
         if k == 0:
             return a
-        if self._E is None:
+        if self._cuts is None:
             return self.dga.zero()
-        return self._E(k, a, bs)
+        return self.dga.through_functionals(
+            lambda cs: self._cuts.E(k, cs[0], cs[1:]), [a, *bs])
 
     def F(self, k, l, as_, bs):
-        if self._F is None:
+        if self._cuts is None:
             return self.dga.zero()
-        return self._F(k, l, as_, bs)
-
-
-def trivial_hga(dga):
-    """Any commutative dga is an hga with all operations zero."""
-    if not dga.commutative:
-        raise ValueError("the trivial hga structure needs a commutative dga")
-    return VectorHga(dga, name=f"trivial({type(dga).__name__})")
+        return self.dga.through_functionals(
+            lambda cs: self._cuts.F(k, l, cs[:k], cs[k:]), [*as_, *bs])
 
 
 def dual_cochain_hga(dual_dga):
-    """The interval-cut hga on a DualCochainDga."""
-    return VectorHga(dual_dga,
-                     E=lambda k, a, bs: dual_dga.E(k, a, bs),
-                     F=lambda k, l, as_, bs: dual_dga.F(k, l, as_, bs),
-                     name="C*(X)")
+    """`VectorHga(dual_dga)`: the interval-cut hga on a DualCochainDga."""
+    return VectorHga(dual_dga)
 
 
 def _deg(x):
@@ -316,17 +319,17 @@ def bar_e_cochain(hga, barA):
                            LinearMap(field, 1, rule, name="EE"), name="EE")
 
 
-def bar_product_map(hga, barA):
-    """mu: B A (x) B A -> B A, the dgc map of the EE twisting cochain."""
-    t = bar_e_cochain(hga, barA)
-    return dgc_map_from_cochain(t, barA), t
+def bar_product_map(barA):
+    """mu: B A (x) B A -> B A, the dgc map of the EE twisting cochain of
+    the hga of A."""
+    return dgc_map_from_cochain(bar_e_cochain(VectorHga(barA.A), barA), barA)
 
 
-def bar_product(hga, barA, x, y, mu=None):
+def bar_product(barA, x, y, mu=None):
     """Product of two bar elements through the dg-bialgebra structure."""
     if mu is None:
-        mu, _ = bar_product_map(hga, barA)
-    return bilinear(hga.field, lambda k1, k2: mu(Tensor((k1, k2))), x, y)
+        mu = bar_product_map(barA)
+    return bilinear(barA.field, lambda k1, k2: mu(Tensor((k1, k2))), x, y)
 
 
 class KSAlgebra:
@@ -335,24 +338,24 @@ class KSAlgebra:
     (a (x) a) o (b (x) b) = sum_m +-
         (a o [b_1|..|b_m]) (x) frakE(a; [b_{m+1}|..|b_l]) b,
     the sign being (-1)^{|a| deg[b_1..b_m]}; frakE(a; 1) = a and otherwise
-    EE([a-bar], .) through the coefficient hga, the entries pushed into
-    the coefficients along the one-sided bar's dga map `osb.f`.  A bar
-    built from a twisting cochain alone has no such map and is refused.
+    EE([a-bar], .) through the hga of A', the entries pushed into the
+    coefficients along the one-sided bar's dga map `osb.f`.  The hgas of
+    A and A' are each `VectorHga` of the algebra.  A bar built from a
+    twisting cochain alone has no such map and is refused.
     """
 
-    def __init__(self, osb, base_hga, coef_hga):
+    def __init__(self, osb):
         if osb.f is None:
             raise StructuralError("the KS product needs a one-sided bar "
                                   "built from a dga map")
         self.osb = osb
-        self.base_hga = base_hga
-        self.coef_hga = coef_hga
+        self.coef_hga = VectorHga(osb.coef)
         self.field = osb.field
         self._mu = None
 
     def mu(self):
         if self._mu is None:
-            self._mu, _ = bar_product_map(self.base_hga, self.osb.barA)
+            self._mu = bar_product_map(self.osb.barA)
         return self._mu
 
     def frak_e(self, a_elem, entries):
@@ -464,7 +467,8 @@ def gm_repeated_cup1(hga, reps_list):
     return out
 
 
-def gm_small_model(hga, reps, coef_dga):
-    """The twisted tensor Lambda(x) (x)_{t_GM} C for the small model."""
-    t, coalg = gm_twisting_cochain(hga, reps)
-    return TwistedTensor(coalg, coef_dga, t)
+def gm_small_model(hga, reps):
+    """The twisted tensor Lambda(x) (x)_{t_GM} C for the small model, C
+    the dga of the hga."""
+    t, _ = gm_twisting_cochain(hga, reps)
+    return TwistedTensor(t)

@@ -13,7 +13,7 @@ from .graded import GradedElement
 from .linalg import express_class, StructuralError
 from .dg import CheckReport, FreeGcDga, polynomial_dga, gc_algebra_map
 from .bar import OneSidedBar, split_homology, tor_additive
-from .hga import trivial_hga, dual_cochain_hga, KSAlgebra
+from .hga import KSAlgebra
 from .simplicial import DualCochainDga
 from .classifying import wbar
 
@@ -96,7 +96,7 @@ def tor_bar_algebra(A, B, f, max_total, sample_products=True):
     (trivial hga on commutative input)."""
     osb = OneSidedBar(A, B, f=f)
     table = tor_additive(osb, max_total)
-    ks = KSAlgebra(osb, trivial_hga(A), trivial_hga(B))
+    ks = KSAlgebra(osb)
     ring = TorRing(table, A.field, ks.product)
     if sample_products:
         _attach_products(ring, max_total)
@@ -168,17 +168,14 @@ def chain_level_tor(G, K_space, field, max_total):
     if not A.simply_connected:
         raise StructuralError("chain-level Tor needs a 1-reduced base; "
                               "apply the reduced subgroup first")
-    hga_A = dual_cochain_hga(A)
     if K_space is None:
         B = polynomial_dga(field, [])
-        hga_B = trivial_hga(B)
 
         def fmap(x):
             return B.one().scale(A.aug(x))
     else:
         BK = wbar(K_space)
         B = DualCochainDga(BK, trunc)
-        hga_B = dual_cochain_hga(B)
 
         def fmap(x):
             # C*(BG) -> C*(BK) along the inclusion BK -> BG
@@ -194,7 +191,7 @@ def chain_level_tor(G, K_space, field, max_total):
             return out
     osb = OneSidedBar(A, B, f=fmap)
     table = tor_additive(osb, max_total)
-    ks = KSAlgebra(osb, hga_A, hga_B)
+    ks = KSAlgebra(osb)
     return TorRing(table, field, ks.product), osb, ks
 
 

@@ -261,16 +261,15 @@ class HomologyResult:
         return f"HomologyResult({self.dims})"
 
 
-def homology(basis_by_degree, diff, field, check_d2=True, ddeg=None):
+def homology(basis_by_degree, diff, field, ddeg, check_d2=True):
     """Homology of a complex given by per-degree bases and a differential.
 
     `basis_by_degree`: dict degree -> list of keys.
     `diff(key)`: GradedElement-like dict of the differential of a basis key
       (plain dict key -> coeff).
-    `ddeg` is the differential's shift in the *grading of the dict*; when
-    omitted it is inferred from key degrees (valid only when the dict is
-    graded by key degree).  Returns dims, representative cycles and the
-    class space of each degree.
+    `ddeg` is the differential's shift in the *grading of the dict*: +1
+    for a cochain complex, -1 for a chain complex.  Returns dims,
+    representative cycles and the class space of each degree.
 
     Each degree's columns are eliminated once, by `kernel_basis`; its
     image echelon, stripped of the column tags, is the boundary space of
@@ -278,10 +277,6 @@ def homology(basis_by_degree, diff, field, check_d2=True, ddeg=None):
     """
     degrees = sorted(basis_by_degree)
     columns = {d: {k: diff(k) for k in basis_by_degree[d]} for d in degrees}
-    if ddeg is None:
-        # a zero differential leaves the direction irrelevant
-        ddeg = next((next(iter(col)).degree - d for d in degrees
-                     for col in columns[d].values() if col), 1)
     if check_d2:
         for d in degrees:
             if d + ddeg not in basis_by_degree:

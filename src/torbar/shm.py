@@ -52,8 +52,9 @@ class TwistingFamily:
         return cls(A, B, component, name=name)
 
     @classmethod
-    def from_cochain(cls, barA, B, t, name=None):
-        """Family of a twisting cochain B A -> B via the standard signs."""
+    def from_cochain(cls, t, name=None):
+        """Family of a twisting cochain t: B A -> B via the standard signs."""
+        barA, B = t.C, t.A
         A = barA.A
         field = A.field
 
@@ -123,13 +124,13 @@ def check_family(f, sampler, ns):
 # Gamma: transporting one-sided bar constructions along shm maps
 # ---------------------------------------------------------------------------
 
-def compose_family_cochain(g, t, barA):
+def compose_family_cochain(g, t):
     """The twisting cochain g o t: B A -> B' for a family g: B => B' and a
     twisting cochain t: B A -> B (composition through B t)."""
     barB = BarDgc(g.A)
     bt = dgc_map_from_cochain(t, barB)
     tg = g.to_cochain(barB)
-    return TwistingCochain(barA, g.B, tg.map @ bt, name=f"{g.name}o{t.name}")
+    return TwistingCochain(t.C, g.B, tg.map @ bt, name=f"{g.name}o{t.name}")
 
 
 def gamma(g, osb_source):
@@ -143,7 +144,7 @@ def gamma(g, osb_source):
     from .bar import OneSidedBar
     field = osb_source.field
     barA = osb_source.barA
-    t_target = compose_family_cochain(g, osb_source.t, barA)
+    t_target = compose_family_cochain(g, osb_source.t)
     osb_target = OneSidedBar(osb_source.base, g.B, twisting=t_target,
                              barA=barA)
 

@@ -9,7 +9,9 @@ Cochains are computable functionals on nondegenerate simplices, so lazily
 enumerated spaces only ever answer finitely many queries.  On a degreewise
 finite space, `DualCochainDga` is C*(X) as a `Dga` whose basis keys are the
 `SimplexKey`s themselves: the key of a simplex also names its dual cochain.
-Its E_k and F_kl go through the functionals and back.  So does its cup
+`DualCochainDga.through_functionals` evaluates an operation on the
+functionals of vectors and vectorizes the result: `hga.VectorHga` takes
+its E_k and F_kl (those of `CochainHga`) that way, and so does the cup
 product, except on W-bar spaces, where the simplices of a product are
 listed from the heads over the front face and the tail that is the back
 face (`classifying.WBar.heads`, built from the `last_face_fibre` that every
@@ -881,8 +883,9 @@ class DualCochainDga(Dga):
     """C*(X) on the dual basis of nondegenerate simplices (finite slices).
 
     A cochain-type dga for bar constructions and homology whose basis key
-    for the dual of a simplex is the simplex's own `SimplexKey`; the hga
-    operations are computed through the functional interval-cut core.
+    for the dual of a simplex is the simplex's own `SimplexKey`.  Its hga
+    is `hga.VectorHga` of it, which evaluates the interval cuts of
+    `CochainHga` on functionals through `through_functionals`.
     X must be reduced for the unit/augmentation to be basis-adapted; only
     the augmentation needs a basepoint.
 
@@ -895,7 +898,7 @@ class DualCochainDga(Dga):
     lists the candidates h + tau directly (see `classifying.WBar`).  Any
     other space (a simplex, its boundary, a coset space) multiplies by
     the definition itself: `cup` on the two functionals, vectorized, the
-    route E_k and F_kl take too.
+    route the hga's E_k and F_kl take too.
     """
 
     def __init__(self, X, truncation):
@@ -906,7 +909,6 @@ class DualCochainDga(Dga):
         # on a reduced space the unit is a basis key (bar constructions
         # need this); otherwise the unit is the sum of all vertex duals
         self.unit_key = X.key(0, vertices[0]) if len(vertices) == 1 else None
-        self.hga = CochainHga(X)
         self._cob_index = {}
 
     @cached_property
@@ -973,7 +975,7 @@ class DualCochainDga(Dga):
                 f"cochain product beyond truncation {self.truncation}")
         X = self.X
         if not hasattr(X, "heads"):
-            return self._through_functionals(
+            return self.through_functionals(
                 lambda cs: cup(*cs), [self.element(k1), self.element(k2)])
         # the nondegenerate h + tail, each with the cut sign +1 of (1, 2)
         # times the Koszul pairing sign (-1)^{pq}
@@ -997,18 +999,7 @@ class DualCochainDga(Dga):
     def aug(self, x):
         return x.coeff(self.base_key)
 
-    # hga operations on vectors, through the functional core -------------
-    def E(self, k, a_vec, b_vecs):
-        if k == 0:
-            return a_vec
-        return self._through_functionals(
-            lambda cs: self.hga.E(k, cs[0], cs[1:]), [a_vec, *b_vecs])
-
-    def F(self, k, l, a_vecs, b_vecs):
-        return self._through_functionals(
-            lambda cs: self.hga.F(k, l, cs[:k], cs[k:]), [*a_vecs, *b_vecs])
-
-    def _through_functionals(self, op, vecs):
+    def through_functionals(self, op, vecs):
         """op on the functionals of vecs, vectorized; zero when an argument
         is zero or the result has negative degree."""
         if any(v.is_zero() for v in vecs):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement
 from torbar.linalg import StructuralError
-from torbar.dg import (FreeDga, FreeGcDga, polynomial_dga, exterior_dga,
+from torbar.dg import (FreeDga, FreeGcDga, polynomial_dga,
                        TensorDga, TensorDgc, HomAlgebra, TwistingCochain,
                        TwistedTensor, gauge_transform, random_gauge_rule,
                        check_d_squared, FreeGcCoalgebra)
@@ -105,7 +105,7 @@ def test_free_gc_dga_axioms():
 
 
 def test_exterior_sign():
-    L = exterior_dga(QQ, [("x1", 1), ("x2", 1)])
+    L = FreeGcDga(QQ, [("x1", 1), ("x2", 1)])
     x1, x2 = L.generator("x1"), L.generator("x2")
     assert L.mul(x2, x1) == -L.mul(x1, x2)
     assert L.mul(x1, x1).is_zero()
@@ -119,7 +119,7 @@ def test_polynomial_rejects_odd():
 def test_tensor_dga_axioms():
     rng = random.Random(5)
     A = free_dga()
-    B = exterior_dga(QQ, [("e", 1)])
+    B = FreeGcDga(QQ, [("e", 1)])
     T = TensorDga(A, B)
     T.check_axioms([1, 2, 3, 4], rng, samples=10)
 
@@ -182,7 +182,7 @@ def test_gauge_transform_and_homotopy():
     t = universal_cochain(barA)
     k = random_gauge_rule(barA, A, rng, degrees=range(1, 9))
     keys = [k2 for d in range(0, 8) for k2 in barA.basis(d)]
-    gauge_transform(barA, A, t, k).check(keys).raise_on_failure()
+    gauge_transform(t, k).check(keys).raise_on_failure()
     hom = HomAlgebra(barA, A)
     unit = hom.unit()
     h = unit + k
@@ -199,7 +199,7 @@ def test_twisted_tensor_d_squared_and_delta_h():
     A = free_dga()
     barA = BarDgc(A)
     t = universal_cochain(barA)
-    tt = TwistedTensor(barA, A, t)
+    tt = TwistedTensor(t)
     keys = []
     for total in range(0, 7):
         for db in range(0, total + 1):
@@ -209,7 +209,7 @@ def test_twisted_tensor_d_squared_and_delta_h():
     check_d_squared(tt, keys, "twisted tensor d^2")
     # t = 0 gives the ordinary tensor complex
     zero_t = TwistingCochain(barA, A, lambda k: GradedElement(QQ), name="0")
-    tt0 = TwistedTensor(barA, A, zero_t)
+    tt0 = TwistedTensor(zero_t)
     check_d_squared(tt0, keys[:50], "twisted tensor d^2")
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement, Tensor
-from torbar.dg import polynomial_dga, check_d_squared
+from torbar.dg import (FreeDga, FreeGcDga, TensorDga, polynomial_dga,
+                       check_d_squared)
 from torbar.bar import (BarDgc, BarWord, OneSidedBar, check_dgc_map,
                         bar_shuffle, universal_cochain)
 from torbar.linalg import StructuralError
@@ -14,8 +15,7 @@ from torbar.simplicial import (simplex_boundary, standard_simplex,
                                DualCochainDga, ConstantGroup)
 from torbar.classifying import b_cyclic, wbar
 from torbar.homog import catalog_entry, tor_bar_algebra
-from torbar.hga import (trivial_hga, dual_cochain_hga,
-                        check_hga, check_extended,
+from torbar.hga import (VectorHga, check_hga, check_extended,
                         check_cup_identities, gerstenhaber_bracket,
                         bracket_vanishing_witness, bar_e_cochain,
                         bar_product_map, bar_product, KSAlgebra,
@@ -24,7 +24,7 @@ from torbar.hga import (trivial_hga, dual_cochain_hga,
 
 def boundary_delta3_instance(field):
     """The interval-cut hga on C*(boundary of Delta^3) over the field."""
-    return dual_cochain_hga(DualCochainDga(simplex_boundary(field, 3), 8))
+    return VectorHga(DualCochainDga(simplex_boundary(field, 3), 8))
 
 
 def cochain_sampler(A, rng, degree_pool=(1, 2), count=2):
@@ -59,7 +59,7 @@ def test_dual_cochain_hga_extended_and_cup_identities(field):
     # which dense cochains on the boundary of Delta^3 let them do
     rng = random.Random(63)
     A = DualCochainDga(standard_simplex(field, 4), 8)
-    inst = dual_cochain_hga(A)
+    inst = VectorHga(A)
 
     def sampler(n):
         return [[A.random_element(rng.choice((1, 2, 3)), rng)
@@ -71,15 +71,33 @@ def test_dual_cochain_hga_extended_and_cup_identities(field):
 
 def test_trivial_hga_passes():
     rng = random.Random(61)
-    A = polynomial_dga(QQ, [("x", 2), ("y", 4)])
-    inst = trivial_hga(A)
+    # the second has an odd generator with d s = x^2: the trivial hga is
+    # checked where d is not zero
+    odd = FreeGcDga(QQ, [("x", 2), ("s", 3)], {"s": [(1, [("x", 2)])]})
+    assert not odd.d(odd.generator("s")).is_zero()
+    for A, degrees in ((polynomial_dga(QQ, [("x", 2), ("y", 4)]), (2, 4)),
+                       (odd, (2, 3, 5))):
+        inst = VectorHga(A)
 
-    def sampler(n):
-        return [[A.random_element(rng.choice([2, 4]), rng) for _ in range(n)]
-                for _ in range(2)]
+        def sampler(n):
+            return [[A.random_element(rng.choice(degrees), rng)
+                     for _ in range(n)] for _ in range(2)]
 
-    check_hga(inst, sampler, ks=(1, 2)).raise_on_failure()
-    check_extended(inst, sampler, pairs=((1, 1), (2, 1))).raise_on_failure()
+        check_hga(inst, sampler, ks=(1, 2)).raise_on_failure()
+        check_extended(inst, sampler, pairs=((1, 1), (2, 1))
+                       ).raise_on_failure()
+        check_cup_identities(inst, sampler).raise_on_failure()
+
+
+def test_vector_hga_refuses_a_dga_without_a_known_hga():
+    """Only cochain dgas (interval cuts) and free graded-commutative dgas
+    (the trivial hga) carry an hga; a noncommutative free dga and a tensor
+    product of dgas are refused."""
+    A = FreeDga(QQ, [("u", 2), ("v", 3)], d_gen={"v": [(1, ["u", "u"])]})
+    P = polynomial_dga(QQ, [("x", 2)])
+    for dga in (A, TensorDga(P, P)):
+        with pytest.raises(ValueError):
+            VectorHga(dga)
 
 
 def test_sign_flipped_e1_fails():
@@ -153,7 +171,7 @@ def test_bar_e_twisting_and_product():
     G = b_cyclic(F2, 2)
     K = wbar(G)
     A = DualCochainDga(K, 5)
-    hga = dual_cochain_hga(A)
+    hga = VectorHga(A)
     barA = BarDgc(A)
     t = bar_e_cochain(hga, barA)
     src = t.C
@@ -161,7 +179,7 @@ def test_bar_e_twisting_and_product():
     for d in range(0, 4):
         keys.extend(src.basis(d))
     t.check(keys).raise_on_failure()
-    mu, _ = bar_product_map(hga, barA)
+    mu = bar_product_map(barA)
     check_dgc_map(mu, src, barA, keys[:25]).raise_on_failure()
     # associativity on words of low degree
     words = [w for d in range(0, 3) for w in barA.basis(d)]
@@ -169,8 +187,8 @@ def test_bar_e_twisting_and_product():
         for w2 in words[:2]:
             for w3 in words[:2]:
                 e1, e2, e3 = (GradedElement.single(F2, w) for w in (w1, w2, w3))
-                lhs = bar_product(hga, barA, bar_product(hga, barA, e1, e2), e3, mu=mu)
-                rhs = bar_product(hga, barA, e1, bar_product(hga, barA, e2, e3), mu=mu)
+                lhs = bar_product(barA, bar_product(barA, e1, e2), e3, mu=mu)
+                rhs = bar_product(barA, e1, bar_product(barA, e2, e3), mu=mu)
                 assert lhs == rhs
 
 
@@ -181,7 +199,7 @@ def test_bar_e_twisting_odd_entries():
     G = ConstantGroup(F5, (2,))
     X = wbar(G)
     A = DualCochainDga(X, 10)
-    hga = dual_cochain_hga(A)
+    hga = VectorHga(A)
     barA = BarDgc(A)
     t = bar_e_cochain(hga, barA)
     cell = {d: A.basis(d)[0] for d in range(0, 5)}
@@ -199,14 +217,13 @@ def test_bar_product_length_one_expansion():
     G = b_cyclic(F2, 2)
     K = wbar(G)
     A = DualCochainDga(K, 5)
-    hga = dual_cochain_hga(A)
     barA = BarDgc(A)
     a = A.basis(2)[0]
-    words = bar_product(hga, barA,
+    words = bar_product(barA,
                         GradedElement.single(F2, BarWord((a,))),
                         GradedElement.single(F2, BarWord((a,))))
     # over F2: [a|a] + [a|a] = 0, leaving [E1(a;a)]
-    e1 = A.E(1, A.element(a), [A.element(a)])
+    e1 = VectorHga(A).E(1, A.element(a), [A.element(a)])
     expected = GradedElement(F2)
     for k, c in e1.terms.items():
         expected.add_in(GradedElement.single(F2, BarWord((k,))), c)
@@ -215,9 +232,8 @@ def test_bar_product_length_one_expansion():
 
 def test_trivial_hga_bar_product_is_shuffle():
     A = polynomial_dga(QQ, [("x", 2)])
-    hga = trivial_hga(A)
     barA = BarDgc(A)
-    mu, _ = bar_product_map(hga, barA)
+    mu = bar_product_map(barA)
     sh, _, src = bar_shuffle(barA, barA, None)
     # For a commutative dga, mu_B = B(mu) o shuffle
     x = A.monomial([("x", 1)])
@@ -247,9 +263,8 @@ def test_ks_algebra_derivation_and_associativity():
     G = ConstantGroup(F2, (2,))
     X = wbar(G)
     A = DualCochainDga(X, 12)
-    hga = dual_cochain_hga(A)
     osb = OneSidedBar(A, A, f=lambda x: x)
-    ks = KSAlgebra(osb, hga, hga)
+    ks = KSAlgebra(osb)
     cell = {d: A.basis(d)[0] for d in range(0, 6)}
     keys = [osb.key(BarWord(()), cell[0]),
             osb.key(BarWord(()), cell[2]),
@@ -266,9 +281,8 @@ def test_ks_algebra_on_k_z2_2_smoke():
     G = b_cyclic(F2, 2)
     K = wbar(G)
     A = DualCochainDga(K, 5)
-    hga = dual_cochain_hga(A)
     osb = OneSidedBar(A, A, f=lambda x: x)
-    ks = KSAlgebra(osb, hga, hga)
+    ks = KSAlgebra(osb)
     keys = [k for k in osb.basis_total(2)]
     ks.check_dga(keys).raise_on_failure()
 
@@ -278,12 +292,11 @@ def test_ks_algebra_needs_a_dga_map():
     push bar entries into the coefficients along, so the KS product is
     refused rather than pushed along the identity."""
     A = polynomial_dga(QQ, [("c", 2)])
-    hga = trivial_hga(A)
     barA = BarDgc(A)
     osb = OneSidedBar(A, A, twisting=universal_cochain(barA), barA=barA)
     assert osb.f is None
     with pytest.raises(StructuralError):
-        KSAlgebra(osb, hga, hga)
+        KSAlgebra(osb)
 
 
 def test_ks_componentwise_term():
@@ -292,9 +305,8 @@ def test_ks_componentwise_term():
     G = b_cyclic(F2, 2)
     K = wbar(G)
     A = DualCochainDga(K, 4)
-    hga = dual_cochain_hga(A)
     osb = OneSidedBar(A, A, f=lambda x: x)
-    ks = KSAlgebra(osb, hga, hga)
+    ks = KSAlgebra(osb)
     a2 = A.basis(2)[0]
     x = osb.key(BarWord(()), a2)
     y = osb.key(BarWord((a2,)), A.unit_key)
@@ -307,7 +319,7 @@ def test_gm_twisting_cochain_delta3():
     rng = random.Random(66)
     X = simplex_boundary(QQ, 3)
     A = DualCochainDga(X, 8)
-    hga = dual_cochain_hga(A)
+    hga = VectorHga(A)
     # two degree-2 cocycle representatives (all 2-cochains are cocycles)
     b1 = A.random_element(2, rng)
     b2 = A.random_element(2, rng)
@@ -317,7 +329,7 @@ def test_gm_twisting_cochain_delta3():
     k1 = coalg.algebra.monomial(["x1"])
     assert t(k1) == b1
     k12 = coalg.algebra.monomial(["x1", "x2"])
-    assert t(k12) == A.E(1, b1, [b2])
+    assert t(k12) == hga.E(1, b1, [b2])
     assert t(k12) == gm_repeated_cup1(hga, [b1, b2])
     assert t(coalg.coaug_key).is_zero()
 
@@ -326,7 +338,7 @@ def test_gm_twisting_cochain_k_z2():
     G = b_cyclic(F2, 2)
     K = wbar(G)
     A = DualCochainDga(K, 5)
-    hga = dual_cochain_hga(A)
+    hga = VectorHga(A)
     # the fundamental 2-cocycle
     b = A.element(A.basis(2)[0])
     assert A.d(b).is_zero()
@@ -339,10 +351,10 @@ def test_gm_small_model_d_squared():
     G = ConstantGroup(F2, (2,))
     X = wbar(G)
     A = DualCochainDga(X, 8)
-    hga = dual_cochain_hga(A)
+    hga = VectorHga(A)
     b = A.element(A.basis(2)[0])
     assert A.d(b).is_zero()
-    tt = gm_small_model(hga, {"x": b}, A)
+    tt = gm_small_model(hga, {"x": b})
     keys = []
     for ck in [k for d in range(2) for k in tt.C.basis(d)]:
         for d in range(0, 6):

@@ -16,8 +16,7 @@ def gauge_family(A, rng, degrees=range(1, 8), name="f"):
     barA = BarDgc(A)
     t = universal_cochain(barA)
     k = random_gauge_rule(barA, A, rng, degrees=degrees)
-    t2 = gauge_transform(barA, A, t, k)
-    return TwistingFamily.from_cochain(barA, A, t2, name=name)
+    return TwistingFamily.from_cochain(gauge_transform(t, k), name=name)
 
 
 def sampler(A, rng, degs=(2, 3), count=2):
@@ -55,7 +54,7 @@ def test_family_cochain_roundtrip_and_signs():
     barA = BarDgc(A)
     t = f.to_cochain(barA)
     t.check([k for d in range(0, 8) for k in barA.basis(d)]).raise_on_failure()
-    f2 = TwistingFamily.from_cochain(barA, A, t)
+    f2 = TwistingFamily.from_cochain(t)
     for n in (1, 2, 3):
         for args in sampler(A, rng)(n):
             assert f(n, args) == f2(n, args)

@@ -8,7 +8,7 @@ from torbar.classifying import (CosetSpace, SubgroupInclusion, WBar, WTotal,
                                 b_cyclic, quotient, torus_group, wbar)
 from torbar.fields import QQ, F2, F5, PrimeField
 from torbar.graded import GradedElement, Tensor, tensor_elements
-from torbar.hga import cup1, cup2
+from torbar.hga import VectorHga, cup1, cup2
 from torbar.linalg import StructuralError
 from torbar.simplicial import (SimplexComplex, standard_simplex,
                                simplex_boundary, ProductSpace,
@@ -611,8 +611,9 @@ def _memo_run():
             for p in range(d + 1)
             for k1 in A.basis(p) for k2 in A.basis(d - p)))
     a = [GradedElement.single(F2, k) for k in A.basis(2)]
+    H = VectorHga(A)
     for b in A.basis(2):
-        e1 = A.E(1, a[0], [GradedElement.single(F2, b)])
+        e1 = H.E(1, a[0], [GradedElement.single(F2, b)])
         record(sorted((k.data, c) for k, c in e1.terms.items()))
     for n in range(5):
         for x in X.simplices(n):

@@ -370,6 +370,25 @@ def test_is_degenerate_is_defined_once():
     assert not found, found
 
 
+def test_hga_operations_defined_once():
+    """Only `hga.VectorHga` (on vectors, read off its dga) and
+    `simplicial.CochainHga` (interval cuts on functionals) define the hga
+    operations `E` and `F`; an algebra or wrapper with its own copy could
+    disagree with them."""
+    allowed = {("hga.py", "VectorHga"), ("simplicial.py", "CochainHga")}
+    found = []
+    for path, tree in _trees("src/torbar"):
+        for cls in ast.walk(tree):
+            if (not isinstance(cls, ast.ClassDef)
+                    or (path.name, cls.name) in allowed):
+                continue
+            found += [f"{path.name}:{node.lineno}:{cls.name}.{node.name}"
+                      for node in cls.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name in ("E", "F")]
+    assert not found, found
+
+
 def test_faces_by_vertices_only_in_cuts():
     """Only `interval_cut`, `q_operation` and `reduced_subgroup` take a
     face by its vertices.  The AW diagonal is the interval cut of (1, 2),
