@@ -8,15 +8,17 @@ word [a_1|...|a_k] denotes the desuspended tensor s^{-1}a_1 (x) ... and
 has degree sum(|a_i| - 1).  A `BarDgc` hands out one `BarWord` per tuple
 of entries from its table, and every construction that holds a bar
 (`KSAlgebra`, the families and the Gamma map of `shm`) builds its words
-through it.
+through it.  A bar is built once, by the one-sided bar that owns it, and
+a dgc map into a bar (`dgc_map_from_cochain`) is given it as its target.
 """
 import json
 
 from .graded import (GradedElement, LinearMap, Tensor, _remember, expand,
                      parity_sign)
 from .linalg import homology, ReducedSpace, StructuralError
-from .dg import (CheckReport, Dgc, TwistingCochain, TwistedTensor, TensorDgc,
-                 commutes_with_d, preserves_coproduct, tensor_basis)
+from .dg import (CheckReport, Dgc, TensorDga, TensorDgc, TwistingCochain,
+                 TwistedTensor, commutes_with_d, preserves_coproduct,
+                 tensor_basis)
 
 
 class BarWord:
@@ -181,12 +183,12 @@ def universal_cochain(barA):
             return GradedElement.single(field, key.entries[0])
         return GradedElement(field)
 
-    return TwistingCochain(barA, A, LinearMap(field, 1, rule, name="t_A"),
-                           name="t_A")
+    return TwistingCochain(barA, A, rule, name="t_A")
 
 
-def dgc_map_from_cochain(t, barA=None):
-    """The dgc map C -> B A with associated twisting cochain t.
+def dgc_map_from_cochain(t, barA):
+    """The dgc map C -> B A into the given bar `barA` of A, with
+    associated twisting cochain t: C -> A.
 
     c maps to sum_k [t(c_(1))|...|t(c_(k))] over the reduced iterated
     coproduct; there are no signs because s^{-1} t has degree zero.
@@ -196,14 +198,13 @@ def dgc_map_from_cochain(t, barA=None):
     C = t.C
     if not C.cocomplete:
         raise StructuralError("dgc map from cochain needs a cocomplete source")
-    target = barA if barA is not None else BarDgc(t.A)
     field = C.field
 
     def rule(key):
-        out = GradedElement.single(field, target.coaug_key, C.counit_key(key))
+        out = GradedElement.single(field, barA.coaug_key, C.counit_key(key))
         for level in C.reduced_cop_levels(key):
             for c, keys in level:
-                out.add_in(target.words_from_elements([t(k) for k in keys]), c)
+                out.add_in(barA.words_from_elements([t(k) for k in keys]), c)
         return out
 
     return LinearMap(field, 0, rule, name=f"B<{t.name}>")
@@ -218,16 +219,15 @@ def check_dgc_map(g, C, D, keys):
     return rep
 
 
-def bar_shuffle(barA, barB, barAB=None):
-    """The shuffle dgc map B A (x) B B -> B (A (x) B).
+def bar_shuffle(barA, barB):
+    """The shuffle dgc map B A (x) B B -> B (A (x) B), into a bar of
+    A (x) B that it builds.
 
     Returns (map, twisting_cochain, source_dgc).  The associated twisting
     cochain sends [a](x)1 to a(x)1, 1(x)[b] to 1(x)b and all else to 0.
     """
-    from .dg import TensorDga
     A, B = barA.A, barB.A
-    AB = barAB.A if barAB is not None else TensorDga(A, B)
-    target = barAB if barAB is not None else BarDgc(AB)
+    AB = TensorDga(A, B)
     source = TensorDgc(barA, barB)
     field = A.field
 
@@ -241,38 +241,30 @@ def bar_shuffle(barA, barB, barAB=None):
                 field, Tensor((A.unit_key, wb.entries[0])))
         return GradedElement(field)
 
-    t = TwistingCochain(source, AB, LinearMap(field, 1, rule, name="t_sh"),
-                        name="shuffle cochain")
-    return dgc_map_from_cochain(t, target), t, source
+    t = TwistingCochain(source, AB, rule, name="shuffle cochain")
+    return dgc_map_from_cochain(t, BarDgc(AB)), t, source
 
 
 class OneSidedBar(TwistedTensor):
-    """B(k, A, B) = B A (x)_{f o t_A} B for a dga map or twisting cochain.
+    """B(k, A, B) = B A (x)_{f o t_A} B for a dga map f: A -> B, given as
+    an element map (callable on GradedElements) and kept as `self.f`.
 
-    `f` may be a dga morphism given as an element map A -> B (callable on
-    GradedElements), kept as `self.f`, or the bar may be built from a
-    twisting cochain B A -> B alone, and then `self.f` is None.
+    It builds the construction's one bar `barA` = B A and its twisting
+    cochain f o t_A on it; `shm.gamma` reads the bar off that cochain.
     """
 
-    def __init__(self, A, B, f=None, twisting=None, barA=None):
-        self.barA = barA if barA is not None else BarDgc(A)
-        self.base = A
+    def __init__(self, A, B, f):
+        self.barA = BarDgc(A)
         self.coef = B
         self.f = f
         field = A.field
-        if twisting is None:
-            if f is None:
-                raise ValueError("need a dga map or a twisting cochain")
 
-            def rule(key):
-                if key.length == 1:
-                    return f(GradedElement.single(field, key.entries[0]))
-                return GradedElement(field)
+        def rule(key):
+            if key.length == 1:
+                return f(GradedElement.single(field, key.entries[0]))
+            return GradedElement(field)
 
-            twisting = TwistingCochain(self.barA, B,
-                                       LinearMap(field, 1, rule, name="f.t_A"),
-                                       name="f.t_A")
-        super().__init__(twisting)
+        super().__init__(TwistingCochain(self.barA, B, rule, name="f.t_A"))
 
     def basis_total(self, degree):
         """All word (x) coefficient keys of the given total degree."""

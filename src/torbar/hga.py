@@ -12,12 +12,11 @@ bar construction of an hga becomes a dg bialgebra; one-sided bar
 constructions over an hga morphism carry the Kadeishvili-Saneblidze dga
 structure, fixed by the hgas of their two algebras.
 """
-from .graded import (GradedElement, LinearMap, Tensor, bilinear, d_operation,
+from .graded import (GradedElement, Tensor, bilinear, d_operation,
                      parity_sign, suspension_exponent, tensor_elements)
 from .dg import (CheckReport, FreeGcDga, TwistingCochain, TensorDgc,
                  FreeGcCoalgebra, TwistedTensor)
 from .bar import dgc_map_from_cochain
-from .linalg import StructuralError
 from .simplicial import CochainHga, DualCochainDga
 
 
@@ -315,8 +314,7 @@ def bar_e_cochain(hga, barA):
                              for e in w2.entries])
         return GradedElement(field)
 
-    return TwistingCochain(source, hga.dga,
-                           LinearMap(field, 1, rule, name="EE"), name="EE")
+    return TwistingCochain(source, hga.dga, rule, name="EE")
 
 
 def bar_product_map(barA):
@@ -340,14 +338,11 @@ class KSAlgebra:
     the sign being (-1)^{|a| deg[b_1..b_m]}; frakE(a; 1) = a and otherwise
     EE([a-bar], .) through the hga of A', the entries pushed into the
     coefficients along the one-sided bar's dga map `osb.f`.  The hgas of
-    A and A' are each `VectorHga` of the algebra.  A bar built from a
-    twisting cochain alone has no such map and is refused.
+    A and A' are each `VectorHga` of the algebra, and the bar words are
+    those of the one-sided bar's one bar `osb.barA`.
     """
 
     def __init__(self, osb):
-        if osb.f is None:
-            raise StructuralError("the KS product needs a one-sided bar "
-                                  "built from a dga map")
         self.osb = osb
         self.coef_hga = VectorHga(osb.coef)
         self.field = osb.field
@@ -451,8 +446,7 @@ def gm_twisting_cochain(hga, reps):
             return hga.zero()
         return gm_repeated_cup1(hga, [reps[n] for n, _ in key.powers])
 
-    return TwistingCochain(coalg, hga.dga, LinearMap(field, 1, rule,
-                                                     name="t_GM"), name="t_GM"), coalg
+    return TwistingCochain(coalg, hga.dga, rule, name="t_GM"), coalg
 
 
 def gm_repeated_cup1(hga, reps_list):

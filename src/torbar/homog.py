@@ -91,10 +91,11 @@ class TorRing:
 
 
 def tor_bar_algebra(A, B, f, max_total, sample_products=True):
-    """Tor of the pair f: A -> B of polynomial algebras through the
-    one-sided bar construction with the Kadeishvili-Saneblidze product
-    (trivial hga on commutative input)."""
-    osb = OneSidedBar(A, B, f=f)
+    """Tor of the dga map f: A -> B to total degree max_total through the
+    one-sided bar construction with the Kadeishvili-Saneblidze product,
+    the hgas read off A and B.  Returns (ring, osb, ks): the `TorRing`,
+    the one-sided bar and its `KSAlgebra`."""
+    osb = OneSidedBar(A, B, f)
     table = tor_additive(osb, max_total)
     ks = KSAlgebra(osb)
     ring = TorRing(table, A.field, ks.product)
@@ -189,10 +190,7 @@ def chain_level_tor(G, K_space, field, max_total):
                     out.add_in(GradedElement.single(field, BK.key(deg, data)),
                                v)
             return out
-    osb = OneSidedBar(A, B, f=fmap)
-    table = tor_additive(osb, max_total)
-    ks = KSAlgebra(osb)
-    return TorRing(table, field, ks.product), osb, ks
+    return tor_bar_algebra(A, B, fmap, max_total, sample_products=False)
 
 
 # ---------------------------------------------------------------------------

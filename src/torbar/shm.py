@@ -6,12 +6,14 @@ of a twisting cochain B A -> B.  The two conversions between families and
 cochains, `TwistingFamily.to_cochain` and `TwistingFamily.from_cochain`,
 take their signs from `graded.suspension_exponent`, as `gamma` does.
 `check_family` samples the family axiom, and `gamma` carries
-B A (x)_t B to B A (x)_{g o t} B' along a family g.
+B A (x)_t B to B A (x)_{g o t} B' along a family g, its target reading
+the one-sided bar's own B A off g o t.  Each dgc map here is given the
+bar it maps into.
 """
 from .graded import (GradedElement, LinearMap, d_operation, expand,
                      parity_sign, prefix_degrees, suspension_exponent,
                      tensor_elements)
-from .dg import CheckReport, TwistingCochain
+from .dg import CheckReport, TwistingCochain, TwistedTensor
 from .bar import BarDgc, dgc_map_from_cochain
 
 
@@ -84,8 +86,7 @@ class TwistingFamily:
             args = [GradedElement.single(field, k) for k in key.entries]
             return self(key.length, args).scale(parity_sign(field, eps))
 
-        return TwistingCochain(barA, self.B, LinearMap(field, 1, rule),
-                               name=self.name)
+        return TwistingCochain(barA, self.B, rule, name=self.name)
 
     def bar_map(self, barA, barB):
         """The dgc map B A -> B B induced by the family."""
@@ -133,20 +134,18 @@ def compose_family_cochain(g, t):
     return TwistingCochain(t.C, g.B, tg.map @ bt, name=f"{g.name}o{t.name}")
 
 
-def gamma(g, osb_source):
+def gamma(g, osb):
     """Gamma_g: B A (x)_t B -> B A (x)_{g o t} B' for an shm map g: B => B'.
 
     Gamma([a_1|..|a_k] (x) b) = sum_m [a_1|..|a_m] (x)
         frak_g([a_{m+1}|..|a_k] (x) b),
     where frak_g feeds the word extended by b into the family of g, its
-    entries taken unpushed.  Returns (map, target one-sided bar).
+    entries taken unpushed.  Returns (map, target), the target
+    `TwistedTensor(g o t)` on the source's bar.
     """
-    from .bar import OneSidedBar
-    field = osb_source.field
-    barA = osb_source.barA
-    t_target = compose_family_cochain(g, osb_source.t)
-    osb_target = OneSidedBar(osb_source.base, g.B, twisting=t_target,
-                             barA=barA)
+    field = osb.field
+    barA = osb.barA
+    target = TwistedTensor(compose_family_cochain(g, osb.t))
 
     def frak_g(entries, bkey):
         # (1^{(x)k} (x) s^{-1}) then the family of g; the desuspension
@@ -167,4 +166,4 @@ def gamma(g, osb_source):
                                        frak_g(w.entries[m:], bkey)))
         return out
 
-    return LinearMap(field, 0, rule, name=f"Gamma_{g.name}"), osb_target
+    return LinearMap(field, 0, rule, name=f"Gamma_{g.name}"), target

@@ -96,7 +96,7 @@ def test_dgc_map_from_cochain_raises_on_a_key_that_is_not_conilpotent():
     A = FreeDga(QQ, [("a", 2)])
     t = TwistingCochain(C, A, lambda key: GradedElement(QQ))
     with pytest.raises(StructuralError, match="key x not conilpotent up to 60"):
-        dgc_map_from_cochain(t)(C.x)
+        dgc_map_from_cochain(t, BarDgc(A))(C.x)
     with pytest.raises(StructuralError, match="key x not conilpotent"):
         C.nilpotence_degree(C.x)
 

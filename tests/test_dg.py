@@ -222,7 +222,7 @@ def _d_squared_complexes():
                        "c": [(1, ["a", "b"]), (-1, ["b", "a"])]})
     BA = BarDgc(A)
     AA, BABA = TensorDga(A, A), TensorDgc(BA, BA)
-    osb = OneSidedBar(A, A, f=lambda x: x, barA=BA)
+    osb = OneSidedBar(A, A, lambda x: x)
     K = KoszulComplex(F5, 2)
     complexes = {"A (x) A": (AA, AA.basis), "BA (x) BA": (BABA, BABA.basis),
                  "B(k, A, A)": (osb, osb.basis_total), "Koszul": (K, K.basis)}

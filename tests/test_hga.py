@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,8 +10,7 @@ from torbar.graded import GradedElement, Tensor
 from torbar.dg import (FreeDga, FreeGcDga, TensorDga, polynomial_dga,
                        check_d_squared)
 from torbar.bar import (BarDgc, BarWord, OneSidedBar, check_dgc_map,
-                        bar_shuffle, universal_cochain)
-from torbar.linalg import StructuralError
+                        bar_shuffle)
 from torbar.simplicial import (simplex_boundary, standard_simplex,
                                DualCochainDga, ConstantGroup)
 from torbar.classifying import b_cyclic, wbar
@@ -234,7 +234,7 @@ def test_trivial_hga_bar_product_is_shuffle():
     A = polynomial_dga(QQ, [("x", 2)])
     barA = BarDgc(A)
     mu = bar_product_map(barA)
-    sh, _, src = bar_shuffle(barA, barA, None)
+    sh, _, src = bar_shuffle(barA, barA)
     # For a commutative dga, mu_B = B(mu) o shuffle
     x = A.monomial([("x", 1)])
     w1 = BarWord((x,))
@@ -285,18 +285,6 @@ def test_ks_algebra_on_k_z2_2_smoke():
     ks = KSAlgebra(osb)
     keys = [k for k in osb.basis_total(2)]
     ks.check_dga(keys).raise_on_failure()
-
-
-def test_ks_algebra_needs_a_dga_map():
-    """A one-sided bar built from a twisting cochain alone has no map to
-    push bar entries into the coefficients along, so the KS product is
-    refused rather than pushed along the identity."""
-    A = polynomial_dga(QQ, [("c", 2)])
-    barA = BarDgc(A)
-    osb = OneSidedBar(A, A, twisting=universal_cochain(barA), barA=barA)
-    assert osb.f is None
-    with pytest.raises(StructuralError):
-        KSAlgebra(osb)
 
 
 def test_ks_componentwise_term():
@@ -398,3 +386,32 @@ def test_ks_associativity_on_random_catalog_triples(data):
     ks, triples = KS_TRIPLES[data.draw(st.sampled_from(sorted(KS_TRIPLES)))]
     ks.check_associativity([data.draw(st.sampled_from(triples))]
                            ).raise_on_failure()
+
+
+def _q_binomial_at_minus_one(n, k):
+    """The Gaussian binomial [n choose k]_q at q = -1: zero when k and
+    n - k are both odd, C(n // 2, k // 2) otherwise."""
+    if k % 2 and (n - k) % 2:
+        return 0
+    return math.comb(n // 2, k // 2)
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_ks_product_of_pure_c1_words(field):
+    """On U(3)/U(1)^3 the KS product of [c1^a] (x) 1 and [c1^b] (x) 1 is
+    the shuffle of the two words of odd letters: [n choose a]_{q=-1}
+    times [c1^n] (x) 1, n = a + b, for 0 <= a, b <= 4."""
+    A, B, f, _ = catalog_entry(field, "U(3)/U(1)^3")
+    osb = OneSidedBar(A, B, f)
+    ks = KSAlgebra(osb)
+    c1 = A.monomial(["c1"])
+
+    def key(n):
+        return osb.key(osb.barA.word([c1] * n), B.unit_key)
+
+    for a in range(5):
+        for b in range(5):
+            expected = GradedElement(field)
+            expected.add_in(GradedElement.single(field, key(a + b)),
+                            field.of(_q_binomial_at_minus_one(a + b, a)))
+            assert ks.product_keys(key(a), key(b)) == expected, (a, b)

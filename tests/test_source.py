@@ -232,24 +232,33 @@ def test_every_sign_from_parity_sign():
 
 
 def _defaulted(args, shift=0):
-    """(position or None, name) of each parameter with a default; a
-    keyword-only one has no position.  `shift` skips leading parameters
-    (self)."""
+    """(position or None, name, default node) of each parameter with a
+    default; a keyword-only one has no position.  `shift` skips leading
+    parameters (self)."""
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
-    return ([(i - shift, a.arg) for i, a in enumerate(positional)
-             if i >= first]
-            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+    return ([(i - shift, a.arg, d) for i, (a, d) in
+             enumerate(zip(positional[first:], args.defaults), first)]
+            + [(None, a.arg, d)
+               for a, d in zip(args.kwonlyargs, args.kw_defaults)
                if d is not None])
 
 
-def _passes(call, position, name):
-    """True when the call passes the parameter, by keyword or position."""
-    if any(k.arg in (None, name) for k in call.keywords):
+def _passes(call, position, name, default):
+    """True when the call passes the parameter, by keyword or position, a
+    value other than the default's own expression (passing `None` to a
+    `None` default passes nothing)."""
+    same = ast.dump(default)
+    for k in call.keywords:
+        if k.arg is None:
+            return True
+        if k.arg == name:
+            return ast.dump(k.value) != same
+    if position is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    return position is not None and (
-        len(call.args) > position
-        or any(isinstance(a, ast.Starred) for a in call.args))
+    return len(call.args) > position and ast.dump(call.args[position]) != same
 
 
 def _callee(call, cls, modules):
@@ -274,8 +283,9 @@ def _callee(call, cls, modules):
 def test_every_default_is_passed_somewhere():
     """Each defaulted parameter of a module-level function or a class
     `__init__` of the package is passed, positionally or by keyword, by
-    some call in the package, the tests or the benchmark: a default that
-    no call overrides is a constant."""
+    some call in the package, the tests or the benchmark, with a value
+    other than the default itself: a default that no call overrides is a
+    constant."""
     modules = {path.stem for path in SRC.glob("*.py")}
     defaults = {}
     for path, tree in _trees("src/torbar"):
@@ -288,8 +298,8 @@ def test_every_default_is_passed_somewhere():
                           for p in _defaulted(fn.args, shift=1)]
             else:
                 continue
-            for position, name in params:
-                defaults[(node.name, position, name)] = \
+            for position, name, default in params:
+                defaults[(node.name, position, name, default)] = \
                     f"{path.name}:{node.lineno}:{node.name}({name})"
     passed = set()
 
