@@ -11,7 +11,6 @@ of entries from its table, and every construction that holds a bar
 through it.  A bar is built once, by the one-sided bar that owns it, and
 a dgc map into a bar (`dgc_map_from_cochain`) is given it as its target.
 """
-import json
 
 from .graded import (GradedElement, LinearMap, Tensor, _remember, expand,
                      parity_sign)
@@ -249,13 +248,11 @@ class OneSidedBar(TwistedTensor):
     """B(k, A, B) = B A (x)_{f o t_A} B for a dga map f: A -> B, given as
     an element map (callable on GradedElements) and kept as `self.f`.
 
-    It builds the construction's one bar `barA` = B A and its twisting
-    cochain f o t_A on it; `shm.gamma` reads the bar off that cochain.
+    It builds the construction's one bar B A, kept as `self.C`, and its
+    twisting cochain f o t_A on it; the coefficients B are `self.A`.
     """
 
     def __init__(self, A, B, f):
-        self.barA = BarDgc(A)
-        self.coef = B
         self.f = f
         field = A.field
 
@@ -264,11 +261,11 @@ class OneSidedBar(TwistedTensor):
                 return f(GradedElement.single(field, key.entries[0]))
             return GradedElement(field)
 
-        super().__init__(TwistingCochain(self.barA, B, rule, name="f.t_A"))
+        super().__init__(TwistingCochain(BarDgc(A), B, rule, name="f.t_A"))
 
     def basis_total(self, degree):
         """All word (x) coefficient keys of the given total degree."""
-        return tensor_basis(self.barA, self.coef, degree)
+        return tensor_basis(self.C, self.A, degree)
 
 
 class TorTable:
@@ -314,7 +311,7 @@ class TorTable:
         return data
 
     def __repr__(self):
-        return f"TorTable({json.dumps(self.to_json()['bidegrees'])})"
+        return f"TorTable({self.to_json()['bidegrees']})"
 
 
 def tor_additive(osb, max_total):

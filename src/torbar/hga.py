@@ -339,18 +339,18 @@ class KSAlgebra:
     EE([a-bar], .) through the hga of A', the entries pushed into the
     coefficients along the one-sided bar's dga map `osb.f`.  The hgas of
     A and A' are each `VectorHga` of the algebra, and the bar words are
-    those of the one-sided bar's one bar `osb.barA`.
+    those of the one-sided bar's one bar `osb.C`.
     """
 
     def __init__(self, osb):
         self.osb = osb
-        self.coef_hga = VectorHga(osb.coef)
+        self.coef_hga = VectorHga(osb.A)
         self.field = osb.field
         self._mu = None
 
     def mu(self):
         if self._mu is None:
-            self._mu = bar_product_map(self.osb.barA)
+            self._mu = bar_product_map(self.osb.C)
         return self._mu
 
     def frak_e(self, a_elem, entries):
@@ -365,7 +365,7 @@ class KSAlgebra:
                          for e in entries])
 
     def unit(self):
-        return self.osb.element(self.osb.barA.coaug_key,
+        return self.osb.element(self.osb.C.coaug_key,
                                 self.coef_hga.dga.unit_key)
 
     def product_keys(self, key1, key2):
@@ -377,7 +377,7 @@ class KSAlgebra:
         a_elem = GradedElement.single(field, b1k)
         l = w2.length
         for m in range(0, l + 1):
-            head = self.osb.barA.word(w2.entries[:m])
+            head = self.osb.C.word(w2.entries[:m])
             tail = w2.entries[m:]
             sign = parity_sign(field, b1k.degree * head.degree)
             bars = mu(Tensor((w1, head)))

@@ -144,7 +144,7 @@ def gamma(g, osb):
     `TwistedTensor(g o t)` on the source's bar.
     """
     field = osb.field
-    barA = osb.barA
+    barA = osb.C
     target = TwistedTensor(compose_family_cochain(g, osb.t))
 
     def frak_g(entries, bkey):

@@ -56,7 +56,6 @@ faces of one simplex through one table (vertex tuple -> face data, see
 once; `q_operation` takes its two faces the same way.  The table is
 transient, not a memo: the cut creates it and drops it when it returns.
 """
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 
@@ -353,19 +352,32 @@ def shuffle_elements(xe, ye, product_space):
                     xe, ye)
 
 
-@dataclass(frozen=True)
 class Surjection:
-    """A nondegenerate surjection u: {1..k+l} -> {1..l} (interval cuts)."""
+    """A nondegenerate surjection u: {1..k+l} -> {1..l} (interval cuts).
 
-    seq: tuple
+    Equal and hashed by `seq`, which is read-only: the interval-cut memo
+    and `_cut_shapes` are keyed by `u.seq`, so a surjection changed in
+    place would read the cuts of another."""
 
-    def __post_init__(self):
-        u = self.seq
-        r = max(u)
-        if set(u) != set(range(1, r + 1)):
-            raise ValueError(f"{u} is not surjective onto 1..{r}")
-        if any(u[i] == u[i + 1] for i in range(len(u) - 1)):
-            raise ValueError(f"{u} is degenerate (equal adjacent entries)")
+    __slots__ = ("_seq",)
+
+    def __init__(self, seq):
+        r = max(seq)
+        if set(seq) != set(range(1, r + 1)):
+            raise ValueError(f"{seq} is not surjective onto 1..{r}")
+        if any(seq[i] == seq[i + 1] for i in range(len(seq) - 1)):
+            raise ValueError(f"{seq} is degenerate (equal adjacent entries)")
+        self._seq = seq
+
+    @property
+    def seq(self):
+        return self._seq
+
+    def __eq__(self, other):
+        return isinstance(other, Surjection) and other._seq == self._seq
+
+    def __hash__(self):
+        return hash(self._seq)
 
     @property
     def arity(self):

@@ -327,7 +327,7 @@ def _catalog_tables():
             out.append((name, str(field), table.totals, table.bidegrees,
                         [(e["factors"], e["coords"]) for e in table.products]))
             sizes += [len(A._monomials), len(B._monomials),
-                      len(osb.barA._words)]
+                      len(osb.C._words)]
     return out, sizes
 
 

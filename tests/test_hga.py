@@ -407,7 +407,7 @@ def test_ks_product_of_pure_c1_words(field):
     c1 = A.monomial(["c1"])
 
     def key(n):
-        return osb.key(osb.barA.word([c1] * n), B.unit_key)
+        return osb.key(osb.C.word([c1] * n), B.unit_key)
 
     for a in range(5):
         for b in range(5):

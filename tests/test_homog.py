@@ -146,6 +146,15 @@ def test_tor_table_to_json():
     assert json.loads(json.dumps(data)) == data
 
 
+def test_tor_table_repr():
+    """The repr lists the nonzero bidegrees as `json.dumps` writes them,
+    a negative s included: SU(3)/SU(2) = S^5 over Q."""
+    ring, _, _ = bar_ring(QQ, "SU(3)/SU(2)", 5)
+    bidegrees = ring.table.to_json()["bidegrees"]
+    assert bidegrees == [[-1, 6, 1], [0, 0, 1]]
+    assert repr(ring.table) == "TorTable(" + json.dumps(bidegrees) + ")"
+
+
 def test_pu2_over_f2_formal_square_vanishes():
     """The catalog's expected failure.  H*(PU(2); F2) = F2[x]/x^4 has
     x1^2 = x2 != 0, but the formal Tor of H*(BPU(2)) -> H*(BT) over F2

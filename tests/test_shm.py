@@ -130,7 +130,7 @@ def test_gamma_strict_and_chain_map():
     g_str = TwistingFamily.strict(A, A, endo2, name="2g")
     gm, tgt = gamma(g_str, osb)
     # the target reads its bar and coefficients off g o t
-    assert tgt.C is osb.barA and tgt.A is g_str.B
+    assert tgt.C is osb.C and tgt.A is g_str.B
     keys = osb.basis_total(6)
     for kk in keys:
         w, bk = kk.parts
@@ -140,7 +140,7 @@ def test_gamma_strict_and_chain_map():
     # nonstrict g: chain map property, exactly
     g = gauge_family(A, rng, degrees=range(1, 8), name="g")
     gm2, tgt2 = gamma(g, osb)
-    assert tgt2.C is osb.barA and tgt2.A is g.B
+    assert tgt2.C is osb.C and tgt2.A is g.B
     check_chain_map(gm2, osb, tgt2, osb.basis_total(6) + osb.basis_total(7),
                     "Gamma chain map").raise_on_failure()
     # congruence to 1 (x) g_(1): components of the same word length agree,

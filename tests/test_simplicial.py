@@ -171,6 +171,18 @@ def test_surjection_validation_and_enclaves():
     assert G12.seq == (2, 3, 1, 3, 1, 2, 1)
 
 
+def test_surjection_is_a_value():
+    """Equal and hashed by its sequence, shown as the class writes it, and
+    read-only: the cut memos are keyed by `seq`."""
+    u = Surjection((1, 2))
+    assert u == AW and hash(u) == hash(AW) and u is not AW
+    assert u != Surjection((1, 2, 1)) and u != (1, 2)
+    assert repr(AW) == "Surjection(1, 2)"
+    with pytest.raises(AttributeError):
+        AW.seq = (2, 1)
+    assert AW.seq == (1, 2)
+
+
 def test_interval_cut_aw_case():
     X = standard_simplex(QQ, 3)
     key = X.key(3, (0, 1, 2, 3))

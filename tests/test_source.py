@@ -1,8 +1,11 @@
 """Checks on the source of the package itself."""
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "torbar"
 
@@ -465,3 +468,22 @@ def test_keys_built_only_by_their_owners_tables():
     for path, tree in _trees("src/torbar"):
         visit(path, tree, None, None)
     assert not found, found
+
+
+def test_import_loads_only_what_it_computes_with():
+    """Importing every module of the package loads none of the heavy
+    stdlib modules that no computation needs (`dataclasses` would bring
+    `inspect`, `ast`, `dis` and `tokenize` along), so a cold start pays
+    only for what it computes with.  The import runs in a fresh
+    interpreter started with -S, so no site-packages `.pth` file preloads
+    any of them."""
+    heavy = ["dataclasses", "inspect", "json", "ast", "dis", "tokenize"]
+    modules = ["torbar"] + sorted(f"torbar.{p.stem}" for p in SRC.glob("*.py")
+                                  if p.stem != "__init__")
+    code = (f"import sys, {', '.join(modules)}\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout
