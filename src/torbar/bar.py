@@ -27,12 +27,13 @@ class BarWord:
     WORD_CAP entries, emptied when full), so equal words of one bar are
     mostly one object; equality is still by value."""
 
-    __slots__ = ("entries", "degree", "_hash")
+    __slots__ = ("entries", "degree", "_hash", "_repr")
 
     def __init__(self, entries):
         self.entries = entries
         self._hash = hash(entries)
         self.degree = sum(e.degree - 1 for e in entries)
+        self._repr = None
 
     @property
     def length(self):
@@ -49,9 +50,11 @@ class BarWord:
         return self._hash
 
     def __repr__(self):
-        if not self.entries:
-            return "[]"
-        return "[" + "|".join(repr(e) for e in self.entries) + "]"
+        # formatted once: `linalg.homology` sorts its columns by repr
+        got = self._repr
+        if got is None:
+            got = self._repr = "[" + "|".join(map(repr, self.entries)) + "]"
+        return got
 
 
 WORD_CAP = 1 << 16
@@ -77,6 +80,7 @@ class BarDgc(Dgc):
         self.A = A
         self.ddeg = 1
         self._words = {}
+        self._bases = {}
         self._diffs = {}
         self._cops = {}
         self.coaug_key = self._intern(())
@@ -99,14 +103,14 @@ class BarDgc(Dgc):
                                           in expand(self.field, reduced)])
 
     def basis(self, degree):
-        """Bar words of the given bar degree (A must be simply connected)."""
+        """Bar words of the given bar degree (A must be simply connected),
+        enumerated once per degree and kept as a list."""
         if not self.A.simply_connected:
             raise StructuralError(
                 "bar basis enumeration requires a simply connected dga")
-        if degree < 0:
-            return []
-        if degree == 0:
-            return [self.coaug_key]
+        got = self._bases.get(degree)
+        if got is not None:
+            return got
         out = []
 
         # entries have degree >= 2, so the unit (degree 0) is never one
@@ -118,7 +122,9 @@ class BarDgc(Dgc):
                 for k in self.A.basis(d):
                     extend(entries + [k], rem - (d - 1))
 
-        extend([], degree)
+        if degree >= 0:
+            extend([], degree)
+        self._bases[degree] = out
         return out
 
     def diff_key(self, key):
@@ -380,7 +386,10 @@ def split_homology(basis, diff, field, bigrade):
 
 def _is_bidegree_pure(osb, basis):
     """True when d preserves internal degree (zero differentials upstream)."""
-    return all(_bar_bigrade(k2)[1] == _bar_bigrade(k)[1]
-               for keys in basis.values() for k in keys
-               for k2 in osb.diff_key(k).terms)
+    for keys in basis.values():
+        for k in keys:
+            t = _bar_bigrade(k)[1]
+            if any(_bar_bigrade(k2)[1] != t for k2 in osb.diff_key(k).terms):
+                return False
+    return True
 

@@ -24,7 +24,9 @@ through `graded.d_operation`, and every (-1)^e through
 
 A `FreeGcDga` hands out one `Monomial` per monomial from its table, at
 most MONOMIAL_CAP entries and emptied when full, so dict lookups of its
-keys mostly hit on identity; its basis of each degree is enumerated once.
+keys mostly hit on identity; its basis of each degree is enumerated once,
+and the product of each pair of monomials is kept in a second table of
+the same cap.
 
 The module also provides the convolution algebra Hom(C, A) with its cup
 product and the geometric-series inverse of 1 + k, twisting cochains,
@@ -238,8 +240,10 @@ def tensor_diff_key(X, Y, key):
     x, y = key.parts
     field = X.field
     out = tensor_elements(field, X.diff_key(x), GradedElement.single(field, y))
-    out.add_in(tensor_elements(field, GradedElement.single(field, x),
-                               Y.diff_key(y)), parity_sign(field, x.degree))
+    dy = Y.diff_key(y)
+    if not dy.is_zero():
+        out.add_in(tensor_elements(field, GradedElement.single(field, x), dy),
+                   parity_sign(field, x.degree))
     return out
 
 
@@ -449,7 +453,7 @@ class TwistedTensor:
                 tv = tmap(k2)
                 if tv.is_zero():
                     continue
-                prod = A.mul(tv, GradedElement.single(field, ak))
+                prod = tv.map_keys(lambda k: A.mul_keys(k, ak))
                 out.add_in(tensor_elements(
                     field, GradedElement.single(field, k1), prod),
                     field.mul(parity_sign(field, tmap.degree * k1.degree), c))
@@ -578,12 +582,13 @@ class Monomial:
     MONOMIAL_CAP entries, emptied when full), so equal monomials of one
     algebra are mostly one object; equality is still by value."""
 
-    __slots__ = ("powers", "degree", "_hash")
+    __slots__ = ("powers", "degree", "_hash", "_repr")
 
     def __init__(self, powers, degree):
         self.powers = powers
         self.degree = degree
         self._hash = hash(powers)
+        self._repr = None
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.powers == other.powers
@@ -592,9 +597,12 @@ class Monomial:
         return self._hash
 
     def __repr__(self):
-        if not self.powers:
-            return "1"
-        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in self.powers)
+        # formatted once: `linalg.homology` sorts its columns by repr
+        got = self._repr
+        if got is None:
+            got = self._repr = "*".join(
+                n if e == 1 else f"{n}^{e}" for n, e in self.powers) or "1"
+        return got
 
 
 MONOMIAL_CAP = 1 << 16
@@ -606,8 +614,9 @@ class FreeGcDga(Dga):
 
     Serves as polynomial algebras (zero differential), exterior algebras,
     and Koszul-resolution algebras.  Every monomial it makes comes from
-    its table (`_intern`, keyed by powers), and `basis(d)` is enumerated
-    once per degree and kept as a tuple.
+    its table (`_intern`, keyed by powers), `basis(d)` is enumerated
+    once per degree and kept as a tuple, and `mul_keys` keeps each product
+    in its table (`_products`, keyed by the pair).
     """
 
     def __init__(self, field, gens, d_gen=None):
@@ -616,6 +625,7 @@ class FreeGcDga(Dga):
         self.order = {n: i for i, n in enumerate(self.gens)}
         self._odd = {n for n, d in self.gens.items() if d % 2}
         self._monomials = {}
+        self._products = {}
         self._bases = {}
         self.unit_key = self._intern(())
         self._dgen = _generator_differentials(field, d_gen, self.monomial)
@@ -678,6 +688,16 @@ class FreeGcDga(Dga):
         return got
 
     def mul_keys(self, k1, k2):
+        """The product of two monomials, computed once per pair while the
+        products table (at most MONOMIAL_CAP entries) keeps it; the value
+        is shared and must not be mutated."""
+        got = self._products.get((k1, k2))
+        if got is None:
+            got = _remember(self._products, (k1, k2), self._mul_keys(k1, k2),
+                            MONOMIAL_CAP)
+        return got
+
+    def _mul_keys(self, k1, k2):
         # Koszul sign from interleaving odd generators into sorted order.
         odd, order = self._odd, self.order
         odd1 = [order[n] for n, _ in k1.powers if n in odd]

@@ -115,12 +115,12 @@ class GradedElement:
         """In-place add (used only while assembling a fresh element)."""
         f = self.field
         z = f.zero
-        if scalar is None:
-            scalar = f.one
-        if scalar == z:
+        unit = scalar is None or scalar == f.one
+        if not unit and scalar == z:
             return self
         for k, c in other.terms.items():
-            c = f.mul(scalar, c)
+            if not unit:
+                c = f.mul(scalar, c)
             acc = self.terms.get(k)
             acc = c if acc is None else f.add(acc, c)
             if acc == z:
@@ -189,9 +189,13 @@ def expand(field, elems):
 
 
 def tensor_elements(field, *elems):
-    """x (x) y (x) ... as a GradedElement over Tensor keys (no signs)."""
-    return GradedElement(field, [(Tensor(keys), c)
-                                 for keys, c in expand(field, elems)])
+    """x (x) y (x) ... as a GradedElement over Tensor keys (no signs).
+
+    The terms need no normalizing: distinct key tuples are distinct
+    Tensors, and a product of nonzero stored coefficients is nonzero."""
+    out = GradedElement(field)
+    out.terms = {Tensor(keys): c for keys, c in expand(field, elems)}
+    return out
 
 
 def bilinear(field, fn, x, y):

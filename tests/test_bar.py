@@ -317,7 +317,7 @@ def test_equal_words_are_one_object():
 
 def _catalog_tables():
     """Totals, bidegrees and product coordinates of two catalog pairs over
-    Q and F5, with the sizes of their monomial and word tables."""
+    Q and F5, with the sizes of their monomial, product and word tables."""
     out, sizes = [], []
     for name in ("SU(3)/T", "U(2)/U(1)xU(1)"):
         for field in (QQ, F5):
@@ -327,13 +327,14 @@ def _catalog_tables():
             out.append((name, str(field), table.totals, table.bidegrees,
                         [(e["factors"], e["coords"]) for e in table.products]))
             sizes += [len(A._monomials), len(B._monomials),
+                      len(A._products), len(B._products),
                       len(osb.C._words)]
     return out, sizes
 
 
 def test_key_tables_stay_within_small_caps(monkeypatch):
-    """Emptying the monomial and word tables whenever they hold 8 keys
-    changes no catalog table: equality by value is the fallback."""
+    """Emptying the monomial, product and word tables whenever they hold
+    8 keys changes no catalog table: equality by value is the fallback."""
     expected, sizes = _catalog_tables()
     assert max(sizes) > 8
     monkeypatch.setattr(dg, "MONOMIAL_CAP", 8)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torbar.fields import QQ, F2, F5
-from torbar.graded import GradedElement
+from torbar.graded import GradedElement, koszul_sign
 from torbar.linalg import StructuralError
 from torbar.dg import (FreeDga, FreeGcDga, polynomial_dga,
                        TensorDga, TensorDgc, HomAlgebra, TwistingCochain,
@@ -102,6 +102,43 @@ def test_free_gc_dga_axioms():
     assert A.mul(x, y) == A.mul(y, x)  # even times odd commutes
     z = A.generator("w")
     assert A.mul(y, z) == A.mul(z, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_free_gc_products_are_kept_and_never_mutated(data):
+    """`FreeGcDga.mul_keys` keeps each product: repeated calls return
+    equal values with the Koszul sign of sorting the odd generators, and
+    its readers (`mul`, `d` and the bar differential) leave them as they
+    were."""
+    field = data.draw(st.sampled_from([QQ, F5, F2]))
+    A = FreeGcDga(field, [("a", 2), ("u", 3), ("v", 3), ("w", 5)],
+                  d_gen={"w": [(1, ["u", "v"])]})
+    keys = [k for d in range(1, 11) for k in A.basis(d)]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(keys),
+                                         st.sampled_from(keys)),
+                               min_size=1, max_size=6))
+    first = {p: A.mul_keys(*p) for p in pairs}
+    terms = {p: dict(v.terms) for p, v in first.items()}
+    for (k1, k2), v in first.items():
+        odd = [n for k in (k1, k2) for n, _ in k.powers if n in A._odd]
+        if len(set(odd)) < len(odd):
+            assert v.is_zero()
+            continue
+        perm = sorted(range(len(odd)), key=lambda i: A.order[odd[i]])
+        key = A.monomial(k1.powers + k2.powers)
+        assert v.terms == {key: field.of(koszul_sign([1] * len(odd), perm))}
+
+    def one(k):
+        return GradedElement.single(field, k)
+
+    barA = BarDgc(A)
+    for k1, k2 in pairs:
+        A.d(A.mul(one(k1) + one(k2), one(k2)))
+        barA.diff_key(barA.word([k1, k2]))
+    for p, v in first.items():
+        assert A.mul_keys(*p) == v
+        assert v.terms == terms[p]
 
 
 def test_exterior_sign():

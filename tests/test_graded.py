@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -69,6 +70,59 @@ def test_tensor_elements_and_sign_helper():
     assert c == 6 and k.degree == 3
     assert koszul_sign([1, 1], (1, 0)) == -1
     assert koszul_sign([1, 2], (1, 0)) == 1
+
+
+def _coefficients(field):
+    """Field values, zero included: fractions over Q, residues over F_p."""
+    if field is QQ:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=3) \
+            .map(QQ.of)
+    return st.integers(-6, 6).map(field.of)
+
+
+def _elements(field):
+    """Elements on keys a..c of degrees 0..2, each built through the
+    normalizing constructor, so repeated keys merge and zeros drop."""
+    return st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 2),
+                              _coefficients(field)), max_size=5).map(
+        lambda terms: GradedElement(field, [(K(n, d), c)
+                                            for n, d, c in terms]))
+
+
+@given(st.data())
+def test_tensor_elements_is_the_normalized_tensor(data):
+    """`tensor_elements` stores its terms unnormalized; they equal the
+    expansion built through the normalizing constructor, and no zero
+    coefficient is kept."""
+    field = data.draw(st.sampled_from([QQ, F2, F5]))
+    xs = data.draw(st.lists(_elements(field), max_size=3))
+    want = []
+    for terms in product(*(x.terms.items() for x in xs)):
+        c = field.one
+        for _, ci in terms:
+            c = field.mul(c, ci)
+        want.append((Tensor(tuple(k for k, _ in terms)), c))
+    got = tensor_elements(field, *xs)
+    assert got == GradedElement(field, want)
+    assert field.zero not in got.terms.values()
+
+
+@given(st.data())
+def test_add_in_is_the_term_by_term_sum(data):
+    """x.add_in(y), x.add_in(y, 1) and x.add_in(y, c) agree with the sum
+    of x's terms and c times y's, built through the normalizing
+    constructor."""
+    field = data.draw(st.sampled_from([QQ, F2, F5]))
+    x = data.draw(_elements(field))
+    y = data.draw(_elements(field))
+    c = data.draw(_coefficients(field))
+    for scalar, s in ((None, field.one), (field.one, field.one), (c, c)):
+        got = GradedElement(field, x.terms).add_in(y, scalar)
+        want = GradedElement(field, list(x.terms.items())
+                             + [(k, field.mul(s, v))
+                                for k, v in y.terms.items()])
+        assert got == want
+        assert field.zero not in got.terms.values()
 
 
 @given(st.sampled_from([QQ, F2, F5]), st.integers(-20, 20))
