@@ -197,8 +197,9 @@ def dgc_map_from_cochain(t, barA):
 
     c maps to sum_k [t(c_(1))|...|t(c_(k))] over the reduced iterated
     coproduct; there are no signs because s^{-1} t has degree zero.
-    Requires C cocomplete; a key that is not conilpotent raises
-    StructuralError (`Dgc.reduced_cop_levels`).
+    The terms are those of `Dgc.reduced_cop_terms`, which does not follow
+    a split whose front piece t sends to zero.  Requires C cocomplete; a
+    key that is not conilpotent raises StructuralError.
     """
     C = t.C
     if not C.cocomplete:
@@ -207,9 +208,8 @@ def dgc_map_from_cochain(t, barA):
 
     def rule(key):
         out = GradedElement.single(field, barA.coaug_key, C.counit_key(key))
-        for level in C.reduced_cop_levels(key):
-            for c, keys in level:
-                out.add_in(barA.words_from_elements([t(k) for k in keys]), c)
+        for c, keys in C.reduced_cop_terms(key, lambda k: not t(k).is_zero()):
+            out.add_in(barA.words_from_elements([t(k) for k in keys]), c)
         return out
 
     return LinearMap(field, 0, rule, name=f"B<{t.name}>")

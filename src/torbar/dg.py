@@ -11,8 +11,9 @@ The tensor product of complexes is defined once: `tensor_basis` and
 `preserves_coproduct` is the one check that a map commutes with the
 coproducts.  `check_d_squared` is the one d^2 = 0 check of a complex;
 `commutes_with_d` and `check_chain_map` are the one check that a map
-commutes with the differentials.  `Dgc.reduced_cop_levels` is the one
-iterated reduced coproduct.
+commutes with the differentials.  `Dgc.reduced_cop_terms` is the one
+iterated reduced coproduct, a depth-first walk that does not follow a
+split whose front piece its reader multiplies by zero.
 
 Each sign rule is decided once.  `FreeGcDga.mul_keys` is the one Koszul
 sign of graded-commutative monomials, and `FreeGcCoalgebra` (the exterior
@@ -167,35 +168,33 @@ class Dgc:
     def d(self, x):
         return x.map_keys(self.diff_key)
 
-    def cop_reduced_key(self, key):
-        """(1 - eta eps)^{x2} Delta, on a coaugmentation-adapted basis."""
-        return [(c, k1, k2) for (c, k1, k2) in self.cop_key(key)
-                if k1 != self.coaug_key and k2 != self.coaug_key]
+    def reduced_cop_terms(self, key, keep):
+        """Every term (c, (k_1, ..., k_n)) of the reduced iterated
+        coproducts Delta^[1](key), Delta^[2](key), ..., depth first.
 
-    def reduced_cop_levels(self, key):
-        """The reduced iterated coproducts Delta^[1](key), Delta^[2](key),
-        ... up to the first zero one, each a list of (coeff, (k_1,...,k_n)).
-
-        Each level expands the last slot of the one before (coassociativity
-        makes the slot choice moot).  A key with a nonzero level past the
-        60th raises StructuralError: the coalgebra is not conilpotent
-        there."""
-        if key == self.coaug_key:
-            return
-        level = [(self.field.one, (key,))]
-        for _ in range(60):
-            yield level
-            level = [(self.field.mul(c, c2), keys[:-1] + (k1, k2))
-                     for c, keys in level
-                     for c2, k1, k2 in self.cop_reduced_key(keys[-1])]
-            if not level:
-                return
-        raise StructuralError(f"key {key!r} not conilpotent up to 60")
+        A term's last slot is split by `cop_key`, dropping the pieces that
+        are the coaugmentation (coassociativity makes the slot choice
+        moot).  A split whose front piece fails `keep` is not followed:
+        that piece stays in every descendant, so a reader multiplying the
+        slots gets zero there.  A term past the 60th level raises
+        StructuralError: the coalgebra is not conilpotent there."""
+        u, mul = self.coaug_key, self.field.mul
+        stack = [] if key == u else [(self.field.one, (key,))]
+        while stack:
+            c, keys = stack.pop()
+            if len(keys) > 60:
+                raise StructuralError(f"key {key!r} not conilpotent up to 60")
+            yield c, keys
+            stack += [(mul(c, c2), keys[:-1] + (k1, k2))
+                      for c2, k1, k2 in self.cop_key(keys[-1])
+                      if k1 != u and k2 != u and keep(k1)]
 
     def nilpotence_degree(self, key):
         """Least n with reduced Delta^[n](key) = 0 (cocompleteness
         witness)."""
-        return 1 + sum(1 for _ in self.reduced_cop_levels(key))
+        return 1 + max((len(keys) for _, keys in
+                        self.reduced_cop_terms(key, lambda k: True)),
+                       default=0)
 
     def check_axioms(self, keys):
         """Coassociativity and both counit laws, (eps (x) 1) Delta = id and
@@ -318,7 +317,8 @@ class HomAlgebra:
         """Inverse of h = 1 + k in Hom_0: sum_n (1 - h)^{u n}.
 
         Terminates degreewise because C is cocomplete;
-        `Dgc.reduced_cop_levels` raises on non-conilpotent input.
+        `Dgc.reduced_cop_terms` raises on non-conilpotent input and skips
+        the terms with a front slot that k sends to zero.
         """
         if not self.C.cocomplete:
             raise StructuralError("homotopy inverse needs a cocomplete dgc")
@@ -334,13 +334,10 @@ class HomAlgebra:
             # memoized map results must never be mutated.
             out = GradedElement(field)
             out.add_in(unit(key))
-            sign = field.neg(field.one)
-            for level in C.reduced_cop_levels(key):
-                acc = GradedElement(field)
-                for c, keys in level:
-                    acc.add_in(A.mul_many([k_map(k2) for k2 in keys]), c)
-                out.add_in(acc, sign)
-                sign = field.neg(sign)
+            for c, keys in C.reduced_cop_terms(
+                    key, lambda k: not k_map(k).is_zero()):
+                out.add_in(A.mul_many([k_map(k2) for k2 in keys]),
+                           field.mul(c, parity_sign(field, len(keys))))
             return out
 
         return LinearMap(self.field, 0, rule, name="h^-1")

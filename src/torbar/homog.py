@@ -7,55 +7,14 @@ Every Tor route takes one pair (A, B, f): the algebras A = H*(BG) and
 B = H*(BK) and the algebra map f: A -> B, built once per field
 (`catalog_entry`) and shared by the bar route and the oracle.
 """
-import re
-
 from .graded import GradedElement
 from .linalg import express_class, StructuralError
-from .dg import CheckReport, FreeGcDga, polynomial_dga, gc_algebra_map
+from .dg import (CheckReport, FreeGcDga, _generator_differentials,
+                 gc_algebra_map, polynomial_dga)
 from .bar import OneSidedBar, split_homology, tor_additive
 from .hga import KSAlgebra
 from .simplicial import DualCochainDga
 from .classifying import wbar
-
-
-# ---------------------------------------------------------------------------
-# Polynomial input
-# ---------------------------------------------------------------------------
-
-def parse_polynomial(B, text):
-    """Parse expressions like "-t^2", "t1*t2 + 2*u", "0" into elements."""
-    text = text.strip()
-    out = B.zero()
-    if text in ("0", ""):
-        return out
-    # split into +- separated monomials
-    terms = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
-    for term in terms:
-        sign = 1
-        body = term
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:]
-        coeff = 1
-        powers = []
-        for factor in body.split("*"):
-            if not factor:
-                continue
-            if factor.isdigit():
-                coeff *= int(factor)
-                continue
-            m = re.match(r"^([a-zA-Z_]\w*?)(?:\^(\d+))?$", factor)
-            if not m:
-                raise ValueError(f"cannot parse monomial factor {factor!r}")
-            name, exp = m.group(1), int(m.group(2) or 1)
-            powers.append((name, exp))
-        key = B.monomial(powers)
-        if key is None:
-            continue
-        out = out + GradedElement.single(B.field, key,
-                                         B.field.of(sign * coeff))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,40 +159,44 @@ def chain_level_tor(G, K_space, field, max_total):
 CATALOG = {
     "SU(2)/T": {
         "base": [("c2", 4)], "fiber": [("t", 2)],
-        "map": {"c2": "-t^2"},
+        "map": {"c2": [(-1, [("t", 2)])]},
         "poincare_dims": {0: 1, 2: 1},
     },
     "SU(3)/T": {
         "base": [("c2", 4), ("c3", 6)], "fiber": [("t1", 2), ("t2", 2)],
         # roots t1, t2, -t1-t2: c2 = e2, c3 = e3
-        "map": {"c2": "-t1^2-t1*t2-t2^2", "c3": "-t1^2*t2-t1*t2^2"},
+        "map": {"c2": [(-1, [("t1", 2)]), (-1, ["t1", "t2"]),
+                       (-1, [("t2", 2)])],
+                "c3": [(-1, [("t1", 2), "t2"]), (-1, ["t1", ("t2", 2)])]},
         "poincare_dims": {0: 1, 2: 2, 4: 2, 6: 1},
     },
     "SU(3)/SU(2)": {
         "base": [("c2", 4), ("c3", 6)], "fiber": [("d2", 4)],
-        "map": {"c2": "d2", "c3": "0"},
+        "map": {"c2": [(1, ["d2"])], "c3": []},
         "poincare_dims": {0: 1, 5: 1},
     },
     "U(2)/U(1)xU(1)": {
         "base": [("c1", 2), ("c2", 4)], "fiber": [("t1", 2), ("t2", 2)],
-        "map": {"c1": "t1+t2", "c2": "t1*t2"},
+        "map": {"c1": [(1, ["t1"]), (1, ["t2"])], "c2": [(1, ["t1", "t2"])]},
         "poincare_dims": {0: 1, 2: 1},
     },
     "Sp(1)": {
         "base": [("q", 4)], "fiber": [],
-        "map": {"q": "0"},
+        "map": {"q": []},
         "poincare_dims": {0: 1, 3: 1},
     },
     "U(3)/U(1)^3": {
         "base": [("c1", 2), ("c2", 4), ("c3", 6)],
         "fiber": [("t1", 2), ("t2", 2), ("t3", 2)],
-        "map": {"c1": "t1+t2+t3", "c2": "t1*t2+t1*t3+t2*t3",
-                "c3": "t1*t2*t3"},
+        "map": {"c1": [(1, ["t1"]), (1, ["t2"]), (1, ["t3"])],
+                "c2": [(1, ["t1", "t2"]), (1, ["t1", "t3"]),
+                       (1, ["t2", "t3"])],
+                "c3": [(1, ["t1", "t2", "t3"])]},
         "poincare_dims": {0: 1, 2: 2, 4: 2, 6: 1},
     },
     "PU(2)@F2": {
         "base": [("c1", 2), ("c2", 4)], "fiber": [("t", 2)],
-        "map": {"c1": "0", "c2": "t^2"},
+        "map": {"c1": [], "c2": [(1, [("t", 2)])]},
         "poincare_dims": {0: 1, 1: 1, 2: 1, 3: 1},
     },
 }
@@ -247,8 +210,8 @@ def catalog_entry(field, name):
     data = CATALOG[name]
     A = polynomial_dga(field, data["base"])
     B = polynomial_dga(field, data["fiber"])
-    f = gc_algebra_map(A, B, {g: parse_polynomial(B, text)
-                              for g, text in data["map"].items()})
+    f = gc_algebra_map(A, B, _generator_differentials(field, data["map"],
+                                                      B.monomial))
     return A, B, f, data["poincare_dims"]
 
 

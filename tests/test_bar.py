@@ -8,8 +8,11 @@ from torbar.dg import (Dgc, FreeDga, FreeGcDga, Monomial, TensorDga,
 from torbar.bar import (BarDgc, BarWord, universal_cochain,
                         dgc_map_from_cochain, check_dgc_map, bar_shuffle,
                         OneSidedBar, tor_additive)
+from torbar.classifying import b_cyclic, wbar
+from torbar.hga import VectorHga, bar_e_cochain
 from torbar.homog import catalog_entry, tor_bar_algebra
 from torbar.linalg import StructuralError
+from torbar.simplicial import DualCochainDga
 from torbar import bar, dg
 
 
@@ -58,16 +61,20 @@ def _levels_by_first_slot(C, key):
 
 
 def test_reduced_cop_levels_agree_with_the_first_slot_route():
-    # reduced_cop_levels expands the last slot; coassociativity makes the
-    # first-slot route give the same levels, signs included on B A (x) B A
+    # reduced_cop_terms expands the last slot; coassociativity makes the
+    # first-slot route give the same levels, signs included on B A (x) B A,
+    # when the walk's terms are grouped by length and nothing is pruned
     A = FreeDga(QQ, [("a", 2), ("b", 3)], d_gen={"b": [(1, ["a", "a"])]})
     barA = BarDgc(A)
     BB = TensorDgc(barA, barA)
     longest = 0
     for C, top in ((barA, 6), (BB, 4)):
         for key in [k for d in range(top + 1) for k in C.basis(d)]:
-            levels = [GradedElement(QQ, [(Tensor(ks), c) for c, ks in level])
-                      for level in C.reduced_cop_levels(key)]
+            by_length = {}
+            for c, ks in C.reduced_cop_terms(key, lambda k: True):
+                by_length.setdefault(len(ks), GradedElement(QQ)).add_in(
+                    GradedElement.single(QQ, Tensor(ks), c))
+            levels = [by_length[n] for n in sorted(by_length)]
             assert levels == _levels_by_first_slot(C, key), key
             assert C.nilpotence_degree(key) == len(levels) + 1
             longest = max(longest, len(levels))
@@ -92,13 +99,36 @@ class _NotConilpotent(Dgc):
 
 
 def test_dgc_map_from_cochain_raises_on_a_key_that_is_not_conilpotent():
+    # the walk does not follow a split whose front piece t kills, so a t
+    # that is zero on x never reaches the guard, and one that is not does
     C = _NotConilpotent(QQ)
-    A = FreeDga(QQ, [("a", 2)])
-    t = TwistingCochain(C, A, lambda key: GradedElement(QQ))
+    A = FreeDga(QQ, [("a", 1)])
+    zero = TwistingCochain(C, A, lambda key: GradedElement(QQ))
+    assert dgc_map_from_cochain(zero, BarDgc(A))(C.x).is_zero()
+    t = TwistingCochain(C, A, lambda key: A.generator("a") if key == C.x
+                        else GradedElement(QQ))
     with pytest.raises(StructuralError, match="key x not conilpotent up to 60"):
         dgc_map_from_cochain(t, BarDgc(A))(C.x)
     with pytest.raises(StructuralError, match="key x not conilpotent"):
         C.nilpotence_degree(C.x)
+
+
+def test_dgc_map_of_ee_is_the_unpruned_level_sum():
+    # the dgc map of EE skips the splits whose front piece EE kills; the
+    # sum over every level of the iterated coproduct, nothing skipped,
+    # gives the same map on B A (x) B A, A = C*(K(Z/2,2)) over F2
+    A = DualCochainDga(wbar(b_cyclic(F2, 2)), 5)
+    barA = BarDgc(A)
+    t = bar_e_cochain(VectorHga(A), barA)
+    g = dgc_map_from_cochain(t, barA)
+    C = t.C
+    for key in [k for d in range(5) for k in C.basis(d)]:
+        expected = GradedElement.single(F2, barA.coaug_key, C.counit_key(key))
+        for level in _levels_by_first_slot(C, key):
+            for ks, c in level.terms.items():
+                expected.add_in(barA.words_from_elements(
+                    [t(k) for k in ks.parts]), c)
+        assert g(key) == expected, key
 
 
 def test_dgc_map_fixed_point():

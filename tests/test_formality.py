@@ -5,7 +5,7 @@ import pytest
 from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement
 from torbar.simplicial import cup, coboundary
-from torbar.formality import TorusFormality, KoszulComplex
+from torbar.formality import TorusFormality, KoszulComplex, formality_report
 from torbar.linalg import StructuralError
 from torbar.dg import check_d_squared
 
@@ -203,3 +203,11 @@ def test_naturality_of_operations_under_torus_inclusion():
         if data is not None:
             k = fo1.BT.key(4, data)
             assert lhs2(k) == rhs2(k)
+
+
+@pytest.mark.parametrize("bound", [0, 1])
+def test_formality_report_below_degree_two(bound):
+    """Below bound 2 no E_k value (degree >= 1) has an even degree within
+    the bound: the report draws no E_k sample and returns, every check ok."""
+    _, reports = formality_report(QQ, 1, bound)
+    assert all(r.ok for r in reports.values()), reports

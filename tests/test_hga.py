@@ -400,7 +400,7 @@ def _q_binomial_at_minus_one(n, k):
 def test_ks_product_of_pure_c1_words(field):
     """On U(3)/U(1)^3 the KS product of [c1^a] (x) 1 and [c1^b] (x) 1 is
     the shuffle of the two words of odd letters: [n choose a]_{q=-1}
-    times [c1^n] (x) 1, n = a + b, for 0 <= a, b <= 4."""
+    times [c1^n] (x) 1, n = a + b, for 0 <= a, b <= 6."""
     A, B, f, _ = catalog_entry(field, "U(3)/U(1)^3")
     osb = OneSidedBar(A, B, f)
     ks = KSAlgebra(osb)
@@ -409,8 +409,8 @@ def test_ks_product_of_pure_c1_words(field):
     def key(n):
         return osb.key(osb.C.word([c1] * n), B.unit_key)
 
-    for a in range(5):
-        for b in range(5):
+    for a in range(7):
+        for b in range(7):
             expected = GradedElement(field)
             expected.add_in(GradedElement.single(field, key(a + b)),
                             field.of(_q_binomial_at_minus_one(a + b, a)))

@@ -425,6 +425,29 @@ def test_faces_by_vertices_only_in_cuts():
     assert not found, found
 
 
+def test_reduced_coproduct_taken_once():
+    """Only `Dgc.reduced_cop_terms` drops the coaugmentation from a
+    coproduct: a function that both splits keys (`cop_key`, or the former
+    `cop_reduced_key`) and reads `coaug_key` is a second walk of the
+    reduced iterated coproduct, one that prunes nothing its reader
+    multiplies by zero."""
+    found = []
+    for path, tree in _trees("src/torbar"):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) \
+                    or fn.name == "reduced_cop_terms":
+                continue
+            attrs = {n.attr for n in ast.walk(fn)
+                     if isinstance(n, ast.Attribute)}
+            splits = any(isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Attribute)
+                         and n.func.attr in ("cop_key", "cop_reduced_key")
+                         for n in ast.walk(fn))
+            if splits and "coaug_key" in attrs:
+                found.append(f"{path.name}:{fn.lineno}:{fn.name}")
+    assert not found, found
+
+
 def test_tracer_modules_are_the_package_modules():
     """`bench/tracing.py` imports every module in its `MODULES` list for a
     traced run, so the list must name exactly the package's modules: a
