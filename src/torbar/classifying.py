@@ -16,6 +16,7 @@ forgotten face is the projection EG -> BG; G acts on the first entry.
 """
 from itertools import product
 
+from .dg import CheckReport
 from .graded import GradedElement, _remember
 from .linalg import StructuralError
 from .simplicial import (SimplicialSet, SimplicialGroup, ConstantGroup,
@@ -220,7 +221,6 @@ class WTotal(SimplicialSet):
         """d_0 S e = e; d_1 S e = e_0 (p = 0); d_k S e = S d_{k-1} e; and
         the chain identities (dS + Sd) = 1 - (basepoint projection),
         SS = 0, S e_0 = 0."""
-        from .dg import CheckReport
         rep = CheckReport("S identities")
         base_key = self.basepoint_key()
         for key in keys:

@@ -231,4 +231,13 @@ def run_catalog_entry(field, name, max_total, sample_products=False):
         report.record(ring.table.totals.get(d, 0)
                       == oracle_ring.table.totals.get(d, 0),
                       ("oracle dims", d))
+    # the unit law: 1 . r_i has the coordinates e_i
+    reps = ring.table.representatives
+    for entry in ring.table.products:
+        (d1, i1), (d, i) = entry["factors"]
+        if (d1, i1) == (0, 0):
+            unit = [field.one if j == i else field.zero
+                    for j in range(len(reps[d]))]
+            report.record([field.parse(c) for c in entry["coords"] or ()]
+                          == unit, ("unit product", d, i))
     return ring, oracle_ring, report

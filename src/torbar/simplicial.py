@@ -42,10 +42,10 @@ and degeneracy are pure functions of (p, data):
 
 A memo that is full is emptied before its next entry.  Results are shared
 between callers and immutable (bools, keys and tuples).  The shapes of
-interval cuts depend only on (u.seq, n): `_cut_shapes` enumerates them
-once per pair, `_cut_shapes_by_dims` groups them by factor dimensions
-(keeping the enumeration order in each group), and each keeps those of
-the 256 most recent pairs.
+interval cuts depend only on (u.seq, n): `_cut_shapes` generates only the
+valid cuts, grouped by factor dimensions, once per pair, and keeps those
+of the 256 most recent pairs; the full cut reads the groups one after
+another.
 
 One more memo has the same form: a W-bar group (`classifying.WBarGroup`)
 memoizes its faces, keyed by (k, data), at most
@@ -53,11 +53,12 @@ memoizes its faces, keyed by (k, data), at most
 are not memoized.  Instead, one interval cut takes all of its factors'
 faces of one simplex through one table (vertex tuple -> face data, see
 `face_by_vertices_data`), so the deletions those faces share are taken
-once; `q_operation` takes its two faces the same way.  The table is
-transient, not a memo: the cut creates it and drops it when it returns.
+once.  The table is transient, not a memo: the cut creates it and drops
+it when it returns.
 """
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import (chain, combinations, combinations_with_replacement,
+                       product)
 
 from .dg import Dga, Dgc
 from .graded import (GradedElement, Tensor, _remember, bilinear,
@@ -312,7 +313,6 @@ class ProductSpace(SimplicialSet):
 def shuffles(p, q):
     """(p, q)-shuffles: pairs (alpha, beta) partitioning 0..p+q-1 with
     |alpha| = p, |beta| = q, plus the permutation sign."""
-    from itertools import combinations
     out = []
     universe = range(p + q)
     for alpha in combinations(universe, p):
@@ -437,55 +437,44 @@ AW = Surjection((1, 2))
 
 @lru_cache(maxsize=256)
 def _cut_shapes(seq, n):
-    """Shape-level interval cuts for a surjection on an n-simplex.
-
-    Returns a tuple of (sign, (vertex tuples per factor)); depends only on
-    (seq, n), so it is cached.  The sign is the Koszul permutation sign of
-    sorting the intervals by label with caesura weights (non-final
-    intervals count one extra), times (-1)^{endpoint} for every non-final
-    interval; this is the convention pinned by the displayed differential
-    identities of the cochain operations.
-    """
+    """The interval cuts of a surjection on an n-simplex as a dict, cached
+    since it depends only on (seq, n): factor dimensions -> tuple of
+    (sign, vertex tuple per factor), in the lexicographic order of the
+    cut points.  Only valid cuts are generated: an interval whose label
+    occurred before, at position s, starts after q_{s+1}, the end of that
+    interval, so each factor's vertices strictly increase.  The sign is
+    the Koszul permutation sign of sorting the intervals by label with
+    caesura weights (non-final intervals count one extra), times
+    (-1)^{endpoint} for every non-final interval; this is the convention
+    pinned by the displayed differential identities of the cochain
+    operations."""
     m = len(seq)
     r = max(seq)
     last = {v: t for t, v in enumerate(seq)}
     by_label = sorted(range(m), key=seq.__getitem__)
-    out = []
-    for cuts in combinations_with_replacement(range(n + 1), m - 1):
-        qs = (0,) + cuts + (n,)
+    cuts = [(0,)]
+    for t in range(1, m):
+        s = max((i for i in range(t) if seq[i] == seq[t]), default=None)
+        cuts = [qs + (q,) for qs in cuts for q in range(
+            qs[-1] if s is None else max(qs[-1], qs[s + 1] + 1), n + 1)]
+    groups = {}
+    for qs in cuts:
+        qs += (n,)
         verts = [[] for _ in range(r)]
-        for t in range(m):
-            verts[seq[t] - 1].extend(range(qs[t], qs[t + 1] + 1))
-        ok = True
-        for vs in verts:
-            if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
-                ok = False
-                break
-        if not ok:
-            continue
         endpoints = 0
         weights = []
-        for t in range(m):
+        for t, v in enumerate(seq):
+            verts[v - 1].extend(range(qs[t], qs[t + 1] + 1))
             w = qs[t + 1] - qs[t]
-            if last[seq[t]] != t:
+            if last[v] != t:
                 w += 1
                 endpoints += qs[t + 1]
             weights.append(w)
         sign = koszul_sign(weights, by_label)
         if endpoints % 2:
             sign = -sign
-        out.append((sign, tuple(tuple(vs) for vs in verts)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=256)
-def _cut_shapes_by_dims(seq, n):
-    """The shapes of `_cut_shapes(seq, n)` grouped by their factor
-    dimensions, each group in enumeration order."""
-    groups = {}
-    for term in _cut_shapes(seq, n):
-        groups.setdefault(tuple(len(vs) - 1 for vs in term[1]),
-                          []).append(term)
+        groups.setdefault(tuple(len(vs) - 1 for vs in verts), []).append(
+            (sign, tuple(tuple(vs) for vs in verts)))
     return {dims: tuple(terms) for dims, terms in groups.items()}
 
 
@@ -495,21 +484,18 @@ def interval_cut(u, key, dims=None):
     Returns a tuple of (coeff, tuple of factor SimplexKeys) with
     degenerate-factor terms dropped (normalization), memoized on the
     space of `key`.  With `dims` a tuple of factor dimensions, only the
-    terms whose factors have those dimensions are cut, in the order of
-    the full cut; a caller that pairs the factors with cochains of known
-    degrees reads no other term."""
-    if not isinstance(u, Surjection):
-        u = Surjection(tuple(u))
+    terms whose factors have those dimensions are cut; a caller that
+    pairs the factors with cochains of known degrees reads no other term.
+    The full cut reads the groups of `_cut_shapes` one after another."""
     X = key.space
     n = key.degree
     memo_key = (u.seq, dims, n, key.data)
     got = X._cut_memo.get(memo_key)
     if got is not None:
         return got
-    if dims is None:
-        shapes = _cut_shapes(u.seq, n)
-    else:
-        shapes = _cut_shapes_by_dims(u.seq, n).get(dims, ())
+    groups = _cut_shapes(u.seq, n)
+    shapes = (chain.from_iterable(groups.values()) if dims is None
+              else groups.get(dims, ()))
     out = []
     faces = {}
     for sign, shape in shapes:
@@ -630,8 +616,6 @@ def surjection_op(u, cochains):
     a_i pairs to zero with a factor of another degree, so only the terms
     of the cut whose factor dimensions are the |a_i| are cut, and each
     has the same Koszul pairing sign (-1)^{sum_{i<j} |a_i||a_j|}."""
-    if not isinstance(u, Surjection):
-        u = Surjection(tuple(u))
     space = cochains[0].space
     field = space.field
     zero = field.zero
@@ -690,31 +674,6 @@ class CochainHga:
         if len(as_) != k or len(bs) != l:
             raise ValueError("F_kl arity mismatch")
         return surjection_op(f_surjection(k, l), list(as_) + list(bs))
-
-
-def q_operation(key, k, l, pi, base_space):
-    """Q^n_{k,l}(sigma) = sigma(0..k, l..n) (x) pi_* sigma(k..l), both
-    faces taken through one table, as in `interval_cut`."""
-    X = key.space
-    n = key.degree
-    if not 0 <= k < l <= n:
-        raise ValueError("Q^n_{k,l} needs 0 <= k < l <= n")
-    field = X.field
-    faces = {}
-    first = X.face_by_vertices_data(
-        key.data, n, tuple(range(0, k + 1)) + tuple(range(l, n + 1)), faces)
-    dim1 = (k + 1) + (n - l + 1) - 1
-    second = X.face_by_vertices_data(key.data, n, tuple(range(k, l + 1)),
-                                     faces)
-    out = GradedElement(field)
-    if X.is_degenerate(dim1, first):
-        return out
-    pdata = pi(l - k, second)
-    if base_space.is_degenerate(l - k, pdata):
-        return out
-    out.add_in(GradedElement.single(
-        field, Tensor((X.key(dim1, first), base_space.key(l - k, pdata)))))
-    return out
 
 
 # ---------------------------------------------------------------------------

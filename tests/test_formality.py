@@ -106,6 +106,50 @@ def test_vanishing_suite():
     fo2.verify_vanishing_suite(4).raise_on_failure()
 
 
+def _face(X, n, data, vertices):
+    """The face of the n-simplex `data` on `vertices`, one vertex deleted
+    at a time from the highest down."""
+    for j in range(n, -1, -1):
+        if j not in vertices:
+            data = X.face(n, j, data)
+            n -= 1
+    return data
+
+
+def test_q_check_is_the_projected_121_cut():
+    """The suite's Q check, read off the (1, 2, 1) cut, fails on exactly
+    the simplices where some Q^n_{k,l} is nonzero by its definition:
+    sigma(0..k, l..n) nondegenerate in E and pi sigma(k..l) nondegenerate
+    in BT.  The samples are F-image simplices, where Q vanishes, and
+    random nondegenerate simplices of E, where it need not."""
+    fo = TorusFormality(QQ, 2)
+    E, BT = fo.E, fo.BT
+    keys = fo.f_image_simplices(4)
+    rng = random.Random(7)
+    for n in range(1, 5):
+        for _ in range(15):
+            # an (n + 1)-simplex of BT is an n-simplex of E
+            data = fo.random_simplex(n + 1, rng)
+            if data is not None and not E.is_degenerate(n, data):
+                keys.append(E.key(n, data))
+    nonzero = set()
+    for key in keys:
+        n, x = key.degree, key.data
+        for k in range(n + 1):
+            for l in range(k + 1, n + 1):
+                front = tuple(range(k + 1)) + tuple(range(l, n + 1))
+                first = _face(E, n, x, front)
+                second = E.projection(l - k, _face(E, n, x, range(k, l + 1)))
+                if not (E.is_degenerate(n - l + k + 1, first)
+                        or BT.is_degenerate(l - k, second)):
+                    nonzero.add(key)
+    fo.f_image_simplices = lambda bound, top_letter=False: (
+        [] if top_letter else keys)
+    rep = fo.verify_vanishing_suite(0)
+    assert {w[1] for w in rep.failures} == nonzero
+    assert rep.checked == len(keys) + 6 and nonzero
+
+
 def test_fstar_kills_hga_operations():
     rng = random.Random(83)
     for field, rank, bound in [(QQ, 1, 6), (F2, 1, 5), (F5, 2, 4)]:

@@ -6,7 +6,7 @@ from torbar.fields import QQ, F5, F2, PrimeField
 from torbar.graded import GradedElement
 from torbar.classifying import SubgroupInclusion, b_cyclic
 from torbar.dg import gc_algebra_map, polynomial_dga
-from torbar.homog import (CATALOG, catalog_entry, chain_level_tor,
+from torbar.homog import (CATALOG, TorRing, catalog_entry, chain_level_tor,
                           run_catalog_entry, tor_bar_algebra,
                           tor_koszul_oracle)
 from torbar.linalg import rank_dense_oracle
@@ -63,6 +63,25 @@ def test_catalog_entry_and_sampled_products(field, name):
     assert ring.table.products
     for entry in ring.table.products:
         assert entry["coords"] is not None, entry["factors"]
+
+
+def test_catalog_entry_checks_the_unit_law(monkeypatch):
+    """Each sampled product 1 . r_i is checked to have coordinates e_i: a
+    product that returns the zero vector fails every one of them."""
+    ring, _, report = run_catalog_entry(QQ, "SU(3)/T", 6,
+                                        sample_products=True)
+    units = [("unit product", d, i) for (d1, i1), (d, i)
+             in (entry["factors"] for entry in ring.table.products)
+             if (d1, i1) == (0, 0)]
+    assert report.ok and len(units) == 6
+
+    def zero_product(self, d1, i1, d2, i2):
+        return [self.field.zero] * len(self.table.representatives[d1 + d2])
+
+    monkeypatch.setattr(TorRing, "product_class", zero_product)
+    _, _, wrong = run_catalog_entry(QQ, "SU(3)/T", 6, sample_products=True)
+    assert wrong.checked == report.checked
+    assert wrong.failures == units
 
 
 def assert_products_rebuild(ring, osb, ks, field):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,6 @@ from torbar.simplicial import (SimplexComplex, standard_simplex,
                                Surjection, e_surjection,
                                f_surjection, AW, G12, G21, interval_cut,
                                Cochain, coboundary, cup, CochainHga,
-                               q_operation,
                                ConstantGroup, chain_complex_homology,
                                cochain_complex_homology, DualCochainDga,
                                ConstantFreeAbelian, ProductGroup)
@@ -197,7 +197,9 @@ def test_interval_cut_aw_case():
 
 def test_aw121_equals_sum_of_q_operations():
     # (1 (x) pi_*) AW_(1,2,1)(sigma) = sum (-1)^{(n-l)(l-k)+k} Q^n_{k,l}(sigma)
-    # with pi the identity projection; pins the interval-cut signs
+    # with pi the identity projection; pins the interval-cut signs.  On the
+    # standard simplex a face is its own vertex tuple, so Q^n_{k,l}(sigma)
+    # is (0..k, l..n) (x) (k..l)
     X = standard_simplex(QQ, 4)
     for n in (2, 3, 4):
         key = X.key(n, tuple(range(n + 1)))
@@ -207,8 +209,11 @@ def test_aw121_equals_sum_of_q_operations():
         rhs = GradedElement(QQ)
         for k in range(0, n + 1):
             for l in range(k + 1, n + 1):
+                front = tuple(range(k + 1)) + tuple(range(l, n + 1))
+                q = Tensor((X.key(n - l + k + 1, front),
+                            X.key(l - k, tuple(range(k, l + 1)))))
                 sign = QQ.of((-1) ** (((n - l) * (l - k) + k) % 2))
-                rhs.add_in(q_operation(key, k, l, lambda d, x: x, X), sign)
+                rhs.add_in(GradedElement.single(QQ, q), sign)
         assert lhs == rhs, f"n = {n}"
 
 
@@ -517,6 +522,32 @@ def test_interval_cut_same_on_miss_hit_and_twin():
                     assert all(isinstance(fs, tuple) for _, fs in miss)
                     assert _plain(miss) == _plain(fresh), (u, n, x)
                     assert all(k.space is twin for _, fs in fresh for k in fs)
+
+
+@pytest.mark.parametrize("u", [
+    AW, e_surjection(1), e_surjection(2), e_surjection(3), f_surjection(1, 1),
+    f_surjection(1, 2), f_surjection(2, 1), f_surjection(2, 2), G12, G21,
+    Surjection((1, 2, 3))], ids=repr)
+def test_cut_shapes_are_the_valid_cuts_by_dims(u):
+    """`_cut_shapes` generates exactly the cut point tuples whose factors'
+    vertex lists strictly increase, grouped by factor dimensions in order
+    of first appearance, each group in the lexicographic order of the cut
+    points.  f_11 is (2, 1, 2, 1)."""
+    m = len(u.seq)
+    for n in range(8):
+        groups = {}
+        for cuts in combinations_with_replacement(range(n + 1), m - 1):
+            qs = (0,) + cuts + (n,)
+            verts = [[] for _ in range(u.arity)]
+            for t, v in enumerate(u.seq):
+                verts[v - 1].extend(range(qs[t], qs[t + 1] + 1))
+            if all(a < b for vs in verts for a, b in zip(vs, vs[1:])):
+                groups.setdefault(tuple(len(vs) - 1 for vs in verts),
+                                  []).append(tuple(map(tuple, verts)))
+        got = simplicial._cut_shapes(u.seq, n)
+        assert list(got) == list(groups), (u, n)
+        assert {dims: [shape for _, shape in terms]
+                for dims, terms in got.items()} == groups, (u, n)
 
 
 def _compositions(total, parts, top):

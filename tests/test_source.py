@@ -403,11 +403,12 @@ def test_hga_operations_defined_once():
 
 
 def test_faces_by_vertices_only_in_cuts():
-    """Only `interval_cut`, `q_operation` and `reduced_subgroup` take a
-    face by its vertices.  The AW diagonal is the interval cut of (1, 2),
-    which shares the cut memo and takes the faces of one simplex through
-    one table; a second path to its faces fails here."""
-    allowed = {"interval_cut", "q_operation", "reduced_subgroup"}
+    """Only `interval_cut` and `reduced_subgroup` take a face by its
+    vertices.  The AW diagonal is the interval cut of (1, 2) and Q^n_{k,l}
+    is read off that of (1, 2, 1); each shares the cut memo and takes the
+    faces of one simplex through one table, so a second path to their
+    faces fails here."""
+    allowed = {"interval_cut", "reduced_subgroup"}
     found = []
 
     def visit(path, node, function):
@@ -419,6 +420,34 @@ def test_faces_by_vertices_only_in_cuts():
                 found.append(f"{path.name}:{child.lineno}:{function}")
             visit(path, child, child.name
                   if isinstance(child, ast.FunctionDef) else function)
+
+    for path, tree in _trees("src/torbar"):
+        visit(path, tree, None)
+    assert not found, found
+
+
+def test_one_cut_shape_table():
+    """`_cut_shapes` is the one table of interval-cut shapes, already
+    grouped by factor dimensions, and only `interval_cut` reads it;
+    `simplicial` caches no second function with `lru_cache`, such as a
+    regrouping of the shapes."""
+    found = []
+
+    def visit(path, node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == "_cut_shapes"
+                    and function != "interval_cut"):
+                found.append(f"{path.name}:{child.lineno}:{function}")
+            if isinstance(child, ast.FunctionDef):
+                if (path.name == "simplicial.py"
+                        and child.name != "_cut_shapes"
+                        and any("lru_cache" in ast.dump(d)
+                                for d in child.decorator_list)):
+                    found.append(f"{path.name}:{child.lineno}:{child.name}"
+                                 " (lru_cache)")
+                visit(path, child, child.name)
+            else:
+                visit(path, child, function)
 
     for path, tree in _trees("src/torbar"):
         visit(path, tree, None)
