@@ -7,7 +7,7 @@ coefficients folded outward; entries are reduced (no unit factors).  A
 word [a_1|...|a_k] denotes the desuspended tensor s^{-1}a_1 (x) ... and
 has degree sum(|a_i| - 1).  A `BarDgc` hands out one `BarWord` per tuple
 of entries from its table, and every construction that holds a bar
-(`KSAlgebra`, the families and the Gamma map of `shm`) builds its words
+(`KSAlgebra`, the dgc map of a twisting cochain) builds its words
 through it.  A bar is built once, by the one-sided bar that owns it, and
 a dgc map into a bar (`dgc_map_from_cochain`) is given it as its target.
 """
@@ -212,7 +212,7 @@ def dgc_map_from_cochain(t, barA):
             out.add_in(barA.words_from_elements([t(k) for k in keys]), c)
         return out
 
-    return LinearMap(field, 0, rule, name=f"B<{t.name}>")
+    return LinearMap(0, rule)
 
 
 def check_dgc_map(g, C, D, keys):
@@ -290,7 +290,8 @@ class TorTable:
         self.totals = dict(totals)
         self.representatives = representatives
         self.spaces = spaces
-        # sampled products, set by `homog`
+        # sampled products, set by `homog`, their coordinates field
+        # elements (None for a product outside the class space)
         self.products = []
 
     def poincare(self):
@@ -313,7 +314,10 @@ class TorTable:
             "totals": {str(d): v for d, v in sorted(self.totals.items())},
         }
         if self.products:
-            data["products"] = self.products
+            data["products"] = [
+                {**entry, "coords": None if entry["coords"] is None
+                 else [str(c) for c in entry["coords"]]}
+                for entry in self.products]
         return data
 
     def __repr__(self):

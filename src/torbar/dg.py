@@ -29,10 +29,9 @@ keys mostly hit on identity; its basis of each degree is enumerated once,
 and the product of each pair of monomials is kept in a second table of
 the same cap.
 
-The module also provides the convolution algebra Hom(C, A) with its cup
-product and the geometric-series inverse of 1 + k, twisting cochains,
-twisted tensor products, and gauge transformations, which give the
-non-strict twisting cochains the shm tests run on.
+The module also provides the convolution algebra Hom(C, A) with its unit,
+cup product and differential, twisting cochains and twisted tensor
+products.
 """
 from itertools import product
 
@@ -281,8 +280,7 @@ class HomAlgebra:
     def unit(self):
         """eta_A eps_C."""
         A, C = self.A, self.C
-        return LinearMap(self.field, 0,
-                         lambda k: A.one().scale(C.counit_key(k)), name="1")
+        return LinearMap(0, lambda k: A.one().scale(C.counit_key(k)))
 
     def cup(self, f, g):
         """f u g = mu_A (f (x) g) Delta_C."""
@@ -301,7 +299,7 @@ class HomAlgebra:
                     c, parity_sign(field, g.degree * k1.degree)))
             return out
 
-        return LinearMap(self.field, f.degree + g.degree, rule)
+        return LinearMap(f.degree + g.degree, rule)
 
     def d(self, f):
         """d(f) = d_A f - (-1)^{|f|} f d_C (`graded.d_operation`)."""
@@ -311,36 +309,7 @@ class HomAlgebra:
             return d_operation(lambda xs: f.of(xs[0]), f.degree, C.d, A.d,
                                [GradedElement.single(field, key)])
 
-        return LinearMap(self.field, f.degree + self.A.ddeg, rule)
-
-    def geometric_inverse(self, h):
-        """Inverse of h = 1 + k in Hom_0: sum_n (1 - h)^{u n}.
-
-        Terminates degreewise because C is cocomplete;
-        `Dgc.reduced_cop_terms` raises on non-conilpotent input and skips
-        the terms with a front slot that k sends to zero.
-        """
-        if not self.C.cocomplete:
-            raise StructuralError("homotopy inverse needs a cocomplete dgc")
-        A, C, field = self.A, self.C, self.field
-        unit = self.unit()
-
-        def k_map(key):
-            return h(key) - unit(key)
-
-        def rule(key):
-            # sum over n of (-1)^n k^{u n}(key); k has even degree so there
-            # are no Koszul signs inside the cup powers.  Copy the unit value:
-            # memoized map results must never be mutated.
-            out = GradedElement(field)
-            out.add_in(unit(key))
-            for c, keys in C.reduced_cop_terms(
-                    key, lambda k: not k_map(k).is_zero()):
-                out.add_in(A.mul_many([k_map(k2) for k2 in keys]),
-                           field.mul(c, parity_sign(field, len(keys))))
-            return out
-
-        return LinearMap(self.field, 0, rule, name="h^-1")
+        return LinearMap(f.degree + self.A.ddeg, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +369,7 @@ class TwistingCochain:
         self.C = C
         self.A = A
         self.name = name
-        self.map = rule if isinstance(rule, LinearMap) else \
-            LinearMap(C.field, C.ddeg, rule, name=name)
-        if self.map.degree != C.ddeg:
-            raise ValueError(f"twisting cochain must have degree {C.ddeg}")
+        self.map = LinearMap(C.ddeg, rule)
 
     def __call__(self, key):
         return self.map(key)
@@ -457,10 +423,8 @@ class TwistedTensor:
             return out
 
         neg_one = field.neg(field.one)
-        self._diff = LinearMap(
-            self.field, self.ddeg,
-            lambda k: tensor_diff_key(C, A, k).add_in(delta_t(k), neg_one),
-            name="d_t")
+        self._diff = LinearMap(self.ddeg, lambda k: tensor_diff_key(
+            C, A, k).add_in(delta_t(k), neg_one))
 
     def key(self, ck, ak):
         return Tensor((ck, ak))
@@ -511,8 +475,8 @@ class FreeDga(Dga):
     `gens`: list of (name, degree); `d_gen`: dict name -> element spec,
     where a spec is a list of (coeff, [names...]) pairs.  The differential
     extends by the Leibniz rule.  The universal test bed: an identity of
-    the bar construction, twisting cochains or shm families that fails in
-    general fails here.
+    the bar construction or of twisting cochains that fails in general
+    fails here.
     """
 
     def __init__(self, field, gens, d_gen=None):
@@ -876,40 +840,3 @@ class TensorDgc(Dgc):
     def counit_key(self, key):
         kc, kd = key.parts
         return self.field.mul(self.C.counit_key(kc), self.D.counit_key(kd))
-
-
-# ---------------------------------------------------------------------------
-# Gauge transformations: synthetic nonstrict twisting cochains
-# ---------------------------------------------------------------------------
-
-def gauge_transform(t, k_rule):
-    """The twisting cochain t' = h^{-1} u t u h - h^{-1} u d(h), t: C -> A
-    conjugated by h = 1 + k.
-
-    `k_rule` is a degree-0 LinearMap C -> A with k(coaug) = 0 and values in
-    the augmentation ideal.  On C = B A with t universal, t' is the
-    cochain of an shm map A => A (`shm.TwistingFamily`), non-strict for
-    a generic k.
-    """
-    hom = HomAlgebra(t.C, t.A)
-    h_map = hom.unit() + k_rule
-    h_inv = hom.geometric_inverse(h_map)
-    dh = hom.d(h_map)
-    t_prime_map = hom.cup(h_inv, hom.cup(t.map, h_map)) - hom.cup(h_inv, dh)
-    return TwistingCochain(t.C, t.A, t_prime_map, name=f"{t.name}'")
-
-
-def random_gauge_rule(C, A, rng, degrees):
-    """A random degree-0 map C -> bar A vanishing on the coaugmentation.
-
-    Values are random augmentation-ideal elements of matching degree; the
-    `LinearMap` memoizes each value, so repeated evaluation is stable.
-    """
-    field = C.field
-
-    def rule(key):
-        if key == C.coaug_key or key.degree not in degrees:
-            return GradedElement(field)
-        return A.reduced(A.random_element(key.degree, rng, terms=2))
-
-    return LinearMap(field, 0, rule, name="k")

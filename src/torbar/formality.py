@@ -82,8 +82,8 @@ class TorusFormality:
         self.H = self.K.D.algebra
         self.hga = CochainHga(self.BT)
         # F: K -> C(ET) and f: S -> C(BT), each computed once per key
-        self.F_key = LinearMap(field, 0, self._F_rule, name="F")
-        self.f_key = LinearMap(field, 0, self._f_rule, name="f")
+        self.F_key = LinearMap(0, self._F_rule)
+        self.f_key = LinearMap(0, self._f_rule)
         # representative loops: the canonical generators of Z^n, optionally
         # symmetrized  c~ = (c - iota_* c)/2
         self.loops = []

@@ -13,18 +13,16 @@ or after its table was emptied, finds the same entries.
 are never stored.  `LinearMap` is a lazy degree-homogeneous map given by a
 rule on keys.  `expand` is the one multilinear expansion: x (x) y
 (`tensor_elements`), bilinear extensions of a rule on key pairs
-(`bilinear`: products, shuffles), bar words and the components of shm
-families all pick their pure terms through it and add whatever Koszul
-signs they need themselves.
+(`bilinear`: products, shuffles) and bar words all pick their pure terms
+through it and add whatever Koszul signs they need themselves.
 
 This module is the one home of Koszul signs.  `parity_sign` is the one
 (-1)^e in a field; `koszul_sign` the sign of permuting graded symbols and
 `interleave_exponent` its O(n) form for un-interleaving pairs;
-`suspension_exponent` the one desuspension sign of bar words, twisting
-families and braces.  `d_operation` is the one differential of a
-multilinear operation, d(op) = d op - (-1)^{|op|} op d: the Leibniz check
-of a dga, the differential of Hom(C, A) and the differential axioms of
-the hga and shm layers all go through it.
+`suspension_exponent` the one desuspension (brace) sign.  `d_operation`
+is the one differential of a multilinear operation, d(op) = d op -
+(-1)^{|op|} op d: the Leibniz check of a dga, the differential of
+Hom(C, A) and the differential axioms of the hga layer all go through it.
 """
 
 
@@ -137,10 +135,6 @@ class GradedElement:
         out = GradedElement(self.field, dict(self.terms))
         return out.add_in(other, self.field.neg(self.field.one))
 
-    def __neg__(self):
-        f = self.field
-        return GradedElement(f, {k: f.neg(c) for k, c in self.terms.items()})
-
     def scale(self, scalar):
         f = self.field
         if scalar == f.zero:
@@ -214,11 +208,9 @@ class LinearMap:
     linearly.  The value on each key is computed once and memoized.
     """
 
-    def __init__(self, field, degree, rule, name=""):
-        self.field = field
+    def __init__(self, degree, rule):
         self.degree = degree
         self._rule = rule
-        self.name = name
         self._memo = {}
 
     def __call__(self, key):
@@ -232,36 +224,6 @@ class LinearMap:
         if not isinstance(elem, GradedElement):
             raise TypeError("LinearMap applies to GradedElement")
         return elem.map_keys(self)
-
-    def __matmul__(self, other):
-        """Composition self o other (no sign: composition of maps)."""
-        return LinearMap(self.field, self.degree + other.degree,
-                         lambda k: self.of(other(k)),
-                         name=f"{self.name}o{other.name}")
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("adding maps of different degrees")
-        return LinearMap(self.field, self.degree,
-                         lambda k: self(k) + other(k))
-
-    def __sub__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("subtracting maps of different degrees")
-        return LinearMap(self.field, self.degree,
-                         lambda k: self(k) - other(k))
-
-
-def transpose_tensor(elem):
-    """T(a (x) b) = (-1)^{|a||b|} b (x) a on Tensor pairs."""
-    field = elem.field
-
-    def rule(key):
-        a, b = key.parts
-        return GradedElement.single(field, Tensor((b, a)),
-                                    parity_sign(field, a.degree * b.degree))
-
-    return elem.map_keys(rule)
 
 
 def parity_sign(field, exponent):

@@ -14,8 +14,7 @@ structure, fixed by the hgas of their two algebras.
 """
 from .graded import (GradedElement, Tensor, bilinear, d_operation,
                      parity_sign, suspension_exponent, tensor_elements)
-from .dg import (CheckReport, FreeGcDga, TwistingCochain, TensorDgc,
-                 FreeGcCoalgebra, TwistedTensor)
+from .dg import CheckReport, FreeGcDga, TwistingCochain, TensorDgc
 from .bar import dgc_map_from_cochain
 from .simplicial import CochainHga, DualCochainDga
 
@@ -38,9 +37,6 @@ class VectorHga:
                              f"{type(dga).__name__}")
         self.dga = dga
         self.field = dga.field
-
-    def zero(self):
-        return self.dga.zero()
 
     def d(self, x):
         return self.dga.d(x)
@@ -424,31 +420,6 @@ class KSAlgebra:
         return rep
 
 
-# ---------------------------------------------------------------------------
-# The Gugenheim-May twisting cochain and small model
-# ---------------------------------------------------------------------------
-
-def gm_twisting_cochain(hga, reps):
-    """t_GM on the exterior coalgebra of x_i with |x_i| = |b_i| - 1:
-    t_GM(x_i) = b_i, t_GM(x_{i_1} ^ ... ^ x_{i_k}) =
-    E_1(...E_1(E_1(b_{i_1}; b_{i_2}); b_{i_3}); ...; b_{i_k})."""
-    field = hga.field
-    degs = {}
-    for name, b in reps.items():
-        d = b.degree()
-        if d is None or d % 2:
-            raise ValueError("representatives must have even positive degree")
-        degs[name] = d - 1
-    coalg = FreeGcCoalgebra(field, list(degs.items()), 1)
-
-    def rule(key):
-        if not key.powers:
-            return hga.zero()
-        return gm_repeated_cup1(hga, [reps[n] for n, _ in key.powers])
-
-    return TwistingCochain(coalg, hga.dga, rule, name="t_GM"), coalg
-
-
 def gm_repeated_cup1(hga, reps_list):
     """E_1(...E_1(E_1(b_1; b_2); b_3)...; b_k), which is
     (-1)^{k-1} (((b_1 u1 b_2) u1 b_3) u1 ...) u1 b_k as u1 = -E_1.
@@ -459,10 +430,3 @@ def gm_repeated_cup1(hga, reps_list):
     for b in reps_list[1:]:
         out = hga.E(1, out, [b])
     return out
-
-
-def gm_small_model(hga, reps):
-    """The twisted tensor Lambda(x) (x)_{t_GM} C for the small model, C
-    the dga of the hga."""
-    t, _ = gm_twisting_cochain(hga, reps)
-    return TwistedTensor(t)

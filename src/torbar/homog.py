@@ -72,12 +72,10 @@ def _attach_products(ring, max_total):
                 if d1 + d2 > max_total or d2 < d1:
                     continue
                 for i2 in range(len(table.representatives.get(d2, []))):
-                    coords = ring.product_class(d1, i1, d2, i2)
                     entries.append({
                         "factors": [[d1, i1], [d2, i2]],
                         "degree": d1 + d2,
-                        "coords": [str(c) for c in coords]
-                        if coords is not None else None,
+                        "coords": ring.product_class(d1, i1, d2, i2),
                     })
     table.products = entries
 
@@ -238,6 +236,5 @@ def run_catalog_entry(field, name, max_total, sample_products=False):
         if (d1, i1) == (0, 0):
             unit = [field.one if j == i else field.zero
                     for j in range(len(reps[d]))]
-            report.record([field.parse(c) for c in entry["coords"] or ()]
-                          == unit, ("unit product", d, i))
+            report.record(entry["coords"] == unit, ("unit product", d, i))
     return ring, oracle_ring, report

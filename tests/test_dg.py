@@ -9,8 +9,7 @@ from torbar.graded import GradedElement, koszul_sign
 from torbar.linalg import StructuralError
 from torbar.dg import (FreeDga, FreeGcDga, polynomial_dga,
                        TensorDga, TensorDgc, HomAlgebra, TwistingCochain,
-                       TwistedTensor, gauge_transform, random_gauge_rule,
-                       check_d_squared, FreeGcCoalgebra)
+                       TwistedTensor, check_d_squared, FreeGcCoalgebra)
 from torbar.bar import BarDgc, OneSidedBar, universal_cochain
 from torbar.formality import KoszulComplex
 
@@ -144,7 +143,7 @@ def test_free_gc_products_are_kept_and_never_mutated(data):
 def test_exterior_sign():
     L = FreeGcDga(QQ, [("x1", 1), ("x2", 1)])
     x1, x2 = L.generator("x1"), L.generator("x2")
-    assert L.mul(x2, x1) == -L.mul(x1, x2)
+    assert L.mul(x2, x1) == L.mul(x1, x2).scale(QQ.of(-1))
     assert L.mul(x1, x1).is_zero()
 
 
@@ -207,29 +206,6 @@ def test_cup_of_universal_on_length_two():
     out = tt(w)
     expected = A.mul(A.generator("u"), A.generator("v")).scale(QQ.of((-1) ** (2 - 1)))
     assert out == expected
-
-
-def test_gauge_transform_and_homotopy():
-    """t' is a twisting cochain, the gauge homotopy h = 1 + k has
-    geometric_inverse(h) as its two-sided cup inverse, and the inverse of
-    the unit is the unit."""
-    rng = random.Random(7)
-    A = free_dga()
-    barA = BarDgc(A)
-    t = universal_cochain(barA)
-    k = random_gauge_rule(barA, A, rng, degrees=range(1, 9))
-    keys = [k2 for d in range(0, 8) for k2 in barA.basis(d)]
-    gauge_transform(t, k).check(keys).raise_on_failure()
-    hom = HomAlgebra(barA, A)
-    unit = hom.unit()
-    h = unit + k
-    hinv = hom.geometric_inverse(h)
-    for kk in keys:
-        assert hom.cup(h, hinv)(kk) == unit(kk)
-        assert hom.cup(hinv, h)(kk) == unit(kk)
-    unit_inv = hom.geometric_inverse(unit)
-    for kk in keys:
-        assert unit_inv(kk) == unit(kk)
 
 
 def test_twisted_tensor_d_squared_and_delta_h():

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torbar.fields import QQ, F2, F5
-from torbar.graded import (GradedElement, Tensor, transpose_tensor,
-                           tensor_elements, koszul_sign,
+from torbar.graded import (GradedElement, Tensor, tensor_elements, koszul_sign,
                            interleave_exponent, parity_sign)
 
 
@@ -50,16 +49,6 @@ def test_prime_field_multiple_of_p_is_zero_in_constructor():
 
 def test_prime_field_multiple_of_p_is_zero_in_single():
     assert GradedElement.single(F5, K("a", 1), 5).is_zero()
-
-
-def test_transpose():
-    for da, db, want in [(0, 3, 1), (1, 1, -1), (2, 1, 1), (3, 3, -1)]:
-        e = GradedElement.single(QQ, Tensor((K("a", da), K("b", db))))
-        t = transpose_tensor(e)
-        (k, c), = t.terms.items()
-        assert k == Tensor((K("b", db), K("a", da)))
-        assert c == want
-        assert transpose_tensor(t) == e  # involution
 
 
 def test_tensor_elements_and_sign_helper():

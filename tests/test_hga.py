@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from torbar.fields import QQ, F2, F5
 from torbar.graded import GradedElement, Tensor
-from torbar.dg import (FreeDga, FreeGcDga, TensorDga, polynomial_dga,
-                       check_d_squared)
+from torbar.dg import FreeDga, FreeGcDga, TensorDga, polynomial_dga
 from torbar.bar import (BarDgc, BarWord, OneSidedBar, check_dgc_map,
                         bar_shuffle)
 from torbar.simplicial import (simplex_boundary, standard_simplex,
@@ -18,8 +17,7 @@ from torbar.homog import catalog_entry, tor_bar_algebra
 from torbar.hga import (VectorHga, check_hga, check_extended,
                         check_cup_identities, gerstenhaber_bracket,
                         bracket_vanishing_witness, bar_e_cochain,
-                        bar_product_map, bar_product, KSAlgebra,
-                        gm_twisting_cochain, gm_repeated_cup1, gm_small_model)
+                        bar_product_map, bar_product, KSAlgebra)
 
 
 def boundary_delta3_instance(field):
@@ -301,63 +299,6 @@ def test_ks_componentwise_term():
     # (1 (x) a) o (w (x) 1): only the m = l term survives with a of even deg
     out = ks.product_keys(x, y)
     assert not out.is_zero()
-
-
-def test_gm_twisting_cochain_delta3():
-    rng = random.Random(66)
-    X = simplex_boundary(QQ, 3)
-    A = DualCochainDga(X, 8)
-    hga = VectorHga(A)
-    # two degree-2 cocycle representatives (all 2-cochains are cocycles)
-    b1 = A.random_element(2, rng)
-    b2 = A.random_element(2, rng)
-    t, coalg = gm_twisting_cochain(hga, {"x1": b1, "x2": b2})
-    t.check([k for d in range(3) for k in coalg.basis(d)]).raise_on_failure()
-    # values match the displayed form
-    k1 = coalg.algebra.monomial(["x1"])
-    assert t(k1) == b1
-    k12 = coalg.algebra.monomial(["x1", "x2"])
-    assert t(k12) == hga.E(1, b1, [b2])
-    assert t(k12) == gm_repeated_cup1(hga, [b1, b2])
-    assert t(coalg.coaug_key).is_zero()
-
-
-def test_gm_twisting_cochain_k_z2():
-    G = b_cyclic(F2, 2)
-    K = wbar(G)
-    A = DualCochainDga(K, 5)
-    hga = VectorHga(A)
-    # the fundamental 2-cocycle
-    b = A.element(A.basis(2)[0])
-    assert A.d(b).is_zero()
-    t, coalg = gm_twisting_cochain(hga, {"x": b})
-    t.check([k for d in range(2) for k in coalg.basis(d)]).raise_on_failure()
-
-
-def test_gm_small_model_d_squared():
-    # use B(Z_2) = RP^infty over F_2: one cell per degree, cheap slices
-    G = ConstantGroup(F2, (2,))
-    X = wbar(G)
-    A = DualCochainDga(X, 8)
-    hga = VectorHga(A)
-    b = A.element(A.basis(2)[0])
-    assert A.d(b).is_zero()
-    tt = gm_small_model(hga, {"x": b})
-    keys = []
-    for ck in [k for d in range(2) for k in tt.C.basis(d)]:
-        for d in range(0, 6):
-            for ak in A.basis(d):
-                keys.append(tt.key(ck, ak))
-    check_d_squared(tt, keys, "twisted tensor d^2")
-    # rank 1: d(x (x) c) = +-(1 (x) b c) -+ (x (x) dc)
-    x_key = tt.C.algebra.monomial(["x"])
-    c = A.basis(1)[0]
-    val = tt.diff_key(tt.key(x_key, c))
-    one_key = tt.C.coaug_key
-    bc = A.mul(b, A.element(c))
-    for k, coeff in val.terms.items():
-        ck, ak = k.parts
-        assert ck in (one_key, x_key)
 
 
 def _ks_catalog_triples():

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -94,7 +95,7 @@ def assert_products_rebuild(ring, osb, ks, field):
         z = ks.product(GradedElement(field, dict(reps[d1][i1])),
                        GradedElement(field, dict(reps[d2][i2])))
         for r, c in zip(reps[d], entry["coords"]):
-            z = z - GradedElement(field, dict(r)).scale(field.parse(c))
+            z = z - GradedElement(field, dict(r)).scale(c)
         boundaries = [osb.diff_key(k).terms for k in osb.basis_total(d - 1)]
         boundaries = [b for b in boundaries if b]
         cols = osb.basis_total(d)
@@ -163,6 +164,21 @@ def test_tor_table_to_json():
     data = sampled.table.to_json()
     assert len(data["products"]) == 14
     assert json.loads(json.dumps(data)) == data
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_product_coordinates_are_field_elements(field):
+    """The table keeps each product coordinate as a field element, an int
+    in range over F5 and an int or a `Fraction` over Q; `to_json` writes
+    the `str` of each."""
+    ring, _, _ = bar_ring(field, "U(3)/U(1)^3", 6, sample_products=True)
+    written = ring.table.to_json()["products"]
+    assert len(written) == len(ring.table.products)
+    for entry, text in zip(ring.table.products, written):
+        for c in entry["coords"]:
+            assert isinstance(c, (int, Fraction)) if field is QQ \
+                else isinstance(c, int) and 0 <= c < 5
+        assert text["coords"] == [str(c) for c in entry["coords"]]
 
 
 def test_tor_table_repr():
