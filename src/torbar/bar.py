@@ -61,7 +61,9 @@ WORD_CAP = 1 << 16
 
 
 class BarDgc(Dgc):
-    """B A for an augmented dga A (cohomological grading).
+    """B A for a connected dga A (cohomological grading): A's degree 0
+    is spanned by the unit, so an entry, its differential and the
+    product of two entries have positive degree and need no reduction.
 
     Every word it makes comes from its table (`_intern`, keyed by the
     entries).  The differential and the coproduct of each word are
@@ -74,9 +76,9 @@ class BarDgc(Dgc):
         super().__init__(A.field)
         if A.ddeg != 1:
             raise ValueError("bar construction expects a cochain-type dga")
-        if getattr(A, "unit_key", None) is None:
-            raise ValueError("bar construction needs a basis-adapted unit "
-                             "(connected dga)")
+        if list(A.basis(0)) != [A.unit_key]:
+            raise ValueError("bar construction needs a connected dga: its "
+                             "degree 0 spanned by the unit key")
         self.A = A
         self.ddeg = 1
         self._words = {}
@@ -97,10 +99,10 @@ class BarDgc(Dgc):
         return self._intern(tuple(keys))
 
     def words_from_elements(self, elems):
-        """Multilinear expansion of [x_1|...|x_k] with reduced entries."""
-        reduced = (self.A.reduced(x) for x in elems)
+        """Multilinear expansion of [x_1|...|x_k], the x_i of positive
+        degree (so without unit terms)."""
         return GradedElement(self.field, [(self._intern(keys), c) for keys, c
-                                          in expand(self.field, reduced)])
+                                          in expand(self.field, elems)])
 
     def basis(self, degree):
         """Bar words of the given bar degree (A must be simply connected),
@@ -148,8 +150,6 @@ class BarDgc(Dgc):
             if not da.is_zero():
                 sgn = parity_sign(field, pre + 1)
                 for k, c in da.terms.items():
-                    if A.aug_key(k) != field.zero:
-                        continue
                     w = self._intern(entries[:i] + (k,) + entries[i + 1:])
                     out.add_in(GradedElement.single(field, w),
                                field.mul(sgn, c))
@@ -158,7 +158,7 @@ class BarDgc(Dgc):
         for i in range(len(entries) - 1):
             pre += entries[i].degree - 1
             sgn = parity_sign(field, pre)
-            prod = A.reduced(A.mul_keys(entries[i], entries[i + 1]))
+            prod = A.mul_keys(entries[i], entries[i + 1])
             for k, c in prod.terms.items():
                 w = self._intern(entries[:i] + (k,) + entries[i + 2:])
                 out.add_in(GradedElement.single(field, w), field.mul(sgn, c))

@@ -472,8 +472,12 @@ class TorusFormality:
 
 
 def formality_report(field, rank, degree_bound, rng=None):
-    """Bundled verification: the structural checks plus the vanishing
-    suites, as a dict of CheckReports."""
+    """Bundled verification, as a dict of CheckReports: `koszul_d2`,
+    `chain_map`, `coalgebra_map`, `equivariance`, `s_identities`, `phi`,
+    `transgression`, `f_star_multiplicative`, `vanishing` (the one suite
+    run here, `verify_vanishing_suite`) and `operations`.  The suites
+    `cup2_vanishing`, `sq0_witness` and `kernel_ideal_suite` run in the
+    tests only."""
     rng = rng or random.Random(0)
     fo = TorusFormality(field, rank)
     reports = {

@@ -14,7 +14,7 @@ structure, fixed by the hgas of their two algebras.
 """
 from .graded import (GradedElement, Tensor, bilinear, d_operation,
                      parity_sign, suspension_exponent, tensor_elements)
-from .dg import CheckReport, FreeGcDga, TwistingCochain, TensorDgc
+from .dg import CheckReport, Dga, FreeGcDga, TwistingCochain, TensorDgc
 from .bar import dgc_map_from_cochain
 from .simplicial import CochainHga, DualCochainDga
 
@@ -326,8 +326,10 @@ def bar_product(barA, x, y, mu=None):
     return bilinear(barA.field, lambda k1, k2: mu(Tensor((k1, k2))), x, y)
 
 
-class KSAlgebra:
-    """B(k, A, A') with the Kadeishvili-Saneblidze product.
+class KSAlgebra(Dga):
+    """B(k, A, A') with the Kadeishvili-Saneblidze product, a `Dga` on the
+    one-sided bar's keys: its unit is [] (x) 1, its differential the one
+    of the one-sided bar, and `Dga.mul` extends `mul_keys` bilinearly.
 
     (a (x) a) o (b (x) b) = sum_m +-
         (a o [b_1|..|b_m]) (x) frakE(a; [b_{m+1}|..|b_l]) b,
@@ -339,85 +341,45 @@ class KSAlgebra:
     """
 
     def __init__(self, osb):
+        super().__init__(osb.field)
         self.osb = osb
         self.coef_hga = VectorHga(osb.A)
-        self.field = osb.field
-        self._mu = None
+        self.mu = bar_product_map(osb.C)
+        self.unit_key = osb.key(osb.C.coaug_key, osb.A.unit_key)
 
-    def mu(self):
-        if self._mu is None:
-            self._mu = bar_product_map(self.osb.C)
-        return self._mu
+    def diff_key(self, key):
+        return self.osb.diff_key(key)
 
-    def frak_e(self, a_elem, entries):
-        """frakE(a; [b_{m+1}..b_l]) with entries pushed into the coefficients."""
+    def frak_e(self, akey, entries):
+        """frakE(a; [b_{m+1}..b_l]) on the coefficient key a, the entries
+        pushed into the coefficients: zero on the unit for nonempty
+        entries, since the reduced unit is zero."""
+        B = self.osb.A
         if not entries:
-            return a_elem
-        abar = self.coef_hga.dga.reduced(a_elem)
-        if abar.is_zero():
-            return abar
-        return braced_E(self.coef_hga, abar,
+            return B.element(akey)
+        if akey == B.unit_key:
+            return B.zero()
+        return braced_E(self.coef_hga, B.element(akey),
                         [self.osb.f(GradedElement.single(self.field, e))
                          for e in entries])
 
-    def unit(self):
-        return self.osb.element(self.osb.C.coaug_key,
-                                self.coef_hga.dga.unit_key)
-
-    def product_keys(self, key1, key2):
+    def mul_keys(self, key1, key2):
         w1, b1k = key1.parts
         w2, b2k = key2.parts
-        field = self.field
-        mu = self.mu()
+        field, B = self.field, self.osb.A
         out = GradedElement(field)
-        a_elem = GradedElement.single(field, b1k)
-        l = w2.length
-        for m in range(0, l + 1):
+        for m in range(0, w2.length + 1):
             head = self.osb.C.word(w2.entries[:m])
-            tail = w2.entries[m:]
-            sign = parity_sign(field, b1k.degree * head.degree)
-            bars = mu(Tensor((w1, head)))
+            bars = self.mu(Tensor((w1, head)))
             if bars.is_zero():
                 continue
-            coef = self.frak_e(a_elem, tail)
+            coef = self.frak_e(b1k, w2.entries[m:])
             if coef.is_zero():
                 continue
-            coef = self.coef_hga.mul(coef, GradedElement.single(field, b2k))
-            out.add_in(tensor_elements(field, bars, coef), sign)
+            out.add_in(tensor_elements(field, bars,
+                                       B.mul(coef, B.element(b2k))),
+                       parity_sign(field, b1k.degree * head.degree))
         return out
-
-    def product(self, x, y):
-        return bilinear(self.field, self.product_keys, x, y)
-
-    def check_dga(self, keys):
-        """The two unit laws and the derivation property (the differential
-        of the product vanishes) on the given keys.  Associativity is
-        `check_associativity`."""
-        field = self.field
-        rep = CheckReport("KS product")
-        unit = self.unit()
-        for k in keys:
-            e = GradedElement.single(field, k)
-            rep.record(self.product(e, unit) == e, ("unit-r", k))
-            rep.record(self.product(unit, e) == e, ("unit-l", k))
-        for i, k1 in enumerate(keys):
-            for k2 in keys[:max(1, len(keys) // 4)]:
-                defect = d_operation(
-                    lambda xs: self.product(*xs), 0, self.osb.d, self.osb.d,
-                    [GradedElement.single(field, k1),
-                     GradedElement.single(field, k2)])
-                rep.record(defect.is_zero(), ("derivation", k1, k2))
-        return rep
-
-    def check_associativity(self, triples):
-        field = self.field
-        rep = CheckReport("KS associativity")
-        for k1, k2, k3 in triples:
-            e1, e2, e3 = (GradedElement.single(field, k) for k in (k1, k2, k3))
-            lhs = self.product(self.product(e1, e2), e3)
-            rhs = self.product(e1, self.product(e2, e3))
-            rep.record(lhs == rhs, (k1, k2, k3))
-        return rep
 
 
 def gm_repeated_cup1(hga, reps_list):

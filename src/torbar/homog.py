@@ -5,7 +5,8 @@ simplicial groups, and a catalog of known-answer pairs.
 
 Every Tor route takes one pair (A, B, f): the algebras A = H*(BG) and
 B = H*(BK) and the algebra map f: A -> B, built once per field
-(`catalog_entry`) and shared by the bar route and the oracle.
+(`catalog_entry`) and shared by the bar route and the oracle, and
+returns a `TorRing` holding the dga whose homology it computed.
 """
 from .graded import GradedElement
 from .linalg import express_class, StructuralError
@@ -22,15 +23,14 @@ from .classifying import wbar
 # ---------------------------------------------------------------------------
 
 class TorRing:
-    """A Tor table together with the product on chosen representatives.
+    """A Tor table together with the dga whose homology it is: the
+    table's class spaces give the coordinates of every product
+    `dga.mul` of representatives."""
 
-    `mul(x, y)` multiplies two GradedElements of the complex; the table's
-    class spaces give the coordinates of every product."""
-
-    def __init__(self, table, field, mul):
+    def __init__(self, table, dga):
         self.table = table
-        self.field = field
-        self._mul = mul
+        self.dga = dga
+        self.field = dga.field
 
     def class_of(self, z, degree):
         """Coordinates of the cycle z (dict key -> coeff) in the
@@ -44,8 +44,8 @@ class TorRing:
         and r2 the i2-th of degree d2.  `basis_lower` is ignored; the
         benchmark's `chain_tor` workload still passes it."""
         reps = self.table.representatives
-        z = self._mul(GradedElement(self.field, dict(reps[d1][i1])),
-                      GradedElement(self.field, dict(reps[d2][i2])))
+        z = self.dga.mul(GradedElement(self.field, dict(reps[d1][i1])),
+                         GradedElement(self.field, dict(reps[d2][i2])))
         return self.class_of(z.terms, d1 + d2)
 
 
@@ -57,7 +57,7 @@ def tor_bar_algebra(A, B, f, max_total, sample_products=True):
     osb = OneSidedBar(A, B, f)
     table = tor_additive(osb, max_total)
     ks = KSAlgebra(osb)
-    ring = TorRing(table, A.field, ks.product)
+    ring = TorRing(table, ks)
     if sample_products:
         _attach_products(ring, max_total)
     return ring, osb, ks
@@ -83,7 +83,7 @@ def _attach_products(ring, max_total):
 def tor_koszul_oracle(A, B, f, max_total):
     """Independent oracle: the commutative dga Lambda(s_g) (x) B with
     d(s_g) = f(g) for each generator g of A; same bigraded dimensions,
-    product from the dga.
+    product from the dga, which the returned `TorRing` holds.
 
     The suspension of g is named s_g, with as many more leading s as it
     takes for no suspension to share a name with a generator of B."""
@@ -106,7 +106,7 @@ def tor_koszul_oracle(A, B, f, max_total):
     basis = {n: R2.basis(n) for n in range(0, max_total + 1)}
     table = split_homology(basis, lambda k: R2.diff_key(k).terms, field,
                            bigrade)
-    return TorRing(table, field, R2.mul)
+    return TorRing(table, R2)
 
 
 # ---------------------------------------------------------------------------

@@ -963,11 +963,8 @@ class DualCochainDga(Dga):
             out.add_in(GradedElement.single(self.field, self.X.key(0, x)))
         return out
 
-    def aug_key(self, key):
-        # evaluation at the basepoint vertex
-        return self.field.one if key == self.base_key else self.field.zero
-
     def aug(self, x):
+        # at the basepoint: a space that is not reduced has no unit key
         return x.coeff(self.base_key)
 
     def through_functionals(self, op, vecs):

@@ -37,7 +37,7 @@ def test_bar_dgc_axioms_and_cocompleteness():
     A = FreeDga(QQ, [("a", 2), ("b", 3)], d_gen={"b": [(1, ["a", "a"])]})
     barA = BarDgc(A)
     keys = [k for d in range(0, 10) for k in barA.basis(d)]
-    barA.check_axioms(keys[:80])
+    barA.check_axioms(keys[:80]).raise_on_failure()
     for k in keys[:40]:
         e = GradedElement.single(QQ, k)
         assert barA.d(barA.d(e)).is_zero()

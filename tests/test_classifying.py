@@ -203,9 +203,11 @@ def test_quotient_spaces():
     Q1 = quotient(G, triv)
     for p in range(0, 3):
         assert len(Q1.nondegenerate(p)) == len(G.nondegenerate(p))
+    assert Q1.basepoint() == G.basepoint()
     QG = quotient(G, G)
     for p in range(0, 3):
         assert len(QG.nondegenerate(p)) == (1 if p == 0 else 0)
+    assert list(QG.simplices(0)) == [QG.basepoint()]
 
 
 def test_bz4_mod_bz2_is_bz2():

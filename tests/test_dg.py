@@ -19,11 +19,26 @@ def free_dga(field=QQ):
     return FreeDga(field, [("u", 2), ("v", 3)], d_gen={"v": [(1, ["u", "u"])]})
 
 
+def sampled_triples(A, degrees, rng, samples):
+    """Random triples (x, y, z) of elements of A for `Dga.check_axioms`,
+    drawn in the order p, q, x, y, then z's degree and z: the degrees
+    from `degrees`, the elements by `Dga.random_element`."""
+    out = []
+    for _ in range(samples):
+        p, q = rng.choice(degrees), rng.choice(degrees)
+        x, y = A.random_element(p, rng), A.random_element(q, rng)
+        out.append((x, y, A.random_element(rng.choice(degrees), rng)))
+    return out
+
+
 def test_free_dga_axioms():
     rng = random.Random(3)
     A = free_dga()
-    A.check_axioms([2, 3, 4, 5], rng, samples=12)
+    A.check_axioms(sampled_triples(A, [2, 3, 4, 5], rng, 12)
+                   ).raise_on_failure()
     assert [k.degree for k in A.basis(5)] == [5, 5]
+    assert [repr(k) for k in A.basis(5)] == ["u*v", "v*u"]
+    assert repr(A.unit_key) == "1"
 
 
 def exterior_cop_reference(C, key):
@@ -62,7 +77,8 @@ def test_free_gc_coalgebra_axioms_and_closed_forms(field):
     for C, reference in ((odd, exterior_cop_reference),
                          (even, polynomial_cop_reference), (mixed, None)):
         keys = [k for d in range(10) for k in C.basis(d)]
-        assert C.check_axioms(keys)
+        C.check_axioms(keys).raise_on_failure()
+        assert all(C.diff_key(k).is_zero() for k in keys)
         if reference is None:
             continue
         for k in keys:
@@ -83,10 +99,16 @@ def test_dgc_check_axioms_checks_both_counit_laws():
                     if k2 != self.coaug_key or k1 == self.coaug_key]
 
     good = FreeGcCoalgebra(QQ, [("x", 1)], 1)
-    assert good.check_axioms([k for d in range(2) for k in good.basis(d)])
+    report = good.check_axioms([k for d in range(2) for k in good.basis(d)])
+    assert repr(report) == "<check dgc axioms of FreeGcCoalgebra: ok, 6 cases>"
     bad = LeftCounitalOnly(QQ, [("x", 1)], 1)
-    with pytest.raises(StructuralError, match=r"counit law fails at x"):
-        bad.check_axioms([k for d in range(2) for k in bad.basis(d)])
+    report = bad.check_axioms([k for d in range(2) for k in bad.basis(d)])
+    assert [(law, repr(k)) for law, k in report.failures] == \
+        [("counit-r", "x")]
+    assert repr(report) == \
+        "<check dgc axioms of LeftCounitalOnly: FAILED (1), 6 cases>"
+    with pytest.raises(StructuralError, match=r"\('counit-r', x\)"):
+        report.raise_on_failure()
 
 
 def test_free_gc_dga_axioms():
@@ -94,7 +116,8 @@ def test_free_gc_dga_axioms():
     # commutative model with an acyclic pair: da = 0, du = w
     A = FreeGcDga(QQ, [("a", 2), ("u", 3), ("w", 4)],
                   d_gen={"u": [(1, [("w", 1)])]})
-    A.check_axioms([2, 3, 4, 5, 6], rng, samples=15)
+    A.check_axioms(sampled_triples(A, [2, 3, 4, 5, 6], rng, 15)
+                   ).raise_on_failure()
     x = A.generator("a")
     y = A.generator("u")
     assert A.mul(y, y).is_zero()  # odd square
@@ -157,7 +180,8 @@ def test_tensor_dga_axioms():
     A = free_dga()
     B = FreeGcDga(QQ, [("e", 1)])
     T = TensorDga(A, B)
-    T.check_axioms([1, 2, 3, 4], rng, samples=10)
+    T.check_axioms(sampled_triples(T, [1, 2, 3, 4], rng, 10)
+                   ).raise_on_failure()
 
 
 def test_bar_d_squared_and_universal_cochain():
@@ -171,7 +195,7 @@ def test_bar_d_squared_and_universal_cochain():
         assert barA.d(barA.d(e)).is_zero(), f"d^2 fails at {k!r}"
     t = universal_cochain(barA)
     t.check(keys).raise_on_failure()
-    barA.check_axioms(keys[:40])
+    barA.check_axioms(keys[:40]).raise_on_failure()
 
 
 def test_hom_cup_unit_and_assoc():

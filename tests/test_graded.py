@@ -36,6 +36,12 @@ def test_element_arithmetic():
     mixed = el(QQ, ("a", 1, 1), ("z", 2, 1))
     with pytest.raises(ValueError):
         mixed.degree()
+    # terms print sorted by key, each coefficient in its field's format
+    assert repr(x) == "(2)*a + (-1)*b" and repr(x - x) == "0"
+    assert repr(el(F5, ("b", 1, -1), ("a", 1, 2))) == \
+        "(2 mod 5)*a + (4 mod 5)*b"
+    with pytest.raises(TypeError, match="not hashable"):
+        hash(x)
 
 
 def test_prime_field_coefficients_are_reduced_on_entry():

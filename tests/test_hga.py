@@ -253,6 +253,17 @@ def test_trivial_hga_bar_product_is_shuffle():
     assert lhs == folded
 
 
+def ks_axiom_triples(ks, keys, triples=()):
+    """Triples of `ks.element`s for `Dga.check_axioms`: each key against
+    each of the first quarter of the keys, with the unit third (the unit
+    laws on every key and the derivation property on those pairs), then
+    the given triples of keys."""
+    el = ks.element
+    return ([(el(k1), el(k2), ks.one()) for k1 in keys
+             for k2 in keys[:max(1, len(keys) // 4)]]
+            + [tuple(map(el, t)) for t in triples])
+
+
 def test_ks_algebra_derivation_and_associativity():
     # rich instance: C*(B Z_2; F_2) has one cell per degree, so arbitrary
     # degrees stay cheap; words are built by hand (the space is not
@@ -270,9 +281,8 @@ def test_ks_algebra_derivation_and_associativity():
             osb.key(BarWord((cell[2],)), cell[1]),
             osb.key(BarWord((cell[1], cell[2])), cell[0]),
             osb.key(BarWord((cell[1],)), cell[3])]
-    ks.check_dga(keys).raise_on_failure()
     triples = [tuple(rng.choice(keys) for _ in range(3)) for _ in range(6)]
-    ks.check_associativity(triples).raise_on_failure()
+    ks.check_axioms(ks_axiom_triples(ks, keys, triples)).raise_on_failure()
 
 
 def test_ks_algebra_on_k_z2_2_smoke():
@@ -282,7 +292,7 @@ def test_ks_algebra_on_k_z2_2_smoke():
     osb = OneSidedBar(A, A, f=lambda x: x)
     ks = KSAlgebra(osb)
     keys = [k for k in osb.basis_total(2)]
-    ks.check_dga(keys).raise_on_failure()
+    ks.check_axioms(ks_axiom_triples(ks, keys)).raise_on_failure()
 
 
 def test_ks_componentwise_term():
@@ -297,7 +307,7 @@ def test_ks_componentwise_term():
     x = osb.key(BarWord(()), a2)
     y = osb.key(BarWord((a2,)), A.unit_key)
     # (1 (x) a) o (w (x) 1): only the m = l term survives with a of even deg
-    out = ks.product_keys(x, y)
+    out = ks.mul_keys(x, y)
     assert not out.is_zero()
 
 
@@ -324,9 +334,12 @@ KS_TRIPLES = _ks_catalog_triples()
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_ks_associativity_on_random_catalog_triples(data):
+    """`Dga.check_axioms` on one drawn triple: associativity, both unit
+    laws, the derivation property and the augmentation of the KS
+    product."""
     ks, triples = KS_TRIPLES[data.draw(st.sampled_from(sorted(KS_TRIPLES)))]
-    ks.check_associativity([data.draw(st.sampled_from(triples))]
-                           ).raise_on_failure()
+    triple = data.draw(st.sampled_from(triples))
+    ks.check_axioms([tuple(map(ks.element, triple))]).raise_on_failure()
 
 
 def _q_binomial_at_minus_one(n, k):
@@ -355,4 +368,4 @@ def test_ks_product_of_pure_c1_words(field):
             expected = GradedElement(field)
             expected.add_in(GradedElement.single(field, key(a + b)),
                             field.of(_q_binomial_at_minus_one(a + b, a)))
-            assert ks.product_keys(key(a), key(b)) == expected, (a, b)
+            assert ks.mul_keys(key(a), key(b)) == expected, (a, b)

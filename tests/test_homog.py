@@ -6,7 +6,7 @@ import pytest
 from torbar.fields import QQ, F5, F2, PrimeField
 from torbar.graded import GradedElement
 from torbar.classifying import SubgroupInclusion, b_cyclic
-from torbar.dg import gc_algebra_map, polynomial_dga
+from torbar.dg import FreeGcDga, gc_algebra_map, polynomial_dga
 from torbar.homog import (CATALOG, TorRing, catalog_entry, chain_level_tor,
                           run_catalog_entry, tor_bar_algebra,
                           tor_koszul_oracle)
@@ -85,6 +85,32 @@ def test_catalog_entry_checks_the_unit_law(monkeypatch):
     assert wrong.failures == units
 
 
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+@pytest.mark.parametrize("name", ["SU(3)/T", "U(3)/U(1)^3"])
+def test_tor_rings_hold_their_dga(field, name):
+    """The bar route's ring holds its KS algebra, and the oracle's the
+    Koszul dga Lambda(s_g) (x) B: a FreeGcDga on B's generators and the
+    suspended ones.  The oracle's products of representatives to total
+    degree 6 all have coordinates, and 1 . r_i has the coordinates e_i."""
+    A, B, f, _ = catalog_entry(field, name)
+    ring, _, ks = tor_bar_algebra(A, B, f, 6, sample_products=False)
+    assert ring.dga is ks
+    oracle = tor_koszul_oracle(A, B, f, 6)
+    assert isinstance(oracle.dga, FreeGcDga)
+    assert list(oracle.dga.gens.items()) == list(B.gens.items()) + [
+        ("s_" + g, d - 1) for g, d in A.gens.items()]
+    reps = oracle.table.representatives
+    for d1 in range(7):
+        for d2 in range(7 - d1):
+            for i1 in range(len(reps[d1])):
+                for i2 in range(len(reps[d2])):
+                    assert oracle.product_class(d1, i1, d2, i2) is not None
+        for i in range(len(reps[d1])):
+            assert oracle.product_class(0, 0, d1, i) == [
+                field.one if j == i else field.zero
+                for j in range(len(reps[d1]))], (d1, i)
+
+
 def assert_products_rebuild(ring, osb, ks, field):
     """z = r1 * r2 minus the combination its coordinates name is a
     boundary, checked by dense rank."""
@@ -92,7 +118,7 @@ def assert_products_rebuild(ring, osb, ks, field):
     for entry in ring.table.products:
         (d1, i1), (d2, i2) = entry["factors"]
         d = d1 + d2
-        z = ks.product(GradedElement(field, dict(reps[d1][i1])),
+        z = ks.mul(GradedElement(field, dict(reps[d1][i1])),
                        GradedElement(field, dict(reps[d2][i2])))
         for r, c in zip(reps[d], entry["coords"]):
             z = z - GradedElement(field, dict(r)).scale(c)

@@ -100,6 +100,7 @@ def test_homology_zero_differential():
     basis = {0: [K("a", 0)], 1: [K("b", 1)], 2: [K("c", 2)]}
     res = homology(basis, lambda k: {}, QQ, ddeg=1)
     assert res.dims == {0: 1, 1: 1, 2: 1}
+    assert repr(res) == "HomologyResult({0: 1, 1: 1, 2: 1})"
 
 
 def test_homology_detects_bad_complex():

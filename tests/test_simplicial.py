@@ -20,6 +20,7 @@ from torbar.simplicial import (SimplexComplex, standard_simplex,
                                ConstantGroup, chain_complex_homology,
                                cochain_complex_homology, DualCochainDga,
                                ConstantFreeAbelian, ProductGroup)
+from test_dg import sampled_triples
 
 
 def rand_cochain(space, q, rng):
@@ -79,8 +80,10 @@ def test_partial_diagonal_cases():
     assert sum((partial_diagonal(key, k) for k in range(3)),
                GradedElement(QQ)) == total
     C = ChainsDgc(X)
-    C_keys = [X.key(2, x) for x in X.nondegenerate(2)]
-    assert C.check_axioms(C_keys)
+    assert C.basis(2) == [X.key(2, x) for x in X.nondegenerate(2)]
+    C.check_axioms(C.basis(2)).raise_on_failure()
+    assert C.coaug_key == X.key(0, (0,))
+    assert C.counit_key(C.coaug_key) == QQ.one
 
 
 def test_chain_shuffle_small_cases():
@@ -362,7 +365,8 @@ def test_dual_cochain_dga_satisfies_dga_axioms(name):
         return mul_keys(k1, k2)
 
     A.mul_keys = recording_mul_keys
-    assert A.check_axioms(degrees, random.Random(48), samples=20)
+    A.check_axioms(sampled_triples(A, degrees, random.Random(48), 20)
+                   ).raise_on_failure()
     assert reach in reached, sorted(reached)
 
 
@@ -374,6 +378,20 @@ def test_constant_group():
     assert G.loops() == [(0,)]  # only the (degenerate) trivial loop
     assert len(G.nondegenerate(0)) == 4
     assert len(G.nondegenerate(1)) == 0
+
+
+def test_product_group_and_free_abelian_guard():
+    """Z/4 x Z/3 is a simplicial group with componentwise inverses and
+    the pair of basepoints; Z^2 is not enumerable, so listing its
+    simplices raises."""
+    G = ConstantGroup(QQ, (4,))
+    assert G.basepoint() == (0,)
+    P = ProductGroup(G, ConstantGroup(QQ, (3,)))
+    P.check_group([(p, x, y, z) for p in (0, 1) for x in P.simplices(p)
+                   for y in [((1,), (2,))] for z in [((3,), (1,))]])
+    assert P.basepoint() == ((0,), (0,))
+    with pytest.raises(NotImplementedError, match="not enumerable"):
+        ConstantFreeAbelian(QQ, 2).simplices(0)
 
 
 def test_check_group_names_the_failing_law():

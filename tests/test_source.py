@@ -477,6 +477,42 @@ def test_reduced_coproduct_taken_once():
     assert not found, found
 
 
+def test_one_product_per_algebra():
+    """Only `Dga.mul` hands an attribute of `self` to `graded.bilinear`:
+    an algebra multiplies elements by extending its `mul_keys` through
+    the one inherited `mul`, so a method of its own that extends a rule
+    of its object bilinearly is a second product."""
+    found = []
+
+    def is_bilinear(call):
+        func = call.func
+        return (isinstance(func, ast.Name) and func.id == "bilinear"
+                or isinstance(func, ast.Attribute) and func.attr == "bilinear")
+
+    def of_self(node):
+        return (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    def visit(path, node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and is_bilinear(child)
+                    and where != "Dga.mul"
+                    and any(of_self(a) for a in child.args
+                            + [k.value for k in child.keywords])):
+                found.append(f"{path.name}:{child.lineno}:{where}")
+            if isinstance(child, ast.ClassDef):
+                visit(path, child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                visit(path, child, f"{where}.{child.name}" if where
+                      else child.name)
+            else:
+                visit(path, child, where)
+
+    for path, tree in _trees("src/torbar"):
+        visit(path, tree, None)
+    assert not found, found
+
+
 def test_tracer_modules_are_the_package_modules():
     """`bench/tracing.py` imports every module in its `MODULES` list for a
     traced run, so the list must name exactly the package's modules: a
@@ -555,8 +591,7 @@ UNREACHED_CHECKS = {
     "formality:TorusFormality.cup2_vanishing",
     "formality:TorusFormality.kernel_ideal_suite",
     "formality:TorusFormality.sq0_witness",
-    "hga:KSAlgebra.check_associativity", "hga:KSAlgebra.check_dga",
-    "hga:KSAlgebra.unit", "hga:VectorHga.F", "hga:_compositions_nonneg",
+    "hga:VectorHga.F", "hga:_compositions_nonneg",
     "hga:bracket_vanishing_witness", "hga:check_cup_identities",
     "hga:check_extended", "hga:check_hga", "hga:cup2",
     "hga:gerstenhaber_bracket", "hga:gm_repeated_cup1",
@@ -590,7 +625,7 @@ UNREACHED_FIXTURES = {
     "dg:Dga.random_element", "dg:FreeDga.__init__", "dg:FreeDga.basis",
     "dg:FreeDga.diff_key", "dg:FreeDga.generator", "dg:FreeDga.mul_keys",
     "dg:FreeDga.word", "dg:HomAlgebra.unit",
-    "dg:TensorDga.__init__", "dg:TensorDga.aug_key", "dg:TensorDga.basis",
+    "dg:TensorDga.__init__", "dg:TensorDga.basis",
     "dg:TensorDga.diff_key", "dg:TensorDga.mul_keys", "dg:Word.__eq__",
     "dg:Word.__hash__", "dg:Word.__init__", "dg:free_dga_endo",
     "formality:TorusFormality.f", "hga:bar_product",
@@ -615,22 +650,23 @@ UNREACHED_FOR_OPEN_ITEMS = {"shm:gamma"}
 # constructors, and the parsing and printing of fields and tables.
 UNREACHED_INTERFACE = {
     "bar:TorTable.__repr__", "bar:TorTable.poincare", "bar:TorTable.to_json",
-    "dg:CheckReport.__repr__", "dg:Dga.basis", "dg:Dga.diff_key",
-    "dg:Dga.element", "dg:Dga.mul_keys", "dg:Dgc.basis", "dg:Dgc.cop_key",
+    "dg:CheckReport.__repr__", "dg:Dga.aug", "dg:Dga.basis",
+    "dg:Dga.diff_key", "dg:Dga.mul_keys", "dg:Dgc.basis", "dg:Dgc.cop_key",
     "dg:Dgc.diff_key", "dg:FreeGcCoalgebra.diff_key", "dg:TwistedTensor.d",
-    "dg:TwistedTensor.element", "dg:TwistedTensor.key", "dg:Word.__repr__",
+    "dg:Word.__repr__",
     "fields:PrimeField.__hash__", "fields:PrimeField.elements",
     "fields:PrimeField.fmt", "fields:PrimeField.parse",
     "fields:Rationals.__hash__", "fields:Rationals.elements",
     "fields:Rationals.fmt", "fields:Rationals.parse", "fields:field_by_name",
     "formality:KoszulComplex.key",
     "graded:GradedElement.__hash__", "graded:GradedElement.__repr__",
+    "hga:KSAlgebra.diff_key",
     "linalg:HomologyResult.__repr__", "linalg:ReducedSpace.contains",
     "linalg:rank",
     "simplicial:ChainsDgc.basis", "simplicial:ChainsDgc.coaug_key",
     "simplicial:ChainsDgc.counit_key", "simplicial:Cochain.add",
     "simplicial:ConstantFreeAbelian.simplices",
-    "simplicial:DualCochainDga.one",
+    "simplicial:DualCochainDga.one", "simplicial:SimplexKey.__eq__",
     "simplicial:SimplicialGroup.basepoint", "simplicial:SimplicialGroup.inv",
     "simplicial:SimplicialGroup.last_face_fibre",
     "simplicial:SimplicialGroup.loops", "simplicial:SimplicialGroup.mul",
