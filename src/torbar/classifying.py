@@ -22,7 +22,7 @@ from .linalg import StructuralError
 from .simplicial import (SimplicialSet, SimplicialGroup, ConstantGroup,
                          ConstantFreeAbelian)
 
-GROUP_FACE_CAP = 1 << 13
+GROUP_TABLE_CAP = 1 << 13
 
 
 class WBar(SimplicialSet):
@@ -52,11 +52,17 @@ class WBar(SimplicialSet):
 
     Faces are memoized on `WBarGroup` only.  A W-bar space has many more
     simplices than its group, each asked for by a few interval cuts, which
-    share the faces of one simplex already.  A memo of the faces of every
-    W-bar space (cap 65536) took a further 14% off the benchmark's wall
-    time on hga_ek and chain_tor but raised its peak RSS by 5% on both,
-    and at degree 4 it would have 215K faces of the outer space to keep,
-    more than that cap holds.
+    share the faces of one simplex already.  Two further caches were
+    measured on top of the group tables, in 10 alternating cold pairs of
+    `bench/cold.py` per workload (a shared 2-core machine, Python 3.11),
+    and left out: each raises peak RSS, and neither is faster on every
+    workload:
+    - a memo of the faces of every W-bar space (cap 65536): wall time
+      -5% on hga_ek and -8% on formality, but +7% on chain_tor, and peak
+      RSS +2% to +4% on all three;
+    - each simplex's vertex-face table (see `face_by_vertices_data`) kept
+      across its interval cuts: no resolved wall-time gain (-2% to +4%),
+      and peak RSS +4% to +5% on hga_ek and formality.
     """
 
     def __init__(self, G):
@@ -78,19 +84,16 @@ class WBar(SimplicialSet):
         return [h + t for t in self.simplices(q) for h in heads]
 
     def face(self, p, k, data):
-        G = self.G
         if k == 0:
             return data[1:]
-        if k == p:
-            return tuple(G.face(p - 1 - m, p - 1 - m, data[m])
-                         for m in range(p - 1))
+        G = self.G
+        face = G.face
         out = []
         for m in range(k - 1):
-            out.append(G.face(p - 1 - m, k - 1 - m, data[m]))
-        merged = G.mul(p - 1 - k,
-                       G.face(p - k, 0, data[k - 1]), data[k])
-        out.append(merged)
-        out.extend(data[k + 1:])
+            out.append(face(p - 1 - m, k - 1 - m, data[m]))
+        if k < p:
+            out.append(G.mul(p - 1 - k, face(p - k, 0, data[k - 1]), data[k]))
+            out += data[k + 1:]
         return tuple(out)
 
     def degeneracy(self, p, k, data):
@@ -104,8 +107,13 @@ class WBar(SimplicialSet):
 
     def degenerate_at(self, p, k, data):
         G = self.G
-        return data[k] == G.one(p - 1 - k) and all(
-            G.degenerate_at(p - 1 - m, k - 1 - m, data[m]) for m in range(k))
+        if data[k] != G.one(p - 1 - k):
+            return False
+        degenerate_at = G.degenerate_at
+        for m in range(k):
+            if not degenerate_at(p - 1 - m, k - 1 - m, data[m]):
+                return False
+        return True
 
     def simplices(self, p):
         def rec(dims):
@@ -125,13 +133,16 @@ class WBar(SimplicialSet):
 class WBarGroup(WBar, SimplicialGroup):
     """BG as a simplicial group for abelian G (entrywise products).
 
-    It memoizes its faces, keyed by (k, data) (a p-simplex has p
-    entries), at most GROUP_FACE_CAP (8192) entries, emptied when full;
-    d_0 drops the first entry and bypasses the memo.  A W-bar group is the
-    G of another W-bar space, each of whose faces takes faces of its
-    entries, so the few simplices of the group are asked for again and
-    again: the memo holds 94 entries through the E_1 scans of the hga_ek
-    benchmark on B(Z/2,2), and 298 through the torus formality report.
+    It keeps two tables, each at most GROUP_TABLE_CAP (8192) entries,
+    emptied when full: its faces, keyed by (k, data), and its products,
+    keyed by (x, y); a p-simplex has p entries, so neither key needs p.
+    d_0 drops the first entry and bypasses the face table.  A W-bar group
+    is the G of another W-bar space, each of whose faces takes faces of
+    its entries and, for a middle face, one product of two of them, so
+    the few simplices of the group are asked for again and again.  The
+    hga_ek benchmark on B(Z/2,2) keeps 94 faces and 85 products (7,983
+    products asked for); the formality benchmark on B(Z^2) keeps 204
+    faces and 223 products (9,238 asked for).
 
     It also keeps its identity simplex of each degree asked for (`one`),
     one entry per degree, since W-bar of the group compares entries
@@ -143,6 +154,7 @@ class WBarGroup(WBar, SimplicialGroup):
             raise TypeError("WBarGroup needs a simplicial group")
         super().__init__(G)
         self._face_memo = {}
+        self._products = {}
         self._ones = {}
 
     def face(self, p, k, data):
@@ -151,12 +163,17 @@ class WBarGroup(WBar, SimplicialGroup):
         got = self._face_memo.get((k, data))
         if got is None:
             got = _remember(self._face_memo, (k, data),
-                            super().face(p, k, data), GROUP_FACE_CAP)
+                            super().face(p, k, data), GROUP_TABLE_CAP)
         return got
 
     def mul(self, p, x, y):
-        return tuple(self.G.mul(p - 1 - m, a, b)
-                     for m, (a, b) in enumerate(zip(x, y)))
+        got = self._products.get((x, y))
+        if got is None:
+            mul = self.G.mul
+            got = _remember(self._products, (x, y), tuple(
+                [mul(p - 1 - m, a, b) for m, (a, b) in enumerate(zip(x, y))]),
+                GROUP_TABLE_CAP)
+        return got
 
     def inv(self, p, x):
         return tuple(self.G.inv(p - 1 - m, a) for m, a in enumerate(x))

@@ -97,6 +97,10 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, n):
+        # the int test first: `Fraction` is an ABC subclass, so every
+        # isinstance test against it runs `ABCMeta.__instancecheck__`
+        if type(n) is int:
+            return n % self.p
         if isinstance(n, Fraction):
             return self.of(n.numerator) * pow(n.denominator, -1, self.p) % self.p
         return n % self.p

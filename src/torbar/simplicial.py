@@ -47,14 +47,16 @@ valid cuts, grouped by factor dimensions, once per pair, and keeps those
 of the 256 most recent pairs; the full cut reads the groups one after
 another.
 
-One more memo has the same form: a W-bar group (`classifying.WBarGroup`)
-memoizes its faces, keyed by (k, data), at most
-`classifying.GROUP_FACE_CAP` (8192) entries.  The faces of other spaces
-are not memoized.  Instead, one interval cut takes all of its factors'
-faces of one simplex through one table (vertex tuple -> face data, see
-`face_by_vertices_data`), so the deletions those faces share are taken
-once.  The table is transient, not a memo: the cut creates it and drops
-it when it returns.
+Two more tables have the same form: a W-bar group
+(`classifying.WBarGroup`) keeps its faces, keyed by (k, data), and its
+products, keyed by (x, y), each at most `classifying.GROUP_TABLE_CAP`
+(8192) entries; the middle faces of a W-bar space multiply two entries in
+its group, so a table of the group's few products serves all of them.  The
+faces of other spaces are not memoized.  Instead, one interval cut takes
+all of its factors' faces of one simplex through one table (vertex tuple
+-> face data, see `face_by_vertices_data`), so the deletions those faces
+share are taken once.  The table is transient, not a memo: the cut creates
+it and drops it when it returns.
 """
 from functools import cached_property, lru_cache
 from itertools import (chain, combinations, combinations_with_replacement,
@@ -137,9 +139,13 @@ class SimplicialSet:
     def is_degenerate(self, p, data):
         got = self._degenerate_memo.get((p, data))
         if got is None:
-            got = _remember(self._degenerate_memo, (p, data), any(
-                self.degenerate_at(p, k, data) for k in range(p)),
-                DEGENERATE_CAP)
+            degenerate_at = self.degenerate_at
+            got = False
+            for k in range(p):
+                if degenerate_at(p, k, data):
+                    got = True
+                    break
+            _remember(self._degenerate_memo, (p, data), got, DEGENERATE_CAP)
         return got
 
     def nondegenerate(self, p):
@@ -773,7 +779,7 @@ class ConstantGroup(SimplicialGroup):
         return (data,)
 
     def mul(self, p, x, y):
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
+        return tuple([(a + b) % m for a, b, m in zip(x, y, self.moduli)])
 
     def inv(self, p, x):
         return tuple((-a) % m for a, m in zip(x, self.moduli))
@@ -793,7 +799,7 @@ class ConstantFreeAbelian(ConstantGroup):
         return SimplicialSet.simplices(self, p)
 
     def mul(self, p, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple([a + b for a, b in zip(x, y)])
 
     def inv(self, p, x):
         return tuple(-a for a in x)

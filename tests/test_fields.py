@@ -66,6 +66,24 @@ def test_fraction_coercion_into_fp():
         PrimeField(4)
 
 
+def _of_by_isinstance(field, n):
+    """`PrimeField.of` as written before its int fast path."""
+    if isinstance(n, Fraction):
+        return _of_by_isinstance(field, n.numerator) * pow(
+            n.denominator, -1, field.p) % field.p
+    return n % field.p
+
+
+@pytest.mark.parametrize("field", [F2, F5])
+def test_prime_field_of_keeps_value_and_type(field):
+    values = [0, 1, -1, -7, 12, 10 ** 30 + 3, -(10 ** 30) - 3, True, False,
+              Fraction(1, 3), Fraction(-7, 9), Fraction(10 ** 20, 11),
+              Fraction(6, 1), Fraction(-4, 1)]
+    for n in values:
+        got, expected = field.of(n), _of_by_isinstance(field, n)
+        assert got == expected and type(got) is type(expected), n
+
+
 RATIONALS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
                       st.fractions(max_denominator=12),
                       st.integers(-40, 40).map(lambda n: Fraction(n)))

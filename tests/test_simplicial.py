@@ -657,9 +657,11 @@ def _memo_run():
     replaced by their data so that runs on different spaces compare."""
     A = DualCochainDga(wbar(b_cyclic(F2, 2)), 4)
     X = A.X
-    memos = (X._degenerate_memo, X._key_memo, X._cut_memo, X.G._face_memo)
+    memos = (X._degenerate_memo, X._key_memo, X._cut_memo, X.G._face_memo,
+             X.G._products)
     caps = (simplicial.DEGENERATE_CAP, simplicial.KEY_CAP,
-            simplicial.CUT_CAP, classifying.GROUP_FACE_CAP)
+            simplicial.CUT_CAP, classifying.GROUP_TABLE_CAP,
+            classifying.GROUP_TABLE_CAP)
     out = []
 
     def record(value):
@@ -688,7 +690,7 @@ def test_memos_stay_within_small_caps(monkeypatch):
     assert min(sizes) > 8
     for name in ("DEGENERATE_CAP", "KEY_CAP", "CUT_CAP"):
         monkeypatch.setattr(simplicial, name, 8)
-    monkeypatch.setattr(classifying, "GROUP_FACE_CAP", 8)
+    monkeypatch.setattr(classifying, "GROUP_TABLE_CAP", 8)
     got, sizes = _memo_run()
     assert got == expected
     assert max(sizes) <= 8
@@ -700,9 +702,38 @@ def test_warm_wbar_group_faces_match_the_formula():
              for k in range(p + 1)]
     for p, k, x in cases:
         G.face(p, k, x)
-    assert 8 < len(G._face_memo) <= classifying.GROUP_FACE_CAP
+    assert 8 < len(G._face_memo) <= classifying.GROUP_TABLE_CAP
     for p, k, x in cases:
         assert G.face(p, k, x) == WBar.face(G, p, k, x), (p, k, x)
+
+
+def test_warm_wbar_group_products_match_the_formula():
+    """Products read from a warm table and from an emptied one are the
+    entrywise products: every pair up to dimension 4 on B(Z/2), and
+    sampled pairs on B(Z^2)."""
+    rng = random.Random(33)
+
+    def torus_simplex(p):
+        return tuple((rng.randint(-3, 3), rng.randint(-3, 3))
+                     for _ in range(p))
+
+    B, T = b_cyclic(F2, 2), torus_group(QQ, 2)
+    cases = [
+        (B, [(p, x, y) for p in range(5) for x in B.simplices(p)
+             for y in B.simplices(p)]),
+        (T, [(p, torus_simplex(p), torus_simplex(p)) for p in range(6)
+             for _ in range(40)]),
+    ]
+    for G, pairs in cases:
+        for p, x, y in pairs:
+            G.mul(p, x, y)
+        assert 8 < len(G._products) <= classifying.GROUP_TABLE_CAP
+        for emptied in (False, True):
+            if emptied:
+                G._products.clear()
+            for p, x, y in pairs:
+                assert G.mul(p, x, y) == tuple(
+                    G.G.mul(p - 1 - m, x[m], y[m]) for m in range(p)), (p, x, y)
 
 
 def test_warm_wbar_group_identity_matches_the_formula():
