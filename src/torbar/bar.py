@@ -134,36 +134,35 @@ class BarDgc(Dgc):
 
         d[..|a_i|..] = -sum (-1)^{e_{i-1}} [..|da_i|..]
                        + sum (-1)^{e_i} [..|a_i a_{i+1}|..],
-        e_i the bar degree of the first i entries.  Computed once per
-        word; the value is shared and must not be mutated.
+        e_i the bar degree of the first i entries, assembled in one dict.
+        Computed once per word; the value is shared and must not be
+        mutated.
         """
         got = self._diffs.get(key)
         if got is not None:
             return got
-        A = self.A
+        A, intern = self.A, self._intern
         field = self.field
-        out = GradedElement(field)
+        mul = field.mul
         entries = key.entries
+        pairs = []
         pre = 0
         for i, a in enumerate(entries):
-            da = A.diff_key(a)
-            if not da.is_zero():
+            da = A.diff_key(a).terms
+            if da:
                 sgn = parity_sign(field, pre + 1)
-                for k, c in da.terms.items():
-                    w = self._intern(entries[:i] + (k,) + entries[i + 1:])
-                    out.add_in(GradedElement.single(field, w),
-                               field.mul(sgn, c))
+                pairs += [(intern(entries[:i] + (k,) + entries[i + 1:]),
+                           mul(sgn, c)) for k, c in da.items()]
             pre += a.degree - 1
         pre = 0
         for i in range(len(entries) - 1):
             pre += entries[i].degree - 1
             sgn = parity_sign(field, pre)
-            prod = A.mul_keys(entries[i], entries[i + 1])
-            for k, c in prod.terms.items():
-                w = self._intern(entries[:i] + (k,) + entries[i + 2:])
-                out.add_in(GradedElement.single(field, w), field.mul(sgn, c))
-        self._diffs[key] = out
-        return out
+            pairs += [(intern(entries[:i] + (k,) + entries[i + 2:]),
+                       mul(sgn, c)) for k, c in
+                      A.mul_keys(entries[i], entries[i + 1]).terms.items()]
+        got = self._diffs[key] = GradedElement(field).add_pairs(pairs)
+        return got
 
     def cop_key(self, key):
         """Deconcatenation coproduct (no signs), a tuple computed once per
@@ -271,7 +270,7 @@ class OneSidedBar(TwistedTensor):
 
     def basis_total(self, degree):
         """All word (x) coefficient keys of the given total degree."""
-        return tensor_basis(self.C, self.A, degree)
+        return tensor_basis(self.C, self.A, degree, self._intern)
 
 
 class TorTable:
@@ -389,11 +388,15 @@ def split_homology(basis, diff, field, bigrade):
 
 
 def _is_bidegree_pure(osb, basis):
-    """True when d preserves internal degree (zero differentials upstream)."""
+    """True when d preserves the internal degree (zero differentials
+    upstream).  It evaluates the differential of every key of `basis`,
+    and `homology` then reads those values from the complex's memo."""
     for keys in basis.values():
         for k in keys:
-            t = _bar_bigrade(k)[1]
-            if any(_bar_bigrade(k2)[1] != t for k2 in osb.diff_key(k).terms):
-                return False
+            w, b = k.parts
+            t = w.internal_degree + b.degree
+            for k2 in osb.diff_key(k).terms:
+                w2, b2 = k2.parts
+                if w2.internal_degree + b2.degree != t:
+                    return False
     return True
-

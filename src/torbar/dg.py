@@ -29,6 +29,18 @@ keys mostly hit on identity; its basis of each degree is enumerated once,
 and the product of each pair of monomials is kept in a second table of
 the same cap.
 
+Each tensor construction (`TensorDga`, `TensorDgc`, `TwistedTensor` and
+so the one-sided bar) owns a table of its `Tensor` keys, at most
+TENSOR_CAP entries and emptied when full: `tensor_basis`,
+`tensor_diff_key` and the coproduct of `TensorDgc` take their keys from
+it (`_intern`, keyed by the pair of parts), so the keys of a basis and
+the targets of its differential are one object and elimination's dict
+lookups hit on identity.  A differential is assembled in one dict, with
+no element per summand: `tensor_diff_key` writes dx (x) y and
++-x (x) dy into it, and `TwistedTensor` adds -delta_t, reading the
+splits of each coalgebra key where t is nonzero from a second table of
+the same cap.
+
 The module also provides the convolution algebra Hom(C, A) with its unit,
 cup product and differential, twisting cochains and twisted tensor
 products.
@@ -213,24 +225,46 @@ class Dgc:
 # The tensor product of complexes
 # ---------------------------------------------------------------------------
 
-def tensor_basis(X, Y, degree):
-    """The keys x (x) y of total degree `degree`, |x| ascending from 0."""
+TENSOR_CAP = 1 << 16
+
+
+class _TensorKeys:
+    """The `Tensor` table of a tensor construction: the owner sets
+    `self._tensors = {}` and takes every key through `_intern`."""
+
+    def _intern(self, parts):
+        """The construction's one Tensor with these parts (a pair)."""
+        got = self._tensors.get(parts)
+        if got is None:
+            got = _remember(self._tensors, parts, Tensor(parts), TENSOR_CAP)
+        return got
+
+
+def tensor_basis(X, Y, degree, intern):
+    """The keys x (x) y of total degree `degree`, |x| ascending from 0,
+    each `intern((x, y))` from the owner's table."""
     out = []
     for dx in range(degree + 1):
         ys = list(Y.basis(degree - dx))
-        out += [Tensor((kx, ky)) for kx in X.basis(dx) for ky in ys]
+        out += [intern((kx, ky)) for kx in X.basis(dx) for ky in ys]
     return out
 
 
-def tensor_diff_key(X, Y, key):
-    """d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy on a Tensor pair."""
+def tensor_diff_key(X, Y, key, intern):
+    """d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy on a Tensor pair, as a
+    fresh element whose keys come from `intern` (the owner's table).
+
+    The two sums share no key (their first parts differ in degree), so
+    each term is written once into the element's dict."""
     x, y = key.parts
     field = X.field
-    out = tensor_elements(field, X.diff_key(x), GradedElement.single(field, y))
-    dy = Y.diff_key(y)
-    if not dy.is_zero():
-        out.add_in(tensor_elements(field, GradedElement.single(field, x), dy),
-                   parity_sign(field, x.degree))
+    out = GradedElement(field)
+    terms = out.terms = {intern((k, y)): c
+                         for k, c in X.diff_key(x).terms.items()}
+    dy = Y.diff_key(y).terms
+    if dy:
+        sign, mul = parity_sign(field, x.degree), field.mul
+        terms.update({intern((x, k)): mul(sign, c) for k, c in dy.items()})
     return out
 
 
@@ -383,43 +417,62 @@ class TwistingCochain:
 # Twisted tensor products
 # ---------------------------------------------------------------------------
 
-class TwistedTensor:
+class TwistedTensor(_TensorKeys):
     """C (x)_t A with differential d_(x) - delta_t, d_(x) the differential
-    of the tensor product (`tensor_diff_key`), for t: C -> A."""
+    of the tensor product (`tensor_diff_key`), for t: C -> A.
+
+    Its keys come from its table (`_intern`).  The differential of each
+    key is assembled once, in one dict, and kept for the complex's
+    lifetime in a plain dict, as `BarDgc` keeps its own (a `LinearMap`
+    over a bound method would tie the complex into a reference cycle).
+    """
 
     def __init__(self, t):
-        self.C = C = t.C
-        self.A = A = t.A
+        self.C = t.C
+        self.A = t.A
         self.t = t
-        self.field = C.field
-        self.ddeg = C.ddeg
-        # delta_t is not memoized: `_diff` is the one cache.  Neither
-        # closure holds self, so a dropped complex is freed at once.
-        field, tmap = self.field, t.map
-
-        def delta_t(key):
-            """delta_t(c (x) a) = sum +- c_1 (x) (t(c_2) a)."""
-            ck, ak = key.parts
-            out = GradedElement(field)
-            for c, k1, k2 in C.cop_key(ck):
-                tv = tmap(k2)
-                if tv.is_zero():
-                    continue
-                prod = tv.map_keys(lambda k: A.mul_keys(k, ak))
-                out.add_in(tensor_elements(
-                    field, GradedElement.single(field, k1), prod),
-                    field.mul(parity_sign(field, tmap.degree * k1.degree), c))
-            return out
-
-        neg_one = field.neg(field.one)
-        self._diff = LinearMap(self.ddeg, lambda k: tensor_diff_key(
-            C, A, k).add_in(delta_t(k), neg_one))
+        self.field = t.C.field
+        self.ddeg = t.C.ddeg
+        self._tensors = {}
+        self._splits = {}
+        self._diffs = {}
 
     def key(self, ck, ak):
-        return Tensor((ck, ak))
+        return self._intern((ck, ak))
+
+    def _twist_splits(self, ck):
+        """The splits c_1 (x) c_2 of Delta(ck) where t(c_2) is nonzero, each
+        as (coefficient, c_1, terms of t(c_2)), the coefficient that of
+        c_1 (x) t(c_2) a in -delta_t(ck (x) a): -(-1)^{|t||c_1|} times the
+        coproduct's.  Computed once per key while the split table (at most
+        TENSOR_CAP entries) keeps it."""
+        got = self._splits.get(ck)
+        if got is None:
+            field, tmap = self.field, self.t.map
+            got = []
+            for c, k1, k2 in self.C.cop_key(ck):
+                tv = tmap(k2).terms
+                if tv:
+                    got.append((field.mul(parity_sign(
+                        field, tmap.degree * k1.degree + 1), c),
+                        k1, tuple(tv.items())))
+            got = _remember(self._splits, ck, tuple(got), TENSOR_CAP)
+        return got
 
     def diff_key(self, key):
-        return self._diff(key)
+        """d_(x)(c (x) a) - sum +-c_1 (x) t(c_2) a, computed once per key;
+        the value is shared and must not be mutated."""
+        got = self._diffs.get(key)
+        if got is None:
+            intern, mul = self._intern, self.field.mul
+            mul_keys = self.A.mul_keys
+            ck, ak = key.parts
+            got = self._diffs[key] = tensor_diff_key(
+                self.C, self.A, key, intern).add_pairs(
+                [(intern((k1, pk)), mul(mul(s, tc), pc))
+                 for s, k1, tv in self._twist_splits(ck) for tk, tc in tv
+                 for pk, pc in mul_keys(tk, ak).terms.items()])
+        return got
 
     def d(self, x):
         return x.map_keys(self.diff_key)
@@ -575,7 +628,9 @@ class FreeGcDga(Dga):
         self._products = {}
         self._bases = {}
         self.unit_key = self._intern(())
-        self._dgen = _generator_differentials(field, d_gen, self.monomial)
+        # only the nonzero generator differentials
+        self._dgen = {name: dg for name, dg in _generator_differentials(
+            field, d_gen, self.monomial).items() if dg.terms}
         self.simply_connected = all(d >= 2 for d in self.gens.values())
 
     def _intern(self, powers):
@@ -669,11 +724,13 @@ class FreeGcDga(Dga):
         # sign is the parity of the preceding factors.
         field = self.field
         out = GradedElement(field)
+        if not self._dgen:
+            return out
         pre = 0
         for idx, (name, e) in enumerate(key.powers):
             d = self.gens[name]
             dg = self._dgen.get(name)
-            if dg is not None and not dg.is_zero():
+            if dg is not None:
                 sgn = parity_sign(field, pre)
                 prefix = key.powers[:idx]
                 suffix = (((name, e - 1),) if e > 1 else ()) + key.powers[idx + 1:]
@@ -727,8 +784,9 @@ def polynomial_dga(field, gens):
     return FreeGcDga(field, gens)
 
 
-class TensorDga(Dga):
-    """A (x) B with componentwise structure and Koszul signs."""
+class TensorDga(_TensorKeys, Dga):
+    """A (x) B with componentwise structure and Koszul signs, its keys
+    from its table (`_intern`)."""
 
     def __init__(self, A, B):
         super().__init__(A.field)
@@ -737,14 +795,15 @@ class TensorDga(Dga):
         self.A = A
         self.B = B
         self.ddeg = A.ddeg
-        self.unit_key = Tensor((A.unit_key, B.unit_key))
+        self._tensors = {}
+        self.unit_key = self._intern((A.unit_key, B.unit_key))
         self.simply_connected = A.simply_connected and B.simply_connected
 
     def basis(self, degree):
-        return tensor_basis(self.A, self.B, degree)
+        return tensor_basis(self.A, self.B, degree, self._intern)
 
     def diff_key(self, key):
-        return tensor_diff_key(self.A, self.B, key)
+        return tensor_diff_key(self.A, self.B, key, self._intern)
 
     def mul_keys(self, k1, k2):
         a1, b1 = k1.parts
@@ -788,8 +847,9 @@ class FreeGcCoalgebra(Dgc):
         return out
 
 
-class TensorDgc(Dgc):
-    """C (x) D with coproduct (1 (x) T (x) 1)(Delta (x) Delta)."""
+class TensorDgc(_TensorKeys, Dgc):
+    """C (x) D with coproduct (1 (x) T (x) 1)(Delta (x) Delta), its keys
+    from its table (`_intern`)."""
 
     def __init__(self, C, D):
         super().__init__(C.field)
@@ -798,25 +858,26 @@ class TensorDgc(Dgc):
         self.C = C
         self.D = D
         self.ddeg = C.ddeg
-        self.coaug_key = Tensor((C.coaug_key, D.coaug_key))
+        self._tensors = {}
+        self.coaug_key = self._intern((C.coaug_key, D.coaug_key))
         self.cocomplete = C.cocomplete and D.cocomplete
 
     def basis(self, degree):
-        return tensor_basis(self.C, self.D, degree)
+        return tensor_basis(self.C, self.D, degree, self._intern)
 
     def diff_key(self, key):
-        return tensor_diff_key(self.C, self.D, key)
+        return tensor_diff_key(self.C, self.D, key, self._intern)
 
     def cop_key(self, key):
         kc, kd = key.parts
-        field = self.field
+        field, intern = self.field, self._intern
         out = []
         for c, c1, c2 in self.C.cop_key(kc):
             for c_, d1, d2 in self.D.cop_key(kd):
                 # sign from T moving d1 past c2
                 coeff = field.mul(field.mul(c, c_), parity_sign(
                     field, d1.degree * c2.degree))
-                out.append((coeff, Tensor((c1, d1)), Tensor((c2, d2))))
+                out.append((coeff, intern((c1, d1)), intern((c2, d2))))
         return out
 
     def counit_key(self, key):

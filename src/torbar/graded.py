@@ -4,10 +4,11 @@ A *basis key* is any hashable object with an integer ``degree`` attribute.
 Modules register their own key kinds (simplices, bar words, monomials,
 Koszul pairs); one linear-algebra engine serves them all.  Equal keys
 may be one object: a space keeps one `SimplexKey` per simplex, a
-`FreeGcDga` one `Monomial` per monomial and a `BarDgc` one `BarWord` per
-word, each in a table bounded by `_remember`, so most dict lookups hit on
-identity.  Equality by value stays the fallback: a key built elsewhere,
-or after its table was emptied, finds the same entries.
+`FreeGcDga` one `Monomial` per monomial, a `BarDgc` one `BarWord` per
+word and a tensor construction of `dg` one `Tensor` per pair, each in a
+table bounded by `_remember`, so most dict lookups hit on identity.
+Equality by value stays the fallback: a key built elsewhere, or after
+its table was emptied, finds the same entries.
 
 `GradedElement` is a finite linear combination of keys; zero coefficients
 are never stored.  `LinearMap` is a lazy degree-homogeneous map given by a
@@ -37,11 +38,12 @@ def _remember(memo, key, value, cap):
 class Tensor:
     """Tensor product of basis keys, used for C (x) A style complexes."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts", "_hash", "_repr")
 
     def __init__(self, parts):
         self.parts = parts
         self._hash = hash(parts)
+        self._repr = None
 
     def __eq__(self, other):
         return isinstance(other, Tensor) and self.parts == other.parts
@@ -54,7 +56,11 @@ class Tensor:
         return sum(p.degree for p in self.parts)
 
     def __repr__(self):
-        return " (x) ".join(repr(p) for p in self.parts)
+        # formatted once: `linalg.homology` sorts its columns by repr
+        got = self._repr
+        if got is None:
+            got = self._repr = " (x) ".join(repr(p) for p in self.parts)
+        return got
 
 
 class GradedElement:
@@ -125,6 +131,24 @@ class GradedElement:
                 self.terms.pop(k, None)
             else:
                 self.terms[k] = acc
+        return self
+
+    def add_pairs(self, pairs):
+        """In-place add of (key, coeff) pairs, the coefficients field
+        elements, dropping a sum that becomes zero (used only while
+        assembling a fresh element).  `add_in` and the constructor keep
+        their own loops: routing them through pairs made the formality
+        workload about 3% slower."""
+        add, z = self.field.add, self.field.zero
+        terms = self.terms
+        for k, c in pairs:
+            acc = terms.get(k)
+            if acc is not None:
+                c = add(acc, c)
+            if c == z:
+                terms.pop(k, None)
+            else:
+                terms[k] = c
         return self
 
     def __add__(self, other):

@@ -10,10 +10,13 @@ from torbar.bar import (BarDgc, BarWord, universal_cochain,
                         OneSidedBar, tor_additive)
 from torbar.classifying import b_cyclic, wbar
 from torbar.hga import VectorHga, bar_e_cochain
-from torbar.homog import catalog_entry, tor_bar_algebra
+from torbar.homog import (CATALOG, catalog_entry, chain_level_tor,
+                          tor_bar_algebra)
 from torbar.linalg import StructuralError
 from torbar.simplicial import DualCochainDga
 from torbar import bar, dg
+
+from test_dg import check_differentials
 
 
 def test_bar_of_ground_field():
@@ -347,6 +350,29 @@ def test_equal_words_are_one_object():
     assert built > 100
 
 
+def test_one_sided_bar_differentials_match_the_reference():
+    """On every key to total degree 9 of the 13 catalog pairs, and on the
+    one-sided bar of chain-level Tor of K(Z/2,2) over F2 to degree 3, the
+    one-pass differentials of the twisted tensor and of the bar equal the
+    element-wise sums, and targets that are basis keys are the table's
+    objects.  The pairs are those of the catalog workload: Q and F5 for
+    each entry, F2 for the entry whose known answer holds there."""
+    pairs = [(field, name) for name in CATALOG
+             for field in ((F2,) if name.endswith("@F2") else (QQ, F5))]
+    assert len(pairs) == 13
+    checked = 0
+    for field, name in pairs:
+        A, B, f, _ = catalog_entry(field, name)
+        osb = OneSidedBar(A, B, f)
+        keys = [k for n in range(10) for k in osb.basis_total(n)]
+        check_differentials(osb, keys)
+        checked += len(keys)
+    _, osb, _ = chain_level_tor(b_cyclic(F2, 2), None, F2, 3)
+    keys = [k for n in range(4) for k in osb.basis_total(n)]
+    check_differentials(osb, keys)
+    assert checked == 2858 and len(keys) > 10
+
+
 def _catalog_tables():
     """Totals, bidegrees and product coordinates of two catalog pairs over
     Q and F5, with the sizes of their monomial, product and word tables."""
@@ -358,19 +384,22 @@ def _catalog_tables():
             table = ring.table
             out.append((name, str(field), table.totals, table.bidegrees,
                         [(e["factors"], e["coords"]) for e in table.products]))
-            sizes += [len(A._monomials), len(B._monomials),
-                      len(A._products), len(B._products),
-                      len(osb.C._words)]
+            sizes.append([len(A._monomials), len(B._monomials),
+                          len(A._products), len(B._products),
+                          len(osb.C._words), len(osb._tensors),
+                          len(osb._splits)])
     return out, sizes
 
 
 def test_key_tables_stay_within_small_caps(monkeypatch):
-    """Emptying the monomial, product and word tables whenever they hold
-    8 keys changes no catalog table: equality by value is the fallback."""
+    """Emptying the monomial, product, word, tensor and split tables
+    whenever they hold 8 keys changes no catalog table: equality by value
+    is the fallback, and a split list is recomputed."""
     expected, sizes = _catalog_tables()
-    assert max(sizes) > 8
+    assert min(map(max, zip(*sizes))) > 8
     monkeypatch.setattr(dg, "MONOMIAL_CAP", 8)
     monkeypatch.setattr(bar, "WORD_CAP", 8)
+    monkeypatch.setattr(dg, "TENSOR_CAP", 8)
     got, sizes = _catalog_tables()
     assert got == expected
-    assert max(sizes) <= 8
+    assert max(map(max, sizes)) <= 8

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torbar.fields import QQ, F2, F5
-from torbar.graded import GradedElement, koszul_sign
+from torbar.graded import (GradedElement, koszul_sign, parity_sign,
+                           tensor_elements)
 from torbar.linalg import StructuralError
 from torbar.dg import (FreeDga, FreeGcDga, polynomial_dga,
                        TensorDga, TensorDgc, HomAlgebra, TwistingCochain,
@@ -248,6 +249,76 @@ def test_twisted_tensor_d_squared_and_delta_h():
     zero_t = TwistingCochain(barA, A, lambda k: GradedElement(QQ), name="0")
     tt0 = TwistedTensor(zero_t)
     check_d_squared(tt0, keys[:50], "twisted tensor d^2")
+
+
+def twisted_diff_reference(tt, key):
+    """d(c (x) a) = dc (x) a + (-1)^{|c|} c (x) da
+    - sum (-1)^{|t||c_1|} c_1 (x) t(c_2) a, summed element by element:
+    each term through `tensor_elements`, the twisting term over
+    `C.cop_key` and the twisting cochain `tt.t`."""
+    C, A, f, t = tt.C, tt.A, tt.field, tt.t
+    c, a = key.parts
+    single = GradedElement.single
+    out = tensor_elements(f, C.diff_key(c), single(f, a))
+    out.add_in(tensor_elements(f, single(f, c), A.diff_key(a)),
+               parity_sign(f, c.degree))
+    for coeff, c1, c2 in C.cop_key(c):
+        out.add_in(tensor_elements(f, single(f, c1),
+                                   A.mul(t(c2), single(f, a))),
+                   f.mul(coeff, parity_sign(f, t.map.degree * c1.degree + 1)))
+    return out
+
+
+def bar_diff_reference(barA, word):
+    """d[a_1|..|a_n] = -sum (-1)^{e_{i-1}} [..|da_i|..]
+    + sum (-1)^{e_i} [..|a_i a_{i+1}|..], each word built from elements
+    by `words_from_elements`, e_i the bar degree of the first i entries."""
+    A, f = barA.A, barA.field
+    xs = [A.element(e) for e in word.entries]
+    out = GradedElement(f)
+    pre = 0
+    for i, x in enumerate(xs):
+        out.add_in(barA.words_from_elements(xs[:i] + [A.d(x)] + xs[i + 1:]),
+                   parity_sign(f, pre + 1))
+        pre += word.entries[i].degree - 1
+    pre = 0
+    for i in range(len(xs) - 1):
+        pre += word.entries[i].degree - 1
+        out.add_in(barA.words_from_elements(
+            xs[:i] + [A.mul(xs[i], xs[i + 1])] + xs[i + 2:]),
+            parity_sign(f, pre))
+    return out
+
+
+def check_differentials(tt, keys):
+    """The differential of each key of the twisted tensor `tt` over a bar,
+    and that of its word, equal their references, and every target that
+    is one of `keys` is that key's object: the complex's table hands out
+    one Tensor per pair."""
+    known = {k: k for k in keys}
+    for k in keys:
+        d = tt.diff_key(k)
+        assert d == twisted_diff_reference(tt, k), k
+        assert tt.C.diff_key(k.parts[0]) == bar_diff_reference(
+            tt.C, k.parts[0]), k
+        assert all(known.get(k2, k2) is k2 for k2 in d.terms), k
+        assert tt.key(*k.parts) is k
+
+
+def test_twisted_tensor_differential_matches_the_reference():
+    """On the free dga test bed, with the universal twisting cochain and
+    with t = 0, the one-pass differential equals the element-wise sum."""
+    A = free_dga()
+    barA = BarDgc(A)
+    zero_t = TwistingCochain(barA, A, lambda k: GradedElement(QQ), name="0")
+    for t in (universal_cochain(barA), zero_t):
+        tt = TwistedTensor(t)
+        keys = [tt.key(wk, ak) for total in range(7)
+                for db in range(total + 1) for wk in barA.basis(db)
+                for ak in A.basis(total - db)]
+        assert len(keys) > 100
+        check_differentials(tt, keys)
+        assert sum(len(tt.diff_key(k).terms) for k in keys) > 100
 
 
 def _d_squared_complexes():

@@ -558,6 +558,41 @@ def test_keys_built_only_by_their_owners_tables():
     assert not found, found
 
 
+def test_tensor_constructions_take_keys_from_their_tables():
+    """`dg.tensor_basis`, `dg.tensor_diff_key` and the methods of every
+    tensor construction (`TensorDga`, `TensorDgc`, `TwistedTensor` and
+    their subclasses) call no `Tensor(...)`: only `_TensorKeys._intern`
+    builds one, so the keys of a basis and the targets of its
+    differential come from the owner's table and are one object."""
+    trees = list(_trees("src/torbar"))
+    owners = {"_TensorKeys", "TensorDga", "TensorDgc", "TwistedTensor"}
+    classes = [(path, node) for path, tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    grown = True
+    while grown:
+        grown = False
+        for _, cls in classes:
+            if cls.name not in owners and any(
+                    isinstance(b, ast.Name) and b.id in owners
+                    for b in cls.bases):
+                owners.add(cls.name)
+                grown = True
+    scopes = [(path, f"{cls.name}.{fn.name}", fn) for path, cls in classes
+              if cls.name in owners for fn in cls.body
+              if isinstance(fn, ast.FunctionDef)
+              and (cls.name, fn.name) != ("_TensorKeys", "_intern")]
+    scopes += [(path, fn.name, fn) for path, tree in trees
+               if path.name == "dg.py" for fn in tree.body
+               if isinstance(fn, ast.FunctionDef)
+               and fn.name in ("tensor_basis", "tensor_diff_key")]
+    assert len(scopes) > 12, scopes
+    found = [f"{path.name}:{node.lineno}:{where}"
+             for path, where, fn in scopes for node in ast.walk(fn)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "Tensor"]
+    assert not found, found
+
+
 def test_import_loads_only_what_it_computes_with():
     """Importing every module of the package loads none of the heavy
     stdlib modules that no computation needs (`dataclasses` would bring
