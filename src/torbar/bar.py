@@ -113,21 +113,17 @@ class BarDgc(Dgc):
         got = self._bases.get(degree)
         if got is not None:
             return got
-        out = []
-
-        # entries have degree >= 2, so the unit (degree 0) is never one
-        def extend(entries, rem):
-            if rem == 0:
-                out.append(self._intern(tuple(entries)))
-                return
-            for d in range(2, rem + 2):
-                for k in self.A.basis(d):
-                    extend(entries + [k], rem - (d - 1))
-
-        if degree >= 0:
-            extend([], degree)
-        self._bases[degree] = out
-        return out
+        # entries have degree >= 2, so the unit (degree 0) is never one;
+        # words[r] holds the entry tuples of bar degree r, the first entry
+        # varying slowest and each in the order of A's basis
+        bases = {d: self.A.basis(d) for d in range(2, degree + 2)}
+        words = [[()]]
+        for r in range(1, degree + 1):
+            words.append([(k,) + w for d in range(2, r + 2)
+                          for k in bases[d] for w in words[r + 1 - d]])
+        got = self._bases[degree] = (
+            [self._intern(w) for w in words[degree]] if degree >= 0 else [])
+        return got
 
     def diff_key(self, key):
         """Tensor differential plus multiplication part.

@@ -42,6 +42,13 @@ class WBar(SimplicialSet):
     of the package has a `last_face_fibre`, so every W-bar space has
     heads, and `DualCochainDga` enumerates its cup products from them.
 
+    Enumeration.  The p-slice is the product of G's slices of dimensions
+    p-1, ..., 0, entry 0 varying fastest as in `heads` (`simplices`).
+    `nondegenerate` removes from it the images of the (p-1)-slice under
+    `degeneracy`, so B(Z/2,2) takes 320 degeneracies of its 64
+    4-simplices to find the 256 degenerate ones among its 1,024
+    5-simplices, not one `degenerate_at` test per simplex and k.
+
     Degeneracy.  s_k of a (p-1)-simplex y applies G's s_{k-1-m} to each
     entry y_m with m < k, writes the identity 1_{p-1-k} of G into entry
     k and keeps y[k:] after it (`degeneracy`).  G's degeneracies are
@@ -52,7 +59,11 @@ class WBar(SimplicialSet):
 
     Faces are memoized on `WBarGroup` only.  A W-bar space has many more
     simplices than its group, each asked for by a few interval cuts, which
-    share the faces of one simplex already.  Two further caches were
+    share the faces of one simplex already.  The coboundary index of
+    `DualCochainDga` walks a whole slice once and keeps one table, face
+    data -> key, for that pass only: the 4,608 faces of the 768
+    nondegenerate 5-simplices of B(Z/2,2) are 64 4-simplices.  That
+    table is dropped with the pass; two caches that outlive it were
     measured on top of the group tables, in 10 alternating cold pairs of
     `bench/cold.py` per workload (a shared 2-core machine, Python 3.11),
     and left out: each raises peak RSS, and neither is faster on every
@@ -116,15 +127,10 @@ class WBar(SimplicialSet):
         return True
 
     def simplices(self, p):
-        def rec(dims):
-            if not dims:
-                yield ()
-                return
-            first, rest = dims[0], dims[1:]
-            for tail in rec(rest):
-                for g in self.G.simplices(first):
-                    yield (g,) + tail
-        return rec(list(range(p - 1, -1, -1)))
+        """Every tuple of G's slices, entry m of dimension p-1-m, entry 0
+        varying fastest as in `heads`."""
+        slices = [self.G.simplices(d) for d in range(p)]
+        return (x[::-1] for x in product(*slices))
 
     def basepoint(self):
         return ()

@@ -538,19 +538,13 @@ class FreeDga(Dga):
             return []
         if degree == 0:
             return [self.unit_key]
-        out = []
-
-        def extend(prefix, rem):
-            for name, d in self.gens.items():
-                if d > rem:
-                    continue
-                if d == rem:
-                    out.append(self.word(prefix + (name,)))
-                else:
-                    extend(prefix + (name,), rem - d)
-
-        extend((), degree)
-        return out
+        # words[r] holds the letter tuples of degree r, the first letter
+        # varying slowest
+        words = [[()]]
+        for r in range(1, degree + 1):
+            words.append([(name,) + w for name, d in self.gens.items()
+                          if d <= r for w in words[r - d]])
+        return [self.word(w) for w in words[degree]]
 
     def diff_key(self, key):
         field = self.field
@@ -667,26 +661,17 @@ class FreeGcDga(Dga):
         got = self._bases.get(degree)
         if got is not None:
             return got
-        names = list(self.gens)
-        out = []
-
-        def extend(i, rem, acc):
-            if rem == 0:
-                out.append(self._intern(tuple(acc)))
-                return
-            if i >= len(names):
-                return
-            extend(i + 1, rem, acc)
-            n = names[i]
-            d = self.gens[n]
-            emax = 1 if d % 2 else rem // d
-            for e in range(1, emax + 1):
-                if d * e <= rem:
-                    extend(i + 1, rem - d * e, acc + [(n, e)])
-
-        if degree >= 0:
-            extend(0, degree, [])
-        got = self._bases[degree] = tuple(out)
+        # tails[r] holds the (name, exponent) tuples of degree r in the
+        # generators from n on, each generator's exponent ascending from 0
+        # and the first generator's varying slowest
+        tails = [[()]] + [[] for _ in range(degree)] if degree >= 0 else []
+        for n, d in reversed(self.gens.items()):
+            emax = 1 if d % 2 else degree // d
+            tails = [tails[r] + [((n, e),) + t for e in range(1, emax + 1)
+                                 if d * e <= r for t in tails[r - d * e]]
+                     for r in range(len(tails))]
+        got = self._bases[degree] = tuple(
+            self._intern(t) for t in tails[degree]) if degree >= 0 else ()
         return got
 
     def mul_keys(self, k1, k2):

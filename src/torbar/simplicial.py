@@ -26,7 +26,8 @@ and degeneracy are pure functions of (p, data):
   each k < p: whether x is s_k of a (p-1)-simplex.  The generic answer
   tests x = s_k d_k x; a simplex, a constant group, a product, a W-bar
   space and its total space read it off the entries of x instead, with
-  no face or degeneracy computed;
+  no face or degeneracy computed.  `nondegenerate(p)` fills it for a
+  whole slice at once, from the degeneracies of the slice below;
 - `key(p, data)`, keyed by (p, data), at most KEY_CAP (65536) entries: one
   shared `SimplexKey` per simplex, so memoized cuts hold references to
   keys, not copies of them;
@@ -149,10 +150,26 @@ class SimplicialSet:
         return got
 
     def nondegenerate(self, p):
+        """The nondegenerate p-simplices, in the order of `simplices(p)`.
+
+        The degenerate ones are by definition the s_k y, y a (p-1)-simplex
+        and k < p: one set of them is built from the (p-1)-slice through
+        `degeneracy`, and each p-simplex is looked up in it, not tested
+        for each k.  Each answer is recorded in the `is_degenerate` memo,
+        which the cuts and faces of these simplices read next."""
         got = self._nondeg_cache.get(p)
         if got is None:
-            got = [x for x in self.simplices(p)
-                   if not self.is_degenerate(p, x)]
+            degeneracy = self.degeneracy
+            degenerate = {degeneracy(p - 1, k, y)
+                          for y in (self.simplices(p - 1) if p else ())
+                          for k in range(p)}
+            memo = self._degenerate_memo
+            got = []
+            for x in self.simplices(p):
+                flag = x in degenerate
+                _remember(memo, (p, x), flag, DEGENERATE_CAP)
+                if not flag:
+                    got.append(x)
             self._nondeg_cache[p] = got
         return got
 
@@ -760,14 +777,9 @@ class ConstantGroup(SimplicialGroup):
         return data
 
     def simplices(self, p):
-        def rec(i):
-            if i == len(self.moduli):
-                yield ()
-                return
-            for rest in rec(i + 1):
-                for v in range(self.moduli[i]):
-                    yield (v,) + rest
-        return rec(0)
+        """Every tuple of residues, entry 0 varying fastest."""
+        ranges = [range(m) for m in reversed(self.moduli)]
+        return (x[::-1] for x in product(*ranges))
 
     def degenerate_at(self, p, k, data):
         """Every degeneracy is the identity."""
@@ -910,34 +922,58 @@ class DualCochainDga(Dga):
         return Cochain(self.X, degree, elem.coeff)
 
     def vectorize(self, cochain):
-        """Evaluate a functional cochain on the degree slice."""
+        """Evaluate a functional cochain on the degree slice.  The keys are
+        distinct and the values field elements, so each nonzero value goes
+        straight into the result's terms."""
+        X, p, zero = self.X, cochain.degree, self.field.zero
         out = GradedElement(self.field)
-        for x in self.X.nondegenerate(cochain.degree):
-            key = self.X.key(cochain.degree, x)
+        terms = out.terms
+        for x in X.nondegenerate(p):
+            key = X.key(p, x)
             v = cochain(key)
-            if v != self.field.zero:
-                out.add_in(GradedElement.single(self.field, key, v))
+            if v != zero:
+                terms[key] = v
         return out
 
     def _coboundary_index(self, degree):
         """Face key -> its coboundary vector, for the keys of one degree.
 
         One pass over the (degree+1)-slice instead of one scan per dual.
-        `boundary_key` has combined its terms, so each (face, coface) pair
-        occurs once and the rows are collected as plain dicts, each
-        wrapped in one `GradedElement` at the end."""
+        Its faces repeat (see `classifying.WBar`), so one table, face data
+        -> key, or False for a degenerate face, serves the whole pass and
+        is dropped with it.  Each simplex's signed faces are summed by
+        `GradedElement.add_pairs`, which adds and cancels in the order of
+        `boundary_key`; the rows are plain dicts, each wrapped in a
+        `GradedElement` as it stands, since no coefficient in them is
+        zero."""
         got = self._cob_index.get(degree)
         if got is None:
+            X, field = self.X, self.field
+            n = degree + 1
+            face = X.face
+            # (d a)(s) = (-1)^{|a|+1} a(ds), |a| = degree, and d_i of s
+            # has the sign (-1)^i
+            signs = [parity_sign(field, n + i) for i in range(n + 1)]
+            faces = {}
             rows = {}
-            field = self.field
-            # (d a)(s) = (-1)^{|a|+1} a(ds): |a| = degree
-            sgn_flip = parity_sign(field, degree + 1)
-            for x in self.X.nondegenerate(degree + 1):
-                skey = self.X.key(degree + 1, x)
-                for fk, c in self.X.boundary_key(skey).terms.items():
-                    rows.setdefault(fk, {})[skey] = field.mul(sgn_flip, c)
-            got = self._cob_index[degree] = {
-                fk: GradedElement(field, row) for fk, row in rows.items()}
+            for x in X.nondegenerate(n):
+                pairs = []
+                for i in range(n + 1):
+                    f = face(n, i, x)
+                    fk = faces.get(f)
+                    if fk is None:
+                        fk = faces[f] = (not X.is_degenerate(degree, f)
+                                         and X.key(degree, f))
+                    if fk is not False:
+                        pairs.append((fk, signs[i]))
+                skey = X.key(n, x)
+                signed = GradedElement(field).add_pairs(pairs)
+                for fk, c in signed.terms.items():
+                    rows.setdefault(fk, {})[skey] = c
+            got = self._cob_index[degree] = {}
+            for fk, row in rows.items():
+                got[fk] = vec = GradedElement(field)
+                vec.terms = row
         return got
 
     def diff_key(self, key):

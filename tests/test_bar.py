@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from torbar.fields import QQ, F2, F5
@@ -403,3 +406,26 @@ def test_key_tables_stay_within_small_caps(monkeypatch):
     got, sizes = _catalog_tables()
     assert got == expected
     assert max(map(max, sizes)) <= 8
+
+
+def test_enumerating_owners_are_freed_without_the_cycle_collector():
+    """A bar, the free algebras and a W-bar space with its groups are
+    freed on `del` after enumerating their bases or simplices: no
+    enumeration ties its owner into a reference cycle, which only the
+    cycle collector would break."""
+    def enumerated():
+        A = FreeGcDga(QQ, [("a", 2), ("u", 3), ("w", 4)])
+        B = BarDgc(A)
+        B.basis(5)
+        F = FreeDga(QQ, [("u", 2), ("v", 3)])
+        F.basis(7)
+        X = wbar(b_cyclic(F2, 2))
+        X.nondegenerate(4)
+        return [B, A, F, X, X.G, X.G.G]
+
+    gc.disable()
+    try:
+        refs = [weakref.ref(owner) for owner in enumerated()]
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

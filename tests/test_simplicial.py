@@ -8,7 +8,8 @@ from torbar import classifying, simplicial
 from torbar.classifying import (CosetSpace, SubgroupInclusion, WBar, WTotal,
                                 b_cyclic, quotient, torus_group, wbar)
 from torbar.fields import QQ, F2, F5, PrimeField
-from torbar.graded import GradedElement, Tensor, tensor_elements
+from torbar.graded import (GradedElement, Tensor, parity_sign,
+                           tensor_elements)
 from torbar.hga import VectorHga, cup1, cup2
 from torbar.linalg import StructuralError
 from torbar.simplicial import (SimplexComplex, standard_simplex,
@@ -462,20 +463,54 @@ def test_cup_index_matches_partial_diagonal_reference(field, top):
                             (k1, k2), A.zero()), (X, k1, k2)
 
 
+def _coboundary_rows_by_boundary_key(A, degree):
+    """Face key -> {coface key: coefficient}, one `boundary_key` per
+    nondegenerate (degree+1)-simplex, rows filled in slice order."""
+    X, field = A.X, A.field
+    sgn = parity_sign(field, degree + 1)
+    rows = {}
+    for x in X.nondegenerate(degree + 1):
+        skey = X.key(degree + 1, x)
+        for fk, c in X.boundary_key(skey).terms.items():
+            rows.setdefault(fk, {})[skey] = field.mul(sgn, c)
+    return rows
+
+
 @pytest.mark.parametrize("X, top", [
     (wbar(b_cyclic(F2, 2)), 4),
     (wbar(b_cyclic(PrimeField(3), 3)), 3),
     (_even_subgroup(F2), 4),
     (wbar(_even_subgroup(F2)), 4),
-], ids=["B(Z/2,2)", "B(Z/3,2)", "even in B(Z/4)", "B(even in B(Z/4))"])
+    (wbar(ConstantGroup(QQ, (2,))), 5),
+    (wbar(ConstantGroup(F2, (2,))), 5),
+], ids=["B(Z/2,2)", "B(Z/3,2)", "even in B(Z/4)", "B(even in B(Z/4))",
+        "RP^inf over Q", "RP^inf over F2"])
 def test_coboundary_index_matches_functional_coboundary(X, top):
     # odd and even degrees over F3 pin the sign (-1)^{|a|+1}; B(Z/3,2)
-    # stops at degree 3, since its 5-slice has 59,049 simplices
+    # stops at degree 3, since its 5-slice has 59,049 simplices.  On
+    # RP^inf faces coincide: see the test below.  The term order of each
+    # row is pinned too, since elimination picks pivots by first sight.
     A = DualCochainDga(X, top)
     for degree in range(top + 1):
+        rows = _coboundary_rows_by_boundary_key(A, degree)
         for k in A.basis(degree):
-            assert A.diff_key(k) == A.vectorize(coboundary(A.functional(
+            got = A.diff_key(k)
+            assert got == A.vectorize(coboundary(A.functional(
                 GradedElement.single(A.field, k)))), k
+            assert list(got.terms.items()) == list(rows.get(k, {}).items())
+
+
+@pytest.mark.parametrize("field, expected", [(QQ, 2), (F2, 0)], ids=str)
+def test_coboundary_index_adds_coinciding_faces(field, expected):
+    # in RP^inf = W-bar(Z/2) the 2-simplex ((1,), (1,)) has d_0 = d_2 =
+    # ((1,),) and d_1 = ((0,),), degenerate: its two faces add to 2 over
+    # Q and cancel over F2
+    X = wbar(ConstantGroup(field, (2,)))
+    A = DualCochainDga(X, 2)
+    sigma = X.key(2, ((1,), (1,)))
+    row = A.diff_key(X.key(1, ((1,),)))
+    assert row.coeff(sigma) == expected
+    assert (sigma in row.terms) == (expected != 0)
 
 
 def _last_face_fibres_by_search(X, p, q):
@@ -638,6 +673,40 @@ def test_boundary_key_matches_definition():
                                 any(abs(c) > 1 for c in got.values())))
     assert merged == {(name, adds) for name in ("WBar", "CosetSpace")
                       for adds in (False, True)}
+
+
+# Every enumerable space of the suite, fresh, with its top degree
+NONDEGENERATE_SPACES = {
+    "B(Z/2,2)": lambda: (wbar(b_cyclic(F2, 2)), 4),
+    "B(Z/3,2)": lambda: (wbar(b_cyclic(PrimeField(3), 3)), 3),
+    "B(Z/3)": lambda: (wbar(ConstantGroup(QQ, (3,))), 4),
+    "even in B(Z/4)": lambda: (_even_subgroup(F2), 4),
+    "B(even in B(Z/4))": lambda: (wbar(_even_subgroup(F2)), 4),
+    "Z/2 x Z/3": lambda: (_z2_times_z3(QQ), 4),
+    "B(Z/4) / even": lambda: (
+        quotient(b_cyclic(F2, 4), _even_subgroup(F2)), 4),
+    "Delta^4": lambda: (standard_simplex(F2, 4), 4),
+    "boundary of Delta^4": lambda: (simplex_boundary(F2, 4), 4),
+    "Delta^2 x boundary of Delta^3": lambda: (ProductSpace(
+        standard_simplex(F2, 2), simplex_boundary(F2, 3)), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONDEGENERATE_SPACES))
+def test_nondegenerate_matches_degenerate_at(name):
+    """The slice minus the degeneracies of the slice below is the slice
+    filtered by `degenerate_at`, in order, and each answer is in the
+    `is_degenerate` memo."""
+    X, top = NONDEGENERATE_SPACES[name]()
+    for p in range(top + 1):
+        expected = [x for x in X.simplices(p)
+                    if not any(X.degenerate_at(p, k, x) for k in range(p))]
+        got = X.nondegenerate(p)
+        assert got == expected, (name, p)
+        kept = set(got)
+        for x in X.simplices(p):
+            assert X._degenerate_memo[(p, x)] == (x not in kept)
+            assert X.is_degenerate(p, x) == (x not in kept)
 
 
 def test_memoized_is_degenerate_matches_definition():

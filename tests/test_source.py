@@ -118,6 +118,31 @@ def test_no_duplicated_function_bodies():
     assert not found, found
 
 
+def test_no_self_calling_nested_functions():
+    """No function nested in another calls itself by name.  Its closure
+    cell holds the function, whose closure holds the cell, so every object
+    the function closes over (often `self`, an algebra or a space) stays
+    in a reference cycle that only the cycle collector breaks; an
+    enumeration walks an explicit table or stack instead."""
+    found = []
+
+    def visit(path, node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                if inside and any(isinstance(n, ast.Call)
+                                  and isinstance(n.func, ast.Name)
+                                  and n.func.id == child.name
+                                  for n in ast.walk(child)):
+                    found.append(f"{path.name}:{child.lineno}:{child.name}")
+                visit(path, child, True)
+            else:
+                visit(path, child, inside)
+
+    for path, tree in _trees("src/torbar"):
+        visit(path, tree, False)
+    assert not found, found
+
+
 def _terms_loop(node):
     """True for `for ... in <expr>.terms.items():`."""
     it = node.iter if isinstance(node, ast.For) else None
