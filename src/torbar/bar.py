@@ -6,13 +6,13 @@ Bar words store entries as basis keys of the underlying dga with
 coefficients folded outward; entries are reduced (no unit factors).  A
 word [a_1|...|a_k] denotes the desuspended tensor s^{-1}a_1 (x) ... and
 has degree sum(|a_i| - 1).  A `BarDgc` hands out one `BarWord` per tuple
-of entries from its table, and every construction that holds a bar
+of entries from its word table, and every construction that holds a bar
 (`KSAlgebra`, the dgc map of a twisting cochain) builds its words
 through it.  A bar is built once, by the one-sided bar that owns it, and
 a dgc map into a bar (`dgc_map_from_cochain`) is given it as its target.
 """
 
-from .graded import (GradedElement, LinearMap, Tensor, _remember, expand,
+from .graded import (GradedElement, LinearMap, Table, Tensor, expand,
                      parity_sign)
 from .linalg import homology, ReducedSpace, StructuralError
 from .dg import (CheckReport, Dgc, TensorDga, TensorDgc, TwistingCochain,
@@ -23,9 +23,8 @@ from .dg import (CheckReport, Dgc, TensorDga, TensorDgc, TwistingCochain,
 class BarWord:
     """Basis key of the reduced bar construction.
 
-    The `BarDgc` that builds a word keeps it in its table (at most
-    WORD_CAP entries, emptied when full), so equal words of one bar are
-    mostly one object; equality is still by value."""
+    The `BarDgc` that builds a word keeps it in its word table, so equal
+    words of one bar are mostly one object; equality is still by value."""
 
     __slots__ = ("entries", "degree", "_hash", "_repr")
 
@@ -57,19 +56,15 @@ class BarWord:
         return got
 
 
-WORD_CAP = 1 << 16
-
-
 class BarDgc(Dgc):
     """B A for a connected dga A (cohomological grading): A's degree 0
     is spanned by the unit, so an entry, its differential and the
     product of two entries have positive degree and need no reduction.
 
-    Every word it makes comes from its table (`_intern`, keyed by the
-    entries).  The differential and the coproduct of each word are
-    computed once and kept for the bar's lifetime, in plain dicts: a
-    `LinearMap` over a bound method would tie the bar into a reference
-    cycle, and a dropped bar would wait for the cycle collector.
+    It keeps four `Table`s: its words, keyed by the tuple of entries
+    (every word it makes comes from there), its basis lists, keyed by
+    degree, and the differential and the coproduct of each word, keyed
+    by the word.
     """
 
     def __init__(self, A):
@@ -81,27 +76,21 @@ class BarDgc(Dgc):
                              "degree 0 spanned by the unit key")
         self.A = A
         self.ddeg = 1
-        self._words = {}
-        self._bases = {}
-        self._diffs = {}
-        self._cops = {}
-        self.coaug_key = self._intern(())
+        self._words = Table(BarWord)
+        self._bases = Table(BarDgc._basis, self)
+        self._diffs = Table(BarDgc._diff, self)
+        self._cops = Table(BarDgc._cop, self)
+        self.coaug_key = self._words[()]
         self.cocomplete = True
 
-    def _intern(self, entries):
-        """The bar's one BarWord with these entries (a tuple of keys)."""
-        got = self._words.get(entries)
-        if got is None:
-            got = _remember(self._words, entries, BarWord(entries), WORD_CAP)
-        return got
-
     def word(self, keys):
-        return self._intern(tuple(keys))
+        return self._words[tuple(keys)]
 
     def words_from_elements(self, elems):
         """Multilinear expansion of [x_1|...|x_k], the x_i of positive
         degree (so without unit terms)."""
-        return GradedElement(self.field, [(self._intern(keys), c) for keys, c
+        words = self._words
+        return GradedElement(self.field, [(words[keys], c) for keys, c
                                           in expand(self.field, elems)])
 
     def basis(self, degree):
@@ -110,9 +99,9 @@ class BarDgc(Dgc):
         if not self.A.simply_connected:
             raise StructuralError(
                 "bar basis enumeration requires a simply connected dga")
-        got = self._bases.get(degree)
-        if got is not None:
-            return got
+        return self._bases[degree]
+
+    def _basis(self, degree):
         # entries have degree >= 2, so the unit (degree 0) is never one;
         # words[r] holds the entry tuples of bar degree r, the first entry
         # varying slowest and each in the order of A's basis
@@ -121,9 +110,8 @@ class BarDgc(Dgc):
         for r in range(1, degree + 1):
             words.append([(k,) + w for d in range(2, r + 2)
                           for k in bases[d] for w in words[r + 1 - d]])
-        got = self._bases[degree] = (
-            [self._intern(w) for w in words[degree]] if degree >= 0 else [])
-        return got
+        table = self._words
+        return [table[w] for w in words[degree]] if degree >= 0 else []
 
     def diff_key(self, key):
         """Tensor differential plus multiplication part.
@@ -134,10 +122,10 @@ class BarDgc(Dgc):
         Computed once per word; the value is shared and must not be
         mutated.
         """
-        got = self._diffs.get(key)
-        if got is not None:
-            return got
-        A, intern = self.A, self._intern
+        return self._diffs[key]
+
+    def _diff(self, key):
+        A, intern = self.A, self._words.__getitem__
         field = self.field
         mul = field.mul
         entries = key.entries
@@ -157,20 +145,17 @@ class BarDgc(Dgc):
             pairs += [(intern(entries[:i] + (k,) + entries[i + 2:]),
                        mul(sgn, c)) for k, c in
                       A.mul_keys(entries[i], entries[i + 1]).terms.items()]
-        got = self._diffs[key] = GradedElement(field).add_pairs(pairs)
-        return got
+        return GradedElement(field).add_pairs(pairs)
 
     def cop_key(self, key):
         """Deconcatenation coproduct (no signs), a tuple computed once per
         word: its heads and tails are the same objects on every call."""
-        got = self._cops.get(key)
-        if got is None:
-            entries = key.entries
-            one = self.field.one
-            got = self._cops[key] = tuple(
-                (one, self._intern(entries[:i]), self._intern(entries[i:]))
-                for i in range(len(entries) + 1))
-        return got
+        return self._cops[key]
+
+    def _cop(self, key):
+        entries, words, one = key.entries, self._words, self.field.one
+        return tuple((one, words[entries[:i]], words[entries[i:]])
+                     for i in range(len(entries) + 1))
 
 
 def universal_cochain(barA):
@@ -266,7 +251,8 @@ class OneSidedBar(TwistedTensor):
 
     def basis_total(self, degree):
         """All word (x) coefficient keys of the given total degree."""
-        return tensor_basis(self.C, self.A, degree, self._intern)
+        return tensor_basis(self.C, self.A, degree,
+                            self._tensors.__getitem__)
 
 
 class TorTable:

@@ -17,12 +17,10 @@ forgotten face is the projection EG -> BG; G acts on the first entry.
 from itertools import product
 
 from .dg import CheckReport
-from .graded import GradedElement, _remember
+from .graded import GradedElement, Table
 from .linalg import StructuralError
 from .simplicial import (SimplicialSet, SimplicialGroup, ConstantGroup,
                          ConstantFreeAbelian)
-
-GROUP_TABLE_CAP = 1 << 13
 
 
 class WBar(SimplicialSet):
@@ -68,7 +66,7 @@ class WBar(SimplicialSet):
     `bench/cold.py` per workload (a shared 2-core machine, Python 3.11),
     and left out: each raises peak RSS, and neither is faster on every
     workload:
-    - a memo of the faces of every W-bar space (cap 65536): wall time
+    - a table of the faces of every W-bar space: wall time
       -5% on hga_ek and -8% on formality, but +7% on chain_tor, and peak
       RSS +2% to +4% on all three;
     - each simplex's vertex-face table (see `face_by_vertices_data`) kept
@@ -139,57 +137,55 @@ class WBar(SimplicialSet):
 class WBarGroup(WBar, SimplicialGroup):
     """BG as a simplicial group for abelian G (entrywise products).
 
-    It keeps two tables, each at most GROUP_TABLE_CAP (8192) entries,
-    emptied when full: its faces, keyed by (k, data), and its products,
-    keyed by (x, y); a p-simplex has p entries, so neither key needs p.
-    d_0 drops the first entry and bypasses the face table.  A W-bar group
-    is the G of another W-bar space, each of whose faces takes faces of
-    its entries and, for a middle face, one product of two of them, so
-    the few simplices of the group are asked for again and again.  The
-    hga_ek benchmark on B(Z/2,2) keeps 94 faces and 85 products (7,983
-    products asked for); the formality benchmark on B(Z^2) keeps 204
-    faces and 223 products (9,238 asked for).
+    It keeps two tables (`graded.Table`): its faces, keyed by (k, data),
+    and its products, keyed by (x, y); a p-simplex has p entries, so
+    neither key needs p.  d_0 drops the first entry and bypasses the face
+    table.  A W-bar group is the G of another W-bar space, each of whose
+    faces takes faces of its entries and, for a middle face, one product
+    of two of them, so the few simplices of the group are asked for again
+    and again.  The hga_ek benchmark on B(Z/2,2) keeps 94 faces and 85
+    products (7,983 products asked for); the formality benchmark on B(Z^2)
+    keeps 204 faces and 223 products (9,238 asked for).
 
-    It also keeps its identity simplex of each degree asked for (`one`),
-    one entry per degree, since W-bar of the group compares entries
-    against it in every degeneracy test.
+    It also keeps its identity simplex of each degree asked for (`one`)
+    in a third table, keyed by the degree, since W-bar of the group
+    compares entries against it in every degeneracy test.
     """
 
     def __init__(self, G):
         if not isinstance(G, SimplicialGroup):
             raise TypeError("WBarGroup needs a simplicial group")
         super().__init__(G)
-        self._face_memo = {}
-        self._products = {}
-        self._ones = {}
+        self._face_memo = Table(WBarGroup._face, self)
+        self._products = Table(WBarGroup._product, self)
+        self._ones = Table(WBarGroup._one, self)
 
     def face(self, p, k, data):
         if k == 0:
             return data[1:]
-        got = self._face_memo.get((k, data))
-        if got is None:
-            got = _remember(self._face_memo, (k, data),
-                            super().face(p, k, data), GROUP_TABLE_CAP)
-        return got
+        return self._face_memo[(k, data)]
+
+    def _face(self, key):
+        k, data = key
+        return WBar.face(self, len(data), k, data)
 
     def mul(self, p, x, y):
-        got = self._products.get((x, y))
-        if got is None:
-            mul = self.G.mul
-            got = _remember(self._products, (x, y), tuple(
-                [mul(p - 1 - m, a, b) for m, (a, b) in enumerate(zip(x, y))]),
-                GROUP_TABLE_CAP)
-        return got
+        return self._products[(x, y)]
+
+    def _product(self, pair):
+        x, y = pair
+        mul, p = self.G.mul, len(x)
+        return tuple([mul(p - 1 - m, a, b)
+                      for m, (a, b) in enumerate(zip(x, y))])
 
     def inv(self, p, x):
         return tuple(self.G.inv(p - 1 - m, a) for m, a in enumerate(x))
 
     def one(self, p):
-        got = self._ones.get(p)
-        if got is None:
-            got = self._ones[p] = tuple(self.G.one(p - 1 - m)
-                                        for m in range(p))
-        return got
+        return self._ones[p]
+
+    def _one(self, p):
+        return tuple(self.G.one(p - 1 - m) for m in range(p))
 
 
 class WTotal(SimplicialSet):
@@ -310,7 +306,8 @@ class SubgroupInclusion(SimplicialGroup):
         super().__init__(G.field)
         self.G = G
         self._contains = contains
-        self._members = {}
+        self._members = Table(lambda p: tuple(
+            x for x in G.simplices(p) if contains(p, x)))
 
     def contains(self, p, x):
         return self._contains(p, x)
@@ -328,11 +325,7 @@ class SubgroupInclusion(SimplicialGroup):
         return self.G.degenerate_at(p, k, data)
 
     def simplices(self, p):
-        got = self._members.get(p)
-        if got is None:
-            got = self._members[p] = tuple(
-                x for x in self.G.simplices(p) if self.contains(p, x))
-        return got
+        return self._members[p]
 
     def last_face_fibre(self, p, q, data):
         """Faces are G's: G's fibre over `data` filtered by membership."""

@@ -23,23 +23,22 @@ is the graded dual of that monomial basis, its coproduct read off
 through `graded.d_operation`, and every (-1)^e through
 `graded.parity_sign`.
 
-A `FreeGcDga` hands out one `Monomial` per monomial from its table, at
-most MONOMIAL_CAP entries and emptied when full, so dict lookups of its
-keys mostly hit on identity; its basis of each degree is enumerated once,
-and the product of each pair of monomials is kept in a second table of
-the same cap.
+Every cache below is a `graded.Table`.  A `FreeGcDga` hands out one
+`Monomial` per monomial from its table keyed by powers, so dict lookups
+of its keys mostly hit on identity; it keeps its basis of each degree,
+keyed by degree, and the product of each pair of monomials, keyed by the
+pair.
 
 Each tensor construction (`TensorDga`, `TensorDgc`, `TwistedTensor` and
-so the one-sided bar) owns a table of its `Tensor` keys, at most
-TENSOR_CAP entries and emptied when full: `tensor_basis`,
-`tensor_diff_key` and the coproduct of `TensorDgc` take their keys from
-it (`_intern`, keyed by the pair of parts), so the keys of a basis and
-the targets of its differential are one object and elimination's dict
+so the one-sided bar) owns a table of its `Tensor` keys, keyed by the
+pair of parts: `tensor_basis`, `tensor_diff_key` and the coproduct of
+`TensorDgc` take their keys from it, so the keys of a basis and the
+targets of its differential are one object and elimination's dict
 lookups hit on identity.  A differential is assembled in one dict, with
 no element per summand: `tensor_diff_key` writes dx (x) y and
 +-x (x) dy into it, and `TwistedTensor` adds -delta_t, reading the
-splits of each coalgebra key where t is nonzero from a second table of
-the same cap.
+splits of each coalgebra key where t is nonzero from a table keyed by
+that key, and keeps each differential in a table keyed by the key.
 
 The module also provides the convolution algebra Hom(C, A) with its unit,
 cup product and differential, twisting cochains and twisted tensor
@@ -47,7 +46,7 @@ products.
 """
 from itertools import product
 
-from .graded import (GradedElement, LinearMap, Tensor, _remember, bilinear,
+from .graded import (GradedElement, LinearMap, Table, Tensor, bilinear,
                      d_operation, parity_sign, tensor_elements)
 from .linalg import StructuralError
 
@@ -225,24 +224,9 @@ class Dgc:
 # The tensor product of complexes
 # ---------------------------------------------------------------------------
 
-TENSOR_CAP = 1 << 16
-
-
-class _TensorKeys:
-    """The `Tensor` table of a tensor construction: the owner sets
-    `self._tensors = {}` and takes every key through `_intern`."""
-
-    def _intern(self, parts):
-        """The construction's one Tensor with these parts (a pair)."""
-        got = self._tensors.get(parts)
-        if got is None:
-            got = _remember(self._tensors, parts, Tensor(parts), TENSOR_CAP)
-        return got
-
-
 def tensor_basis(X, Y, degree, intern):
     """The keys x (x) y of total degree `degree`, |x| ascending from 0,
-    each `intern((x, y))` from the owner's table."""
+    each `intern((x, y))` from the owner's `Tensor` table."""
     out = []
     for dx in range(degree + 1):
         ys = list(Y.basis(degree - dx))
@@ -417,14 +401,12 @@ class TwistingCochain:
 # Twisted tensor products
 # ---------------------------------------------------------------------------
 
-class TwistedTensor(_TensorKeys):
+class TwistedTensor:
     """C (x)_t A with differential d_(x) - delta_t, d_(x) the differential
     of the tensor product (`tensor_diff_key`), for t: C -> A.
 
-    Its keys come from its table (`_intern`).  The differential of each
-    key is assembled once, in one dict, and kept for the complex's
-    lifetime in a plain dict, as `BarDgc` keeps its own (a `LinearMap`
-    over a bound method would tie the complex into a reference cycle).
+    Its keys come from its `Tensor` table.  The differential of each key
+    is assembled once, in one dict, and kept in a table keyed by the key.
     """
 
     def __init__(self, t):
@@ -433,46 +415,41 @@ class TwistedTensor(_TensorKeys):
         self.t = t
         self.field = t.C.field
         self.ddeg = t.C.ddeg
-        self._tensors = {}
-        self._splits = {}
-        self._diffs = {}
+        self._tensors = Table(Tensor)
+        self._splits = Table(TwistedTensor._twist_splits, self)
+        self._diffs = Table(TwistedTensor._diff, self)
 
     def key(self, ck, ak):
-        return self._intern((ck, ak))
+        return self._tensors[(ck, ak)]
 
     def _twist_splits(self, ck):
         """The splits c_1 (x) c_2 of Delta(ck) where t(c_2) is nonzero, each
         as (coefficient, c_1, terms of t(c_2)), the coefficient that of
         c_1 (x) t(c_2) a in -delta_t(ck (x) a): -(-1)^{|t||c_1|} times the
-        coproduct's.  Computed once per key while the split table (at most
-        TENSOR_CAP entries) keeps it."""
-        got = self._splits.get(ck)
-        if got is None:
-            field, tmap = self.field, self.t.map
-            got = []
-            for c, k1, k2 in self.C.cop_key(ck):
-                tv = tmap(k2).terms
-                if tv:
-                    got.append((field.mul(parity_sign(
-                        field, tmap.degree * k1.degree + 1), c),
-                        k1, tuple(tv.items())))
-            got = _remember(self._splits, ck, tuple(got), TENSOR_CAP)
-        return got
+        coproduct's."""
+        field, tmap = self.field, self.t.map
+        got = []
+        for c, k1, k2 in self.C.cop_key(ck):
+            tv = tmap(k2).terms
+            if tv:
+                got.append((field.mul(parity_sign(
+                    field, tmap.degree * k1.degree + 1), c),
+                    k1, tuple(tv.items())))
+        return tuple(got)
 
     def diff_key(self, key):
         """d_(x)(c (x) a) - sum +-c_1 (x) t(c_2) a, computed once per key;
         the value is shared and must not be mutated."""
-        got = self._diffs.get(key)
-        if got is None:
-            intern, mul = self._intern, self.field.mul
-            mul_keys = self.A.mul_keys
-            ck, ak = key.parts
-            got = self._diffs[key] = tensor_diff_key(
-                self.C, self.A, key, intern).add_pairs(
-                [(intern((k1, pk)), mul(mul(s, tc), pc))
-                 for s, k1, tv in self._twist_splits(ck) for tk, tc in tv
-                 for pk, pc in mul_keys(tk, ak).terms.items()])
-        return got
+        return self._diffs[key]
+
+    def _diff(self, key):
+        intern, mul = self._tensors.__getitem__, self.field.mul
+        mul_keys = self.A.mul_keys
+        ck, ak = key.parts
+        return tensor_diff_key(self.C, self.A, key, intern).add_pairs(
+            [(intern((k1, pk)), mul(mul(s, tc), pc))
+             for s, k1, tv in self._splits[ck] for tk, tc in tv
+             for pk, pc in mul_keys(tk, ak).terms.items()])
 
     def d(self, x):
         return x.map_keys(self.diff_key)
@@ -572,9 +549,9 @@ class FreeDga(Dga):
 class Monomial:
     """Commutative monomial: sorted tuple of (name, exponent).
 
-    The `FreeGcDga` that builds a monomial keeps it in its table (at most
-    MONOMIAL_CAP entries, emptied when full), so equal monomials of one
-    algebra are mostly one object; equality is still by value."""
+    The `FreeGcDga` that builds a monomial keeps it in its table, so
+    equal monomials of one algebra are mostly one object; equality is
+    still by value."""
 
     __slots__ = ("powers", "degree", "_hash", "_repr")
 
@@ -599,18 +576,16 @@ class Monomial:
         return got
 
 
-MONOMIAL_CAP = 1 << 16
-
-
 class FreeGcDga(Dga):
     """Free graded-commutative dga: polynomial on even generators tensor
     exterior on odd ones, with an assignable differential.
 
     Serves as polynomial algebras (zero differential), exterior algebras,
     and Koszul-resolution algebras.  Every monomial it makes comes from
-    its table (`_intern`, keyed by powers), `basis(d)` is enumerated
-    once per degree and kept as a tuple, and `mul_keys` keeps each product
-    in its table (`_products`, keyed by the pair).
+    its table `_monomials` (keyed by powers, built by `_intern`),
+    `basis(d)` is enumerated once per degree and kept as a tuple in
+    `_bases`, and `mul_keys` keeps each product in `_products` (keyed by
+    the pair).
     """
 
     def __init__(self, field, gens, d_gen=None):
@@ -618,23 +593,18 @@ class FreeGcDga(Dga):
         self.gens = dict(gens)
         self.order = {n: i for i, n in enumerate(self.gens)}
         self._odd = {n for n, d in self.gens.items() if d % 2}
-        self._monomials = {}
-        self._products = {}
-        self._bases = {}
-        self.unit_key = self._intern(())
+        self._monomials = Table(FreeGcDga._intern, self)
+        self._products = Table(FreeGcDga._mul_keys, self)
+        self._bases = Table(FreeGcDga._basis, self)
+        self.unit_key = self._monomials[()]
         # only the nonzero generator differentials
         self._dgen = {name: dg for name, dg in _generator_differentials(
             field, d_gen, self.monomial).items() if dg.terms}
         self.simply_connected = all(d >= 2 for d in self.gens.values())
 
     def _intern(self, powers):
-        """The algebra's one Monomial with these (sorted) powers."""
-        got = self._monomials.get(powers)
-        if got is None:
-            got = _remember(self._monomials, powers, Monomial(
-                powers, sum(self.gens[n] * e for n, e in powers)),
-                MONOMIAL_CAP)
-        return got
+        """The Monomial with these (sorted) powers, for its table."""
+        return Monomial(powers, sum(self.gens[n] * e for n, e in powers))
 
     def monomial(self, powers):
         """powers: iterable of (name, exp) or of names."""
@@ -652,15 +622,15 @@ class FreeGcDga(Dga):
             items.append((name, e))
         if acc:
             raise KeyError(f"unknown generators {sorted(acc)}")
-        return self._intern(tuple(items))
+        return self._monomials[tuple(items)]
 
     def generator(self, name):
         return GradedElement.single(self.field, self.monomial([name]))
 
     def basis(self, degree):
-        got = self._bases.get(degree)
-        if got is not None:
-            return got
+        return self._bases[degree]
+
+    def _basis(self, degree):
         # tails[r] holds the (name, exponent) tuples of degree r in the
         # generators from n on, each generator's exponent ascending from 0
         # and the first generator's varying slowest
@@ -670,22 +640,19 @@ class FreeGcDga(Dga):
             tails = [tails[r] + [((n, e),) + t for e in range(1, emax + 1)
                                  if d * e <= r for t in tails[r - d * e]]
                      for r in range(len(tails))]
-        got = self._bases[degree] = tuple(
-            self._intern(t) for t in tails[degree]) if degree >= 0 else ()
-        return got
+        monomials = self._monomials
+        return (tuple(monomials[t] for t in tails[degree]) if degree >= 0
+                else ())
 
     def mul_keys(self, k1, k2):
-        """The product of two monomials, computed once per pair while the
-        products table (at most MONOMIAL_CAP entries) keeps it; the value
-        is shared and must not be mutated."""
-        got = self._products.get((k1, k2))
-        if got is None:
-            got = _remember(self._products, (k1, k2), self._mul_keys(k1, k2),
-                            MONOMIAL_CAP)
-        return got
+        """The product of two monomials, computed once per pair and kept
+        in the products table; the value is shared and must not be
+        mutated."""
+        return self._products[(k1, k2)]
 
-    def _mul_keys(self, k1, k2):
+    def _mul_keys(self, pair):
         # Koszul sign from interleaving odd generators into sorted order.
+        k1, k2 = pair
         odd, order = self._odd, self.order
         odd1 = [order[n] for n, _ in k1.powers if n in odd]
         sign = 0
@@ -699,8 +666,8 @@ class FreeGcDga(Dga):
             merged[n] = merged.get(n, 0) + e
         if odd and any(e > 1 for n, e in merged.items() if n in odd):
             return GradedElement(self.field)
-        key = self._intern(tuple((n, merged[n]) for n in self.gens
-                                 if n in merged))
+        key = self._monomials[tuple((n, merged[n]) for n in self.gens
+                                    if n in merged)]
         return GradedElement.single(self.field, key,
                                     parity_sign(self.field, sign))
 
@@ -719,8 +686,8 @@ class FreeGcDga(Dga):
                 sgn = parity_sign(field, pre)
                 prefix = key.powers[:idx]
                 suffix = (((name, e - 1),) if e > 1 else ()) + key.powers[idx + 1:]
-                pm = self._intern(prefix)
-                sm = self._intern(suffix)
+                pm = self._monomials[prefix]
+                sm = self._monomials[suffix]
                 prod = self.mul(GradedElement.single(field, pm),
                                 self.mul(dg, GradedElement.single(field, sm)))
                 out.add_in(prod, field.mul(sgn, field.of(e)))
@@ -769,9 +736,9 @@ def polynomial_dga(field, gens):
     return FreeGcDga(field, gens)
 
 
-class TensorDga(_TensorKeys, Dga):
+class TensorDga(Dga):
     """A (x) B with componentwise structure and Koszul signs, its keys
-    from its table (`_intern`)."""
+    from its `Tensor` table."""
 
     def __init__(self, A, B):
         super().__init__(A.field)
@@ -780,15 +747,17 @@ class TensorDga(_TensorKeys, Dga):
         self.A = A
         self.B = B
         self.ddeg = A.ddeg
-        self._tensors = {}
-        self.unit_key = self._intern((A.unit_key, B.unit_key))
+        self._tensors = Table(Tensor)
+        self.unit_key = self._tensors[(A.unit_key, B.unit_key)]
         self.simply_connected = A.simply_connected and B.simply_connected
 
     def basis(self, degree):
-        return tensor_basis(self.A, self.B, degree, self._intern)
+        return tensor_basis(self.A, self.B, degree,
+                            self._tensors.__getitem__)
 
     def diff_key(self, key):
-        return tensor_diff_key(self.A, self.B, key, self._intern)
+        return tensor_diff_key(self.A, self.B, key,
+                               self._tensors.__getitem__)
 
     def mul_keys(self, k1, k2):
         a1, b1 = k1.parts
@@ -832,9 +801,9 @@ class FreeGcCoalgebra(Dgc):
         return out
 
 
-class TensorDgc(_TensorKeys, Dgc):
+class TensorDgc(Dgc):
     """C (x) D with coproduct (1 (x) T (x) 1)(Delta (x) Delta), its keys
-    from its table (`_intern`)."""
+    from its `Tensor` table."""
 
     def __init__(self, C, D):
         super().__init__(C.field)
@@ -843,26 +812,28 @@ class TensorDgc(_TensorKeys, Dgc):
         self.C = C
         self.D = D
         self.ddeg = C.ddeg
-        self._tensors = {}
-        self.coaug_key = self._intern((C.coaug_key, D.coaug_key))
+        self._tensors = Table(Tensor)
+        self.coaug_key = self._tensors[(C.coaug_key, D.coaug_key)]
         self.cocomplete = C.cocomplete and D.cocomplete
 
     def basis(self, degree):
-        return tensor_basis(self.C, self.D, degree, self._intern)
+        return tensor_basis(self.C, self.D, degree,
+                            self._tensors.__getitem__)
 
     def diff_key(self, key):
-        return tensor_diff_key(self.C, self.D, key, self._intern)
+        return tensor_diff_key(self.C, self.D, key,
+                               self._tensors.__getitem__)
 
     def cop_key(self, key):
         kc, kd = key.parts
-        field, intern = self.field, self._intern
+        field, tensors = self.field, self._tensors
         out = []
         for c, c1, c2 in self.C.cop_key(kc):
             for c_, d1, d2 in self.D.cop_key(kd):
                 # sign from T moving d1 past c2
                 coeff = field.mul(field.mul(c, c_), parity_sign(
                     field, d1.degree * c2.degree))
-                out.append((coeff, intern((c1, d1)), intern((c2, d2))))
+                out.append((coeff, tensors[(c1, d1)], tensors[(c2, d2)]))
         return out
 
     def counit_key(self, key):

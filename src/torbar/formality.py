@@ -47,9 +47,9 @@ class KoszulComplex(TensorDgc):
 
     def key(self, xs, alpha):
         """x_{i in xs} . y_alpha."""
-        return self._intern((self.L.monomial([(f"x{i}", 1) for i in xs]),
-                             self.D.algebra.monomial([(f"y{i}", a) for i, a
-                                                      in enumerate(alpha)])))
+        return self._tensors[(self.L.monomial([(f"x{i}", 1) for i in xs]),
+                              self.D.algebra.monomial([(f"y{i}", a) for i, a
+                                                       in enumerate(alpha)]))]
 
     def diff_key(self, key):
         lk, sk = key.parts

@@ -6,9 +6,13 @@ Koszul pairs); one linear-algebra engine serves them all.  Equal keys
 may be one object: a space keeps one `SimplexKey` per simplex, a
 `FreeGcDga` one `Monomial` per monomial, a `BarDgc` one `BarWord` per
 word and a tensor construction of `dg` one `Tensor` per pair, each in a
-table bounded by `_remember`, so most dict lookups hit on identity.
-Equality by value stays the fallback: a key built elsewhere, or after
-its table was emptied, finds the same entries.
+`Table`, so most dict lookups hit on identity.  Equality by value stays
+the fallback: a key built elsewhere, or after its table was emptied,
+finds the same entries.
+
+`Table` is the one memo type of the package: every per-object cache
+(keys, bases, differentials, products, faces, interval cuts) is one, and
+its docstring states the one cache policy.
 
 `GradedElement` is a finite linear combination of keys; zero coefficients
 are never stored.  `LinearMap` is a lazy degree-homogeneous map given by a
@@ -25,14 +29,50 @@ is the one differential of a multilinear operation, d(op) = d op -
 (-1)^{|op|} op d: the Leibniz check of a dga, the differential of
 Hom(C, A) and the differential axioms of the hga layer all go through it.
 """
+from _weakref import ref
+
+CAP = 1 << 16
 
 
-def _remember(memo, key, value, cap):
-    """Store value in a bounded memo, emptying the memo first if full."""
-    if len(memo) >= cap:
-        memo.clear()
-    memo[key] = value
-    return value
+class Table(dict):
+    """A bounded memo: `table[key]` is the stored value, computed and
+    stored on a miss as `compute(key)`, or as `compute(owner, key)` for a
+    table built with an owner.
+
+    The policy, the same for every cache of the package:
+    - bounded: a table that holds `CAP` entries is emptied before the
+      next one is stored (`remember`), so a value may be computed again
+      and callers must not rely on its identity across an emptying;
+    - owner held weakly: a table built with an owner keeps only a weak
+      reference to it, so an owner holding its table is in no reference
+      cycle and is freed on `del`, without the cycle collector;
+    - values shared and never mutated: every caller that looks a key up
+      gets the same object.
+    A hit is a plain dict lookup; `get` and `in` compute nothing."""
+
+    __slots__ = ("_compute", "_owner")
+
+    def __init__(self, compute=None, owner=None):
+        self._compute = compute
+        self._owner = None if owner is None else ref(owner)
+
+    def __missing__(self, key):
+        # `remember` inlined: a miss is the hot path, and under the
+        # benchmark's tracer a public method call is a traced span
+        owner = self._owner
+        value = (self._compute(key) if owner is None
+                 else self._compute(owner(), key))
+        if len(self) >= CAP:
+            self.clear()
+        self[key] = value
+        return value
+
+    def remember(self, key, value):
+        """Store value under key, emptying the table first if full."""
+        if len(self) >= CAP:
+            self.clear()
+        self[key] = value
+        return value
 
 
 class Tensor:
@@ -229,20 +269,15 @@ class LinearMap:
     """Degree-homogeneous linear map given lazily on basis keys.
 
     `rule` maps a key to a GradedElement; evaluation on elements extends
-    linearly.  The value on each key is computed once and memoized.
+    linearly.  The value on each key is kept in a `Table`.
     """
 
     def __init__(self, degree, rule):
         self.degree = degree
-        self._rule = rule
-        self._memo = {}
+        self._values = Table(rule)
 
     def __call__(self, key):
-        got = self._memo.get(key)
-        if got is None:
-            got = self._rule(key)
-            self._memo[key] = got
-        return got
+        return self._values[key]
 
     def of(self, elem):
         if not isinstance(elem, GradedElement):

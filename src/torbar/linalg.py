@@ -13,7 +13,7 @@ pivot lookup (Chen-Kerber 2011; Bauer, Ripser, 2021).
   of first sight (`rarest_first`).  Rare keys then take the pivots, and a
   pivot row with few entries causes little fill-in.  `add` numbers any
   key still without a number in the order it first sees it.  Queries
-  (`contains`, `express_class`) number nothing: a key without a number is
+  (`reduce`, `express_class`) number nothing: a key without a number is
   in no row, nothing can cancel it, and the vector is outside the span.
 - *Pivots.*  `add` is the only place that chooses a pivot: the least
   number of the reduced vector.  Each row is scaled to 1 there and lives
@@ -61,13 +61,6 @@ def _subtract(vec, c, row, field):
             vec[k] = nv
 
 
-def rank(rows, field):
-    space = ReducedSpace(field)
-    for row in rows:
-        space.add(row)
-    return space.dim
-
-
 def rank_dense_oracle(rows, field, ncols_keys):
     """Naive dense rank over the same field, for cross-checking."""
     cols = list(ncols_keys)
@@ -99,7 +92,8 @@ def rank_dense_oracle(rows, field, ncols_keys):
 
 
 class ReducedSpace:
-    """Echelonized span of sparse vectors; supports membership and reduction.
+    """Echelonized span of sparse vectors: a vector lies in it when
+    `reduce` leaves the empty dict.
 
     `combos` runs parallel to `echelon`: the combination of tags (dict
     tag -> coeff) that each row equals, or None for a row added without
@@ -200,9 +194,6 @@ class ReducedSpace:
                                  {k + shift: v for k, v in row.items()}))
             self.combos.append(None if combo is None else
                                {tag_offset + i: c for i, c in combo.items()})
-
-    def contains(self, vec):
-        return self.reduce(vec) == {}
 
     @property
     def dim(self):

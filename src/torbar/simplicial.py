@@ -17,68 +17,66 @@ listed from the heads over the front face and the tail that is the back
 face (`classifying.WBar.heads`, built from the `last_face_fibre` that every
 `SimplicialGroup` has).
 
-Every `SimplicialSet` owns three memos of its simplicial hot path, filled
-on first use and keyed by raw simplex data, which is sound because face
-and degeneracy are pure functions of (p, data):
+Every `SimplicialSet` owns four tables (`graded.Table`) of its
+simplicial hot path, filled on first use and keyed by dimensions and raw
+simplex data, which is sound because face and degeneracy are pure
+functions of (p, data):
 
-- `is_degenerate(p, data)`, keyed by (p, data), at most DEGENERATE_CAP
-  (65536) entries.  It asks the space's `degenerate_at(p, k, data)` for
-  each k < p: whether x is s_k of a (p-1)-simplex.  The generic answer
-  tests x = s_k d_k x; a simplex, a constant group, a product, a W-bar
-  space and its total space read it off the entries of x instead, with
-  no face or degeneracy computed.  `nondegenerate(p)` fills it for a
-  whole slice at once, from the degeneracies of the slice below;
-- `key(p, data)`, keyed by (p, data), at most KEY_CAP (65536) entries: one
-  shared `SimplexKey` per simplex, so memoized cuts hold references to
-  keys, not copies of them;
+- `is_degenerate(p, data)`, keyed by (p, data).  It asks the space's
+  `degenerate_at(p, k, data)` for each k < p: whether x is s_k of a
+  (p-1)-simplex.  The generic answer tests x = s_k d_k x; a simplex, a
+  constant group, a product, a W-bar space and its total space read it
+  off the entries of x instead, with no face or degeneracy computed;
+- `nondegenerate(p)`, keyed by p: the nondegenerate p-simplices, found
+  from the degeneracies of the slice below, which also fills the
+  `is_degenerate` table for the whole slice;
+- `key(p, data)`, keyed by (p, data): one shared `SimplexKey` per
+  simplex, so memoized cuts hold references to keys, not copies of them;
 - `interval_cut(u, key, dims)`, keyed by (u.seq, dims, p, data) on
-  key.space, at most CUT_CAP (8192) entries, each a tuple of (coeff,
-  tuple of factor keys).  `dims` is None for the full cut, or the factor
-  dimensions of the only terms a caller reads: `surjection_op` (so E_k,
-  F_kl, `cup`, cup1 and cup2) passes its cochains' degrees and cuts no
-  shape that its cochains pair to zero.  The Alexander-Whitney diagonal
-  is the full cut of `AW` = (1, 2), every term with sign +1: the
-  coproduct of `ChainsDgc` and each `partial_diagonal` read it, so they
-  share one entry per simplex.
+  key.space, each a tuple of (coeff, tuple of factor keys).  `dims` is
+  None for the full cut, or the factor dimensions of the only terms a
+  caller reads: `surjection_op` (so E_k, F_kl, `cup`, cup1 and cup2)
+  passes its cochains' degrees and cuts no shape that its cochains pair
+  to zero.  The Alexander-Whitney diagonal is the full cut of `AW` =
+  (1, 2), every term with sign +1: the coproduct of `ChainsDgc` and each
+  `partial_diagonal` read it, so they share one entry per simplex.
 
-A memo that is full is emptied before its next entry.  Results are shared
-between callers and immutable (bools, keys and tuples).  The shapes of
-interval cuts depend only on (u.seq, n): `_cut_shapes` generates only the
-valid cuts, grouped by factor dimensions, once per pair, and keeps those
-of the 256 most recent pairs; the full cut reads the groups one after
-another.
+Results are shared between callers and immutable (bools, keys and
+tuples).  The shapes of interval cuts depend only on (u.seq, n):
+`_cut_shapes` generates only the valid cuts, grouped by factor
+dimensions, once per pair, and keeps those of the 256 most recent pairs;
+the full cut reads the groups one after another.
 
 Two more tables have the same form: a W-bar group
 (`classifying.WBarGroup`) keeps its faces, keyed by (k, data), and its
-products, keyed by (x, y), each at most `classifying.GROUP_TABLE_CAP`
-(8192) entries; the middle faces of a W-bar space multiply two entries in
-its group, so a table of the group's few products serves all of them.  The
-faces of other spaces are not memoized.  Instead, one interval cut takes
-all of its factors' faces of one simplex through one table (vertex tuple
--> face data, see `face_by_vertices_data`), so the deletions those faces
-share are taken once.  The table is transient, not a memo: the cut creates
-it and drops it when it returns.
+products, keyed by (x, y); the middle faces of a W-bar space multiply two
+entries in its group, so a table of the group's few products serves all
+of them.  The faces of other spaces are not memoized.  Instead, one
+interval cut takes all of its factors' faces of one simplex through one
+table (vertex tuple -> face data, see `face_by_vertices_data`), so the
+deletions those faces share are taken once.  The table is transient, not
+a memo: the cut creates it and drops it when it returns.
 """
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import (chain, combinations, combinations_with_replacement,
                        product)
 
 from .dg import Dga, Dgc
-from .graded import (GradedElement, Tensor, _remember, bilinear,
+from .graded import (GradedElement, Table, Tensor, bilinear,
                      interleave_exponent, koszul_sign, parity_sign)
 from .linalg import homology, StructuralError
 
 
 class SimplexKey:
-    """Basis key for a simplex: space + dimension + data."""
+    """Basis key for a simplex: space + dimension + data, built by the
+    space's key table from the pair (dimension, data)."""
 
     __slots__ = ("space", "degree", "data", "_hash")
 
-    def __init__(self, space, degree, data):
+    def __init__(self, space, simplex):
         self.space = space
-        self.degree = degree
-        self.data = data
-        self._hash = hash((id(space), degree, data))
+        self.degree, self.data = simplex
+        self._hash = hash((id(space), self.degree, self.data))
 
     def __eq__(self, other):
         return (isinstance(other, SimplexKey) and other.space is self.space
@@ -91,20 +89,15 @@ class SimplexKey:
         return f"<{self.data}:{self.degree}>"
 
 
-DEGENERATE_CAP = 1 << 16
-KEY_CAP = 1 << 16
-CUT_CAP = 1 << 13
-
-
 class SimplicialSet:
     """Base: subclasses implement face/degeneracy on raw simplex data."""
 
     def __init__(self, field):
         self.field = field
-        self._nondeg_cache = {}
-        self._degenerate_memo = {}
-        self._key_memo = {}
-        self._cut_memo = {}
+        self._nondeg_cache = Table(SimplicialSet._nondegenerate, self)
+        self._degenerate_memo = Table(SimplicialSet._is_degenerate, self)
+        self._key_memo = Table(SimplexKey, self)
+        self._cut_memo = Table()
 
     # -- required ---------------------------------------------------------
     def face(self, p, i, data):
@@ -122,11 +115,7 @@ class SimplicialSet:
 
     # -- generic ----------------------------------------------------------
     def key(self, p, data):
-        got = self._key_memo.get((p, data))
-        if got is None:
-            got = _remember(self._key_memo, (p, data),
-                            SimplexKey(self, p, data), KEY_CAP)
-        return got
+        return self._key_memo[(p, data)]
 
     def basepoint_key(self):
         return self.key(0, self.basepoint())
@@ -138,16 +127,12 @@ class SimplicialSet:
         return self.degeneracy(p - 1, k, self.face(p, k, data)) == data
 
     def is_degenerate(self, p, data):
-        got = self._degenerate_memo.get((p, data))
-        if got is None:
-            degenerate_at = self.degenerate_at
-            got = False
-            for k in range(p):
-                if degenerate_at(p, k, data):
-                    got = True
-                    break
-            _remember(self._degenerate_memo, (p, data), got, DEGENERATE_CAP)
-        return got
+        return self._degenerate_memo[(p, data)]
+
+    def _is_degenerate(self, key):
+        p, data = key
+        degenerate_at = self.degenerate_at
+        return any(degenerate_at(p, k, data) for k in range(p))
 
     def nondegenerate(self, p):
         """The nondegenerate p-simplices, in the order of `simplices(p)`.
@@ -155,22 +140,20 @@ class SimplicialSet:
         The degenerate ones are by definition the s_k y, y a (p-1)-simplex
         and k < p: one set of them is built from the (p-1)-slice through
         `degeneracy`, and each p-simplex is looked up in it, not tested
-        for each k.  Each answer is recorded in the `is_degenerate` memo,
+        for each k.  Each answer is recorded in the `is_degenerate` table,
         which the cuts and faces of these simplices read next."""
-        got = self._nondeg_cache.get(p)
-        if got is None:
-            degeneracy = self.degeneracy
-            degenerate = {degeneracy(p - 1, k, y)
-                          for y in (self.simplices(p - 1) if p else ())
-                          for k in range(p)}
-            memo = self._degenerate_memo
-            got = []
-            for x in self.simplices(p):
-                flag = x in degenerate
-                _remember(memo, (p, x), flag, DEGENERATE_CAP)
-                if not flag:
-                    got.append(x)
-            self._nondeg_cache[p] = got
+        return self._nondeg_cache[p]
+
+    def _nondegenerate(self, p):
+        degeneracy = self.degeneracy
+        degenerate = {degeneracy(p - 1, k, y)
+                      for y in (self.simplices(p - 1) if p else ())
+                      for k in range(p)}
+        remember = self._degenerate_memo.remember
+        got = []
+        for x in self.simplices(p):
+            if not remember((p, x), x in degenerate):
+                got.append(x)
         return got
 
     def chain(self, p, data):
@@ -530,7 +513,7 @@ def interval_cut(u, key, dims=None):
             factors.append(X.key(len(vs) - 1, data))
         else:
             out.append((X.field.of(sign), tuple(factors)))
-    return _remember(X._cut_memo, memo_key, tuple(out), CUT_CAP)
+    return X._cut_memo.remember(memo_key, tuple(out))
 
 
 def partial_diagonal(key, k):
@@ -898,12 +881,7 @@ class DualCochainDga(Dga):
         # on a reduced space the unit is a basis key (bar constructions
         # need this); otherwise the unit is the sum of all vertex duals
         self.unit_key = X.key(0, vertices[0]) if len(vertices) == 1 else None
-        self._cob_index = {}
-
-    @cached_property
-    def base_key(self):
-        """The dual of the basepoint, the key the augmentation reads."""
-        return self.X.basepoint_key()
+        self._cob_index = Table(DualCochainDga._coboundary_index, self)
 
     @property
     def simply_connected(self):
@@ -945,39 +923,37 @@ class DualCochainDga(Dga):
         `GradedElement.add_pairs`, which adds and cancels in the order of
         `boundary_key`; the rows are plain dicts, each wrapped in a
         `GradedElement` as it stands, since no coefficient in them is
-        zero."""
-        got = self._cob_index.get(degree)
-        if got is None:
-            X, field = self.X, self.field
-            n = degree + 1
-            face = X.face
-            # (d a)(s) = (-1)^{|a|+1} a(ds), |a| = degree, and d_i of s
-            # has the sign (-1)^i
-            signs = [parity_sign(field, n + i) for i in range(n + 1)]
-            faces = {}
-            rows = {}
-            for x in X.nondegenerate(n):
-                pairs = []
-                for i in range(n + 1):
-                    f = face(n, i, x)
-                    fk = faces.get(f)
-                    if fk is None:
-                        fk = faces[f] = (not X.is_degenerate(degree, f)
-                                         and X.key(degree, f))
-                    if fk is not False:
-                        pairs.append((fk, signs[i]))
-                skey = X.key(n, x)
-                signed = GradedElement(field).add_pairs(pairs)
-                for fk, c in signed.terms.items():
-                    rows.setdefault(fk, {})[skey] = c
-            got = self._cob_index[degree] = {}
-            for fk, row in rows.items():
-                got[fk] = vec = GradedElement(field)
-                vec.terms = row
-        return got
+        zero.  Kept in a table keyed by degree."""
+        X, field = self.X, self.field
+        n = degree + 1
+        face = X.face
+        # (d a)(s) = (-1)^{|a|+1} a(ds), |a| = degree, and d_i of s has
+        # the sign (-1)^i
+        signs = [parity_sign(field, n + i) for i in range(n + 1)]
+        faces = {}
+        rows = {}
+        for x in X.nondegenerate(n):
+            pairs = []
+            for i in range(n + 1):
+                f = face(n, i, x)
+                fk = faces.get(f)
+                if fk is None:
+                    fk = faces[f] = (not X.is_degenerate(degree, f)
+                                     and X.key(degree, f))
+                if fk is not False:
+                    pairs.append((fk, signs[i]))
+            skey = X.key(n, x)
+            signed = GradedElement(field).add_pairs(pairs)
+            for fk, c in signed.terms.items():
+                rows.setdefault(fk, {})[skey] = c
+        index = {}
+        for fk, row in rows.items():
+            index[fk] = vec = GradedElement(field)
+            vec.terms = row
+        return index
 
     def diff_key(self, key):
-        got = self._coboundary_index(key.degree).get(key)
+        got = self._cob_index[key.degree].get(key)
         return GradedElement(self.field) if got is None else got
 
     def mul_keys(self, k1, k2):
@@ -1007,7 +983,7 @@ class DualCochainDga(Dga):
 
     def aug(self, x):
         # at the basepoint: a space that is not reduced has no unit key
-        return x.coeff(self.base_key)
+        return x.coeff(self.X.basepoint_key())
 
     def through_functionals(self, op, vecs):
         """op on the functionals of vecs, vectorized; zero when an argument

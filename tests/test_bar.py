@@ -17,7 +17,7 @@ from torbar.homog import (CATALOG, catalog_entry, chain_level_tor,
                           tor_bar_algebra)
 from torbar.linalg import StructuralError
 from torbar.simplicial import DualCochainDga
-from torbar import bar, dg
+from torbar import graded
 
 from test_dg import check_differentials
 
@@ -378,7 +378,9 @@ def test_one_sided_bar_differentials_match_the_reference():
 
 def _catalog_tables():
     """Totals, bidegrees and product coordinates of two catalog pairs over
-    Q and F5, with the sizes of their monomial, product and word tables."""
+    Q and F5, with the sizes of their monomial and product tables and of
+    the one-sided bar's word, tensor, split and differential tables and
+    its bar's differential and coproduct tables."""
     out, sizes = [], []
     for name in ("SU(3)/T", "U(2)/U(1)xU(1)"):
         for field in (QQ, F5):
@@ -390,19 +392,18 @@ def _catalog_tables():
             sizes.append([len(A._monomials), len(B._monomials),
                           len(A._products), len(B._products),
                           len(osb.C._words), len(osb._tensors),
-                          len(osb._splits)])
+                          len(osb._splits), len(osb._diffs),
+                          len(osb.C._diffs), len(osb.C._cops)])
     return out, sizes
 
 
 def test_key_tables_stay_within_small_caps(monkeypatch):
-    """Emptying the monomial, product, word, tensor and split tables
-    whenever they hold 8 keys changes no catalog table: equality by value
-    is the fallback, and a split list is recomputed."""
+    """Emptying every table whenever it holds 8 keys (`graded.CAP`)
+    changes no catalog table: equality by value is the fallback, and a
+    split list, a differential or a coproduct is recomputed."""
     expected, sizes = _catalog_tables()
     assert min(map(max, zip(*sizes))) > 8
-    monkeypatch.setattr(dg, "MONOMIAL_CAP", 8)
-    monkeypatch.setattr(bar, "WORD_CAP", 8)
-    monkeypatch.setattr(dg, "TENSOR_CAP", 8)
+    monkeypatch.setattr(graded, "CAP", 8)
     got, sizes = _catalog_tables()
     assert got == expected
     assert max(map(max, sizes)) <= 8
@@ -410,9 +411,12 @@ def test_key_tables_stay_within_small_caps(monkeypatch):
 
 def test_enumerating_owners_are_freed_without_the_cycle_collector():
     """A bar, the free algebras and a W-bar space with its groups are
-    freed on `del` after enumerating their bases or simplices: no
-    enumeration ties its owner into a reference cycle, which only the
-    cycle collector would break."""
+    freed on `del` after enumerating their bases or simplices, and so are
+    a one-sided bar, its bar and its algebras after their tables computed
+    differentials, coproducts and products, and a W-bar space and its
+    group after degeneracy tests, faces and products: no enumeration or
+    table ties its owner into a reference cycle, which only the cycle
+    collector would break."""
     def enumerated():
         A = FreeGcDga(QQ, [("a", 2), ("u", 3), ("w", 4)])
         B = BarDgc(A)
@@ -423,9 +427,32 @@ def test_enumerating_owners_are_freed_without_the_cycle_collector():
         X.nondegenerate(4)
         return [B, A, F, X, X.G, X.G.G]
 
+    def computed():
+        A, B, f, _ = catalog_entry(QQ, "SU(3)/T")
+        osb = OneSidedBar(A, B, f)
+        for n in range(5):
+            for k in osb.basis_total(n):
+                osb.diff_key(k)
+                osb.C.cop_key(k.parts[0])
+        keys = [k for d in range(7) for k in A.basis(d)]
+        for k1 in keys:
+            for k2 in keys:
+                A.mul_keys(k1, k2)
+        B.mul_keys(B.unit_key, B.basis(2)[0])
+        X = wbar(b_cyclic(F2, 2))
+        for x in X.simplices(4):
+            X.is_degenerate(4, x)
+        G = X.G
+        for x in G.simplices(3):
+            G.mul(3, x, x)
+            for k in range(4):
+                G.face(3, k, x)
+        return [osb, osb.C, A, B, X, G]
+
     gc.disable()
     try:
-        refs = [weakref.ref(owner) for owner in enumerated()]
-        assert [ref() for ref in refs] == [None] * len(refs)
+        for owners in (enumerated, computed):
+            refs = [weakref.ref(owner) for owner in owners()]
+            assert [ref() for ref in refs] == [None] * len(refs), owners
     finally:
         gc.enable()

@@ -1,12 +1,15 @@
+import gc
+import weakref
 from dataclasses import dataclass
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from torbar import graded
 from torbar.fields import QQ, F2, F5
-from torbar.graded import (GradedElement, Tensor, tensor_elements, koszul_sign,
-                           interleave_exponent, parity_sign)
+from torbar.graded import (GradedElement, Table, Tensor, tensor_elements,
+                           koszul_sign, interleave_exponent, parity_sign)
 
 
 @dataclass(frozen=True)
@@ -155,3 +158,69 @@ def test_interleave_exponent_is_the_sign_of_the_interleaving(pairs):
     perm = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
     e = interleave_exponent([a for a, _ in pairs], [b for _, b in pairs])
     assert (-1) ** (e % 2) == koszul_sign(degrees, perm)
+
+
+def test_table_computes_each_key_once():
+    calls = []
+
+    def square(n):
+        calls.append(n)
+        return [n * n]
+
+    table = Table(square)
+    first = [table[n] for n in (3, 4, 3, 3, 4)]
+    assert first == [[9], [16], [9], [9], [16]] and calls == [3, 4]
+    assert table[3] is first[0]
+
+
+class _Owner:
+    """An owner of a table, as the package's algebras and spaces are."""
+
+    def __init__(self, offset):
+        self.offset = offset
+        self.values = Table(_Owner._value, self)
+
+    def _value(self, key):
+        return key + self.offset
+
+
+def test_table_passes_its_owner_to_compute():
+    # one compute, two owners
+    a, b = _Owner(10), _Owner(20)
+    assert (a.values[5], b.values[5], a.values[6]) == (15, 25, 16)
+
+
+def test_table_holds_its_owner_weakly():
+    """An owner whose table has computed values is freed on `del` with
+    the cycle collector off: the table is in no reference cycle."""
+    gc.disable()
+    try:
+        owner = _Owner(1)
+        assert [owner.values[k] for k in range(5)] == [1, 2, 3, 4, 5]
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_table_is_emptied_at_the_cap(monkeypatch):
+    monkeypatch.setattr(graded, "CAP", 3)
+    table = Table(lambda n: -n)
+    assert [table[n] for n in range(3)] == [0, -1, -2]
+    assert dict(table) == {0: 0, 1: -1, 2: -2}
+    assert table[3] == -3 and dict(table) == {3: -3}
+    assert table.remember("k", "v") == "v"
+    assert dict(table) == {3: -3, "k": "v"}
+    assert table.remember("j", 1) == 1 and table[4] == -4
+    assert dict(table) == {4: -4}
+
+
+def test_table_get_computes_nothing():
+    calls = []
+    table = Table(calls.append)
+    assert table.get(1) is None and 1 not in table
+    assert table.get(1, "default") == "default"
+    assert calls == [] and len(table) == 0
+    table.remember(1, "one")
+    assert table.get(1) == "one" and calls == []

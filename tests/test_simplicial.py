@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torbar import classifying, simplicial
+from torbar import classifying, graded, simplicial
 from torbar.classifying import (CosetSpace, SubgroupInclusion, WBar, WTotal,
                                 b_cyclic, quotient, torus_group, wbar)
 from torbar.fields import QQ, F2, F5, PrimeField
@@ -728,13 +728,10 @@ def _memo_run():
     X = A.X
     memos = (X._degenerate_memo, X._key_memo, X._cut_memo, X.G._face_memo,
              X.G._products)
-    caps = (simplicial.DEGENERATE_CAP, simplicial.KEY_CAP,
-            simplicial.CUT_CAP, classifying.GROUP_TABLE_CAP,
-            classifying.GROUP_TABLE_CAP)
     out = []
 
     def record(value):
-        assert all(len(m) <= cap for m, cap in zip(memos, caps))
+        assert all(len(m) <= graded.CAP for m in memos)
         out.append(value)
 
     for d in range(5):
@@ -757,9 +754,7 @@ def _memo_run():
 def test_memos_stay_within_small_caps(monkeypatch):
     expected, sizes = _memo_run()
     assert min(sizes) > 8
-    for name in ("DEGENERATE_CAP", "KEY_CAP", "CUT_CAP"):
-        monkeypatch.setattr(simplicial, name, 8)
-    monkeypatch.setattr(classifying, "GROUP_TABLE_CAP", 8)
+    monkeypatch.setattr(graded, "CAP", 8)
     got, sizes = _memo_run()
     assert got == expected
     assert max(sizes) <= 8
@@ -771,7 +766,7 @@ def test_warm_wbar_group_faces_match_the_formula():
              for k in range(p + 1)]
     for p, k, x in cases:
         G.face(p, k, x)
-    assert 8 < len(G._face_memo) <= classifying.GROUP_TABLE_CAP
+    assert 8 < len(G._face_memo) <= graded.CAP
     for p, k, x in cases:
         assert G.face(p, k, x) == WBar.face(G, p, k, x), (p, k, x)
 
@@ -796,7 +791,7 @@ def test_warm_wbar_group_products_match_the_formula():
     for G, pairs in cases:
         for p, x, y in pairs:
             G.mul(p, x, y)
-        assert 8 < len(G._products) <= classifying.GROUP_TABLE_CAP
+        assert 8 < len(G._products) <= graded.CAP
         for emptied in (False, True):
             if emptied:
                 G._products.clear()

@@ -556,13 +556,13 @@ def test_tracer_modules_are_the_package_modules():
 
 
 def test_keys_built_only_by_their_owners_tables():
-    """Only `FreeGcDga._intern` constructs a `Monomial` and only
-    `BarDgc._intern` a `BarWord`, so every monomial and word of the
+    """Only `FreeGcDga._intern`, the compute of an algebra's monomial
+    table, constructs a `Monomial`, and no function calls `BarWord`, the
+    compute of a bar's word table, so every monomial and word of the
     package comes from its owner's table and equal keys are one object; a
     key built anywhere else would be an equal copy that dict lookups
     compare by value."""
-    owners = {"Monomial": ("FreeGcDga", "_intern"),
-              "BarWord": ("BarDgc", "_intern")}
+    owners = {"Monomial": ("FreeGcDga", "_intern"), "BarWord": None}
     found = []
 
     def visit(path, node, cls, function):
@@ -586,11 +586,11 @@ def test_keys_built_only_by_their_owners_tables():
 def test_tensor_constructions_take_keys_from_their_tables():
     """`dg.tensor_basis`, `dg.tensor_diff_key` and the methods of every
     tensor construction (`TensorDga`, `TensorDgc`, `TwistedTensor` and
-    their subclasses) call no `Tensor(...)`: only `_TensorKeys._intern`
-    builds one, so the keys of a basis and the targets of its
-    differential come from the owner's table and are one object."""
+    their subclasses) call no `Tensor(...)`: each takes its keys from its
+    `Tensor` table, whose compute is `Tensor` itself, so the keys of a
+    basis and the targets of its differential are one object."""
     trees = list(_trees("src/torbar"))
-    owners = {"_TensorKeys", "TensorDga", "TensorDgc", "TwistedTensor"}
+    owners = {"TensorDga", "TensorDgc", "TwistedTensor"}
     classes = [(path, node) for path, tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)]
     grown = True
@@ -604,8 +604,7 @@ def test_tensor_constructions_take_keys_from_their_tables():
                 grown = True
     scopes = [(path, f"{cls.name}.{fn.name}", fn) for path, cls in classes
               if cls.name in owners for fn in cls.body
-              if isinstance(fn, ast.FunctionDef)
-              and (cls.name, fn.name) != ("_TensorKeys", "_intern")]
+              if isinstance(fn, ast.FunctionDef)]
     scopes += [(path, fn.name, fn) for path, tree in trees
                if path.name == "dg.py" for fn in tree.body
                if isinstance(fn, ast.FunctionDef)
@@ -615,6 +614,36 @@ def test_tensor_constructions_take_keys_from_their_tables():
              for path, where, fn in scopes for node in ast.walk(fn)
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "Tensor"]
+    assert not found, found
+
+
+def test_one_memo_type():
+    """Every per-object memo of the package is a `graded.Table`, bounded
+    by the one `graded.CAP`: no module but `graded` defines a module-level
+    name ending in `CAP`, no underscored attribute is assigned `{}` or
+    `dict()` (an unbounded memo, or one with its own get-or-store block),
+    and nothing is a `cached_property`."""
+    found = []
+    for path, tree in _trees("src/torbar"):
+        if path.name != "graded.py":
+            found += [f"{path.name}:{node.lineno}:{t.id}" for node in tree.body
+                      if isinstance(node, ast.Assign) for t in node.targets
+                      if isinstance(t, ast.Name) and t.id.endswith("CAP")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and (
+                    isinstance(node.value, ast.Dict) and not node.value.keys
+                    or isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    and node.value.func.id == "dict"
+                    and not node.value.args and not node.value.keywords):
+                found += [f"{path.name}:{node.lineno}:{t.attr}"
+                          for t in node.targets
+                          if isinstance(t, ast.Attribute)
+                          and t.attr.startswith("_")]
+            if (isinstance(node, ast.Name) and node.id == "cached_property"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "cached_property"):
+                found.append(f"{path.name}:{node.lineno}:cached_property")
     assert not found, found
 
 
@@ -721,8 +750,7 @@ UNREACHED_INTERFACE = {
     "formality:KoszulComplex.key",
     "graded:GradedElement.__hash__", "graded:GradedElement.__repr__",
     "hga:KSAlgebra.diff_key",
-    "linalg:HomologyResult.__repr__", "linalg:ReducedSpace.contains",
-    "linalg:rank",
+    "linalg:HomologyResult.__repr__",
     "simplicial:ChainsDgc.basis", "simplicial:ChainsDgc.coaug_key",
     "simplicial:ChainsDgc.counit_key", "simplicial:Cochain.add",
     "simplicial:ConstantFreeAbelian.simplices",
