@@ -149,7 +149,7 @@ class SimplicialSet:
         degenerate = {degeneracy(p - 1, k, y)
                       for y in (self.simplices(p - 1) if p else ())
                       for k in range(p)}
-        remember = self._degenerate_memo.remember
+        remember = self._degenerate_memo._remember
         got = []
         for x in self.simplices(p):
             if not remember((p, x), x in degenerate):
@@ -513,7 +513,7 @@ def interval_cut(u, key, dims=None):
             factors.append(X.key(len(vs) - 1, data))
         else:
             out.append((X.field.of(sign), tuple(factors)))
-    return X._cut_memo.remember(memo_key, tuple(out))
+    return X._cut_memo._remember(memo_key, tuple(out))
 
 
 def partial_diagonal(key, k):

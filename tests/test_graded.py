@@ -210,9 +210,9 @@ def test_table_is_emptied_at_the_cap(monkeypatch):
     assert [table[n] for n in range(3)] == [0, -1, -2]
     assert dict(table) == {0: 0, 1: -1, 2: -2}
     assert table[3] == -3 and dict(table) == {3: -3}
-    assert table.remember("k", "v") == "v"
+    assert table._remember("k", "v") == "v"
     assert dict(table) == {3: -3, "k": "v"}
-    assert table.remember("j", 1) == 1 and table[4] == -4
+    assert table._remember("j", 1) == 1 and table[4] == -4
     assert dict(table) == {4: -4}
 
 
@@ -222,5 +222,5 @@ def test_table_get_computes_nothing():
     assert table.get(1) is None and 1 not in table
     assert table.get(1, "default") == "default"
     assert calls == [] and len(table) == 0
-    table.remember(1, "one")
+    table._remember(1, "one")
     assert table.get(1) == "one" and calls == []
