@@ -14,7 +14,7 @@ a dgc map into a bar (`dgc_map_from_cochain`) is given it as its target.
 
 from .graded import (GradedElement, LinearMap, Table, Tensor, expand,
                      parity_sign)
-from .linalg import homology, ReducedSpace, StructuralError
+from .linalg import homology, StructuralError
 from .dg import (CheckReport, Dgc, TensorDga, TensorDgc, TwistingCochain,
                  TwistedTensor, commutes_with_d, preserves_coproduct,
                  tensor_basis)
@@ -312,73 +312,53 @@ def tor_additive(osb, max_total):
     Needs basis enumeration for the bar factor (A simply connected) and
     the coefficients.  Kernels at the top degree only need differential
     values (target keys are opaque), so the enumeration stops at
-    max_total.  `homology` checks d^2 = 0 on every key below max_total.
-    When the differential preserves the internal degree the complex is
-    split into its columns (`split_homology`); otherwise it is eliminated
-    whole and the bidegree table stays empty.
+    max_total.  Each key's differential is evaluated once, into one dict.
+    `homology` checks d^2 = 0 on every key below max_total.  When d
+    preserves the internal degree the bidegrees are read off the
+    representatives (`bigraded_homology`); otherwise the table is empty.
     """
     basis = {n: osb.basis_total(n) for n in range(0, max_total + 1)}
-
-    def diff(k):
-        return osb.diff_key(k).terms
-
-    if _is_bidegree_pure(osb, basis):
-        return split_homology(basis, diff, osb.field, _bar_bigrade)
-    res = homology(basis, diff, osb.field, ddeg=1)
+    diffs = {k: osb.diff_key(k).terms for keys in basis.values()
+             for k in keys}
+    if all(_internal_degree(k2) == t for k, dk in diffs.items()
+           for t in [_internal_degree(k)] for k2 in dk):
+        return bigraded_homology(basis, diffs.__getitem__, osb.field,
+                                 _bar_bigrade)
+    res = homology(basis, diffs.__getitem__, osb.field, ddeg=1)
     return TorTable({}, res.dims, representatives=res.representatives,
                     spaces=res.spaces)
+
+
+def _internal_degree(key):
+    w, b = key.parts
+    return w.internal_degree + b.degree
 
 
 def _bar_bigrade(key):
     """(s, t) of a word (x) coefficient key: s = -length, t the internal
     degree."""
-    w, b = key.parts
-    return (-w.length, w.internal_degree + b.degree)
+    return (-key.parts[0].length, _internal_degree(key))
 
 
-def split_homology(basis, diff, field, bigrade):
-    """Homology of a complex graded by total degree whose differential
-    preserves t and raises s by one, where bigrade(key) = (s, t) and
-    s + t is the total degree.
+def bigraded_homology(basis, diff, field, bigrade):
+    """TorTable of a complex, `basis` mapping total degree s + t -> keys,
+    whose differential preserves t, bigrade(key) = (s, t).
 
-    `basis` maps total degree -> keys.  Each column (one t) is eliminated
-    once by `homology`, which also checks d^2 = 0 there.  Columns share no
-    keys, so the class space of a total degree is its columns' class
-    spaces joined by `ReducedSpace.extend`, each column's representative
-    tags shifted by the number of representatives before it.  Returns a
-    TorTable.
+    It is eliminated once, by `homology`, and the representatives are
+    counted by bidegree.  d is block diagonal in t and `kernel_basis`
+    subtracts only rows whose keys a column meets, so each representative
+    lies in one bidegree; one that spans two raises StructuralError.
     """
-    columns = {}
-    for keys in basis.values():
-        for k in keys:
-            s, t = bigrade(k)
-            columns.setdefault(t, {}).setdefault(s, []).append(k)
+    res = homology(basis, diff, field, ddeg=1)
     bigr = {}
-    totals = {n: 0 for n in basis}
-    reps = {n: [] for n in basis}
-    spaces = {n: ReducedSpace(field) for n in basis}
-    for t, sub in sorted(columns.items()):
-        res = homology(sub, diff, field, ddeg=1)
-        for s, dim in res.dims.items():
-            n = s + t
-            if dim:
-                bigr[(s, t)] = dim
-            totals[n] += dim
-            spaces[n].extend(res.spaces[s], len(reps[n]))
-            reps[n].extend(res.representatives[s])
-    return TorTable(bigr, totals, representatives=reps, spaces=spaces)
-
-
-def _is_bidegree_pure(osb, basis):
-    """True when d preserves the internal degree (zero differentials
-    upstream).  It evaluates the differential of every key of `basis`,
-    and `homology` then reads those values from the complex's memo."""
-    for keys in basis.values():
-        for k in keys:
-            w, b = k.parts
-            t = w.internal_degree + b.degree
-            for k2 in osb.diff_key(k).terms:
-                w2, b2 = k2.parts
-                if w2.internal_degree + b2.degree != t:
-                    return False
-    return True
+    for reps in res.representatives.values():
+        for rep in reps:
+            grades = {bigrade(k) for k in rep}
+            if len(grades) != 1:
+                raise StructuralError(
+                    f"representative {rep!r} spans the bidegrees "
+                    f"{sorted(grades)}")
+            bd, = grades
+            bigr[bd] = bigr.get(bd, 0) + 1
+    return TorTable(bigr, res.dims, representatives=res.representatives,
+                    spaces=res.spaces)

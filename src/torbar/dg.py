@@ -38,7 +38,7 @@ lookups hit on identity.  A differential is assembled in one dict, with
 no element per summand: `tensor_diff_key` writes dx (x) y and
 +-x (x) dy into it, and `TwistedTensor` adds -delta_t, reading the
 splits of each coalgebra key where t is nonzero from a table keyed by
-that key, and keeps each differential in a table keyed by the key.
+that key, and keeps no differential: `bar.tor_additive` reads each once.
 
 The module also provides the convolution algebra Hom(C, A) with its unit,
 cup product and differential, twisting cochains and twisted tensor
@@ -405,8 +405,8 @@ class TwistedTensor:
     """C (x)_t A with differential d_(x) - delta_t, d_(x) the differential
     of the tensor product (`tensor_diff_key`), for t: C -> A.
 
-    Its keys come from its `Tensor` table.  The differential of each key
-    is assembled once, in one dict, and kept in a table keyed by the key.
+    Its keys come from its `Tensor` table.  The differential of a key is
+    assembled in one dict on each call, and not kept.
     """
 
     def __init__(self, t):
@@ -417,7 +417,6 @@ class TwistedTensor:
         self.ddeg = t.C.ddeg
         self._tensors = Table(Tensor)
         self._splits = Table(TwistedTensor._twist_splits, self)
-        self._diffs = Table(TwistedTensor._diff, self)
 
     def key(self, ck, ak):
         return self._tensors[(ck, ak)]
@@ -438,11 +437,7 @@ class TwistedTensor:
         return tuple(got)
 
     def diff_key(self, key):
-        """d_(x)(c (x) a) - sum +-c_1 (x) t(c_2) a, computed once per key;
-        the value is shared and must not be mutated."""
-        return self._diffs[key]
-
-    def _diff(self, key):
+        """d_(x)(c (x) a) - sum +-c_1 (x) t(c_2) a."""
         intern, mul = self._tensors.__getitem__, self.field.mul
         mul_keys = self.A.mul_keys
         ck, ak = key.parts

@@ -82,8 +82,8 @@ class TorusFormality:
         self.H = self.K.D.algebra
         self.hga = CochainHga(self.BT)
         # F: K -> C(ET) and f: S -> C(BT), each computed once per key
-        self.F_key = LinearMap(0, self._F_rule)
-        self.f_key = LinearMap(0, self._f_rule)
+        self.F_key = LinearMap(0, TorusFormality._F_rule, self)
+        self.f_key = LinearMap(0, TorusFormality._f_rule, self)
         # representative loops: the canonical generators of Z^n, optionally
         # symmetrized  c~ = (c - iota_* c)/2
         self.loops = []

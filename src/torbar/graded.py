@@ -263,12 +263,12 @@ class LinearMap:
     """Degree-homogeneous linear map given lazily on basis keys.
 
     `rule` maps a key to a GradedElement; evaluation on elements extends
-    linearly.  The value on each key is kept in a `Table`.
+    linearly.  The value on each key is kept in a `Table(rule, owner)`.
     """
 
-    def __init__(self, degree, rule):
+    def __init__(self, degree, rule, owner=None):
         self.degree = degree
-        self._values = Table(rule)
+        self._values = Table(rule, owner)
 
     def __call__(self, key):
         return self._values[key]

@@ -12,7 +12,7 @@ from .graded import GradedElement
 from .linalg import express_class, StructuralError
 from .dg import (CheckReport, FreeGcDga, _generator_differentials,
                  gc_algebra_map, polynomial_dga)
-from .bar import OneSidedBar, split_homology, tor_additive
+from .bar import OneSidedBar, bigraded_homology, tor_additive
 from .hga import KSAlgebra
 from .simplicial import DualCochainDga
 from .classifying import wbar
@@ -104,8 +104,8 @@ def tor_koszul_oracle(A, B, f, max_total):
         return (-k, key.degree + k)
 
     basis = {n: R2.basis(n) for n in range(0, max_total + 1)}
-    table = split_homology(basis, lambda k: R2.diff_key(k).terms, field,
-                           bigrade)
+    table = bigraded_homology(basis, lambda k: R2.diff_key(k).terms, field,
+                              bigrade)
     return TorRing(table, R2)
 
 

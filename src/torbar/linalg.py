@@ -24,8 +24,7 @@ pivot lookup (Chen-Kerber 2011; Bauer, Ripser, 2021).
   the vector's pivot numbers from a heap in increasing order and
   subtracts the row found by lookup; that row only adds entries above the
   popped number, so each number is settled once and a vector touches only
-  the rows it meets, never the whole echelon.  Spaces that share no keys
-  join with `extend`.
+  the rows it meets, never the whole echelon.
 
 A row may carry the combination of tagged input vectors it was built
 from; rank, kernels, homology and coordinates of classes are all read off
@@ -176,24 +175,6 @@ class ReducedSpace:
         self.combos.append(None if combo is None else
                            {k: field.mul(inv, v) for k, v in combo.items()})
         return True
-
-    def extend(self, other, tag_offset):
-        """Append the rows of `other`, a space that shares no key with this
-        one, its integer tags shifted by `tag_offset`.
-
-        Other's numbers move past this space's, in the same order, so
-        each row keeps its least number as pivot."""
-        shift = len(self.index)
-        for k, i in other.index.items():
-            if k in self.index:
-                raise StructuralError(f"key {k!r} lies in both spaces")
-            self.index[k] = i + shift
-        for (pc, row), combo in zip(other.echelon, other.combos):
-            self.pivots[pc + shift] = len(self.echelon)
-            self.echelon.append((pc + shift,
-                                 {k + shift: v for k, v in row.items()}))
-            self.combos.append(None if combo is None else
-                               {tag_offset + i: c for i, c in combo.items()})
 
     @property
     def dim(self):

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import pytest
@@ -10,7 +11,7 @@ from torbar.dg import (Dgc, FreeDga, FreeGcDga, Monomial, TensorDga,
                        gc_algebra_map, check_d_squared)
 from torbar.bar import (BarDgc, BarWord, universal_cochain,
                         dgc_map_from_cochain, check_dgc_map, bar_shuffle,
-                        OneSidedBar, tor_additive)
+                        OneSidedBar, bigraded_homology, tor_additive)
 from torbar.classifying import b_cyclic, wbar
 from torbar.hga import VectorHga, bar_e_cochain
 from torbar.homog import (CATALOG, catalog_entry, chain_level_tor,
@@ -274,6 +275,18 @@ def test_tor_additive_detects_non_multiplicative_map():
         tor_additive(osb, 8)
 
 
+def test_bigraded_homology_names_a_representative_across_bidegrees():
+    """b and c both map to x but lie in different bidegrees, so d does not
+    preserve the bigrading: the representative c - b spans two bidegrees
+    and the error names it."""
+    basis = {0: ["b", "c"], 1: ["x"]}
+    diffs = {"b": {"x": QQ.one}, "c": {"x": QQ.one}, "x": {}}
+    grades = {"b": (0, 0), "c": (-1, 1), "x": (0, 1)}
+    rep = {"c": QQ.one, "b": QQ.neg(QQ.one)}
+    with pytest.raises(StructuralError, match=re.escape(repr(rep))):
+        bigraded_homology(basis, diffs.__getitem__, QQ, grades.__getitem__)
+
+
 def test_tor_of_identity_module():
     A = polynomial_dga(QQ, [("c", 4)])
     k = polynomial_dga(QQ, [])
@@ -379,8 +392,8 @@ def test_one_sided_bar_differentials_match_the_reference():
 def _catalog_tables():
     """Totals, bidegrees and product coordinates of two catalog pairs over
     Q and F5, with the sizes of their monomial and product tables and of
-    the one-sided bar's word, tensor, split and differential tables and
-    its bar's differential and coproduct tables."""
+    the one-sided bar's word, tensor and split tables and its bar's
+    differential and coproduct tables."""
     out, sizes = [], []
     for name in ("SU(3)/T", "U(2)/U(1)xU(1)"):
         for field in (QQ, F5):
@@ -392,8 +405,8 @@ def _catalog_tables():
             sizes.append([len(A._monomials), len(B._monomials),
                           len(A._products), len(B._products),
                           len(osb.C._words), len(osb._tensors),
-                          len(osb._splits), len(osb._diffs),
-                          len(osb.C._diffs), len(osb.C._cops)])
+                          len(osb._splits), len(osb.C._diffs),
+                          len(osb.C._cops)])
     return out, sizes
 
 

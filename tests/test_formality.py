@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -51,6 +53,22 @@ def test_f_is_equivariant_dgc_chain_map_rank1():
     assert fo.F_key(k_y) == fo.E.s_chain(fo.F_key(k_x))
     # F(x . 1) = c * e0: a single 1-simplex
     assert len(fo.F_key(k_x).terms) == 1
+
+
+def test_torus_formality_is_freed_without_the_cycle_collector():
+    """F and f keep their values in tables that hold the construction
+    weakly, so after computing them it is freed on `del` with the cycle
+    collector off."""
+    gc.disable()
+    try:
+        fo = TorusFormality(QQ, 1)
+        assert fo.check_chain_map(3).ok
+        assert fo.check_transgression(1).ok
+        ref = weakref.ref(fo)
+        del fo
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_f_rank2_with_equivariance():

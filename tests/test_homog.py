@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from torbar.fields import QQ, F5, F2, PrimeField
-from torbar.graded import GradedElement
+from torbar.graded import GradedElement, parity_sign
 from torbar.classifying import SubgroupInclusion, b_cyclic
 from torbar.dg import FreeGcDga, gc_algebra_map, polynomial_dga
 from torbar.homog import (CATALOG, TorRing, catalog_entry, chain_level_tor,
@@ -49,8 +49,8 @@ def assert_unit_coordinates(ring, field):
 
 @pytest.mark.parametrize("field,name", PAIRS, ids=IDS)
 def test_representatives_have_unit_coordinates(field, name):
-    """On the bar side, and on the oracle side, whose class spaces are
-    the concatenated spaces of its columns."""
+    """On the bar side and on the oracle side, each complex eliminated
+    once, its bidegrees read off the representatives."""
     A, B, f, _ = catalog_entry(field, name)
     ring, _, _ = tor_bar_algebra(A, B, f, 4, sample_products=False)
     assert_unit_coordinates(ring, field)
@@ -139,8 +139,8 @@ def test_product_coordinates_rebuild_the_product(field, name):
 def test_class_spaces_of_columns_sharing_a_total_degree(field):
     """Tor_{k[c, e]}(k, k[t]) with c, e -> 0 is k[t] (x) L(x_3, y_5).  In
     total degree 8, t^4 sits in column t = 8 and x_3 y_5 in column
-    t = 10, so the class space of degree 8 concatenates two columns and
-    the second one's representative tag is shifted by one."""
+    t = 10, so the class space of degree 8 holds the representatives of
+    two columns, each found from the bigrade of its keys."""
     A = polynomial_dga(field, [("c", 4), ("e", 6)])
     B = polynomial_dga(field, [("t", 2)])
     f = gc_algebra_map(A, B, {"c": B.zero(), "e": B.zero()})
@@ -152,10 +152,14 @@ def test_class_spaces_of_columns_sharing_a_total_degree(field):
             {(0, 8), (-2, 10)}
         assert_unit_coordinates(side, field)
     assert_products_rebuild(ring, osb, ks, field)
-    # x_3 times a degree-5 class lies in column t = 10, the second one
-    coords = [ring.product_class(3, 0, 5, i) for i in range(2)]
-    assert all(c[0] == field.zero for c in coords)
-    assert any(c[1] != field.zero for c in coords)
+    # x_3 times a degree-5 class lies in column t = 10
+    columns = [{w.internal_degree + b.degree for w, b in (k.parts for k in r)}
+               for r in ring.table.representatives[8]]
+    assert sorted(columns) == [{8}, {10}]
+    i = columns.index({10})
+    coords = [ring.product_class(3, 0, 5, j) for j in range(2)]
+    assert all(c[1 - i] == field.zero for c in coords)
+    assert any(c[i] != field.zero for c in coords)
 
 
 @pytest.mark.parametrize("fiber", ["s_t", "s_c"])
@@ -216,6 +220,41 @@ def test_tor_table_repr():
     assert repr(ring.table) == "TorTable(" + json.dumps(bidegrees) + ")"
 
 
+def assert_graded_commutative(ring, max_total):
+    """r_i r_j = (-1)^{|r_i||r_j|} r_j r_i in class coordinates, for every
+    two representatives whose degrees sum to at most max_total, in both
+    orders: the sampled products take only the order d_i <= d_j."""
+    field, reps = ring.field, ring.table.representatives
+    for d1 in reps:
+        for d2 in reps:
+            if d1 > d2 or d1 + d2 > max_total:
+                continue
+            sign = parity_sign(field, d1 * d2)
+            for i1 in range(len(reps[d1])):
+                for i2 in range(len(reps[d2])):
+                    xy = ring.product_class(d1, i1, d2, i2)
+                    yx = ring.product_class(d2, i2, d1, i1)
+                    assert None not in (xy, yx), ((d1, i1), (d2, i2))
+                    assert xy == [field.mul(sign, c) for c in yx], \
+                        ((d1, i1), (d2, i2))
+
+
+@pytest.mark.parametrize("field,name", PAIRS, ids=IDS)
+def test_tor_rings_are_graded_commutative(field, name):
+    """The bar ring and the oracle ring of every catalog pair to total
+    degree 9."""
+    A, B, f, _ = catalog_entry(field, name)
+    ring, _, _ = tor_bar_algebra(A, B, f, 9, sample_products=False)
+    assert_graded_commutative(ring, 9)
+    assert_graded_commutative(tor_koszul_oracle(A, B, f, 9), 9)
+
+
+def test_chain_level_tor_ring_is_graded_commutative():
+    """Chain-level Tor of C*(K(Z/2,2)) over F2 to degree 3."""
+    ring, _, _ = chain_level_tor(b_cyclic(F2, 2), None, F2, 3)
+    assert_graded_commutative(ring, 3)
+
+
 def test_pu2_over_f2_formal_square_vanishes():
     """The catalog's expected failure.  H*(PU(2); F2) = F2[x]/x^4 has
     x1^2 = x2 != 0, but the formal Tor of H*(BPU(2)) -> H*(BT) over F2
@@ -234,8 +273,8 @@ def test_pu2_over_f2_formal_square_vanishes():
 def test_chain_level_tor_of_k_z2_2():
     """Tor of C*(K(Z/2,2)) over F2 is F2[x], |x| = 1: one class in each
     degree, and every product of representatives is the class of its
-    degree.  The complex is not split by bidegree, so the class spaces
-    come straight from `homology`."""
+    degree.  The differential does not preserve the internal degree, so
+    the bidegree table stays empty."""
     ring, _, _ = chain_level_tor(b_cyclic(F2, 2), None, F2, 3)
     table = ring.table
     assert table.poincare() == "1+q+q^2+q^3"

@@ -281,39 +281,6 @@ def _tagged_space(field, untagged, tagged):
     return space
 
 
-@given(st.data())
-def test_extend_matches_one_space_built_in_order(data):
-    field = data.draw(FIELDS)
-    parts = []
-    for name in "ab":
-        keys = [f"{name}{i}" for i in range(data.draw(st.integers(1, 5)))]
-        rows = st.lists(_vectors(field, keys), max_size=4)
-        parts.append((data.draw(rows), data.draw(rows)))
-    (ua, ta), (ub, tb) = parts
-    joined = ReducedSpace(field)
-    joined.extend(_tagged_space(field, ua, ta), 0)
-    joined.extend(_tagged_space(field, ub, tb), len(ta))
-    whole = _tagged_space(field, ua, ta)
-    for r in ub:
-        whole.add(r)
-    for j, r in enumerate(tb):
-        whole.add(r, {len(ta) + j: field.one})
-    assert joined.dim == whole.dim
-    rows = ua + ta + ub + tb
-    coeffs = data.draw(st.lists(st.integers(-3, 3).map(field.of),
-                                min_size=len(rows), max_size=len(rows)))
-    z = combine(field, list(zip(coeffs, rows)))
-    count = len(ta) + len(tb)
-    assert express_class(z, joined, count, field) == \
-        express_class(z, whole, count, field) is not None
-
-
-def test_extend_rejects_a_shared_key():
-    space = _tagged_space(QQ, [{"x": QQ.one}], [])
-    with pytest.raises(StructuralError, match="'x' lies in both spaces"):
-        space.extend(_tagged_space(QQ, [], [{"x": QQ.one, "y": QQ.one}]), 0)
-
-
 def _first_seen(columns):
     return list(dict.fromkeys(k for col in columns for k in col))
 

@@ -166,7 +166,7 @@ def test_no_hand_rolled_tensor_expansions():
 
 def test_one_owner_of_the_elimination_storage():
     """Only `linalg` reads or writes a `ReducedSpace`'s rows and their tag
-    combinations; other modules join spaces with `ReducedSpace.extend`."""
+    combinations; other modules hand class spaces to `express_class`."""
     found = []
     for path, tree in _trees("src/torbar"):
         if path.name == "linalg.py":
@@ -175,6 +175,33 @@ def test_one_owner_of_the_elimination_storage():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute)
                   and node.attr in ("echelon", "combos")]
+    assert not found, found
+
+
+def _per_pass(node):
+    """The statements and expressions that the loop `node` runs on every
+    pass (none if it is no loop)."""
+    if isinstance(node, ast.For):
+        return node.body
+    if isinstance(node, ast.While):
+        return [node.test] + node.body
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        return [node.elt]
+    if isinstance(node, ast.DictComp):
+        return [node.key, node.value]
+    return []
+
+
+def test_one_elimination_per_complex():
+    """No loop calls `linalg.homology`: a complex is eliminated once,
+    whole, and a finer grading is read off its representatives."""
+    found = []
+    for path, tree in _trees("src/torbar"):
+        found += [f"{path.name}:{call.lineno}" for loop in ast.walk(tree)
+                  for part in _per_pass(loop) for call in ast.walk(part)
+                  if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", getattr(call.func, "attr", None))
+                  == "homology"]
     assert not found, found
 
 
